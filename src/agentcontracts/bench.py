@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .composition import compose_chain
-from .errors import DanglingConstraintRef, FormatError
+from .composition import check_boundaries, compose_chain, stage_count
+from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import Contract, ExecutionTrace
 from .monitor import run_session
 from .parser import PipelineContract, load_document
@@ -102,6 +101,24 @@ def _range(raw, what: str) -> tuple:
 
 def load_scenario(path: str) -> Scenario:
     """Load one scenario file and cross-validate it against its contract."""
+    return _load_scenario(path, {})
+
+
+def _load_contract(path: str, cache: dict) -> tuple:
+    """(document, contract) for a contract file, loaded once per ``cache``;
+    a pipeline's contract is its composed chain."""
+    key = os.path.abspath(path)
+    if key not in cache:
+        loaded = load_document(path)
+        contract = loaded
+        if isinstance(loaded, PipelineContract):
+            contract = compose_chain([s.contract for s in loaded.stages],
+                                     list(loaded.handoffs))
+        cache[key] = (loaded, contract)
+    return cache[key]
+
+
+def _load_scenario(path: str, cache: dict) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -125,21 +142,14 @@ def load_scenario(path: str) -> Scenario:
     contract_path = doc["contract"]
     resolved = contract_path if os.path.isabs(contract_path) \
         else os.path.join(base_dir, contract_path)
-    loaded = load_document(resolved)
-
-    boundaries: tuple = ()
-    pipeline = None
-    if isinstance(loaded, PipelineContract):
-        pipeline = loaded
-        raw_boundaries = doc.get("boundaries")
-        if not raw_boundaries:
-            raise FormatError(f"{path}: pipeline scenarios need stage 'boundaries'")
-        boundaries = tuple(int(b) for b in raw_boundaries)
-        contract = compose_chain([s.contract for s in loaded.stages], list(loaded.handoffs))
-    else:
-        contract = loaded
-        if doc.get("boundaries"):
-            raise FormatError(f"{path}: agent scenarios carry no stage boundaries")
+    loaded, contract = _load_contract(resolved, cache)
+    pipeline = loaded if isinstance(loaded, PipelineContract) else None
+    raw_boundaries = doc.get("boundaries")
+    try:
+        boundaries = check_boundaries(() if raw_boundaries is None else raw_boundaries,
+                                      stage_count(contract), trace.length)
+    except BadBoundaries as exc:
+        raise FormatError(f"{path}: bad stage boundaries: {exc}") from None
 
     expected_doc = doc["expected"]
     violations = tuple((int(step), str(name)) for step, name in
@@ -179,10 +189,11 @@ def load_suite(suite_dir: str) -> list:
     entries = manifest.get("scenarios")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{manifest_path}: manifest needs a non-empty 'scenarios' list")
-    scenarios = []
-    for entry in entries:
-        scenarios.append(load_scenario(os.path.join(suite_dir, entry["file"])))
-    return scenarios
+    # Scenarios share a few contract files: load each one once per call.
+    # The cache dies with the call, so a file edited between calls is re-read.
+    cache: dict = {}
+    return [_load_scenario(os.path.join(suite_dir, entry["file"]), cache)
+            for entry in entries]
 
 
 _RANGE_SLOP = 1e-9
@@ -224,13 +235,9 @@ def score_scenario(scenario: Scenario) -> ScenarioScore:
     )
 
 
-def score_suite(scenarios: Sequence[Scenario], jobs: int = 1) -> list:
-    """Score a suite (scenarios are independent; jobs > 1 fans out over
-    threads).  Result order matches the input order."""
-    if jobs <= 1:
-        return [score_scenario(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(score_scenario, scenarios))
+def score_suite(scenarios: Sequence[Scenario]) -> list:
+    """Score a suite; result order matches the input order."""
+    return [score_scenario(s) for s in scenarios]
 
 
 @dataclass(frozen=True)

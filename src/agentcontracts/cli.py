@@ -36,7 +36,7 @@ from .dynamics import (
     solve_design_gamma,
     tail_probability,
 )
-from .errors import ContractError, DanglingConstraintRef, FormatError, InvalidStep
+from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
 from .generator import generate_suite
 from .model import ActionRecord, ExecutionTrace, validate_contract
 from .monitor import run_session
@@ -124,11 +124,11 @@ def cmd_run(args) -> int:
     trace = ExecutionTrace.from_dict(doc)
     boundaries = doc.get("boundaries")
     if isinstance(contract, PipelineContract):
-        composed = compose_chain([s.contract for s in contract.stages],
+        contract = compose_chain([s.contract for s in contract.stages],
                                  list(contract.handoffs))
-        report = run_session(composed, trace, hook=None, boundaries=boundaries)
-    else:
-        report = run_session(contract, trace, hook=None)
+        if boundaries is None:
+            boundaries = ()   # run_session rejects a pipeline trace without them
+    report = run_session(contract, trace, hook=None, boundaries=boundaries)
 
     output = report.to_json()
     if args.out:
@@ -271,7 +271,7 @@ def cmd_bench(args) -> int:
         print(f"generated {len(manifest['scenarios'])} scenarios in {args.suite}")
         return EXIT_OK
     scenarios = load_suite(args.suite)
-    scores = score_suite(scenarios, jobs=args.jobs)
+    scores = score_suite(scenarios)
     summary = aggregate(scores)
     if args.format == "json":
         payload = summary.to_dict()
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", action="store_true",
                    help="generate a synthetic suite into the directory")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_bench)
 
@@ -384,7 +383,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FormatError, DanglingConstraintRef, InvalidStep) as exc:
+    except (FormatError, DanglingConstraintRef, InvalidStep, BadBoundaries) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:

@@ -15,6 +15,7 @@ witness corpora travel with the benchmark scenarios.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -49,6 +50,7 @@ __all__ = [
     "check_conditions",
     "chain_bounds",
     "verify_chain_trace",
+    "check_boundaries",
     "stage_count",
 ]
 
@@ -501,6 +503,32 @@ def chain_bounds(spec: ChainSpec) -> ChainBounds:
 # Phase-scoped trace verification
 # ---------------------------------------------------------------------------
 
+def check_boundaries(boundaries, n_stages: int, trace_length: int) -> tuple:
+    """Check the stage boundaries of an ``n_stages``-stage composed
+    contract over a trace of ``trace_length`` steps, and return them as a
+    tuple of ints.
+
+    There must be one boundary per handoff, each an integer state index in
+    ``[0, trace_length]``, strictly increasing.  Raises BadBoundaries.
+    """
+    try:
+        boundaries = tuple(boundaries)
+    except TypeError:
+        raise BadBoundaries(f"boundaries must be a list of state indices, "
+                            f"got {type(boundaries).__name__}") from None
+    if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in boundaries):
+        raise BadBoundaries(f"boundary indices must be integers, got {list(boundaries)!r}")
+    boundaries = tuple(int(b) for b in boundaries)
+    if len(boundaries) != n_stages - 1:
+        raise BadBoundaries(
+            f"{n_stages}-stage contract needs {n_stages - 1} boundaries, got {len(boundaries)}")
+    if any(not (0 <= idx <= trace_length) for idx in boundaries):
+        raise BadBoundaries(f"boundary indices must lie in [0, {trace_length}]")
+    if any(boundaries[i] >= boundaries[i + 1] for i in range(len(boundaries) - 1)):
+        raise BadBoundaries("boundary indices must be strictly increasing")
+    return boundaries
+
+
 def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
                        boundaries: Sequence[int]) -> SatisfactionVerdict:
     """Deterministic satisfaction of a composed contract over a chain trace.
@@ -512,17 +540,8 @@ def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
     every action.  Equivalent to :func:`check_deterministic` with
     phase-scoped constraint timelines.
     """
-    n_stages = stage_count(composed)
-    boundaries = tuple(boundaries)
-    if len(boundaries) != n_stages - 1:
-        raise BadBoundaries(
-            f"{n_stages}-stage contract needs {n_stages - 1} boundaries, got {len(boundaries)}")
+    boundaries = check_boundaries(boundaries, stage_count(composed), trace.length)
     last = trace.length
-    if any(not (0 <= idx <= last) for idx in boundaries):
-        raise BadBoundaries(f"boundary indices must lie in [0, {last}]")
-    if any(boundaries[i] >= boundaries[i + 1] for i in range(len(boundaries) - 1)):
-        raise BadBoundaries("boundary indices must be strictly increasing")
-
     active = lambda con, idx: scope_active(con.scope, idx, boundaries, last)
     timelines = constraint_timelines(composed, trace, active=active)
     return check_deterministic(composed, trace, timelines=timelines)

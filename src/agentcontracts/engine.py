@@ -29,6 +29,7 @@ from .model import (
     StateDict,
     is_number,
     resolve_path,
+    value_eq,
 )
 
 __all__ = [
@@ -143,9 +144,9 @@ def _field_value(constraint: Constraint, state: StateDict,
 
 def _apply_operator(op: str, value, operand) -> bool:
     if op == "eq":
-        return _scalar_eq(value, operand)
+        return value_eq(value, operand)
     if op == "ne":
-        return not _scalar_eq(value, operand)
+        return not value_eq(value, operand)
     if op in ("lt", "le", "gt", "ge"):
         if not (is_number(value) and is_number(operand)):
             raise TypeMismatch(f"operator {op!r} needs numbers, got "
@@ -153,8 +154,7 @@ def _apply_operator(op: str, value, operand) -> bool:
         a, b = float(value), float(operand)
         return {"lt": a < b, "le": a <= b, "gt": a > b, "ge": a >= b}[op]
     if op in ("in", "not_in"):
-        members = [m for m in operand]
-        hit = any(_scalar_eq(value, m) for m in members)
+        hit = any(value_eq(value, m) for m in operand)
         return hit if op == "in" else not hit
     if op == "matches":
         if not isinstance(value, str):
@@ -166,14 +166,6 @@ def _apply_operator(op: str, value, operand) -> bool:
         lo, hi = float(operand[0]), float(operand[1])
         return lo <= float(value) <= hi
     raise TypeMismatch(f"unknown operator {op!r}")
-
-
-def _scalar_eq(a, b) -> bool:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a is b
-    if is_number(a) and is_number(b):
-        return float(a) == float(b)
-    return a == b
 
 
 def evaluate_constraint(constraint: Constraint, state: StateDict,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
-from .model import MISSING, ActionRecord, StateDict, is_number, resolve_path
+from .model import MISSING, ActionRecord, StateDict, is_number, resolve_path, value_eq
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call",
            "compile_expression", "eval_expression", "MAX_DEPTH"]
@@ -225,11 +225,13 @@ def _eval(node: ExprAst, state: StateDict, action: Optional[ActionRecord]):
         if op == "in":
             if not isinstance(right, (list, tuple, str)):
                 raise TypeMismatch("'in' needs a list or string on the right")
-            if isinstance(right, str) and not isinstance(left, str):
-                raise TypeMismatch("'in' over a string needs a string on the left")
-            return left in right
+            if isinstance(right, str):
+                if not isinstance(left, str):
+                    raise TypeMismatch("'in' over a string needs a string on the left")
+                return left in right
+            return any(value_eq(left, member) for member in right)
         if op in ("==", "!="):
-            equal = _value_eq(left, right)
+            equal = value_eq(left, right)
             return equal if op == "==" else not equal
         if op in ("<", "<=", ">", ">="):
             a, b = _require_number(left, op), _require_number(right, op)
@@ -251,15 +253,6 @@ def _eval(node: ExprAst, state: StateDict, action: Optional[ActionRecord]):
         nums = [_require_number(a, node.func) for a in args]
         return min(nums) if node.func == "min" else max(nums)
     raise TypeMismatch(f"unknown node {node!r}")  # pragma: no cover
-
-
-def _value_eq(a: Any, b: Any) -> bool:
-    # Numbers compare numerically (exactly); bools only against bools.
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a is b
-    if is_number(a) and is_number(b):
-        return float(a) == float(b)
-    return a == b
 
 
 def eval_expression(ast: ExprAst, state: StateDict,

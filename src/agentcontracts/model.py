@@ -491,3 +491,14 @@ MISSING = _Missing()
 
 def is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(float(v))
+
+
+def value_eq(a: Any, b: Any) -> bool:
+    """The one equality of the contract language (field ``eq``/``ne``/``in``
+    and expression ``==``/``!=``/``in``): numbers compare numerically and
+    exactly, booleans only against booleans."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a is b
+    if is_number(a) and is_number(b):
+        return float(a) == float(b)
+    return a == b

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
+from .composition import check_boundaries, stage_count
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
 from .engine import (
     SatisfactionVerdict,
@@ -481,8 +482,11 @@ def run_session(contract: Contract, trace: ExecutionTrace,
 
     Deterministic given (contract, trace, hook behavior).  An empty trace
     (one state, zero actions) yields a report with the precondition
-    verdict only.
+    verdict only.  Given ``boundaries`` are checked against the contract's
+    stage count and the trace (BadBoundaries).
     """
+    if boundaries is not None:
+        boundaries = check_boundaries(boundaries, stage_count(contract), trace.length)
     monitor = SessionMonitor(contract, hook=hook, listeners=listeners,
                              attempts_per_step=attempts_per_step,
                              boundaries=boundaries, trace_length=trace.length)

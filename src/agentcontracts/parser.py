@@ -11,6 +11,13 @@ Diagnostics carry a :class:`~agentcontracts.errors.SourceSpan` whenever the
 offending element can be located in the document.  Parsing is pure and
 deterministic; arbitrary byte input terminates with DslSyntaxError or a
 schema/semantic diagnostic, never a crash.
+
+Each document is composed once, with libyaml (``yaml.CSafeLoader``) when
+PyYAML was built with it and with the pure-Python ``yaml.SafeLoader``
+otherwise; the value and the span index both come from that one node
+tree.  Nesting deeper than ``_MAX_NESTING`` is rejected from a flat pass
+over the parser's events before composing, because libyaml's composer
+recurses on the C stack.
 """
 
 from __future__ import annotations
@@ -84,7 +91,11 @@ class PipelineContract:
 # Span index: map document paths to source positions
 # ---------------------------------------------------------------------------
 
-def _index_spans(node, path: tuple, out: dict, depth: int = 0) -> None:
+def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> None:
+    """Index ``node``'s subtree under ``path``.  ``done`` holds the ids of
+    collections already indexed: an alias to one is not walked again, so
+    nested aliases cost linear, not exponential, time.  An alias to an
+    enclosing collection recurses until the nesting limit rejects it."""
     if depth > _MAX_NESTING:
         raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
     mark = node.start_mark
@@ -92,13 +103,17 @@ def _index_spans(node, path: tuple, out: dict, depth: int = 0) -> None:
     if hasattr(node, "end_mark") and node.end_mark.line == mark.line:
         length = max(1, node.end_mark.column - mark.column)
     out[path] = SourceSpan(line=mark.line + 1, column=mark.column + 1, length=length)
+    if id(node) in done:
+        return
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
             key = getattr(key_node, "value", None)
-            _index_spans(value_node, path + (key,), out, depth + 1)
+            _index_spans(value_node, path + (key,), out, done, depth + 1)
+        done.add(id(node))
     elif isinstance(node, yaml.SequenceNode):
         for i, child in enumerate(node.value):
-            _index_spans(child, path + (i,), out, depth + 1)
+            _index_spans(child, path + (i,), out, done, depth + 1)
+        done.add(id(node))
 
 
 class _Doc:
@@ -116,26 +131,59 @@ class _Doc:
         return self.spans.get(())
 
 
+# libyaml when PyYAML was built with it; the pure-Python loader otherwise.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _check_nesting(text: str) -> None:
+    """Raise DslSyntaxError once collection nesting exceeds _MAX_NESTING,
+    reading events without building nodes."""
+    loader = _Loader(text)
+    try:
+        depth = 0
+        while loader.check_event():
+            event = loader.get_event()
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_NESTING:
+                    raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    finally:
+        loader.dispose()
+
+
 def _load_yaml(text: Union[str, bytes]) -> _Doc:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DslSyntaxError(f"document is not valid UTF-8: {exc}") from None
+    spans: dict = {}
     try:
-        value = yaml.safe_load(text)
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        _check_nesting(text)
+        loader = _Loader(text)
+        try:
+            node = loader.get_single_node()
+            if node is None:
+                return _Doc(None, spans)
+            # Constructing first rejects non-scalar keys before they become paths.
+            value = loader.construct_document(node)
+            _index_spans(node, (), spans, set())
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         span = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             span = SourceSpan(line=mark.line + 1, column=mark.column + 1)
         raise DslSyntaxError(f"malformed YAML: {exc}", span=span) from None
+    except ValueError as exc:
+        # A scalar that resolves to a type it cannot become (2020-13-01 as a
+        # timestamp, an integer past the digit limit, an unencodable code point).
+        raise DslSyntaxError(f"malformed YAML: {exc}") from None
     except RecursionError:
         raise DslSyntaxError("document nesting exceeds the parser limit") from None
-    spans: dict = {}
-    if node is not None:
-        _index_spans(node, (), spans)
     return _Doc(value, spans)
 
 
@@ -356,7 +404,10 @@ def parse_document(text: Union[str, bytes],
     documents produce a :class:`PipelineContract` whose stage references
     are resolved relative to ``base_dir``.
     """
-    doc = _load_yaml(text)
+    return _parse_loaded(_load_yaml(text), base_dir)
+
+
+def _parse_loaded(doc: _Doc, base_dir: Optional[str]) -> Union[Contract, "PipelineContract"]:
     if doc.value is None:
         raise SchemaError("document is empty", field="contractspec")
     root = _expect_mapping(doc, doc.value, (), "document")
@@ -384,14 +435,11 @@ def parse_contract(text: Union[str, bytes]) -> Contract:
     error-severity issues; semantic problems raise SemanticError.
     Pipeline documents are rejected up front (before stage resolution).
     """
-    peek = _load_yaml(text)
-    if isinstance(peek.value, Mapping) and peek.value.get("kind") == "pipeline":
+    doc = _load_yaml(text)
+    if isinstance(doc.value, Mapping) and doc.value.get("kind") == "pipeline":
         raise SchemaError("expected an agent contract, got a pipeline document",
-                          field="kind")
-    result = parse_document(text)
-    if not isinstance(result, Contract):
-        raise SchemaError("expected an agent contract, got a pipeline document", field="kind")
-    return result
+                          span=doc.span(("kind",)), field="kind")
+    return _parse_loaded(doc, None)
 
 
 def parse_pipeline(text: Union[str, bytes], base_dir: Optional[str] = None) -> "PipelineContract":

@@ -2,9 +2,11 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
+from agentcontracts import bench
 from agentcontracts.bench import (
     aggregate,
     load_scenario,
@@ -57,11 +59,64 @@ class TestLoadScenario:
         with pytest.raises(FormatError):
             load_scenario(str(bad))
 
+    @staticmethod
+    def with_boundaries(suite_dir, tmp_path, domain, boundaries):
+        entry = next(e for e in scenario_files(suite_dir) if e["domain"] == domain)
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))
+        doc["boundaries"] = boundaries
+        doc["contract"] = os.path.join(suite_dir, doc["contract"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return str(bad)
+
+    @pytest.mark.parametrize("domain,boundaries", [
+        ("composition", None), ("composition", []), ("composition", ["a", "b"]),
+        ("composition", [4, 2]), ("composition", [2]), ("composition", [2, 4, 5]),
+        ("composition", [2, 99]), ("composition", 7), ("composition", [True, 4]),
+        ("financial-advisory", [1]),
+    ])
+    def test_bad_boundaries_rejected_naming_the_file(self, suite_dir, tmp_path,
+                                                     domain, boundaries):
+        bad = self.with_boundaries(suite_dir, tmp_path, domain, boundaries)
+        with pytest.raises(FormatError, match="bad.json"):
+            load_scenario(bad)
+
     def test_missing_fields_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"id": "x"}))
         with pytest.raises(FormatError):
             load_scenario(str(bad))
+
+
+class TestLoadSuite:
+    def test_each_contract_file_loaded_once(self, suite_dir, monkeypatch):
+        loads, composes = [], []
+        real_load, real_compose = bench.load_document, bench.compose_chain
+        monkeypatch.setattr(bench, "load_document",
+                            lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(bench, "compose_chain",
+                            lambda *a: composes.append(1) or real_compose(*a))
+        scenarios = load_suite(suite_dir)
+        referenced = {json.load(open(os.path.join(suite_dir, e["file"])))["contract"]
+                      for e in scenario_files(suite_dir)}
+        assert len(loads) == len(set(loads)) == len(referenced)
+        assert len(composes) == 1
+        uncached = [load_scenario(os.path.join(suite_dir, e["file"]))
+                    for e in scenario_files(suite_dir)]
+        assert scenarios == uncached
+
+    def test_edited_contract_seen_by_next_call(self, suite_dir, tmp_path):
+        suite = tmp_path / "suite"
+        shutil.copytree(suite_dir, suite)
+        entry = next(e for e in scenario_files(str(suite))
+                     if e["domain"] == "financial-advisory")
+        doc = json.load(open(suite / entry["file"]))
+        contract_file = suite / doc["contract"]
+        name = next(s for s in load_suite(str(suite)) if s.id == doc["id"]).contract.name
+        contract_file.write_text(contract_file.read_text().replace(
+            f"name: {name}", f"name: {name}-edited", 1))
+        edited = next(s for s in load_suite(str(suite)) if s.id == doc["id"])
+        assert edited.contract.name == f"{name}-edited"
 
 
 class TestScoring:
@@ -115,12 +170,6 @@ class TestScoring:
         first = [score_scenario(s).to_dict() for s in scenarios]
         second = [score_scenario(s).to_dict() for s in reversed(scenarios)]
         assert first == list(reversed(second))
-
-    def test_parallel_scoring_matches_serial(self, suite_dir):
-        scenarios = load_suite(suite_dir)[:12]
-        serial = [s.to_dict() for s in score_suite(scenarios, jobs=1)]
-        parallel = [s.to_dict() for s in score_suite(scenarios, jobs=4)]
-        assert serial == parallel
 
 
 class TestAggregate:

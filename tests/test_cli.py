@@ -89,6 +89,41 @@ class TestRun:
         assert payload["contract"] == "financial-advisor"
 
 
+class TestRunBoundaries:
+    def write_trace(self, tmp_path, suite_dir, boundaries):
+        entry = next(e for e in json.load(open(os.path.join(suite_dir, "manifest.json")))
+                     ["scenarios"] if e["domain"] == "composition")
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))["trace"]
+        if boundaries is not None:
+            doc["boundaries"] = boundaries
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        return os.path.join(suite_dir, "contracts", "loan-pipeline.yaml"), str(path)
+
+    def test_valid_boundaries_run(self, capsys, tmp_path, suite_dir):
+        pipe, trace = self.write_trace(tmp_path, suite_dir, [2, 4])
+        code, out, _ = run_cli(capsys, "run", pipe, trace)
+        assert code in (0, 3, 4)
+        assert json.loads(out)["steps"]
+
+    @pytest.mark.parametrize("boundaries", [
+        None, [], [5, 3], [2], [2, 99], ["a", "b"], [2.0, 4.0], 7,
+    ])
+    def test_bad_boundaries_exit_two(self, capsys, tmp_path, suite_dir, boundaries):
+        pipe, trace = self.write_trace(tmp_path, suite_dir, boundaries)
+        code, out, err = run_cli(capsys, "run", pipe, trace)
+        assert code == 2
+        assert "boundar" in err and not out
+
+    def test_agent_contract_with_boundaries_exits_two(self, capsys, tmp_path):
+        doc = json.load(open(DEMO_TRACE))
+        doc["boundaries"] = [1]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "run", FINANCIAL, str(path))
+        assert code == 2
+
+
 class TestDrift:
     def test_design_matches_solver(self, capsys):
         code, out, _ = run_cli(capsys, "drift", "design", "--alpha", "0.05",
@@ -221,6 +256,12 @@ class TestBench:
         code, out, _ = run_cli(capsys, "bench", suite_dir)
         assert code == 0
         assert "Domain" in out and "overall" in out
+
+    def test_jobs_flag_removed(self, capsys, suite_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", suite_dir, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_generate_flag(self, capsys, tmp_path):
         target = tmp_path / "fresh"

@@ -8,6 +8,7 @@ from agentcontracts.composition import (
     ChainSpec,
     HandoffSpec,
     chain_bounds,
+    check_boundaries,
     check_conditions,
     compose_chain,
     compose_contracts,
@@ -24,6 +25,7 @@ from agentcontracts.model import (
     RecoveryStrategy,
     SatisfactionParams,
 )
+from agentcontracts.monitor import run_session
 
 from helpers import random_chain_instance
 
@@ -305,6 +307,47 @@ class TestVerifyChainTrace:
             verify_chain_trace(composed, trace, boundaries=[])
         with pytest.raises(BadBoundaries):
             verify_chain_trace(composed, trace, boundaries=[9])
+
+    # One validator guards every entry point that takes stage boundaries.
+    BAD_BOUNDARIES = [
+        pytest.param([], id="too-few"),
+        pytest.param([1, 3], id="too-many"),
+        pytest.param([9], id="past-the-trace"),
+        pytest.param([-1], id="negative"),
+        pytest.param(["x"], id="junk-string"),
+        pytest.param([2.0], id="float"),
+        pytest.param([True], id="bool"),
+        pytest.param(5, id="not-a-list"),
+    ]
+
+    @pytest.mark.parametrize("boundaries", BAD_BOUNDARIES)
+    def test_check_boundaries_rejects(self, boundaries):
+        with pytest.raises(BadBoundaries):
+            check_boundaries(boundaries, n_stages=2, trace_length=4)
+
+    def test_check_boundaries_rejects_non_increasing(self):
+        with pytest.raises(BadBoundaries):
+            check_boundaries([3, 3], n_stages=3, trace_length=4)
+        with pytest.raises(BadBoundaries):
+            check_boundaries([5, 3], n_stages=3, trace_length=6)
+        assert check_boundaries(np.array([1, 3]), n_stages=3, trace_length=4) == (1, 3)
+
+    @pytest.mark.parametrize("boundaries", BAD_BOUNDARIES)
+    def test_verify_and_run_session_reject(self, boundaries):
+        composed = self.make_pair()
+        states = tuple(self.clean_state() for _ in range(5))
+        trace = ExecutionTrace(states=states, actions=(ActionRecord("go"),) * 4)
+        with pytest.raises(BadBoundaries):
+            verify_chain_trace(composed, trace, boundaries=boundaries)
+        with pytest.raises(BadBoundaries):
+            run_session(composed, trace, boundaries=boundaries)
+
+    def test_run_session_rejects_boundaries_on_short_trace(self):
+        composed = compose_chain([agent("a"), agent("b"), agent("c")],
+                                 [HandoffSpec(), HandoffSpec()])
+        trace = ExecutionTrace(states=({}, {}), actions=(ActionRecord("go"),))
+        with pytest.raises(BadBoundaries):
+            run_session(composed, trace, boundaries=[5, 3])
 
 
 class TestCompositionalityProperty:

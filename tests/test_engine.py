@@ -9,6 +9,7 @@ from agentcontracts.engine import (
     evaluate_constraint,
     evaluate_step,
 )
+from agentcontracts.expressions import compile_expression, eval_expression
 from agentcontracts.model import (
     ActionRecord,
     Constraint,
@@ -150,6 +151,31 @@ class TestOperators:
                          check=Predicate(field_path="v", operator=op, operand=operand))
         result = evaluate_constraint(con, {"v": value}, None, target="state")
         assert result.satisfied is expected
+
+    @pytest.mark.parametrize("value,members,expected", [
+        (1.0, [True], False), (True, [1.0], False), (0.0, [False], False),
+        (False, [0], False), (True, [True], True), (1, [1.0], True),
+        (2.0, [1, True], False), (False, [0.0, True], False), (False, [1, False], True),
+        ("a", ["a", 1.0], True), (1.0, ["1", 1], True),
+    ])
+    def test_in_agrees_with_expression_in(self, value, members, expected):
+        """The field operators ``in``/``eq`` and the expression ``in``/``==``
+        share one equality: numbers compare numerically, booleans never
+        equal numbers."""
+        state = {"v": value, "xs": members}
+        field_in = Constraint(name="c", severity="hard",
+                              check=Predicate(field_path="v", operator="in", operand=members))
+        expr_in = Constraint(name="c", severity="hard",
+                             check=Predicate(expression=compile_expression("v in xs"),
+                                             expression_src="v in xs"))
+        assert evaluate_constraint(field_in, state, None, "state").satisfied is expected
+        assert evaluate_constraint(expr_in, state, None, "state").satisfied is expected
+        for m in members:
+            eq = Constraint(name="c", severity="hard",
+                            check=Predicate(field_path="v", operator="eq", operand=m))
+            state = {"v": value, "m": m}
+            field_eq = evaluate_constraint(eq, state, None, "state").satisfied
+            assert eval_expression(compile_expression("v == m"), state) is field_eq
 
     def test_exists_operator(self):
         con = Constraint(name="c", severity="hard",

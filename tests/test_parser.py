@@ -1,12 +1,18 @@
 """ContractSpec DSL parsing: schema, semantics, spans, round trips, fuzz."""
 
+import glob
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agentcontracts
+from agentcontracts import parser
 from agentcontracts.assets import asset_path
 from agentcontracts.errors import (
     ContractError,
@@ -219,6 +225,113 @@ class TestPipelineDocuments:
     def test_parse_contract_rejects_pipeline(self, pipeline_dir):
         with pytest.raises(SchemaError):
             parse_contract((pipeline_dir / "pipe.yaml").read_text())
+
+
+LOADERS = [pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                                 reason="PyYAML built without libyaml")),
+           pytest.param(yaml.SafeLoader, id="pure-python")]
+
+# Flow and block documents nested 10**5 deep: libyaml's composer would
+# recurse on the C stack and crash the interpreter.
+_DEEP_DOCUMENT_SCRIPT = """
+import sys, yaml
+from agentcontracts import parser
+from agentcontracts.errors import DslSyntaxError
+parser._Loader = getattr(yaml, sys.argv[1])
+n = 10 ** 5
+for text in ("[" * n + "]" * n, "- " * n + "x"):
+    try:
+        parser.parse_document(text)
+    except DslSyntaxError:
+        print("DslSyntaxError")
+"""
+
+
+class TestLoaders:
+    """libyaml and the pure-Python fallback must load documents alike."""
+
+    @staticmethod
+    def load_both(text):
+        docs = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(parser, "_Loader", loader)
+                docs.append(parser._load_yaml(text))
+        return docs
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_deep_nesting_is_syntax_error_not_crash(self, loader):
+        src_dir = os.path.dirname(os.path.dirname(agentcontracts.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", _DEEP_DOCUMENT_SCRIPT, loader.__name__],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr[-2000:]
+        assert child.stdout.split() == ["DslSyntaxError", "DslSyntaxError"]
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_same_value_and_spans_on_every_contract(self, suite_dir):
+        paths = sorted(glob.glob(os.path.join(os.path.dirname(FINANCIAL), "*.yaml"))
+                       + glob.glob(os.path.join(suite_dir, "contracts", "*.yaml")))
+        assert len(paths) >= 10
+        for path in paths:
+            with open(path, "rb") as fh:
+                fast, slow = self.load_both(fh.read())
+            assert fast.value == slow.value, path
+            assert fast.spans == slow.spans, path
+            assert len(fast.spans) > 10
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+        | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=20))
+    @settings(max_examples=100, deadline=None)
+    def test_same_value_and_spans_on_random_documents(self, value):
+        for flow in (False, True):
+            text = yaml.safe_dump({"root": value}, default_flow_style=flow)
+            fast, slow = self.load_both(text)
+            assert fast.value == slow.value == {"root": value}
+            assert fast.spans == slow.spans
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text", [
+        "kind: [unclosed\n  - x: {", "a: b: c", "key: 'unterminated", "- a\nb: c",
+        "a: *undefined", "--- a\n--- b", "? [a]\n: b", "a: !!python/object:os.system x",
+    ])
+    def test_malformed_yaml_has_span_under_both(self, monkeypatch, loader, text):
+        monkeypatch.setattr(parser, "_Loader", loader)
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document(text)
+        assert exc.value.span is not None
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text", ["a: 2020-13-01", "a: !!int x", "a: " + "9" * 5000])
+    def test_unconstructible_scalar_is_syntax_error(self, monkeypatch, loader, text):
+        monkeypatch.setattr(parser, "_Loader", loader)
+        with pytest.raises(DslSyntaxError):
+            parse_document(text)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_nested_aliases_indexed_once(self, monkeypatch, loader):
+        """Five levels of ten aliases name 10**5 paths; each node is indexed once."""
+        monkeypatch.setattr(parser, "_Loader", loader)
+        lines = ["a0: &a0 [x, x, x, x, x, x, x, x, x, x]"]
+        lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 6)]
+        doc = parser._load_yaml("\n".join(lines))
+        assert len(doc.spans) < 100
+        with pytest.raises(DslSyntaxError, match="nesting"):
+            parse_document("a: &a [b, *a]")
+
+    def test_parse_contract_loads_once(self, monkeypatch):
+        calls = []
+        real = parser._load_yaml
+        monkeypatch.setattr(parser, "_load_yaml", lambda text: calls.append(1) or real(text))
+        parse_contract(open(FINANCIAL, "rb").read())
+        assert len(calls) == 1
 
 
 @given(st.binary(max_size=400))
