@@ -152,8 +152,12 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
         raise FormatError(f"{path}: bad stage boundaries: {exc}") from None
 
     expected_doc = doc["expected"]
-    violations = tuple((int(step), str(name)) for step, name in
-                       expected_doc.get("violations", []))
+    violations = expected_doc.get("violations", [])
+    if not isinstance(violations, list) or not all(
+            isinstance(v, list) and len(v) == 2 and type(v[0]) is int for v in violations):
+        raise FormatError(f"{path}: expected violations must be [step, constraint] "
+                          f"pairs with integer steps, got {violations!r}")
+    violations = tuple((step, str(name)) for step, name in violations)
     known = {c.name for c in contract.all_constraints()}
     for step, name in violations:
         if name not in known:

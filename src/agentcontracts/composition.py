@@ -24,7 +24,6 @@ from .engine import (
     check_deterministic,
     constraint_timelines,
     evaluate_constraint,
-    scope_active,
 )
 from .errors import BadBoundaries, InsufficientSamples
 from .model import (
@@ -541,7 +540,5 @@ def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
     phase-scoped constraint timelines.
     """
     boundaries = check_boundaries(boundaries, stage_count(composed), trace.length)
-    last = trace.length
-    active = lambda con, idx: scope_active(con.scope, idx, boundaries, last)
-    timelines = constraint_timelines(composed, trace, active=active)
-    return check_deterministic(composed, trace, timelines=timelines)
+    return check_deterministic(composed, trace,
+                               timelines=constraint_timelines(composed, trace, boundaries))

@@ -175,9 +175,7 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     d_dist = window.distributional_drift()
     d_total = config.w_c * d_comp + config.w_d * d_dist
 
-    d_pre = 0.0
-    if step.preconditions and not step.preconditions_ok():
-        d_pre = 1.0
+    d_pre = 0.0 if step.preconditions_ok() else 1.0
 
     return DriftSample(
         t=step.step,

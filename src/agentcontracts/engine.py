@@ -1,11 +1,13 @@
 """Constraint evaluation: per-step scoring and whole-trace satisfaction.
 
-Semantics follow the contract model: invariants are checked on states
-(indices 0..T), governance constraints on actions (indices 0..T-1),
-preconditions on the initial state only.  A monitor step ``t`` pairs state
-``s_t`` with action ``a_t``; the trailing state ``s_T`` receives an
-invariant-only evaluation that feeds the deterministic verdict and the
-recovery windows.
+Semantics follow the contract model: preconditions (on the initial state
+only) and invariants (on states, indices 0..T) are over states and never
+see the action; governance constraints are on actions (indices 0..T-1).
+A monitor step ``t`` pairs state ``s_t`` with action ``a_t``; the trailing
+state ``s_T`` receives an invariant-only evaluation.  Every verdict is
+derived from these step evaluations, folded into one timeline per
+constraint.  A precondition holds only when satisfied: one skipped under
+on_missing=skip counts as failed.
 
 Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
@@ -39,7 +41,6 @@ __all__ = [
     "SatisfactionVerdict",
     "evaluate_constraint",
     "evaluate_step",
-    "evaluate_final_state",
     "check_deterministic",
     "classify_outcome",
     "COMPLIANT",
@@ -75,9 +76,7 @@ class StepEvaluation:
     preconditions: Optional[Mapping[str, ConstraintResult]] = None
 
     def preconditions_ok(self) -> bool:
-        if not self.preconditions:
-            return True
-        return all(r.satisfied is True for r in self.preconditions.values())
+        return all(r.satisfied is True for r in (self.preconditions or {}).values())
 
 
 @dataclass(frozen=True)
@@ -224,6 +223,29 @@ def _ratio(results: Mapping[str, ConstraintResult], names: Sequence[str]) -> flo
     return satisfied / total if total else 1.0
 
 
+def _evaluate_into(results: dict, constraints: Sequence[Constraint], state: StateDict,
+                   action: Optional[ActionRecord], target: str,
+                   active: Optional[Callable[[Constraint], bool]]) -> dict:
+    for con in constraints:
+        if active is not None and not active(con):
+            results[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
+        else:
+            results[con.name] = evaluate_constraint(con, state, action, target)
+    return results
+
+
+def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: int,
+                active: Optional[Callable[[Constraint], bool]],
+                preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
+    """Step ``t`` with the given precondition results, which it does not evaluate."""
+    results = _evaluate_into({}, contract.invariants(), state, None, "state", active)
+    _evaluate_into(results, contract.governance(), state, action, "action", active)
+    hard_names = [c.name for c in contract.hard_constraints()]
+    soft_names = [c.name for c in contract.soft_constraints()]
+    return StepEvaluation(step=t, results=results, c_hard=_ratio(results, hard_names),
+                          c_soft=_ratio(results, soft_names), preconditions=preconditions)
+
+
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
                   t: int,
                   active: Optional[Callable[[Constraint], bool]] = None) -> StepEvaluation:
@@ -235,47 +257,10 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
     constraint set (used for phase-scoped composed contracts); inactive
     constraints are recorded as skipped.
     """
-    results: dict = {}
-    for con in contract.invariants():
-        if active is not None and not active(con):
-            results[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
-            continue
-        results[con.name] = evaluate_constraint(con, state, action, target="state")
-    for con in contract.governance():
-        if active is not None and not active(con):
-            results[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
-            continue
-        results[con.name] = evaluate_constraint(con, state, action, target="action")
-
-    hard_names = [c.name for c in contract.hard_constraints()]
-    soft_names = [c.name for c in contract.soft_constraints()]
-
     preconditions = None
     if t == 0:
-        preconditions = {
-            con.name: evaluate_constraint(con, state, None, target="state")
-            for con in contract.preconditions
-        }
-
-    return StepEvaluation(
-        step=t,
-        results=results,
-        c_hard=_ratio(results, hard_names),
-        c_soft=_ratio(results, soft_names),
-        preconditions=preconditions,
-    )
-
-
-def evaluate_final_state(contract: Contract, state: StateDict, t: int,
-                         active: Optional[Callable[[Constraint], bool]] = None) -> dict:
-    """Invariant-only evaluation of the trailing state s_T."""
-    out: dict = {}
-    for con in contract.invariants():
-        if active is not None and not active(con):
-            out[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
-            continue
-        out[con.name] = evaluate_constraint(con, state, None, target="state")
-    return out
+        preconditions = _evaluate_into({}, contract.preconditions, state, None, "state", None)
+    return _score_step(contract, state, action, t, active, preconditions)
 
 
 # ---------------------------------------------------------------------------
@@ -306,48 +291,70 @@ def scope_active(scope: Optional[str], state_index: int,
     return True
 
 
-def constraint_timelines(contract: Contract, trace: ExecutionTrace,
-                         active=None) -> dict:
-    """Per-constraint satisfaction timelines.
+def phase_filter(boundaries: Sequence[int], state_index: int,
+                 last_index: int) -> Optional[Callable[[Constraint], bool]]:
+    """The ``active`` filter of :func:`evaluate_step` at one state index;
+    None when there are no ``boundaries`` (every constraint applies)."""
+    if not boundaries:
+        return None
+    return lambda con: scope_active(con.scope, state_index, boundaries, last_index)
 
-    Invariants get one entry per state (0..T); governance constraints one
-    per action (0..T-1).  Entries are True/False/None (skipped).
-    ``active`` is an optional callable (constraint, index) -> bool used by
-    phase-scoped verification.
+
+def session_timelines(contract: Contract, steps: Sequence[StepEvaluation],
+                      states: Sequence[StateDict],
+                      active: Optional[Callable[[Constraint], bool]] = None) -> dict:
+    """Per-constraint timelines (True/False/None entries) folded from the
+    evaluations of steps 0..n-1, plus an invariant-only evaluation of the
+    trailing state ``states[n]``.  Preconditions get one entry: step 0's
+    result, or an evaluation of ``states[0]`` when no step ran.
     """
-    timelines: dict = {}
+    n = len(steps)
+    if n:
+        preconditions = steps[0].preconditions
+    else:
+        preconditions = _evaluate_into({}, contract.preconditions, states[0], None, "state", None)
+    trailing = _evaluate_into({}, contract.invariants(), states[n], None, "state", active)
+    timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
     for con in contract.invariants():
-        line = []
-        for idx, state in enumerate(trace.states):
-            if active is not None and not active(con, idx):
-                line.append(None)
-                continue
-            line.append(evaluate_constraint(con, state, None, target="state").satisfied)
-        timelines[con.name] = tuple(line)
+        timelines[con.name] = (tuple(s.results[con.name].satisfied for s in steps)
+                               + (trailing[con.name].satisfied,))
     for con in contract.governance():
-        line = []
-        for idx, action in enumerate(trace.actions):
-            if active is not None and not active(con, idx):
-                line.append(None)
-                continue
-            line.append(
-                evaluate_constraint(con, trace.states[idx], action, target="action").satisfied)
-        timelines[con.name] = tuple(line)
+        timelines[con.name] = tuple(s.results[con.name].satisfied for s in steps)
     return timelines
+
+
+def constraint_timelines(contract: Contract, trace: ExecutionTrace,
+                         boundaries: Sequence[int] = ()) -> dict:
+    """Per-constraint timelines of a whole trace, evaluated from scratch with
+    the monitor's step evaluation and fold; ``boundaries`` phase-scope a
+    composed contract's constraints."""
+    last = trace.length
+    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t,
+                           active=phase_filter(boundaries, t, last))
+             for t in range(last)]
+    return session_timelines(contract, steps, trace.states,
+                             phase_filter(boundaries, last, last))
 
 
 def _recoverable(line: Sequence[Optional[bool]], k: int) -> Optional[int]:
     """First index of an unrecovered violation, or None if all recover
     within k steps (inclusive window [t, t+k] on the constraint's own
     timeline)."""
-    last = len(line) - 1
     for t, v in enumerate(line):
-        if v is not False:
-            continue
-        window_end = min(t + k, last)
-        if not any(line[u] is True for u in range(t, window_end + 1)):
+        if v is False and not any(u is True for u in line[t:t + k + 1]):
             return t
     return None
+
+
+def _precondition_witnesses(contract: Contract, timelines: Mapping) -> tuple:
+    """A precondition holds only when satisfied: skipped counts as failed."""
+    return tuple((0, con.name) for con in contract.preconditions
+                 if timelines[con.name][0] is not True)
+
+
+def _failures(constraints: Sequence[Constraint], timelines: Mapping) -> tuple:
+    return tuple((idx, con.name) for con in constraints
+                 for idx, v in enumerate(timelines[con.name]) if v is False)
 
 
 def check_deterministic(contract: Contract, trace: ExecutionTrace,
@@ -359,33 +366,18 @@ def check_deterministic(contract: Contract, trace: ExecutionTrace,
     bounded recovery (within the contract's k) for each soft-constraint
     violation.  The verdict is their conjunction: one hard breach is a
     contract breach, while a transient soft violation is acceptable
-    exactly when compliance returns within the recovery window.
+    exactly when compliance returns within the recovery window.  Given
+    ``timelines`` are read as-is, and ``trace`` is not evaluated.
     """
     if timelines is None:
         timelines = constraint_timelines(contract, trace)
     k = contract.satisfaction.k
 
-    pre_witnesses = tuple(
-        (0, con.name) for con in contract.preconditions
-        if evaluate_constraint(con, trace.states[0], None, target="state").satisfied is not True
-    )
-
-    inv_witnesses = []
-    for con in contract.invariants_hard:
-        for idx, v in enumerate(timelines[con.name]):
-            if v is False:
-                inv_witnesses.append((idx, con.name))
-    gov_witnesses = []
-    for con in contract.governance_hard:
-        for idx, v in enumerate(timelines[con.name]):
-            if v is False:
-                gov_witnesses.append((idx, con.name))
-
-    rec_witnesses = []
-    for con in contract.soft_constraints():
-        bad = _recoverable(timelines[con.name], k)
-        if bad is not None:
-            rec_witnesses.append((bad, con.name))
+    pre_witnesses = _precondition_witnesses(contract, timelines)
+    inv_witnesses = _failures(contract.invariants_hard, timelines)
+    gov_witnesses = _failures(contract.governance_hard, timelines)
+    rec_witnesses = tuple((bad, con.name) for con in contract.soft_constraints()
+                          if (bad := _recoverable(timelines[con.name], k)) is not None)
 
     return SatisfactionVerdict(
         preconditions_ok=not pre_witnesses,
@@ -393,31 +385,26 @@ def check_deterministic(contract: Contract, trace: ExecutionTrace,
         governance_ok=not gov_witnesses,
         recoverability_ok=not rec_witnesses,
         witnesses={
-            "preconditions": tuple(pre_witnesses),
-            "invariants": tuple(inv_witnesses),
-            "governance": tuple(gov_witnesses),
-            "recoverability": tuple(rec_witnesses),
+            "preconditions": pre_witnesses,
+            "invariants": inv_witnesses,
+            "governance": gov_witnesses,
+            "recoverability": rec_witnesses,
         },
     )
 
 
 def classify_outcome(contract: Contract, trace: ExecutionTrace,
                      timelines: Optional[dict] = None) -> str:
-    """Three-way outcome: hard_violation if any hard constraint fails
-    anywhere, soft_violation if only soft constraints fail, compliant
-    otherwise.  Whether soft violations recovered in time is reported by
-    the deterministic verdict, not by this label."""
+    """Three-way outcome: hard_violation if a precondition does not hold
+    or any hard constraint fails anywhere, soft_violation if only soft
+    constraints fail, compliant otherwise.  Whether soft violations
+    recovered in time is reported by the deterministic verdict, not by
+    this label."""
     if timelines is None:
         timelines = constraint_timelines(contract, trace)
-    hard = {c.name for c in contract.hard_constraints()}
-    soft = {c.name for c in contract.soft_constraints()}
-    precondition_breach = any(
-        evaluate_constraint(con, trace.states[0], None, target="state").satisfied is False
-        for con in contract.preconditions
-    )
-    hard_breach = any(False in timelines[name] for name in hard)
-    if hard_breach or precondition_breach:
+    if (_precondition_witnesses(contract, timelines)
+            or any(False in timelines[c.name] for c in contract.hard_constraints())):
         return HARD_VIOLATION
-    if any(False in timelines[name] for name in soft):
+    if any(False in timelines[c.name] for c in contract.soft_constraints()):
         return SOFT_VIOLATION
     return COMPLIANT

@@ -19,7 +19,7 @@ from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, T
 from .model import MISSING, ActionRecord, StateDict, is_number, resolve_path, value_eq
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call",
-           "compile_expression", "eval_expression", "MAX_DEPTH"]
+           "compile_expression", "eval_expression", "field_paths", "MAX_DEPTH"]
 
 MAX_DEPTH = 64
 
@@ -166,6 +166,20 @@ def compile_expression(src: str) -> ExprAst:
     except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
         raise ExprSyntaxError(f"cannot parse expression: {exc}") from None
     return _convert(tree.body, depth=1)
+
+
+def field_paths(ast: ExprAst):
+    """Every field path the expression references, left to right."""
+    if isinstance(ast, Field):
+        yield ast.path
+    elif isinstance(ast, Unary):
+        yield from field_paths(ast.operand)
+    elif isinstance(ast, Binary):
+        yield from field_paths(ast.left)
+        yield from field_paths(ast.right)
+    elif isinstance(ast, Call):
+        for arg in ast.args:
+            yield from field_paths(arg)
 
 
 # ---------------------------------------------------------------------------

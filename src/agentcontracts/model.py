@@ -382,6 +382,15 @@ def validate_contract(c: Contract) -> list:
                                  severity="warning"))
         _validate_predicate(con.name, con.check, issues)
 
+    # Preconditions and invariants are over states; only governance sees the action.
+    from .expressions import field_paths  # expressions imports this module
+    for con in c.preconditions + c.invariants():
+        p = con.check
+        paths = field_paths(p.expression) if p.is_expression() else (p.field_path,)
+        if any(isinstance(path, str) and path.split(".")[0] == "action" for path in paths):
+            issues.append(_issue(con.name, "state-constraint-reads-action",
+                                 "preconditions and invariants cannot reference action"))
+
     # Recovery strategies.
     referenced = {con.recovery for con in c.all_constraints() if con.recovery}
     for s in c.recovery_strategies:

@@ -27,12 +27,13 @@ from .engine import (
     SatisfactionVerdict,
     StepEvaluation,
     ViolationEvent,
+    _recoverable,
+    _score_step,
     check_deterministic,
     classify_outcome,
-    constraint_timelines,
-    evaluate_final_state,
     evaluate_step,
-    scope_active,
+    phase_filter,
+    session_timelines,
 )
 from .errors import EmptyEnsemble, SessionTerminated
 from .model import ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy, SatisfactionParams, StateDict
@@ -87,28 +88,26 @@ class StepReport:
     terminated: bool = False
 
     def to_dict(self) -> dict:
-        def results_dict(ev: StepEvaluation) -> dict:
+        def results_dict(results: Mapping) -> dict:
             return {name: {"satisfied": r.satisfied, "detail": r.detail}
-                    for name, r in ev.results.items()}
+                    for name, r in results.items()}
 
         out = {
             "step": self.step,
             "c_hard": self.evaluation.c_hard,
             "c_soft": self.evaluation.c_soft,
-            "results": results_dict(self.evaluation),
+            "results": results_dict(self.evaluation.results),
             "drift": self.drift.to_dict(),
             "post_recovery": None,
             "terminated": self.terminated,
         }
         if self.evaluation.preconditions is not None:
-            out["preconditions"] = {
-                name: {"satisfied": r.satisfied, "detail": r.detail}
-                for name, r in self.evaluation.preconditions.items()}
+            out["preconditions"] = results_dict(self.evaluation.preconditions)
         if self.post_recovery is not None:
             out["post_recovery"] = {
                 "c_hard": self.post_recovery.c_hard,
                 "c_soft": self.post_recovery.c_soft,
-                "results": results_dict(self.post_recovery),
+                "results": results_dict(self.post_recovery.results),
             }
         return out
 
@@ -124,8 +123,11 @@ class SessionReport:
     metrics: SessionMetrics
     verdict: SatisfactionVerdict
     outcome: str
-    preconditions_ok: bool
     excluded_steps: int = 0
+
+    @property
+    def preconditions_ok(self) -> bool:
+        return self.verdict.preconditions_ok
 
     @property
     def c_hard_series(self) -> tuple:
@@ -200,7 +202,7 @@ class SessionMonitor:
         self.listeners = list(listeners)
         self.attempts_per_step = attempts_per_step
         self.boundaries = tuple(boundaries) if boundaries else ()
-        self._last_state_index = trace_length if trace_length is not None else None
+        self._last_state_index = trace_length
 
         self._t = 0
         self.terminated = False
@@ -210,7 +212,6 @@ class SessionMonitor:
         self.step_reports: list = []
         self.violation_events: list = []
         self._events: list = []
-        self._soft_by_name = {c.name: c for c in contract.soft_constraints()}
         self._hard_names = {c.name for c in contract.hard_constraints()}
         weights = [c.weight for c in contract.invariants() + contract.governance()]
         self._total_weight = sum(weights)
@@ -229,10 +230,8 @@ class SessionMonitor:
     # -- phase scoping -----------------------------------------------------
 
     def _active_filter(self, state_index: int):
-        if not self.boundaries:
-            return None
         last = self._last_state_index if self._last_state_index is not None else state_index
-        return lambda con: scope_active(con.scope, state_index, self.boundaries, last)
+        return phase_filter(self.boundaries, state_index, last)
 
     # -- the enforcement loop ----------------------------------------------
 
@@ -253,7 +252,7 @@ class SessionMonitor:
         drift = update_drift(self.window, self.contract.drift_config, evaluation, action)
 
         # 3. Event emission.
-        if t == 0 and evaluation.preconditions:
+        if evaluation.preconditions:
             for name, r in evaluation.preconditions.items():
                 if r.satisfied is not True:
                     self._emit("violation", t, constraint=name, severity="hard",
@@ -382,8 +381,8 @@ class SessionMonitor:
                     corrected = self.hook(strategy, con, current_state)
                 if corrected is not None:
                     current_state, current_action = corrected
-                    post = evaluate_step(self.contract, current_state, current_action,
-                                         t, active=self._active_filter(t))
+                    post = _score_step(self.contract, current_state, current_action,
+                                       t, self._active_filter(t), None)
                     if post.results[con.name].satisfied is True:
                         self._emit("recovery_succeeded", t, constraint=con.name,
                                    strategy=strategy.name)
@@ -414,23 +413,20 @@ class SessionMonitor:
     def finalize(self, trace: ExecutionTrace) -> SessionReport:
         """Close the session and roll up the report.
 
-        The deterministic verdict is recomputed over the (possibly
-        truncated, if terminated) raw trace, so it reflects pre-recovery
-        behavior exactly.
+        Every verdict is derived from the pre-recovery step evaluations and
+        one invariant-only evaluation of the trailing state (the end of the
+        truncated trace if terminated): pre-recovery behavior exactly.
         """
         steps_run = len(self.step_reports)
-        states = trace.states[:steps_run + 1]
-        actions = trace.actions[:steps_run]
-        effective = ExecutionTrace(states=states, actions=actions)
+        timelines = session_timelines(
+            self.contract, [r.evaluation for r in self.step_reports], trace.states,
+            self._active_filter(steps_run))
 
-        # Trailing state: invariants only; closes recovery windows.
+        # The trailing state closes recovery windows of a completed session.
         if steps_run == trace.length and steps_run > 0:
-            final_results = evaluate_final_state(
-                self.contract, trace.states[-1], steps_run,
-                active=self._active_filter(steps_run))
-            for name, r in final_results.items():
-                if r.satisfied is True and name in self._episodes:
-                    self._close_episode(name, recovered_at=steps_run)
+            for con in self.contract.invariants():
+                if timelines[con.name][-1] is True and con.name in self._episodes:
+                    self._close_episode(con.name, recovered_at=steps_run)
 
         # Episodes never recovered stay open: no recovery duration.
         for name, episode in sorted(self._episodes.items()):
@@ -439,15 +435,8 @@ class SessionMonitor:
                 nu=episode.nu, recovered_at=None, delta_t_recovery=None))
         self._episodes.clear()
 
-        boundaries = self.boundaries
-        if boundaries:
-            active = lambda con, idx: scope_active(con.scope, idx, boundaries,
-                                                   effective.length)
-        else:
-            active = None
-        timelines = constraint_timelines(self.contract, effective, active=active)
-        verdict = check_deterministic(self.contract, effective, timelines=timelines)
-        outcome = classify_outcome(self.contract, effective, timelines=timelines)
+        verdict = check_deterministic(self.contract, trace, timelines=timelines)
+        outcome = classify_outcome(self.contract, trace, timelines=timelines)
 
         compliance_series = [1.0 - s.drift.d_compliance for s in self.step_reports]
         metrics = SessionMetrics.compute(
@@ -459,7 +448,6 @@ class SessionMonitor:
             weights=self.contract.reliability_weights,
         )
 
-        preconditions_ok = verdict.preconditions_ok
         return SessionReport(
             contract=self.contract.name,
             steps=tuple(self.step_reports),
@@ -468,7 +456,6 @@ class SessionMonitor:
             metrics=metrics,
             verdict=verdict,
             outcome=outcome,
-            preconditions_ok=preconditions_ok,
             excluded_steps=trace.length - steps_run,
         )
 
@@ -529,17 +516,6 @@ class PdkVerdict:
         }
 
 
-def _soft_recovers(series: Sequence[float], delta: float, k: int) -> bool:
-    last = len(series) - 1
-    threshold = 1.0 - delta
-    for t, value in enumerate(series):
-        if value < threshold:
-            end = min(t + k, last)
-            if not any(series[u] >= threshold for u in range(t, end + 1)):
-                return False
-    return True
-
-
 def pdk_verdict(contract: Contract, sessions: Sequence[SessionReport],
                 params: Optional[SatisfactionParams] = None) -> PdkVerdict:
     """Check the (p, delta, k) guarantee over an ensemble of sessions.
@@ -562,7 +538,8 @@ def pdk_verdict(contract: Contract, sessions: Sequence[SessionReport],
     hard_bad = tuple(i for i, s in usable
                      if any(c < 1.0 for c in s.c_hard_series))
     soft_bad = tuple(i for i, s in usable
-                     if not _soft_recovers(s.c_soft_series, params.delta, params.k))
+                     if _recoverable([c >= 1.0 - params.delta for c in s.c_soft_series],
+                                     params.k) is not None)
     n = len(usable)
     hard_frequency = (n - len(hard_bad)) / n
     soft_frequency = (n - len(soft_bad)) / n

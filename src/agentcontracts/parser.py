@@ -374,7 +374,8 @@ def _parse_drift(doc: _Doc, raw: Any, path: tuple) -> DriftConfig:
         w_d=_get_number(doc, mapping, "w_d", path, default=0.3, lo=0.0, hi=1.0),
         window=_get_int(doc, mapping, "window", path, default=10, lo=1),
         vocabulary=tuple(vocabulary),
-        reference={str(k): float(v) for k, v in reference.items()},
+        reference={str(k): _get_number(doc, reference, k, path + ("reference",))
+                   for k in reference},
         theta1=_get_number(doc, mapping, "theta1", path, default=0.05, lo=0.0, hi=1.0),
         theta2=_get_number(doc, mapping, "theta2", path, default=0.30, lo=0.0, hi=1.0),
     )

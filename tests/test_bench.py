@@ -81,6 +81,20 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="bad.json"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("violations", [
+        [["x", "y"]], [[1.5, "c"]], [[True, "c"]], [["1", "c"]], [[0]], [0], "0", {"0": "c"},
+    ])
+    def test_bad_expected_violations_rejected_naming_the_file(self, suite_dir, tmp_path,
+                                                             violations):
+        entry = scenario_files(suite_dir)[0]
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))
+        doc["expected"]["violations"] = violations
+        doc["contract"] = os.path.join(suite_dir, doc["contract"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="bad.json"):
+            load_scenario(str(bad))
+
     def test_missing_fields_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"id": "x"}))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
     Constraint,
@@ -37,6 +38,24 @@ def minimal_contract(**overrides) -> Contract:
 class TestValidateContract:
     def test_minimal_valid_contract_has_no_issues(self):
         assert validate_contract(minimal_contract()) == []
+
+    @pytest.mark.parametrize("section", ["preconditions", "invariants_hard"])
+    @pytest.mark.parametrize("check", [
+        field_check("action.amount", "lt", 10),
+        field_check("action", "exists", None),
+        Predicate(expression=compile_expression("x > 0 and min(1, action.amount) < 10")),
+    ])
+    def test_state_constraint_must_not_read_the_action(self, section, check):
+        con = Constraint(name="reads", severity="hard", check=check)
+        issues = validate_contract(minimal_contract(**{section: (con,)}))
+        assert [(i.element, i.rule, i.severity) for i in issues] == [
+            ("reads", "state-constraint-reads-action", "error")]
+
+    def test_governance_may_read_the_action(self):
+        check = Predicate(expression=compile_expression("action.amount < 10"))
+        contract = minimal_contract(
+            governance_hard=(Constraint(name="amt", severity="hard", check=check),))
+        assert validate_contract(contract) == []
 
     def test_unresolved_recovery_reference(self):
         contract = minimal_contract(recovery_strategies=())

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from agentcontracts.assets import asset_path
+from agentcontracts import engine
 from agentcontracts.errors import EmptyEnsemble, SessionTerminated
+from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
     Constraint,
@@ -254,6 +256,80 @@ class TestRunSession:
         with open(asset_path("golden", "financial_advisor_demo_report.json")) as fh:
             golden = json.load(fh)
         assert report.to_dict() == golden
+
+
+class TestOneEvaluation:
+    """The c_hard series, the deterministic verdict, the three-way outcome
+    and the (p, delta, k) verdict read one evaluation per constraint per
+    index."""
+
+    def test_invariant_reading_the_action_gives_one_answer(self):
+        src = "action.amount < 10"
+        contract = Contract(name="t", invariants_hard=(Constraint(
+            name="amt", severity="hard",
+            check=Predicate(expression=compile_expression(src), expression_src=src)),))
+        trace = ExecutionTrace(states=({}, {}),
+                               actions=(ActionRecord("go", {"amount": 1}),))
+        report = run_session(contract, trace)
+        assert report.c_hard_series == (0.0,)
+        assert pdk_verdict(contract, [report]).hard_frequency == 0.0
+        assert report.outcome == "hard_violation"
+        assert report.verdict.witnesses["invariants"] == ((0, "amt"), (1, "amt"))
+
+    def test_skipped_precondition_does_not_hold(self):
+        contract = Contract(name="t", preconditions=(Constraint(
+            name="ready", severity="hard", on_missing="skip",
+            check=Predicate(field_path="ready", operator="eq", operand=True)),))
+        trace = ExecutionTrace(states=({}, {}), actions=(ActionRecord("go"),))
+        report = run_session(contract, trace)
+        assert report.outcome == "hard_violation"
+        assert report.verdict.preconditions_ok is False
+        assert report.detected_violations() == ((0, "ready"),)
+        assert report.events[0].payload["precondition"] is True
+        with pytest.raises(EmptyEnsemble):
+            pdk_verdict(contract, [report])
+
+    def test_each_constraint_evaluated_once_per_index(self, monkeypatch):
+        calls = {}
+        real = engine.evaluate_constraint
+
+        def counting(con, *args, **kwargs):
+            calls[con.name] = calls.get(con.name, 0) + 1
+            return real(con, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_constraint", counting)
+        contract = Contract(
+            name="t",
+            preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
+            invariants_hard=(Constraint(name="safe", severity="hard", check=ge("safety", 1)),),
+            governance_soft=(Constraint(name="cost", check=ge("cost", 1)),),
+        )
+        states = tuple({"ready": 1, "safety": 5} for _ in range(4))
+        report = run_session(contract, ExecutionTrace(
+            states=states, actions=tuple(ActionRecord("go", {"cost": 2}) for _ in range(3))))
+        assert report.verdict.overall is True
+        assert calls == {"ready": 1, "safe": 4, "cost": 3}
+
+    def test_recovery_at_step_zero_does_not_reevaluate_preconditions(self, monkeypatch):
+        calls = []
+        real = engine.evaluate_constraint
+        monkeypatch.setattr(engine, "evaluate_constraint",
+                            lambda con, *a, **kw: calls.append(con.name) or real(con, *a, **kw))
+        contract = Contract(
+            name="t",
+            preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
+            invariants_soft=(Constraint(name="tone", severity="soft", recovery="fix",
+                                        check=ge("tone", 1)),),
+            recovery_strategies=(RecoveryStrategy(name="fix", type="re_prompt"),),
+            drift_config=QUIET_DRIFT,
+        )
+        trace = ExecutionTrace(states=({"ready": 1, "tone": 0}, {"ready": 1, "tone": 5}),
+                               actions=(ActionRecord("go"),))
+        hook = lambda s, c, st: ({"ready": 0, "tone": 5}, ActionRecord("go"))
+        report = run_session(contract, trace, hook=hook)
+        assert report.steps[0].post_recovery is not None
+        assert calls.count("ready") == 1
+        assert report.preconditions_ok is True
 
 
 class TestPdkVerdict:

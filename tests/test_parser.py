@@ -112,6 +112,26 @@ class TestAgentDocuments:
             parse_contract(doc)
         assert "acyclic" in str(exc.value)
 
+    @pytest.mark.parametrize("section,check", [
+        ("invariants:\n  hard:\n", '{expr: "action.amount < 10"}'),
+        ("invariants:\n  soft:\n", '{expr: "len(action.items) > 0"}'),
+        ("preconditions:\n", "{field: action.amount, operator: lt, value: 10}"),
+    ])
+    def test_state_constraint_reading_action_is_semantic_error(self, section, check):
+        doc = ('contractspec: "1.0"\nkind: agent\nname: x\n' + section
+               + f"  - name: amt\n    check: {check}\n")
+        with pytest.raises(SemanticError, match="amt: preconditions and invariants"):
+            parse_contract(doc)
+
+    @pytest.mark.parametrize("value", ["[1]", "{b: 1}", "true", "x", "null"])
+    def test_drift_reference_value_must_be_a_number(self, value):
+        doc = ('contractspec: "1.0"\nkind: agent\nname: x\ndrift:\n'
+               f"  vocabulary: [a]\n  reference: {{a: {value}}}\n")
+        with pytest.raises(SchemaError) as exc:
+            parse_contract(doc)
+        assert exc.value.span is not None
+        assert (exc.value.span.line, exc.value.span.column) == (6, 18)
+
     def test_check_requires_exactly_one_form(self):
         doc = textwrap.dedent("""\
             contractspec: "1.0"
