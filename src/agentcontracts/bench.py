@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .composition import check_boundaries, compose_chain, stage_count
+from .composition import check_boundaries, compose_chain
 from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import Contract, ExecutionTrace
 from .monitor import run_session
@@ -133,7 +133,7 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
 
     try:
         trace = ExecutionTrace.from_dict(doc["trace"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except FormatError as exc:
         raise FormatError(f"{path}: bad trace: {exc}") from None
     if trace.length < 1:
         raise FormatError(f"{path}: scenarios require at least one step")
@@ -147,7 +147,7 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
     raw_boundaries = doc.get("boundaries")
     try:
         boundaries = check_boundaries(() if raw_boundaries is None else raw_boundaries,
-                                      stage_count(contract), trace.length)
+                                      contract.stages, trace.length)
     except BadBoundaries as exc:
         raise FormatError(f"{path}: bad stage boundaries: {exc}") from None
 
@@ -206,7 +206,7 @@ _RANGE_SLOP = 1e-9
 def score_scenario(scenario: Scenario) -> ScenarioScore:
     """Replay with no recovery hook and score all five dimensions."""
     report = run_session(scenario.contract, scenario.trace, hook=None,
-                         boundaries=scenario.boundaries or None)
+                         boundaries=scenario.boundaries)
     detected = set(report.detected_violations())
     expected = set(scenario.expected.violations)
     if expected:

@@ -126,8 +126,6 @@ def cmd_run(args) -> int:
     if isinstance(contract, PipelineContract):
         contract = compose_chain([s.contract for s in contract.stages],
                                  list(contract.handoffs))
-        if boundaries is None:
-            boundaries = ()   # run_session rejects a pipeline trace without them
     report = run_session(contract, trace, hook=None, boundaries=boundaries)
 
     output = report.to_json()
@@ -310,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("contract")
     p.add_argument("trace", help="JSON file with states/actions (and boundaries "
                                  "for pipeline contracts)")
-    p.add_argument("--hook", choices=("none",), default="none",
-                   help="recovery hook (only 'none' from the CLI; hooks are code)")
     p.add_argument("--out", help="write the session report JSON here")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_run)

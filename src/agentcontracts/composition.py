@@ -5,7 +5,9 @@ A composed contract keeps the upstream preconditions, unions both agents'
 invariants (each phase-scoped to its own stage) with the handoff invariant
 (scoped to the boundary state), unions governance constraints globally
 (they are checked throughout the chain), merges recovery strategies under
-a cascade policy, and takes the maximum of the two recovery windows.
+a cascade policy, and takes the maximum of the two recovery windows.  It
+carries its stage count: a session over it needs one stage boundary per
+handoff, checked by :func:`check_boundaries`.
 
 The semantic conditions (assumption discharge C2, recovery independence
 C4) are checked extensionally over supplied witness states; the logical
@@ -50,7 +52,6 @@ __all__ = [
     "chain_bounds",
     "verify_chain_trace",
     "check_boundaries",
-    "stage_count",
 ]
 
 
@@ -166,17 +167,6 @@ class ConditionReport:
 # Composition
 # ---------------------------------------------------------------------------
 
-def stage_count(contract: Contract) -> int:
-    """Number of stages a (possibly composed) contract spans."""
-    best = 0
-    for con in contract.all_constraints():
-        if con.scope and con.scope.startswith("stage:"):
-            best = max(best, int(con.scope.split(":", 1)[1]) + 1)
-        elif con.scope and con.scope.startswith("handoff:"):
-            best = max(best, int(con.scope.split(":", 1)[1]) + 2)
-    return max(best, 1)
-
-
 def _shift_scope(scope: Optional[str], stage_offset: int, default_stage: int) -> str:
     if scope is None:
         return f"stage:{default_stage}"
@@ -207,9 +197,11 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     surfaced by :func:`check_conditions`, not here); the composed recovery
     window is max(k_a, k_b) and the composed (p, delta) follow the
     probabilistic composition bounds.  Duplicate constraint or strategy
-    names across the two sides are prefixed by their agent's name.
+    names across the two sides are prefixed by their agent's name.  The
+    result spans ``a.stages + b.stages`` stages, ``b``'s scopes offset by
+    ``a.stages``.
     """
-    n_a = stage_count(a)
+    n_a = a.stages
 
     a_cons = list(a.all_constraints())
     b_cons = list(b.all_constraints())
@@ -277,6 +269,7 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
         satisfaction=composed_sat,
         drift_config=a.drift_config,
         reliability_weights=a.reliability_weights,
+        stages=n_a + b.stages,
     )
 
 
@@ -502,13 +495,14 @@ def chain_bounds(spec: ChainSpec) -> ChainBounds:
 # Phase-scoped trace verification
 # ---------------------------------------------------------------------------
 
-def check_boundaries(boundaries, n_stages: int, trace_length: int) -> tuple:
+def check_boundaries(boundaries, n_stages: int, trace_length: Optional[int]) -> tuple:
     """Check the stage boundaries of an ``n_stages``-stage composed
     contract over a trace of ``trace_length`` steps, and return them as a
     tuple of ints.
 
     There must be one boundary per handoff, each an integer state index in
-    ``[0, trace_length]``, strictly increasing.  Raises BadBoundaries.
+    ``[0, trace_length]`` (``trace_length`` None: no upper bound),
+    strictly increasing.  Raises BadBoundaries.
     """
     try:
         boundaries = tuple(boundaries)
@@ -521,8 +515,9 @@ def check_boundaries(boundaries, n_stages: int, trace_length: int) -> tuple:
     if len(boundaries) != n_stages - 1:
         raise BadBoundaries(
             f"{n_stages}-stage contract needs {n_stages - 1} boundaries, got {len(boundaries)}")
-    if any(not (0 <= idx <= trace_length) for idx in boundaries):
-        raise BadBoundaries(f"boundary indices must lie in [0, {trace_length}]")
+    upper = float("inf") if trace_length is None else trace_length
+    if any(not (0 <= idx <= upper) for idx in boundaries):
+        raise BadBoundaries(f"boundary indices must lie in [0, {upper}]")
     if any(boundaries[i] >= boundaries[i + 1] for i in range(len(boundaries) - 1)):
         raise BadBoundaries("boundary indices must be strictly increasing")
     return boundaries
@@ -539,6 +534,6 @@ def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
     every action.  Equivalent to :func:`check_deterministic` with
     phase-scoped constraint timelines.
     """
-    boundaries = check_boundaries(boundaries, stage_count(composed), trace.length)
+    boundaries = check_boundaries(boundaries, composed.stages, trace.length)
     return check_deterministic(composed, trace,
                                timelines=constraint_timelines(composed, trace, boundaries))

@@ -7,7 +7,9 @@ A monitor step ``t`` pairs state ``s_t`` with action ``a_t``; the trailing
 state ``s_T`` receives an invariant-only evaluation.  Every verdict is
 derived from these step evaluations, folded into one timeline per
 constraint.  A precondition holds only when satisfied: one skipped under
-on_missing=skip counts as failed.
+on_missing=skip counts as failed.  Given the stage boundaries of a
+composed contract, a phase-scoped constraint outside its stage (see
+:func:`scope_active`) is recorded as skipped, "out of phase".
 
 Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import FieldResolutionError, TypeMismatch, ZeroSeverity
 from .expressions import eval_expression
@@ -225,9 +227,9 @@ def _ratio(results: Mapping[str, ConstraintResult], names: Sequence[str]) -> flo
 
 def _evaluate_into(results: dict, constraints: Sequence[Constraint], state: StateDict,
                    action: Optional[ActionRecord], target: str,
-                   active: Optional[Callable[[Constraint], bool]]) -> dict:
+                   t: int, boundaries: Sequence[int]) -> dict:
     for con in constraints:
-        if active is not None and not active(con):
+        if boundaries and not scope_active(con.scope, t, boundaries):
             results[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
         else:
             results[con.name] = evaluate_constraint(con, state, action, target)
@@ -235,11 +237,11 @@ def _evaluate_into(results: dict, constraints: Sequence[Constraint], state: Stat
 
 
 def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: int,
-                active: Optional[Callable[[Constraint], bool]],
+                boundaries: Sequence[int],
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
     """Step ``t`` with the given precondition results, which it does not evaluate."""
-    results = _evaluate_into({}, contract.invariants(), state, None, "state", active)
-    _evaluate_into(results, contract.governance(), state, action, "action", active)
+    results = _evaluate_into({}, contract.invariants(), state, None, "state", t, boundaries)
+    _evaluate_into(results, contract.governance(), state, action, "action", t, boundaries)
     hard_names = [c.name for c in contract.hard_constraints()]
     soft_names = [c.name for c in contract.soft_constraints()]
     return StepEvaluation(step=t, results=results, c_hard=_ratio(results, hard_names),
@@ -247,20 +249,19 @@ def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: i
 
 
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
-                  t: int,
-                  active: Optional[Callable[[Constraint], bool]] = None) -> StepEvaluation:
+                  t: int, boundaries: Sequence[int] = ()) -> StepEvaluation:
     """Evaluate every invariant (on the state) and governance constraint
     (on the action) at step ``t``.
 
     Preconditions are evaluated only at t = 0 and reported separately;
-    they never enter c_hard / c_soft.  ``active`` optionally restricts the
-    constraint set (used for phase-scoped composed contracts); inactive
-    constraints are recorded as skipped.
+    they never enter c_hard / c_soft.  ``boundaries`` are a composed
+    contract's stage boundaries: constraints out of phase at ``t`` are
+    recorded as skipped.
     """
     preconditions = None
     if t == 0:
-        preconditions = _evaluate_into({}, contract.preconditions, state, None, "state", None)
-    return _score_step(contract, state, action, t, active, preconditions)
+        preconditions = _evaluate_into({}, contract.preconditions, state, None, "state", 0, ())
+    return _score_step(contract, state, action, t, boundaries, preconditions)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +269,17 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
 # ---------------------------------------------------------------------------
 
 def scope_active(scope: Optional[str], state_index: int,
-                 boundaries: Sequence[int], last_index: int) -> bool:
-    """Whether a phase-scoped constraint applies at a state index.
+                 boundaries: Sequence[int]) -> bool:
+    """Whether a phase-scoped constraint applies at a state index: the one
+    reader of the scopes composition writes.
 
     ``boundaries`` are the handoff state indices of a composed trace.
     Stage j covers the closed range between its surrounding boundaries
     (the boundary state belongs to both adjacent stages: it is the
-    upstream terminal state and the downstream initial state).  Handoff
-    constraints apply at their boundary state only.  Unscoped constraints
-    and governance constraints apply everywhere.
+    upstream terminal state and the downstream initial state); the last
+    stage runs to the end of the trace.  Handoff constraints apply at
+    their boundary state only.  Unscoped constraints (governance, and
+    every constraint of a plain contract) apply everywhere.
     """
     if scope is None:
         return True
@@ -284,36 +287,29 @@ def scope_active(scope: Optional[str], state_index: int,
     j = int(num)
     if kind == "handoff":
         return state_index == boundaries[j]
-    if kind == "stage":
-        start = 0 if j == 0 else boundaries[j - 1]
-        end = last_index if j >= len(boundaries) else boundaries[j]
-        return start <= state_index <= end
-    return True
+    start = 0 if j == 0 else boundaries[j - 1]
+    return start <= state_index and (j >= len(boundaries) or state_index <= boundaries[j])
 
 
-def phase_filter(boundaries: Sequence[int], state_index: int,
-                 last_index: int) -> Optional[Callable[[Constraint], bool]]:
-    """The ``active`` filter of :func:`evaluate_step` at one state index;
-    None when there are no ``boundaries`` (every constraint applies)."""
-    if not boundaries:
-        return None
-    return lambda con: scope_active(con.scope, state_index, boundaries, last_index)
+def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
+                          states: Sequence[StateDict]) -> Mapping[str, ConstraintResult]:
+    """A session's precondition results: step 0's, or an evaluation of
+    ``states[0]`` when no step ran."""
+    if steps:
+        return steps[0].preconditions
+    return _evaluate_into({}, contract.preconditions, states[0], None, "state", 0, ())
 
 
-def session_timelines(contract: Contract, steps: Sequence[StepEvaluation],
-                      states: Sequence[StateDict],
-                      active: Optional[Callable[[Constraint], bool]] = None) -> dict:
+def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
+                      steps: Sequence[StepEvaluation], states: Sequence[StateDict],
+                      boundaries: Sequence[int] = ()) -> dict:
     """Per-constraint timelines (True/False/None entries) folded from the
     evaluations of steps 0..n-1, plus an invariant-only evaluation of the
-    trailing state ``states[n]``.  Preconditions get one entry: step 0's
-    result, or an evaluation of ``states[0]`` when no step ran.
+    trailing state ``states[n]``.  Preconditions get one entry, from the
+    given :func:`initial_preconditions`.
     """
     n = len(steps)
-    if n:
-        preconditions = steps[0].preconditions
-    else:
-        preconditions = _evaluate_into({}, contract.preconditions, states[0], None, "state", None)
-    trailing = _evaluate_into({}, contract.invariants(), states[n], None, "state", active)
+    trailing = _evaluate_into({}, contract.invariants(), states[n], None, "state", n, boundaries)
     timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
     for con in contract.invariants():
         timelines[con.name] = (tuple(s.results[con.name].satisfied for s in steps)
@@ -328,12 +324,10 @@ def constraint_timelines(contract: Contract, trace: ExecutionTrace,
     """Per-constraint timelines of a whole trace, evaluated from scratch with
     the monitor's step evaluation and fold; ``boundaries`` phase-scope a
     composed contract's constraints."""
-    last = trace.length
-    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t,
-                           active=phase_filter(boundaries, t, last))
-             for t in range(last)]
-    return session_timelines(contract, steps, trace.states,
-                             phase_filter(boundaries, last, last))
+    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
+             for t in range(trace.length)]
+    return session_timelines(contract, initial_preconditions(contract, steps, trace.states),
+                             steps, trace.states, boundaries)
 
 
 def _recoverable(line: Sequence[Optional[bool]], k: int) -> Optional[int]:

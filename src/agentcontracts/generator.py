@@ -445,16 +445,15 @@ def _pipeline_base_trace() -> dict:
     return {"states": states, "actions": actions}
 
 
-def _pipeline_expected_scores(composed: Contract, steps: int,
-                              boundaries: Sequence[int],
+def _pipeline_expected_scores(composed: Contract, boundaries: Sequence[int],
                               violated: dict) -> dict:
     """Arithmetic per-step compliance from the scope rule and the
     injection plan (no engine involved)."""
     c_hard, c_soft = [], []
-    for t in range(steps):
+    for t in range(_PIPELINE_STEPS):
         hard_active, soft_active = [], []
         for con in composed.invariants() + composed.governance():
-            if not scope_active(con.scope, t, tuple(boundaries), steps):
+            if not scope_active(con.scope, t, tuple(boundaries)):
                 continue
             (hard_active if con.severity == "hard" else soft_active).append(con.name)
         bad = violated.get(t, set())
@@ -495,8 +494,7 @@ def _composition_scenario(composed: Contract, category: str, index: int) -> dict
     violated: dict = {}
     for step, name in injections:
         violated.setdefault(step, set()).add(name)
-    scores = _pipeline_expected_scores(composed, _PIPELINE_STEPS,
-                                       _PIPELINE_BOUNDARIES, violated)
+    scores = _pipeline_expected_scores(composed, _PIPELINE_BOUNDARIES, violated)
     return {
         "id": f"composition-{category.replace('_', '-')}-{index:03d}",
         "domain": "composition",

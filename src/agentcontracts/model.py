@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
+from .errors import FormatError
+
 __all__ = [
     "StateDict",
     "ActionRecord",
@@ -111,13 +113,36 @@ class ExecutionTrace:
     @staticmethod
     def from_dict(doc: Mapping) -> "ExecutionTrace":
         """Build a trace from the JSON wire shape
-        {"states": [...], "actions": [{"label", "payload"?}, ...]}."""
-        states = tuple(doc.get("states", ()))
-        actions = tuple(
-            ActionRecord(label=a["label"], payload=a.get("payload", {}))
-            for a in doc.get("actions", ())
-        )
-        return ExecutionTrace(states=states, actions=actions)
+        {"states": [{...}, ...], "actions": [{"label", "payload"?}, ...]}.
+
+        The shape is checked here, once: FormatError names the first
+        element that does not match it.
+        """
+        if not isinstance(doc, Mapping):
+            raise FormatError(f"trace must be a mapping, got {type(doc).__name__}")
+        states, actions = doc.get("states", []), doc.get("actions", [])
+        for key, value in (("states", states), ("actions", actions)):
+            if not isinstance(value, (list, tuple)):
+                raise FormatError(f"trace {key} must be a list, got {type(value).__name__}")
+        if len(states) != len(actions) + 1:
+            raise FormatError(f"trace needs |states| = |actions| + 1, got "
+                              f"{len(states)} states / {len(actions)} actions")
+        for i, state in enumerate(states):
+            if not isinstance(state, Mapping):
+                raise FormatError(f"states[{i}] must be a mapping, got {type(state).__name__}")
+        records = []
+        for i, a in enumerate(actions):
+            if not isinstance(a, Mapping):
+                raise FormatError(f"actions[{i}] must be a mapping, got {type(a).__name__}")
+            label, payload = a.get("label"), a.get("payload", {})
+            if not (isinstance(label, str) and label):
+                raise FormatError(f"actions[{i}].label must be a non-empty string, "
+                                  f"got {label!r}")
+            if not isinstance(payload, Mapping):
+                raise FormatError(f"actions[{i}].payload must be a mapping, "
+                                  f"got {type(payload).__name__}")
+            records.append(ActionRecord(label=label, payload=payload))
+        return ExecutionTrace(states=states, actions=records)
 
     def to_dict(self) -> dict:
         return {
@@ -159,8 +184,9 @@ class Constraint:
     strategy and is only legal on soft constraints.  ``on_missing``
     decides what an unresolvable field means: violate (default),
     satisfy, or skip (excluded from that step's scores).  ``scope`` is
-    set by composition to phase-restrict the constraint
-    ("stage:<i>" / "handoff:<j>"); plain contracts leave it None.
+    set only by composition: "stage:<i>" binds an invariant during stage
+    i of the chain, "handoff:<j>" at the boundary state after stage j.
+    Plain contracts and governance leave it None (binds everywhere).
     """
 
     name: str
@@ -224,7 +250,12 @@ class ReliabilityWeights:
 
 @dataclass(frozen=True)
 class Contract:
-    """A full behavioral contract for one agent (or a composed chain)."""
+    """A full behavioral contract for one agent (or a composed chain).
+
+    ``stages`` is the number of agents a composed chain spans, set only by
+    composition; a session over an n-stage contract needs n - 1 stage
+    boundaries.
+    """
 
     name: str
     kind: str = "agent"
@@ -237,6 +268,7 @@ class Contract:
     satisfaction: SatisfactionParams = field(default_factory=SatisfactionParams)
     drift_config: DriftConfig = field(default_factory=DriftConfig)
     reliability_weights: ReliabilityWeights = field(default_factory=ReliabilityWeights)
+    stages: int = 1
 
     def __post_init__(self):
         for f in ("preconditions", "invariants_hard", "invariants_soft",
@@ -353,6 +385,9 @@ def validate_contract(c: Contract) -> list:
 
     if c.kind not in ("agent", "pipeline"):
         issues.append(_issue(c.name, "bad-kind", f"kind must be agent or pipeline, got {c.kind!r}"))
+    if not (isinstance(c.stages, int) and c.stages >= 1):
+        issues.append(_issue(c.name, "bad-stage-count",
+                             f"stages must be an integer >= 1, got {c.stages!r}"))
 
     # Constraint-level rules.
     names_seen: dict = {}

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .composition import check_boundaries, stage_count
+from .composition import check_boundaries
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
 from .engine import (
     SatisfactionVerdict,
@@ -32,7 +32,7 @@ from .engine import (
     check_deterministic,
     classify_outcome,
     evaluate_step,
-    phase_filter,
+    initial_preconditions,
     session_timelines,
 )
 from .errors import EmptyEnsemble, SessionTerminated
@@ -185,11 +185,13 @@ class _Episode:
 class SessionMonitor:
     """Stateful per-session enforcement loop (single writer).
 
-    ``boundaries`` enables phase scoping for composed contracts: a list of
-    handoff state indices, in which case scoped invariants only apply
-    inside their stage and handoff invariants only at their boundary
-    state.  ``trace_length`` must accompany ``boundaries`` so the final
-    stage knows its end index.
+    ``boundaries`` are the handoff state indices of a session over a
+    composed contract, one per handoff (``contract.stages - 1``): each
+    stage's invariants bind only inside its stage, the last stage running
+    to the end of the trace, and handoff invariants only at their boundary
+    state.  They are checked here, against ``trace_length`` when it is
+    given (None, for a stream of unknown length, sets no upper bound);
+    bad or missing boundaries raise BadBoundaries.
     """
 
     def __init__(self, contract: Contract, hook: Optional[RecoveryHook] = None,
@@ -201,8 +203,8 @@ class SessionMonitor:
         self.hook = hook
         self.listeners = list(listeners)
         self.attempts_per_step = attempts_per_step
-        self.boundaries = tuple(boundaries) if boundaries else ()
-        self._last_state_index = trace_length
+        self.boundaries = check_boundaries(() if boundaries is None else boundaries,
+                                           contract.stages, trace_length)
 
         self._t = 0
         self.terminated = False
@@ -227,12 +229,6 @@ class SessionMonitor:
             listener(event)
         return event
 
-    # -- phase scoping -----------------------------------------------------
-
-    def _active_filter(self, state_index: int):
-        last = self._last_state_index if self._last_state_index is not None else state_index
-        return phase_filter(self.boundaries, state_index, last)
-
     # -- the enforcement loop ----------------------------------------------
 
     def step(self, state: StateDict, action: ActionRecord) -> StepReport:
@@ -245,18 +241,14 @@ class SessionMonitor:
         step_events_start = len(self._events)
 
         # 1. Pre-recovery evaluation (this is what the series record).
-        evaluation = evaluate_step(self.contract, state, action, t,
-                                   active=self._active_filter(t))
+        evaluation = evaluate_step(self.contract, state, action, t, self.boundaries)
 
         # 2. Metric update.
         drift = update_drift(self.window, self.contract.drift_config, evaluation, action)
 
         # 3. Event emission.
         if evaluation.preconditions:
-            for name, r in evaluation.preconditions.items():
-                if r.satisfied is not True:
-                    self._emit("violation", t, constraint=name, severity="hard",
-                               precondition=True, detail=r.detail)
+            self._flag_preconditions(evaluation.preconditions)
 
         # Close episodes for constraints back in compliance, then open new ones.
         newly_violated = []
@@ -295,6 +287,13 @@ class SessionMonitor:
         )
         self.step_reports.append(report)
         return report
+
+    def _flag_preconditions(self, preconditions: Mapping) -> None:
+        """A step-0 violation event for each precondition that does not hold."""
+        for name, r in preconditions.items():
+            if r.satisfied is not True:
+                self._emit("violation", 0, constraint=name, severity="hard",
+                           precondition=True, detail=r.detail)
 
     def _severity(self, names: Sequence[str]) -> float:
         """Compliance drop attributable to this step's new violations,
@@ -382,7 +381,7 @@ class SessionMonitor:
                 if corrected is not None:
                     current_state, current_action = corrected
                     post = _score_step(self.contract, current_state, current_action,
-                                       t, self._active_filter(t), None)
+                                       t, self.boundaries, None)
                     if post.results[con.name].satisfied is True:
                         self._emit("recovery_succeeded", t, constraint=con.name,
                                    strategy=strategy.name)
@@ -416,11 +415,16 @@ class SessionMonitor:
         Every verdict is derived from the pre-recovery step evaluations and
         one invariant-only evaluation of the trailing state (the end of the
         truncated trace if terminated): pre-recovery behavior exactly.
+        When no step ran, the preconditions are evaluated here and each
+        one that does not hold is flagged at step 0, as :meth:`step` does.
         """
-        steps_run = len(self.step_reports)
-        timelines = session_timelines(
-            self.contract, [r.evaluation for r in self.step_reports], trace.states,
-            self._active_filter(steps_run))
+        evaluations = [r.evaluation for r in self.step_reports]
+        steps_run = len(evaluations)
+        preconditions = initial_preconditions(self.contract, evaluations, trace.states)
+        if not steps_run:
+            self._flag_preconditions(preconditions)
+        timelines = session_timelines(self.contract, preconditions, evaluations,
+                                      trace.states, self.boundaries)
 
         # The trailing state closes recovery windows of a completed session.
         if steps_run == trace.length and steps_run > 0:
@@ -469,11 +473,8 @@ def run_session(contract: Contract, trace: ExecutionTrace,
 
     Deterministic given (contract, trace, hook behavior).  An empty trace
     (one state, zero actions) yields a report with the precondition
-    verdict only.  Given ``boundaries`` are checked against the contract's
-    stage count and the trace (BadBoundaries).
+    verdict only.  ``boundaries`` are checked as by :class:`SessionMonitor`.
     """
-    if boundaries is not None:
-        boundaries = check_boundaries(boundaries, stage_count(contract), trace.length)
     monitor = SessionMonitor(contract, hook=hook, listeners=listeners,
                              attempts_per_step=attempts_per_step,
                              boundaries=boundaries, trace_length=trace.length)

@@ -486,8 +486,25 @@ def _parse_agent(doc: _Doc, root: Mapping) -> Contract:
         first = issues[0]
         raise SemanticError(
             f"{first.element}: {first.message}"
-            + (f" (+{len(issues) - 1} more issues)" if len(issues) > 1 else ""))
+            + (f" (+{len(issues) - 1} more issues)" if len(issues) > 1 else ""),
+            span=doc.span(_element_paths(contract).get(first.element, ())))
     return contract
+
+
+def _element_paths(contract: Contract) -> dict:
+    """Document path of each element a StructuralIssue can name: every
+    constraint and strategy by name (a duplicate name maps to its last
+    entry, the one reported), and the top-level sections."""
+    paths = {key: (key,) for key in ("satisfaction", "drift", "reliability")}
+    for section, items in ((("preconditions",), contract.preconditions),
+                           (("invariants", "hard"), contract.invariants_hard),
+                           (("invariants", "soft"), contract.invariants_soft),
+                           (("governance", "hard"), contract.governance_hard),
+                           (("governance", "soft"), contract.governance_soft),
+                           (("recovery", "strategies"), contract.recovery_strategies)):
+        for i, item in enumerate(items):
+            paths[item.name] = section + (i,)
+    return paths
 
 
 def _parse_pipeline_doc(doc: _Doc, root: Mapping,

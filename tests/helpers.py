@@ -84,6 +84,26 @@ def random_trace(rng: np.random.Generator, max_steps: int = 8) -> ExecutionTrace
     )
 
 
+def _first_action(doc: dict, action) -> dict:
+    return dict(doc, actions=[action] + doc["actions"][1:])
+
+
+#: (id, malformed copy of a trace document with at least one action): one
+#: for each shape ExecutionTrace.from_dict rejects.
+BAD_TRACE_SHAPES = [
+    ("document-is-a-list", lambda d: [d]),
+    ("states-not-a-list", lambda d: dict(d, states="ab")),
+    ("actions-not-a-list", lambda d: dict(d, actions={"label": "go"})),
+    ("one-state-too-few", lambda d: dict(d, states=d["states"][:-1])),
+    ("state-not-a-mapping", lambda d: dict(d, states=[5] + d["states"][1:])),
+    ("action-not-a-mapping", lambda d: _first_action(d, "go")),
+    ("action-without-label", lambda d: _first_action(d, {"payload": {}})),
+    ("label-not-a-string", lambda d: _first_action(d, {"label": 5})),
+    ("empty-label", lambda d: _first_action(d, {"label": ""})),
+    ("payload-not-a-mapping", lambda d: _first_action(d, {"label": "go", "payload": [1]})),
+]
+
+
 # ---------------------------------------------------------------------------
 # Brute-force deterministic-satisfaction oracle
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from agentcontracts.bench import (
 )
 from agentcontracts.errors import DanglingConstraintRef, FormatError
 
+from helpers import BAD_TRACE_SHAPES
+
 
 def scenario_files(suite_dir):
     manifest = json.load(open(os.path.join(suite_dir, "manifest.json")))
@@ -57,6 +59,17 @@ class TestLoadScenario:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
+            load_scenario(str(bad))
+
+    @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_TRACE_SHAPES])
+    def test_malformed_trace_rejected_naming_the_file(self, suite_dir, tmp_path, shape):
+        entry = scenario_files(suite_dir)[0]
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))
+        doc["trace"] = shape(doc["trace"])
+        doc["contract"] = os.path.join(suite_dir, doc["contract"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="bad.json: bad trace"):
             load_scenario(str(bad))
 
     @staticmethod

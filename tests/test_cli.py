@@ -9,6 +9,8 @@ import pytest
 from agentcontracts.assets import asset_path
 from agentcontracts.cli import main
 
+from helpers import BAD_TRACE_SHAPES
+
 FINANCIAL = asset_path("contracts", "financial-advisor.yaml")
 DEMO_TRACE = asset_path("traces", "financial_advisor_demo.json")
 
@@ -87,6 +89,21 @@ class TestRun:
         assert code == 3
         payload = json.loads(out_path.read_text())
         assert payload["contract"] == "financial-advisor"
+
+
+    @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_TRACE_SHAPES])
+    def test_malformed_trace_exits_two(self, capsys, tmp_path, shape):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(shape(json.load(open(DEMO_TRACE)))))
+        code, out, err = run_cli(capsys, "run", FINANCIAL, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and not out
+
+    def test_hook_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", FINANCIAL, DEMO_TRACE, "--hook", "none"])
+        assert exc.value.code == 2
+        assert "--hook" in capsys.readouterr().err
 
 
 class TestRunBoundaries:

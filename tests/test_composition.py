@@ -1,8 +1,12 @@
 """Contract composition: composed structure, conditions C1-C4, chain
 bounds, and phase-scoped verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcontracts.composition import (
     ChainSpec,
@@ -12,9 +16,9 @@ from agentcontracts.composition import (
     check_conditions,
     compose_chain,
     compose_contracts,
-    stage_count,
     verify_chain_trace,
 )
+from agentcontracts.engine import evaluate_constraint
 from agentcontracts.errors import BadBoundaries, InsufficientSamples
 from agentcontracts.model import (
     ActionRecord,
@@ -25,9 +29,15 @@ from agentcontracts.model import (
     RecoveryStrategy,
     SatisfactionParams,
 )
-from agentcontracts.monitor import run_session
+from agentcontracts.monitor import SessionMonitor, run_session
 
-from helpers import random_chain_instance
+from helpers import (
+    STATE_FIELDS,
+    random_action,
+    random_chain_instance,
+    random_contract,
+    random_state,
+)
 
 
 def rng_check(path, lo, hi):
@@ -71,7 +81,7 @@ class TestComposeContracts:
             Constraint(name="h", severity="hard", check=rng_check("h.v", 0, 1)),)))
         scopes = {c.name: c.scope for c in composed.invariants()}
         assert scopes == {"a-inv": "stage:0", "b-inv": "stage:1", "h": "handoff:0"}
-        assert stage_count(composed) == 2
+        assert composed.stages == 2
 
     def test_governance_union_is_global(self):
         a = agent("a", governance_hard=(
@@ -116,7 +126,7 @@ class TestComposeContracts:
         composed = compose_chain(
             [agent("a"), agent("b"), agent("c")],
             [HandoffSpec(), HandoffSpec()])
-        assert stage_count(composed) == 3
+        assert composed.stages == 3
         scopes = {c.name: c.scope for c in composed.invariants()}
         assert scopes["c-inv"] == "stage:2"
 
@@ -382,3 +392,126 @@ class TestCompositionalityProperty:
                     inst["witnesses"], inst["corpus"],
                     recovery_transform=inst["transform"])
                 assert getattr(report, attr).passed is False, fault
+
+
+class TestPhaseScoping:
+    """Composition carries the stage count; the monitor checks boundaries."""
+
+    @staticmethod
+    def governance_only(name):
+        return Contract(name=name, governance_hard=(
+            Constraint(name=f"{name}-gov", severity="hard", check=rng_check("cost", 0, 9)),))
+
+    def test_governance_only_stage_is_counted(self):
+        a, b, c = agent("a"), self.governance_only("b"), agent("c")
+        assert compose_chain([a, b], [HandoffSpec()]).stages == 2
+        composed = compose_chain([a, b, c], [HandoffSpec(), HandoffSpec()])
+        assert composed.stages == 3
+        assert {x.name: x.scope for x in composed.invariants()} == {
+            "a-inv": "stage:0", "c-inv": "stage:2"}
+
+        # c's invariant fails only inside b's stage (states 2..4).
+        states = [{"a": {"v": 5}, "c": {"v": 5}} for _ in range(7)]
+        states[3] = {"a": {"v": 5}, "c": {"v": 50}}
+        trace = ExecutionTrace(states=tuple(states),
+                               actions=(ActionRecord("go", {"cost": 1}),) * 6)
+        assert verify_chain_trace(composed, trace, boundaries=[2, 4]).overall is True
+        report = run_session(composed, trace, boundaries=[2, 4])
+        assert report.verdict.overall is True
+        assert report.outcome == "compliant"
+
+    @staticmethod
+    def three_stages():
+        handoff = lambda j: HandoffSpec(invariants=(
+            Constraint(name=f"h{j}", severity="hard", check=rng_check(f"h{j}.v", 0, 1)),))
+        return compose_chain([agent("a"), agent("b"), agent("c")], [handoff(0), handoff(1)])
+
+    @pytest.mark.parametrize("boundaries", [
+        pytest.param([2], id="too-few"),
+        pytest.param([3, 1], id="decreasing"),
+        pytest.param(None, id="none"),
+    ])
+    def test_monitor_and_run_session_check_boundaries(self, boundaries):
+        composed = self.three_stages()
+        trace = ExecutionTrace(states=({},) * 5, actions=(ActionRecord("go"),) * 4)
+        with pytest.raises(BadBoundaries):
+            SessionMonitor(composed, boundaries=boundaries, trace_length=4)
+        with pytest.raises(BadBoundaries):
+            run_session(composed, trace, boundaries=boundaries)
+
+    def test_streaming_monitor_has_no_upper_bound(self):
+        composed = self.three_stages()
+        assert SessionMonitor(composed, boundaries=[2, 900]).boundaries == (2, 900)
+        with pytest.raises(BadBoundaries):
+            SessionMonitor(composed, boundaries=[2, 900], trace_length=10)
+        with pytest.raises(BadBoundaries):
+            SessionMonitor(composed, boundaries=[-1, 2])
+
+    def test_single_stage_contract_takes_no_boundaries(self):
+        with pytest.raises(BadBoundaries):
+            SessionMonitor(agent("a"), boundaries=[1], trace_length=4)
+        assert SessionMonitor(agent("a"), trace_length=4).boundaries == ()
+
+
+@st.composite
+def chains(draw):
+    """A 2-3-stage chain of random contracts (some with governance only),
+    handoffs with 0-2 invariants, valid boundaries and a 0-6-step trace.
+    Every name is made unique up front, so composition renames nothing and
+    each invariant's stage is known from its name."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    contracts, stage_of = [], {}
+    for i in range(n):
+        contract = random_contract(rng)
+        rename = lambda cons: tuple(replace(c, name=f"s{i}.{c.name}") for c in cons)
+        contract = replace(
+            contract, name=f"s{i}", preconditions=rename(contract.preconditions),
+            invariants_hard=rename(contract.invariants_hard),
+            invariants_soft=rename(contract.invariants_soft),
+            governance_hard=rename(contract.governance_hard),
+            governance_soft=rename(contract.governance_soft))
+        if draw(st.booleans()):
+            contract = replace(contract, invariants_hard=(), invariants_soft=())
+        stage_of.update({c.name: ("stage", i) for c in contract.invariants()})
+        contracts.append(contract)
+    handoffs = []
+    for j in range(n - 1):
+        invariants = tuple(
+            Constraint(name=f"h{j}.{k}", severity=draw(st.sampled_from(["hard", "soft"])),
+                       check=Predicate(field_path=draw(st.sampled_from(STATE_FIELDS[:2])),
+                                       operator="ge", operand=float(draw(st.integers(0, 5)))))
+            for k in range(draw(st.integers(0, 2))))
+        stage_of.update({c.name: ("handoff", j) for c in invariants})
+        handoffs.append(HandoffSpec(invariants=invariants))
+    steps = draw(st.integers(n - 2, 6))
+    boundaries = sorted(draw(st.sets(st.integers(0, steps), min_size=n - 1, max_size=n - 1)))
+    trace = ExecutionTrace(states=tuple(random_state(rng) for _ in range(steps + 1)),
+                           actions=tuple(random_action(rng) for _ in range(steps)))
+    return contracts, handoffs, boundaries, trace, stage_of
+
+
+@given(chains())
+@settings(max_examples=200, deadline=None)
+def test_phase_scoping_binds_each_invariant_in_its_own_stage(case):
+    contracts, handoffs, boundaries, trace, stage_of = case
+    composed = compose_chain(contracts, handoffs)
+    assert composed.stages == len(contracts)
+
+    verdict = verify_chain_trace(composed, trace, boundaries)
+    assert run_session(composed, trace, boundaries=boundaries).verdict == verdict
+
+    # Stage i spans [b_{i-1}, b_i] (the last stage runs to the end of the
+    # trace); handoff j binds at b_j only.
+    cuts = [0] + list(boundaries) + [trace.length]
+
+    def bound_at(name):
+        kind, j = stage_of[name]
+        return [boundaries[j]] if kind == "handoff" else range(cuts[j], cuts[j + 1] + 1)
+
+    expected = {(idx, con.name) for con in composed.invariants_hard for idx in bound_at(con.name)
+                if evaluate_constraint(con, trace.states[idx], None, "state").satisfied is False}
+    assert set(verdict.witnesses["invariants"]) == expected
+    for idx, name in verdict.witnesses["recoverability"]:
+        if name in stage_of:
+            assert idx in bound_at(name)

@@ -57,6 +57,11 @@ class TestValidateContract:
             governance_hard=(Constraint(name="amt", severity="hard", check=check),))
         assert validate_contract(contract) == []
 
+    @pytest.mark.parametrize("stages", [0, -1, 1.5])
+    def test_stage_count_must_be_positive(self, stages):
+        issues = validate_contract(minimal_contract(stages=stages))
+        assert [i.rule for i in issues] == ["bad-stage-count"]
+
     def test_unresolved_recovery_reference(self):
         contract = minimal_contract(recovery_strategies=())
         issues = validate_contract(contract)

@@ -289,6 +289,15 @@ class TestOneEvaluation:
         with pytest.raises(EmptyEnsemble):
             pdk_verdict(contract, [report])
 
+    def test_zero_step_failed_precondition_is_flagged(self):
+        contract = Contract(name="t", preconditions=(Constraint(
+            name="ready", severity="hard",
+            check=Predicate(field_path="ready", operator="eq", operand=True)),))
+        report = run_session(contract, ExecutionTrace(states=({"ready": False},), actions=()))
+        assert report.outcome == "hard_violation"
+        assert report.detected_violations() == ((0, "ready"),)
+        assert report.events[0].payload["precondition"] is True
+
     def test_each_constraint_evaluated_once_per_index(self, monkeypatch):
         calls = {}
         real = engine.evaluate_constraint

@@ -123,6 +123,42 @@ class TestAgentDocuments:
         with pytest.raises(SemanticError, match="amt: preconditions and invariants"):
             parse_contract(doc)
 
+    # A semantic error points at the constraint or strategy it names.
+    @pytest.mark.parametrize("body,line", [
+        pytest.param("""\
+            invariants:
+              hard:
+                - name: safe
+                  check: {field: safety, operator: ge, value: 1}
+                - name: amt
+                  check: {expr: "action.amount < 10"}
+        """, 8, id="state-constraint-reads-action"),
+        pytest.param("""\
+            invariants:
+              soft:
+                - name: tone
+                  check: {field: output.tone, operator: ge, value: 0.5}
+                  recovery: fix-tone
+        """, 6, id="dangling-recovery"),
+        pytest.param("""\
+            invariants:
+              soft:
+                - name: tone
+                  check: {field: output.tone, operator: ge, value: 0.5}
+                  recovery: a
+            recovery:
+              strategies:
+                - {name: a, type: re_prompt, fallback: b}
+                - {name: b, type: re_prompt, fallback: a}
+        """, 11, id="cyclic-fallback"),
+    ])
+    def test_semantic_error_carries_the_elements_span(self, body, line):
+        doc = 'contractspec: "1.0"\nkind: agent\nname: x\n' + textwrap.dedent(body)
+        with pytest.raises(SemanticError) as exc:
+            parse_contract(doc)
+        assert exc.value.span is not None
+        assert exc.value.span.line == line
+
     @pytest.mark.parametrize("value", ["[1]", "{b: 1}", "true", "x", "null"])
     def test_drift_reference_value_must_be_a_number(self, value):
         doc = ('contractspec: "1.0"\nkind: agent\nname: x\ndrift:\n'

@@ -85,10 +85,9 @@ def test_session_views_agree_with_recomputation(case):
 
     # Precondition failures: a violation event at step 0 and exclusion
     # from the ensemble, exactly when the verdict says so.
-    if n:
-        flagged = tuple((e.step, e.payload["constraint"]) for e in report.events
-                        if e.kind == "violation" and e.payload.get("precondition"))
-        assert flagged == report.verdict.witnesses["preconditions"]
+    flagged = tuple((e.step, e.payload["constraint"]) for e in report.events
+                    if e.kind == "violation" and e.payload.get("precondition"))
+    assert flagged == report.verdict.witnesses["preconditions"]
     if report.verdict.preconditions_ok:
         hard_clean = all(c == 1.0 for c in report.c_hard_series)
         assert pdk_verdict(contract, [report]).hard_frequency == float(hard_clean)
