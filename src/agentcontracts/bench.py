@@ -91,7 +91,7 @@ class ScenarioScore:
 
 def _range(raw, what: str) -> tuple:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) for v in raw)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
         raise FormatError(f"{what} must be [lo, hi]")
     lo, hi = float(raw[0]), float(raw[1])
     if not (0.0 <= lo <= hi <= 1.0):
@@ -125,6 +125,8 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
 
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("id", "domain", "difficulty", "contract", "trace", "expected"):
         if key not in doc:
             raise FormatError(f"{path}: missing scenario field {key!r}")
@@ -140,6 +142,9 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
 
     base_dir = os.path.dirname(os.path.abspath(path))
     contract_path = doc["contract"]
+    if not (isinstance(contract_path, str) and contract_path):
+        raise FormatError(f"{path}: contract must be a non-empty path string, "
+                          f"got {contract_path!r}")
     resolved = contract_path if os.path.isabs(contract_path) \
         else os.path.join(base_dir, contract_path)
     loaded, contract = _load_contract(resolved, cache)
@@ -152,6 +157,9 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
         raise FormatError(f"{path}: bad stage boundaries: {exc}") from None
 
     expected_doc = doc["expected"]
+    if not isinstance(expected_doc, dict):
+        raise FormatError(f"{path}: expected must be a JSON object, "
+                          f"got {type(expected_doc).__name__}")
     violations = expected_doc.get("violations", [])
     if not isinstance(violations, list) or not all(
             isinstance(v, list) and len(v) == 2 and type(v[0]) is int for v in violations):
@@ -172,8 +180,8 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
     expected = Expected(
         violations=violations,
         outcome=outcome,
-        c_hard_range=_range(expected_doc.get("c_hard_range", [0, 1]), "c_hard_range"),
-        c_soft_range=_range(expected_doc.get("c_soft_range", [0, 1]), "c_soft_range"),
+        c_hard_range=_range(expected_doc.get("c_hard_range", [0, 1]), f"{path}: c_hard_range"),
+        c_soft_range=_range(expected_doc.get("c_soft_range", [0, 1]), f"{path}: c_soft_range"),
     )
     return Scenario(
         id=str(doc["id"]), domain=str(doc["domain"]), difficulty=doc["difficulty"],

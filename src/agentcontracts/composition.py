@@ -211,31 +211,24 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     a_strats = list(a.recovery_strategies)
     b_strats = list(b.recovery_strategies)
     strategy_renames = _rename_collisions([(a.name, a_strats), (b.name, b_strats)])
+    # Old name -> new name per side; a reference resolves to the first
+    # strategy of its name.
+    a_names = {s.name: strategy_renames[id(s)] for s in reversed(a_strats)}
+    b_names = {s.name: strategy_renames[id(s)] for s in reversed(b_strats)}
 
     def rebuild(con: Constraint, side: str) -> Constraint:
         if side == "a":
-            scope = _shift_scope(con.scope, 0, 0)
+            scope, names = _shift_scope(con.scope, 0, 0), a_names
         elif side == "b":
-            scope = _shift_scope(con.scope, n_a, n_a)
+            scope, names = _shift_scope(con.scope, n_a, n_a), b_names
         else:
-            scope = f"handoff:{n_a - 1}"
-        recovery = con.recovery
-        if recovery is not None and side in ("a", "b"):
-            owner = a if side == "a" else b
-            for s in owner.recovery_strategies:
-                if s.name == recovery:
-                    recovery = strategy_renames[id(s)]
-                    break
-        return replace(con, name=renames[id(con)], scope=scope, recovery=recovery)
+            scope, names = f"handoff:{n_a - 1}", {}
+        return replace(con, name=renames[id(con)], scope=scope,
+                       recovery=names.get(con.recovery, con.recovery))
 
-    def rebuild_strategy(s, owner_strats):
-        fallback = s.fallback
-        if fallback is not None:
-            for other in owner_strats:
-                if other.name == fallback:
-                    fallback = strategy_renames[id(other)]
-                    break
-        return replace(s, name=strategy_renames[id(s)], fallback=fallback)
+    def rebuild_strategy(s, names: dict):
+        return replace(s, name=strategy_renames[id(s)],
+                       fallback=names.get(s.fallback, s.fallback))
 
     sat_a, sat_b = a.satisfaction, b.satisfaction
     composed_sat = SatisfactionParams(
@@ -264,8 +257,8 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
             [replace(c, name=renames[id(c)]) for c in a.governance_soft]
             + [replace(c, name=renames[id(c)]) for c in b.governance_soft]),
         recovery_strategies=tuple(
-            [rebuild_strategy(s, a_strats) for s in a_strats]
-            + [rebuild_strategy(s, b_strats) for s in b_strats]),
+            [rebuild_strategy(s, a_names) for s in a_strats]
+            + [rebuild_strategy(s, b_names) for s in b_strats]),
         satisfaction=composed_sat,
         drift_config=a.drift_config,
         reliability_weights=a.reliability_weights,

@@ -118,10 +118,6 @@ class DriftWindow:
                    invariants=contract.invariants(),
                    governance=contract.governance())
 
-    @property
-    def steps_seen(self) -> int:
-        return len(self._labels)
-
     def push(self, label: str) -> None:
         idx = self._index.get(label, self._index[OTHER_LABEL])
         self._labels.append(idx)

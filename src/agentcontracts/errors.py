@@ -97,16 +97,16 @@ class SessionTerminated(ContractError):
     """A step was submitted to a session closed by terminate_session."""
 
 
+class BadHookReturn(ContractError):
+    """A recovery hook returned neither None nor a (state, action) pair."""
+
+
 class EmptyEnsemble(ContractError):
     """A probabilistic verdict was requested over zero usable sessions."""
 
 
 class InvalidStep(ContractError):
     """Simulation step size or horizon is not positive / consistent."""
-
-
-class DegenerateInput(ContractError):
-    """Input data cannot identify the model parameters."""
 
 
 class AlreadyDecided(ContractError):

@@ -25,9 +25,6 @@ MAX_DEPTH = 64
 
 WHITELISTED_FUNCTIONS = ("len", "abs", "min", "max")
 
-BINARY_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "and", "or", "in")
-UNARY_OPS = ("not", "neg")
-
 
 @dataclass(frozen=True)
 class Lit:

@@ -415,8 +415,6 @@ _PIPELINE_DOC = {
 
 _PIPELINE_STEPS = 6
 _PIPELINE_BOUNDARIES = (2, 4)
-_STAGE_LABELS = (("collect_info", "verify_identity"), ("record", "record"),
-                 ("handoff", "handoff"))
 
 _PIPELINE_FIELDS = {
     # state-path: compliant value (every state carries the full union).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from .errors import FormatError
@@ -28,6 +28,7 @@ __all__ = [
     "Contract",
     "StructuralIssue",
     "validate_contract",
+    "fallback_chain",
     "OTHER_LABEL",
     "FIELD_OPERATORS",
     "RECOVERY_TYPES",
@@ -169,11 +170,6 @@ class Predicate:
     def is_expression(self) -> bool:
         return self.expression is not None
 
-    def describe(self) -> str:
-        if self.is_expression():
-            return self.expression_src or "<expr>"
-        return f"{self.field_path} {self.operator} {self.operand!r}"
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -294,21 +290,6 @@ class Contract:
     def soft_constraints(self) -> tuple:
         return self.invariants_soft + self.governance_soft
 
-    def strategy(self, name: str) -> Optional[RecoveryStrategy]:
-        for s in self.recovery_strategies:
-            if s.name == name:
-                return s
-        return None
-
-    def constraint(self, name: str) -> Optional[Constraint]:
-        for c in self.all_constraints():
-            if c.name == name:
-                return c
-        return None
-
-    def with_name(self, name: str) -> "Contract":
-        return replace(self, name=name)
-
 
 @dataclass(frozen=True)
 class StructuralIssue:
@@ -361,16 +342,22 @@ def _validate_predicate(name: str, p: Predicate, out: list) -> None:
                               f"{p.operator} operand must be a list"))
 
 
-def _fallback_cycle(strategies: Mapping[str, RecoveryStrategy], start: str) -> bool:
-    seen = set()
-    cur: Optional[str] = start
-    while cur is not None:
-        if cur in seen:
-            return True
-        seen.add(cur)
-        nxt = strategies.get(cur)
-        cur = nxt.fallback if nxt else None
-    return False
+def fallback_chain(strategies: Mapping[str, RecoveryStrategy], start: Optional[str]) -> tuple:
+    """``(chain, cyclic)``: the strategies reached from ``start`` by following
+    ``fallback`` links, in order.  The walk stops at a name ``strategies``
+    does not define (``cyclic`` False) or before the first repeated name
+    (``cyclic`` True).
+    """
+    chain: list = []
+    seen: set = set()
+    name = start
+    while name in strategies:
+        if name in seen:
+            return tuple(chain), True
+        seen.add(name)
+        chain.append(strategies[name])
+        name = strategies[name].fallback
+    return tuple(chain), False
 
 
 def validate_contract(c: Contract) -> list:
@@ -437,7 +424,7 @@ def validate_contract(c: Contract) -> list:
         if s.fallback is not None and s.fallback not in strategy_names:
             issues.append(_issue(s.name, "unresolved-fallback-reference",
                                  f"fallback strategy {s.fallback!r} is not defined"))
-        elif _fallback_cycle(strategy_names, s.name):
+        elif fallback_chain(strategy_names, s.name)[1]:
             issues.append(_issue(s.name, "cyclic-fallback-chain",
                                  "fallback chain must be acyclic"))
         if s.name not in referenced:
@@ -445,15 +432,7 @@ def validate_contract(c: Contract) -> list:
                                  "strategy is not referenced by any constraint",
                                  severity="warning"))
     # Chains reaching via fallback count as referenced, so demote those warnings.
-    reachable = set()
-    for ref in referenced:
-        cur: Optional[str] = ref
-        seen: set = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            reachable.add(cur)
-            nxt = strategy_names.get(cur)
-            cur = nxt.fallback if nxt else None
+    reachable = {s.name for ref in referenced for s in fallback_chain(strategy_names, ref)[0]}
     issues = [i for i in issues
               if not (i.rule == "unreferenced-strategy" and i.element in reachable)]
 

@@ -6,13 +6,17 @@ violated soft constraints, then a separately recorded post-recovery
 re-evaluation.  Compliance series always reflect pre-recovery state; hard
 violations are logged, never recovered.
 
-Recovery walks the constraint's strategy chain against per-constraint
-attempt counters that persist across steps and reset when the constraint
-returns to satisfaction.  By default one attempt is spent per step; set
-``attempts_per_step=None`` to allow a full chain traversal within a single
-step.  Without a registered hook the monitor is detection-only: violations
-of constraints whose strategies need corrective action emit
-``recovery_failed`` immediately.
+Recovery follows a soft constraint's chain of strategies, flattened when
+the monitor is built into one strategy per attempt: each strategy spends
+its ``max_attempts`` consecutive attempts before its fallback takes over,
+and a cyclic chain is rejected with SemanticError.  One attempt is made per
+step unless ``attempts_per_step=None``, which runs the whole chain within a
+single step.  The per-constraint attempt counter persists across steps and
+resets when the constraint is satisfied again.  Without a registered hook
+the monitor is detection-only: violations of constraints whose strategies
+need corrective action emit ``recovery_failed`` immediately.  A hook
+returns None or a (state mapping, ActionRecord) pair; anything else raises
+BadHookReturn.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .engine import (
     initial_preconditions,
     session_timelines,
 )
-from .errors import EmptyEnsemble, SessionTerminated
-from .model import ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy, SatisfactionParams, StateDict
+from .errors import BadHookReturn, EmptyEnsemble, SemanticError, SessionTerminated
+from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
+                    SatisfactionParams, StateDict, fallback_chain)
 
 __all__ = [
     "MonitorEvent",
@@ -56,14 +61,22 @@ RecoveryHook = Callable[
     Optional[Tuple[StateDict, ActionRecord]],
 ]
 
-EVENT_KINDS = (
-    "violation", "drift_alert_mild", "drift_alert_severe",
-    "recovery_attempted", "recovery_succeeded", "recovery_failed",
-    "session_terminated",
-)
-
 #: Strategy types that execute without a registered hook.
 _INTRINSIC_TYPES = ("emit_event", "terminate_session")
+
+
+def _check_hook_return(corrected, t: int, con: Constraint, strategy: RecoveryStrategy) -> tuple:
+    """The (state, action) pair a recovery hook returned, or BadHookReturn."""
+    if (isinstance(corrected, tuple) and len(corrected) == 2
+            and isinstance(corrected[0], Mapping) and isinstance(corrected[1], ActionRecord)):
+        return corrected
+    returned = type(corrected).__name__
+    if isinstance(corrected, tuple):
+        returned += "(" + ", ".join(type(v).__name__ for v in corrected) + ")"
+    raise BadHookReturn(
+        f"step {t}: recovery hook for constraint {con.name!r} (strategy "
+        f"{strategy.name!r}) returned {returned}; expected None or a "
+        f"(state mapping, ActionRecord) pair")
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,8 @@ class SessionMonitor:
     to the end of the trace, and handoff invariants only at their boundary
     state.  They are checked here, against ``trace_length`` when it is
     given (None, for a stream of unknown length, sets no upper bound);
-    bad or missing boundaries raise BadBoundaries.
+    bad or missing boundaries raise BadBoundaries.  A soft constraint whose
+    fallback chain is cyclic raises SemanticError.
     """
 
     def __init__(self, contract: Contract, hook: Optional[RecoveryHook] = None,
@@ -210,6 +224,18 @@ class SessionMonitor:
         self.terminated = False
         self.window = DriftWindow.for_contract(contract)
         self._attempts: dict = {}
+        # Each soft constraint's chain, one strategy per attempt: after
+        # ``used`` attempts the next one runs schedule[used].
+        strategies = {s.name: s for s in reversed(contract.recovery_strategies)}
+        self._schedules = []
+        for con in contract.soft_constraints():
+            chain, cyclic = fallback_chain(strategies, con.recovery)
+            if cyclic:
+                names = " -> ".join([s.name for s in chain] + [chain[-1].fallback])
+                raise SemanticError(f"soft constraint {con.name!r} recovers through "
+                                    f"a cyclic fallback chain: {names}")
+            self._schedules.append(
+                (con, tuple(s for s in chain for _ in range(s.max_attempts))))
         self._episodes: dict = {}
         self.step_reports: list = []
         self.violation_events: list = []
@@ -311,57 +337,33 @@ class SessionMonitor:
             nu=episode.nu, recovered_at=recovered_at,
             delta_t_recovery=recovered_at - episode.step))
 
-    def _chain(self, constraint: Constraint) -> list:
-        chain = []
-        name = constraint.recovery
-        while name is not None:
-            strategy = self.contract.strategy(name)
-            if strategy is None:
-                break
-            chain.append(strategy)
-            name = strategy.fallback
-        return chain
-
     def _attempt_recovery(self, t: int, state: StateDict, action: ActionRecord,
                           evaluation: StepEvaluation) -> Optional[StepEvaluation]:
         post: Optional[StepEvaluation] = None
         current_state, current_action = state, action
 
-        for con in self.contract.soft_constraints():
+        for con, schedule in self._schedules:
             result = (post or evaluation).results.get(con.name)
             if result is None or result.satisfied is not False:
                 continue
             if con.name not in self._episodes:
                 continue
             episode = self._episodes[con.name]
-            chain = self._chain(con)
-            if not chain:
+            if not schedule:
                 if not episode.failed_emitted:
                     episode.failed_emitted = True
                     self._emit("recovery_failed", t, constraint=con.name,
                                reason="no recovery strategy defined")
                 continue
 
-            budget = sum(s.max_attempts for s in chain)
             used = self._attempts.get(con.name, 0)
-            spent_this_step = 0
+            stop = len(schedule)
+            if self.attempts_per_step is not None:
+                stop = min(stop, used + self.attempts_per_step)
             recovered = False
 
-            while used < budget:
-                if self.attempts_per_step is not None and spent_this_step >= self.attempts_per_step:
-                    break
-                strategy = self._strategy_at(chain, used)
-
-                if strategy.type == "terminate_session":
-                    used += 1
-                    spent_this_step += 1
-                    self._emit("recovery_attempted", t, constraint=con.name,
-                               strategy=strategy.name, attempt=used)
-                    self.terminated = True
-                    self._emit("session_terminated", t, constraint=con.name,
-                               strategy=strategy.name)
-                    break
-
+            while used < stop:
+                strategy = schedule[used]
                 if self.hook is None and strategy.type not in _INTRINSIC_TYPES:
                     if not episode.failed_emitted:
                         episode.failed_emitted = True
@@ -371,15 +373,19 @@ class SessionMonitor:
                     break
 
                 used += 1
-                spent_this_step += 1
                 self._emit("recovery_attempted", t, constraint=con.name,
                            strategy=strategy.name, attempt=used)
+                if strategy.type == "terminate_session":
+                    self.terminated = True
+                    self._emit("session_terminated", t, constraint=con.name,
+                               strategy=strategy.name)
+                    break
 
                 corrected = None
                 if self.hook is not None:
                     corrected = self.hook(strategy, con, current_state)
                 if corrected is not None:
-                    current_state, current_action = corrected
+                    current_state, current_action = _check_hook_return(corrected, t, con, strategy)
                     post = _score_step(self.contract, current_state, current_action,
                                        t, self.boundaries, None)
                     if post.results[con.name].satisfied is True:
@@ -390,7 +396,7 @@ class SessionMonitor:
                         break
 
             self._attempts[con.name] = used
-            if not recovered and used >= budget and con.name in self._episodes:
+            if not recovered and used >= len(schedule) and con.name in self._episodes:
                 if not self._episodes[con.name].failed_emitted:
                     self._episodes[con.name].failed_emitted = True
                     self._emit("recovery_failed", t, constraint=con.name,
@@ -398,14 +404,6 @@ class SessionMonitor:
             if self.terminated:
                 break
         return post
-
-    @staticmethod
-    def _strategy_at(chain: Sequence[RecoveryStrategy], used: int) -> RecoveryStrategy:
-        for strategy in chain:
-            if used < strategy.max_attempts:
-                return strategy
-            used -= strategy.max_attempts
-        return chain[-1]
 
     # -- finalization --------------------------------------------------------
 

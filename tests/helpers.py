@@ -103,6 +103,17 @@ BAD_TRACE_SHAPES = [
     ("payload-not-a-mapping", lambda d: _first_action(d, {"label": "go", "payload": [1]})),
 ]
 
+# Scenario documents a scenario loader must reject with a FormatError.
+BAD_SCENARIO_SHAPES = [
+    ("document-not-a-mapping", lambda d: 5),
+    ("contract-not-a-string", lambda d: dict(d, contract=5)),
+    ("expected-not-a-mapping", lambda d: dict(d, expected=5)),
+    ("boolean-in-c_hard_range", lambda d: dict(d, expected=dict(d["expected"],
+                                                                c_hard_range=[True, 1]))),
+    ("boolean-in-c_soft_range", lambda d: dict(d, expected=dict(d["expected"],
+                                                                c_soft_range=[0, True]))),
+]
+
 
 # ---------------------------------------------------------------------------
 # Brute-force deterministic-satisfaction oracle

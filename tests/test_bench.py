@@ -16,7 +16,7 @@ from agentcontracts.bench import (
 )
 from agentcontracts.errors import DanglingConstraintRef, FormatError
 
-from helpers import BAD_TRACE_SHAPES
+from helpers import BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
 
 
 def scenario_files(suite_dir):
@@ -106,6 +106,16 @@ class TestLoadScenario:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="bad.json"):
+            load_scenario(str(bad))
+
+    @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_SCENARIO_SHAPES])
+    def test_malformed_scenario_rejected_naming_the_file(self, suite_dir, tmp_path, shape):
+        entry = scenario_files(suite_dir)[0]
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))
+        doc["contract"] = os.path.join(suite_dir, doc["contract"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(shape(doc)))
+        with pytest.raises(FormatError, match="bad.json: "):
             load_scenario(str(bad))
 
     def test_missing_fields_rejected(self, tmp_path):

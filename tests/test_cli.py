@@ -9,7 +9,7 @@ import pytest
 from agentcontracts.assets import asset_path
 from agentcontracts.cli import main
 
-from helpers import BAD_TRACE_SHAPES
+from helpers import BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
 
 FINANCIAL = asset_path("contracts", "financial-advisor.yaml")
 DEMO_TRACE = asset_path("traces", "financial_advisor_demo.json")
@@ -279,6 +279,17 @@ class TestBench:
             main(["bench", suite_dir, "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_SCENARIO_SHAPES])
+    def test_malformed_scenario_exits_two(self, capsys, suite_dir, tmp_path, shape):
+        entry = json.load(open(os.path.join(suite_dir, "manifest.json")))["scenarios"][0]
+        doc = json.load(open(os.path.join(suite_dir, entry["file"])))
+        doc["contract"] = os.path.join(suite_dir, doc["contract"])
+        (tmp_path / "bad.json").write_text(json.dumps(shape(doc)))
+        (tmp_path / "manifest.json").write_text(json.dumps({"scenarios": [{"file": "bad.json"}]}))
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "bad.json" in err and not out
 
     def test_generate_flag(self, capsys, tmp_path):
         target = tmp_path / "fresh"

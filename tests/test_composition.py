@@ -122,6 +122,17 @@ class TestComposeContracts:
         refs = {c.name: c.recovery for c in composed.invariants_soft}
         assert refs == {"sa": "a.fix", "sb": "b.fix"}
 
+    def test_fallback_references_follow_the_rename(self):
+        a = agent("a", recovery_strategies=(
+            RecoveryStrategy(name="fix", type="re_prompt", fallback="esc"),
+            RecoveryStrategy(name="esc", type="escalate_human", fallback="log"),
+            RecoveryStrategy(name="log", type="emit_event")))
+        b = agent("b", recovery_strategies=(
+            RecoveryStrategy(name="esc", type="escalate_human", fallback="gone"),))
+        composed = compose_contracts(a, b, HandoffSpec())
+        assert [(s.name, s.fallback) for s in composed.recovery_strategies] == [
+            ("fix", "a.esc"), ("a.esc", "log"), ("log", None), ("b.esc", "gone")]
+
     def test_three_stage_fold(self):
         composed = compose_chain(
             [agent("a"), agent("b"), agent("c")],

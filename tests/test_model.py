@@ -13,6 +13,7 @@ from agentcontracts.model import (
     RecoveryStrategy,
     ReliabilityWeights,
     SatisfactionParams,
+    fallback_chain,
     validate_contract,
 )
 
@@ -75,6 +76,28 @@ class TestValidateContract:
         ))
         rules = {i.rule for i in validate_contract(contract)}
         assert "cyclic-fallback-chain" in rules
+
+    def test_fallback_rules_reported_in_order(self):
+        contract = minimal_contract(recovery_strategies=(
+            RecoveryStrategy(name="fix", type="re_prompt", fallback="loop"),
+            RecoveryStrategy(name="loop", type="re_prompt", fallback="back"),
+            RecoveryStrategy(name="back", type="re_prompt", fallback="loop"),
+            RecoveryStrategy(name="orphan", type="emit_event", fallback="gone"),
+        ))
+        assert [(i.element, i.rule) for i in validate_contract(contract)] == [
+            ("back", "cyclic-fallback-chain"), ("fix", "cyclic-fallback-chain"),
+            ("loop", "cyclic-fallback-chain"), ("orphan", "unreferenced-strategy"),
+            ("orphan", "unresolved-fallback-reference")]
+
+    def test_fallback_chain_stops_at_an_undefined_name_or_before_a_repeat(self):
+        a = RecoveryStrategy(name="A", type="re_prompt", fallback="B")
+        b = RecoveryStrategy(name="B", type="re_prompt", fallback="A")
+        c = RecoveryStrategy(name="C", type="re_prompt", fallback="missing")
+        by_name = {"A": a, "B": b, "C": c}
+        assert fallback_chain(by_name, "A") == ((a, b), True)
+        assert fallback_chain(by_name, "B") == ((b, a), True)
+        assert fallback_chain(by_name, "C") == ((c,), False)
+        assert fallback_chain(by_name, None) == ((), False)
 
     def test_duplicate_constraint_names(self):
         contract = minimal_contract(

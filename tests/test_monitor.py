@@ -4,10 +4,12 @@ and (p, delta, k) verdicts."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcontracts.assets import asset_path
 from agentcontracts import engine
-from agentcontracts.errors import EmptyEnsemble, SessionTerminated
+from agentcontracts.errors import BadHookReturn, EmptyEnsemble, SemanticError, SessionTerminated
 from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
@@ -15,6 +17,7 @@ from agentcontracts.model import (
     Contract,
     DriftConfig,
     ExecutionTrace,
+    RECOVERY_TYPES,
     Predicate,
     RecoveryStrategy,
     SatisfactionParams,
@@ -179,6 +182,100 @@ class TestMonitorStep:
         monitor = SessionMonitor(contract)
         report = monitor.step({"tone": 0}, ActionRecord("go"))  # gap 1.0 > theta2
         assert any(e.kind == "drift_alert_severe" for e in report.events)
+
+
+def chain_contract(strategies):
+    """One soft constraint recovering through ``strategies``, starting at the first."""
+    return Contract(
+        name="chain",
+        invariants_soft=(Constraint(name="tone", severity="soft",
+                                    recovery=strategies[0].name, check=ge("tone", 1)),),
+        recovery_strategies=tuple(strategies),
+        drift_config=QUIET_DRIFT,
+    )
+
+
+@st.composite
+def recovery_cases(draw):
+    n = draw(st.integers(1, 3))
+    chain = tuple(RecoveryStrategy(name=f"S{i}", type=draw(st.sampled_from(RECOVERY_TYPES)),
+                                   max_attempts=draw(st.integers(1, 3)),
+                                   fallback=f"S{i + 1}" if i + 1 < n else None)
+                  for i in range(n))
+    return chain, draw(st.sampled_from((1, 2, None))), draw(st.booleans()), draw(st.integers(1, 8))
+
+
+def expected_recovery(chain, attempts_per_step, hooked, steps):
+    """Plain reference for one soft constraint violated at every step and a
+    hook, if any, that declines: ((step, strategy, attempt) of each attempt,
+    terminated, recovery_failed reasons)."""
+    schedule = [s for s in chain for _ in range(s.max_attempts)]
+    made = []
+    for strategy in schedule:
+        if not hooked and strategy.type not in ("emit_event", "terminate_session"):
+            break
+        made.append(strategy)
+        if strategy.type == "terminate_session":
+            break
+
+    def step_of(attempt_index):
+        return 0 if attempts_per_step is None else attempt_index // attempts_per_step
+
+    attempted = [(step_of(i), s.name, i + 1) for i, s in enumerate(made) if step_of(i) < steps]
+    terminates = bool(made) and made[-1].type == "terminate_session"
+    terminated = terminates and step_of(len(made) - 1) < steps
+    if len(made) == len(schedule):
+        failed = [("attempt budget exhausted", step_of(len(made) - 1))]
+    elif terminates:
+        failed = []
+    else:
+        failed = [("no recovery hook registered", step_of(len(made)))]
+    return attempted, terminated, [reason for reason, step in failed if step < steps]
+
+
+@given(recovery_cases())
+@settings(max_examples=300, deadline=None)
+def test_recovery_follows_the_flat_schedule(case):
+    chain, attempts_per_step, hooked, steps = case
+    monitor = SessionMonitor(chain_contract(chain),
+                             hook=(lambda s, c, state: None) if hooked else None,
+                             attempts_per_step=attempts_per_step)
+    for _ in range(steps):
+        if monitor.terminated:
+            break
+        monitor.step({"tone": 0}, ActionRecord("go"))
+    events = [e for report in monitor.step_reports for e in report.events]
+    attempted = [(e.step, e.payload["strategy"], e.payload["attempt"]) for e in events
+                 if e.kind == "recovery_attempted"]
+    failed = [e.payload["reason"] for e in events if e.kind == "recovery_failed"]
+    assert (attempted, monitor.terminated, failed) == \
+        expected_recovery(chain, attempts_per_step, hooked, steps)
+
+
+class TestRecoveryBoundary:
+    def test_cyclic_chain_rejected_when_the_monitor_is_built(self):
+        contract = chain_contract((
+            RecoveryStrategy(name="A", type="re_prompt", fallback="B"),
+            RecoveryStrategy(name="B", type="escalate_human", fallback="A"),
+        ))
+        with pytest.raises(SemanticError, match=r"'tone'.*A -> B -> A"):
+            SessionMonitor(contract)
+
+    @pytest.mark.parametrize("returned,named", [
+        pytest.param(({"tone": 5, "safety": 5}, ActionRecord("go"), None),
+                     "tuple(dict, ActionRecord, NoneType)", id="three-tuple"),
+        pytest.param({"tone": 5, "safety": 5}, "dict", id="bare-state"),
+        pytest.param(([1], ActionRecord("go")), "tuple(list, ActionRecord)",
+                     id="state-not-a-mapping"),
+        pytest.param(({"tone": 1}, "go"), "tuple(dict, str)", id="action-not-a-record"),
+    ])
+    def test_malformed_hook_return_rejected(self, returned, named):
+        monitor = SessionMonitor(tone_contract(), hook=lambda s, c, state: returned)
+        monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
+        with pytest.raises(BadHookReturn) as info:
+            monitor.step({"tone": 0, "safety": 5}, ActionRecord("go"))
+        for part in ("step 1", "'tone'", "'fix'", named):
+            assert part in str(info.value)
 
 
 class TestRunSession:
