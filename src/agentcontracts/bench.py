@@ -198,9 +198,17 @@ def load_suite(suite_dir: str) -> list:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest must be a JSON object, "
+                          f"got {type(manifest).__name__}")
     entries = manifest.get("scenarios")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{manifest_path}: manifest needs a non-empty 'scenarios' list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and entry["file"]):
+            raise FormatError(f"{manifest_path}: scenario entry {i} must be an object "
+                              f"with a non-empty 'file' string, got {entry!r}")
     # Scenarios share a few contract files: load each one once per call.
     # The cache dies with the call, so a file edited between calls is re-read.
     cache: dict = {}

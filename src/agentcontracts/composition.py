@@ -216,15 +216,16 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     a_names = {s.name: strategy_renames[id(s)] for s in reversed(a_strats)}
     b_names = {s.name: strategy_renames[id(s)] for s in reversed(b_strats)}
 
-    def rebuild(con: Constraint, side: str) -> Constraint:
-        if side == "a":
-            scope, names = _shift_scope(con.scope, 0, 0), a_names
-        elif side == "b":
-            scope, names = _shift_scope(con.scope, n_a, n_a), b_names
-        else:
-            scope, names = f"handoff:{n_a - 1}", {}
+    def rebuild(con: Constraint, names: dict, scope: Optional[str] = None) -> Constraint:
+        """``con`` renamed, its recovery following its side's strategy
+        renames; governance and preconditions keep no scope."""
         return replace(con, name=renames[id(con)], scope=scope,
                        recovery=names.get(con.recovery, con.recovery))
+
+    def staged(cons: Sequence[Constraint], names: dict, offset: int) -> list:
+        return [rebuild(c, names, _shift_scope(c.scope, offset, offset)) for c in cons]
+
+    handoff = f"handoff:{n_a - 1}"
 
     def rebuild_strategy(s, names: dict):
         return replace(s, name=strategy_renames[id(s)],
@@ -241,21 +242,17 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     return Contract(
         name=f"{a.name}+{b.name}",
         kind="agent",
-        preconditions=tuple(replace(c, name=renames[id(c)]) for c in a.preconditions),
+        preconditions=tuple(rebuild(c, a_names) for c in a.preconditions),
         invariants_hard=tuple(
-            [rebuild(c, "a") for c in a.invariants_hard]
-            + [rebuild(c, "b") for c in b.invariants_hard]
-            + [rebuild(c, "h") for c in h_cons if c.severity == "hard"]),
+            staged(a.invariants_hard, a_names, 0) + staged(b.invariants_hard, b_names, n_a)
+            + [rebuild(c, {}, handoff) for c in h_cons if c.severity == "hard"]),
         invariants_soft=tuple(
-            [rebuild(c, "a") for c in a.invariants_soft]
-            + [rebuild(c, "b") for c in b.invariants_soft]
-            + [rebuild(c, "h") for c in h_cons if c.severity == "soft"]),
-        governance_hard=tuple(
-            [replace(c, name=renames[id(c)]) for c in a.governance_hard]
-            + [replace(c, name=renames[id(c)]) for c in b.governance_hard]),
-        governance_soft=tuple(
-            [replace(c, name=renames[id(c)]) for c in a.governance_soft]
-            + [replace(c, name=renames[id(c)]) for c in b.governance_soft]),
+            staged(a.invariants_soft, a_names, 0) + staged(b.invariants_soft, b_names, n_a)
+            + [rebuild(c, {}, handoff) for c in h_cons if c.severity == "soft"]),
+        governance_hard=tuple([rebuild(c, a_names) for c in a.governance_hard]
+                              + [rebuild(c, b_names) for c in b.governance_hard]),
+        governance_soft=tuple([rebuild(c, a_names) for c in a.governance_soft]
+                              + [rebuild(c, b_names) for c in b.governance_soft]),
         recovery_strategies=tuple(
             [rebuild_strategy(s, a_names) for s in a_strats]
             + [rebuild_strategy(s, b_names) for s in b_strats]),

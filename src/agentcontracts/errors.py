@@ -94,11 +94,16 @@ class ZeroSeverity(ContractError):
 
 
 class SessionTerminated(ContractError):
-    """A step was submitted to a session closed by terminate_session."""
+    """A step was submitted to a closed session: one closed by
+    terminate_session, or by a recovery hook that failed."""
 
 
 class BadHookReturn(ContractError):
     """A recovery hook returned neither None nor a (state, action) pair."""
+
+
+class RecoveryHookError(ContractError):
+    """A recovery hook raised; the hook's exception is the cause."""
 
 
 class EmptyEnsemble(ContractError):

@@ -11,12 +11,16 @@ the monitor is built into one strategy per attempt: each strategy spends
 its ``max_attempts`` consecutive attempts before its fallback takes over,
 and a cyclic chain is rejected with SemanticError.  One attempt is made per
 step unless ``attempts_per_step=None``, which runs the whole chain within a
-single step.  The per-constraint attempt counter persists across steps and
-resets when the constraint is satisfied again.  Without a registered hook
-the monitor is detection-only: violations of constraints whose strategies
-need corrective action emit ``recovery_failed`` immediately.  A hook
-returns None or a (state mapping, ActionRecord) pair; anything else raises
-BadHookReturn.
+single step.  Each violation episode owns its attempt counter: the counter
+persists across that episode's steps, and a new episode, opened when the
+constraint is violated again after being satisfied, starts at zero.  An
+episode emits at most one ``recovery_failed``, after which it gets no more
+attempts.  Without a registered hook the monitor is detection-only:
+violations of constraints whose strategies need corrective action emit
+``recovery_failed`` immediately.  A hook returns None or a (state mapping,
+ActionRecord) pair.  A hook that raises (RecoveryHookError, chained to the
+hook's exception) or returns anything else (BadHookReturn) closes the
+session: a later step raises SessionTerminated.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .engine import (
     initial_preconditions,
     session_timelines,
 )
-from .errors import BadHookReturn, EmptyEnsemble, SemanticError, SessionTerminated
+from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
+                     SessionTerminated)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
                     SatisfactionParams, StateDict, fallback_chain)
 
@@ -65,18 +70,26 @@ RecoveryHook = Callable[
 _INTRINSIC_TYPES = ("emit_event", "terminate_session")
 
 
-def _check_hook_return(corrected, t: int, con: Constraint, strategy: RecoveryStrategy) -> tuple:
-    """The (state, action) pair a recovery hook returned, or BadHookReturn."""
-    if (isinstance(corrected, tuple) and len(corrected) == 2
+def _call_hook(hook: RecoveryHook, t: int, con: Constraint, strategy: RecoveryStrategy,
+               state: StateDict):
+    """The hook's correction: None or a (state, action) pair.  A hook that
+    raises fails with RecoveryHookError, one that returns anything else
+    with BadHookReturn."""
+    where = (f"step {t}: recovery hook for constraint {con.name!r} "
+             f"(strategy {strategy.name!r})")
+    try:
+        corrected = hook(strategy, con, state)
+    except Exception as exc:
+        raise RecoveryHookError(f"{where} raised {type(exc).__name__}: {exc}") from exc
+    if corrected is None or (
+            isinstance(corrected, tuple) and len(corrected) == 2
             and isinstance(corrected[0], Mapping) and isinstance(corrected[1], ActionRecord)):
         return corrected
     returned = type(corrected).__name__
     if isinstance(corrected, tuple):
         returned += "(" + ", ".join(type(v).__name__ for v in corrected) + ")"
-    raise BadHookReturn(
-        f"step {t}: recovery hook for constraint {con.name!r} (strategy "
-        f"{strategy.name!r}) returned {returned}; expected None or a "
-        f"(state mapping, ActionRecord) pair")
+    raise BadHookReturn(f"{where} returned {returned}; expected None or a "
+                        f"(state mapping, ActionRecord) pair")
 
 
 @dataclass(frozen=True)
@@ -184,15 +197,18 @@ class SessionReport:
 
 
 class _Episode:
-    """Mutable bookkeeping for one open violation."""
+    """Mutable bookkeeping for one open violation: the recovery attempts
+    it has used, and whether its recovery has failed (after which it gets
+    no more attempts)."""
 
-    __slots__ = ("step", "nu", "severity", "failed_emitted")
+    __slots__ = ("step", "nu", "severity", "used", "failed")
 
     def __init__(self, step: int, nu: float, severity: str):
         self.step = step
         self.nu = nu
         self.severity = severity
-        self.failed_emitted = False
+        self.used = 0
+        self.failed = False
 
 
 class SessionMonitor:
@@ -221,11 +237,10 @@ class SessionMonitor:
                                            contract.stages, trace_length)
 
         self._t = 0
-        self.terminated = False
+        self._closed_by: Optional[str] = None
         self.window = DriftWindow.for_contract(contract)
-        self._attempts: dict = {}
-        # Each soft constraint's chain, one strategy per attempt: after
-        # ``used`` attempts the next one runs schedule[used].
+        # Each soft constraint's chain, one strategy per attempt: after an
+        # episode's ``used`` attempts the next one runs schedule[used].
         strategies = {s.name: s for s in reversed(contract.recovery_strategies)}
         self._schedules = []
         for con in contract.soft_constraints():
@@ -246,6 +261,12 @@ class SessionMonitor:
         self._weights = {c.name: c.weight
                          for c in contract.invariants() + contract.governance()}
 
+    @property
+    def terminated(self) -> bool:
+        """Whether the session is closed: by a terminate_session strategy,
+        or by a recovery hook that raised or returned a bad value."""
+        return self._closed_by is not None
+
     # -- events ------------------------------------------------------------
 
     def _emit(self, kind: str, step: int, **payload) -> MonitorEvent:
@@ -259,9 +280,8 @@ class SessionMonitor:
 
     def step(self, state: StateDict, action: ActionRecord) -> StepReport:
         """Run one enforcement turn for (s_t, a_t)."""
-        if self.terminated:
-            raise SessionTerminated(
-                f"session closed by terminate_session before step {self._t}")
+        if self._closed_by is not None:
+            raise SessionTerminated(f"session closed by {self._closed_by} before step {self._t}")
         t = self._t
         self._t += 1
         step_events_start = len(self._events)
@@ -301,7 +321,11 @@ class SessionMonitor:
             self._emit("drift_alert_severe", t, drift=d)
 
         # 4. Recovery for violated soft constraints (hard ones only logged).
-        post = self._attempt_recovery(t, state, action, evaluation)
+        try:
+            post = self._attempt_recovery(t, state, action, evaluation)
+        except (RecoveryHookError, BadHookReturn) as exc:
+            self._closed_by = f"{type(exc).__name__} ({exc})"
+            raise
 
         report = StepReport(
             step=t,
@@ -329,13 +353,18 @@ class SessionMonitor:
         drop = sum(self._weights.get(n, 0.0) for n in names)
         return min(1.0, max(drop, 1.0) / self._total_weight)
 
-    def _close_episode(self, name: str, recovered_at: int) -> None:
+    def _close_episode(self, name: str, recovered_at: Optional[int] = None) -> None:
+        """Log the episode of ``name``; one never recovered has no duration."""
         episode = self._episodes.pop(name)
-        self._attempts.pop(name, None)
         self.violation_events.append(ViolationEvent(
             step=episode.step, constraint=name, severity=episode.severity,
             nu=episode.nu, recovered_at=recovered_at,
-            delta_t_recovery=recovered_at - episode.step))
+            delta_t_recovery=None if recovered_at is None else recovered_at - episode.step))
+
+    def _recovery_failed(self, t: int, con: Constraint, episode: _Episode,
+                         reason: str, **strategy) -> None:
+        episode.failed = True
+        self._emit("recovery_failed", t, constraint=con.name, **strategy, reason=reason)
 
     def _attempt_recovery(self, t: int, state: StateDict, action: ActionRecord,
                           evaluation: StepEvaluation) -> Optional[StepEvaluation]:
@@ -344,48 +373,37 @@ class SessionMonitor:
 
         for con, schedule in self._schedules:
             result = (post or evaluation).results.get(con.name)
-            if result is None or result.satisfied is not False:
-                continue
-            if con.name not in self._episodes:
-                continue
-            episode = self._episodes[con.name]
-            if not schedule:
-                if not episode.failed_emitted:
-                    episode.failed_emitted = True
-                    self._emit("recovery_failed", t, constraint=con.name,
-                               reason="no recovery strategy defined")
+            episode = self._episodes.get(con.name)
+            if (result is None or result.satisfied is not False
+                    or episode is None or episode.failed):
                 continue
 
-            used = self._attempts.get(con.name, 0)
             stop = len(schedule)
             if self.attempts_per_step is not None:
-                stop = min(stop, used + self.attempts_per_step)
+                stop = min(stop, episode.used + self.attempts_per_step)
             recovered = False
 
-            while used < stop:
-                strategy = schedule[used]
+            while episode.used < stop:
+                strategy = schedule[episode.used]
                 if self.hook is None and strategy.type not in _INTRINSIC_TYPES:
-                    if not episode.failed_emitted:
-                        episode.failed_emitted = True
-                        self._emit("recovery_failed", t, constraint=con.name,
-                                   strategy=strategy.name,
-                                   reason="no recovery hook registered")
+                    self._recovery_failed(t, con, episode, "no recovery hook registered",
+                                          strategy=strategy.name)
                     break
 
-                used += 1
+                episode.used += 1
                 self._emit("recovery_attempted", t, constraint=con.name,
-                           strategy=strategy.name, attempt=used)
+                           strategy=strategy.name, attempt=episode.used)
                 if strategy.type == "terminate_session":
-                    self.terminated = True
+                    self._closed_by = "terminate_session"
                     self._emit("session_terminated", t, constraint=con.name,
                                strategy=strategy.name)
                     break
 
                 corrected = None
                 if self.hook is not None:
-                    corrected = self.hook(strategy, con, current_state)
+                    corrected = _call_hook(self.hook, t, con, strategy, current_state)
                 if corrected is not None:
-                    current_state, current_action = _check_hook_return(corrected, t, con, strategy)
+                    current_state, current_action = corrected
                     post = _score_step(self.contract, current_state, current_action,
                                        t, self.boundaries, None)
                     if post.results[con.name].satisfied is True:
@@ -395,12 +413,9 @@ class SessionMonitor:
                         recovered = True
                         break
 
-            self._attempts[con.name] = used
-            if not recovered and used >= len(schedule) and con.name in self._episodes:
-                if not self._episodes[con.name].failed_emitted:
-                    self._episodes[con.name].failed_emitted = True
-                    self._emit("recovery_failed", t, constraint=con.name,
-                               reason="attempt budget exhausted")
+            if not recovered and episode.used >= len(schedule):
+                self._recovery_failed(t, con, episode, "attempt budget exhausted" if schedule
+                                      else "no recovery strategy defined")
             if self.terminated:
                 break
         return post
@@ -430,12 +445,8 @@ class SessionMonitor:
                 if timelines[con.name][-1] is True and con.name in self._episodes:
                     self._close_episode(con.name, recovered_at=steps_run)
 
-        # Episodes never recovered stay open: no recovery duration.
-        for name, episode in sorted(self._episodes.items()):
-            self.violation_events.append(ViolationEvent(
-                step=episode.step, constraint=name, severity=episode.severity,
-                nu=episode.nu, recovered_at=None, delta_t_recovery=None))
-        self._episodes.clear()
+        for name in sorted(self._episodes):
+            self._close_episode(name)
 
         verdict = check_deterministic(self.contract, trace, timelines=timelines)
         outcome = classify_outcome(self.contract, trace, timelines=timelines)

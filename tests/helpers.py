@@ -114,6 +114,14 @@ BAD_SCENARIO_SHAPES = [
                                                                 c_soft_range=[0, True]))),
 ]
 
+# Suite manifests of the wrong shape, each rejected by load_suite with a
+# FormatError naming the manifest: (id, manifest document, expected message part).
+BAD_MANIFESTS = [
+    ("manifest-not-a-mapping", [1], "manifest must be a JSON object"),
+    ("entry-not-a-mapping", {"scenarios": [5]}, "scenario entry 0"),
+    ("entry-without-file", {"scenarios": [{"name": "x"}]}, "scenario entry 0"),
+]
+
 
 # ---------------------------------------------------------------------------
 # Brute-force deterministic-satisfaction oracle

@@ -16,7 +16,7 @@ from agentcontracts.bench import (
 )
 from agentcontracts.errors import DanglingConstraintRef, FormatError
 
-from helpers import BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
+from helpers import BAD_MANIFESTS, BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
 
 
 def scenario_files(suite_dir):
@@ -154,6 +154,14 @@ class TestLoadSuite:
             f"name: {name}", f"name: {name}-edited", 1))
         edited = next(s for s in load_suite(str(suite)) if s.id == doc["id"])
         assert edited.contract.name == f"{name}-edited"
+
+    @pytest.mark.parametrize("manifest,named",
+                             [pytest.param(m, n, id=i) for i, m, n in BAD_MANIFESTS])
+    def test_malformed_manifest_rejected_naming_the_manifest(self, tmp_path, manifest, named):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError) as info:
+            load_suite(str(tmp_path))
+        assert "manifest.json: " in str(info.value) and named in str(info.value)
 
 
 class TestScoring:

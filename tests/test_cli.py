@@ -9,7 +9,7 @@ import pytest
 from agentcontracts.assets import asset_path
 from agentcontracts.cli import main
 
-from helpers import BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
+from helpers import BAD_MANIFESTS, BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
 
 FINANCIAL = asset_path("contracts", "financial-advisor.yaml")
 DEMO_TRACE = asset_path("traces", "financial_advisor_demo.json")
@@ -290,6 +290,13 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and "bad.json" in err and not out
+
+    @pytest.mark.parametrize("manifest", [pytest.param(m, id=i) for i, m, _ in BAD_MANIFESTS])
+    def test_malformed_manifest_exits_two(self, capsys, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "manifest.json" in err and not out
 
     def test_generate_flag(self, capsys, tmp_path):
         target = tmp_path / "fresh"

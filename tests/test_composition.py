@@ -28,6 +28,7 @@ from agentcontracts.model import (
     Predicate,
     RecoveryStrategy,
     SatisfactionParams,
+    validate_contract,
 )
 from agentcontracts.monitor import SessionMonitor, run_session
 
@@ -121,6 +122,26 @@ class TestComposeContracts:
         assert strategy_names == ["a.fix", "b.fix"]
         refs = {c.name: c.recovery for c in composed.invariants_soft}
         assert refs == {"sa": "a.fix", "sb": "b.fix"}
+
+    def test_governance_recovery_references_follow_the_rename(self):
+        def side(name, strategy_type):
+            return agent(name,
+                         governance_soft=(Constraint(name=f"{name}-g", severity="soft",
+                                                     recovery="fix",
+                                                     check=rng_check("cost", 0, 5)),),
+                         recovery_strategies=(RecoveryStrategy(name="fix", type=strategy_type),))
+        composed = compose_contracts(side("a", "re_prompt"), side("b", "escalate_human"),
+                                     HandoffSpec())
+        assert [(c.name, c.recovery) for c in composed.governance_soft] == [
+            ("a-g", "a.fix"), ("b-g", "b.fix")]
+        assert [i for i in validate_contract(composed) if i.severity == "error"] == []
+
+        hook = lambda strategy, con, state: (state, ActionRecord("pay", {"cost": 1}))
+        monitor = SessionMonitor(composed, hook=hook, boundaries=[1])
+        report = monitor.step({"a": {"v": 5}}, ActionRecord("pay", {"cost": 9}))
+        assert [(e.kind, e.payload.get("strategy")) for e in report.events
+                if e.kind.startswith("recovery")] == [
+            ("recovery_attempted", "a.fix"), ("recovery_succeeded", "a.fix")]
 
     def test_fallback_references_follow_the_rename(self):
         a = agent("a", recovery_strategies=(

@@ -4,12 +4,13 @@ and (p, delta, k) verdicts."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentcontracts.assets import asset_path
 from agentcontracts import engine
-from agentcontracts.errors import BadHookReturn, EmptyEnsemble, SemanticError, SessionTerminated
+from agentcontracts.errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
+                                  SessionTerminated)
 from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
@@ -147,13 +148,18 @@ class TestMonitorStep:
             recovery_strategies=strategies,
             drift_config=QUIET_DRIFT,
         )
-        monitor = SessionMonitor(contract, hook=lambda s, c, st: None)
-        monitor.step({"tone": 0}, ActionRecord("go"))   # attempt A (budget gone)
-        monitor.step({"tone": 5}, ActionRecord("go"))   # re-satisfied: counters reset
-        report = monitor.step({"tone": 0}, ActionRecord("go"))
-        attempted = [e.payload["strategy"] for e in report.events
-                     if e.kind == "recovery_attempted"]
-        assert attempted == ["A"]  # budget available again
+        # A hook that declines, then one that fixes the first violation.
+        for correction, outcome in ((None, ("recovery_failed", None)),
+                                    (({"tone": 5}, ActionRecord("go")),
+                                     ("recovery_succeeded", "A"))):
+            monitor = SessionMonitor(contract, hook=lambda s, c, st: correction)
+            monitor.step({"tone": 0}, ActionRecord("go"))   # attempt A (budget gone)
+            monitor.step({"tone": 5}, ActionRecord("go"))   # satisfied: the episode ends
+            report = monitor.step({"tone": 0}, ActionRecord("go"))
+            recovery = [(e.kind, e.payload.get("strategy")) for e in report.events
+                        if e.kind.startswith("recovery")]
+            # A new episode: its budget is available again.
+            assert recovery == [("recovery_attempted", "A"), outcome]
 
     def test_terminate_session_strategy(self):
         strategies = (RecoveryStrategy(name="kill", type="terminate_session",
@@ -185,11 +191,13 @@ class TestMonitorStep:
 
 
 def chain_contract(strategies):
-    """One soft constraint recovering through ``strategies``, starting at the first."""
+    """One soft constraint recovering through ``strategies``, starting at the
+    first (with none, it has no recovery)."""
     return Contract(
         name="chain",
         invariants_soft=(Constraint(name="tone", severity="soft",
-                                    recovery=strategies[0].name, check=ge("tone", 1)),),
+                                    recovery=strategies[0].name if strategies else None,
+                                    check=ge("tone", 1)),),
         recovery_strategies=tuple(strategies),
         drift_config=QUIET_DRIFT,
     )
@@ -197,59 +205,90 @@ def chain_contract(strategies):
 
 @st.composite
 def recovery_cases(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
     chain = tuple(RecoveryStrategy(name=f"S{i}", type=draw(st.sampled_from(RECOVERY_TYPES)),
                                    max_attempts=draw(st.integers(1, 3)),
                                    fallback=f"S{i + 1}" if i + 1 < n else None)
                   for i in range(n))
-    return chain, draw(st.sampled_from((1, 2, None))), draw(st.booleans()), draw(st.integers(1, 8))
+    violated = draw(st.lists(st.booleans(), min_size=1, max_size=10))
+    fixes = draw(st.frozensets(st.integers(0, 9), max_size=4))
+    return chain, draw(st.sampled_from((1, 2, None))), draw(st.booleans()), violated, fixes
 
 
-def expected_recovery(chain, attempts_per_step, hooked, steps):
-    """Plain reference for one soft constraint violated at every step and a
-    hook, if any, that declines: ((step, strategy, attempt) of each attempt,
-    terminated, recovery_failed reasons)."""
+def expected_recovery(chain, attempts_per_step, hooked, violated, fixes):
+    """Plain reference for one soft constraint, violated at the steps marked
+    in ``violated``, and a hook, if any, that corrects the state on the hook
+    calls numbered in ``fixes`` and declines the others: ((step, strategy,
+    attempt) of each attempt, terminated, (step, reason) of each
+    recovery_failed).  Each violation episode, a run of violated steps that
+    ends at a satisfied step or a correction, starts its own attempt count."""
     schedule = [s for s in chain for _ in range(s.max_attempts)]
-    made = []
-    for strategy in schedule:
-        if not hooked and strategy.type not in ("emit_event", "terminate_session"):
+    per_step = len(schedule) if attempts_per_step is None else attempts_per_step
+    attempted, failed = [], []
+    terminated, calls = False, 0
+    episode = None  # attempts used by the open episode, or None once it failed
+    is_open = False
+    for t, bad in enumerate(violated):
+        if terminated:
             break
-        made.append(strategy)
-        if strategy.type == "terminate_session":
-            break
-
-    def step_of(attempt_index):
-        return 0 if attempts_per_step is None else attempt_index // attempts_per_step
-
-    attempted = [(step_of(i), s.name, i + 1) for i, s in enumerate(made) if step_of(i) < steps]
-    terminates = bool(made) and made[-1].type == "terminate_session"
-    terminated = terminates and step_of(len(made) - 1) < steps
-    if len(made) == len(schedule):
-        failed = [("attempt budget exhausted", step_of(len(made) - 1))]
-    elif terminates:
-        failed = []
-    else:
-        failed = [("no recovery hook registered", step_of(len(made)))]
-    return attempted, terminated, [reason for reason, step in failed if step < steps]
+        if not bad:
+            is_open = False
+            continue
+        if not is_open:
+            is_open, episode = True, 0
+        if episode is None:
+            continue
+        recovered = False
+        for _ in range(per_step):
+            if episode == len(schedule):
+                break
+            strategy = schedule[episode]
+            if not hooked and strategy.type not in ("emit_event", "terminate_session"):
+                failed.append((t, "no recovery hook registered"))
+                episode = None
+                break
+            episode += 1
+            attempted.append((t, strategy.name, episode))
+            if strategy.type == "terminate_session":
+                terminated = True
+                break
+            if hooked:
+                recovered = calls in fixes
+                calls += 1
+                if recovered:
+                    is_open = False
+                    break
+        if episode == len(schedule) and not recovered:
+            failed.append((t, "attempt budget exhausted") if schedule
+                          else (t, "no recovery strategy defined"))
+            episode = None
+    return attempted, terminated, failed
 
 
 @given(recovery_cases())
+@example(((RecoveryStrategy(name="S0", type="re_prompt", max_attempts=1),),
+          1, True, [True, False, True], frozenset({0})))
 @settings(max_examples=300, deadline=None)
 def test_recovery_follows_the_flat_schedule(case):
-    chain, attempts_per_step, hooked, steps = case
-    monitor = SessionMonitor(chain_contract(chain),
-                             hook=(lambda s, c, state: None) if hooked else None,
+    chain, attempts_per_step, hooked, violated, fixes = case
+    calls = []
+
+    def hook(strategy, constraint, state):
+        calls.append(strategy.name)
+        return ({"tone": 5}, ActionRecord("go")) if len(calls) - 1 in fixes else None
+
+    monitor = SessionMonitor(chain_contract(chain), hook=hook if hooked else None,
                              attempts_per_step=attempts_per_step)
-    for _ in range(steps):
+    for bad in violated:
         if monitor.terminated:
             break
-        monitor.step({"tone": 0}, ActionRecord("go"))
+        monitor.step({"tone": 0 if bad else 5}, ActionRecord("go"))
     events = [e for report in monitor.step_reports for e in report.events]
     attempted = [(e.step, e.payload["strategy"], e.payload["attempt"]) for e in events
                  if e.kind == "recovery_attempted"]
-    failed = [e.payload["reason"] for e in events if e.kind == "recovery_failed"]
+    failed = [(e.step, e.payload["reason"]) for e in events if e.kind == "recovery_failed"]
     assert (attempted, monitor.terminated, failed) == \
-        expected_recovery(chain, attempts_per_step, hooked, steps)
+        expected_recovery(chain, attempts_per_step, hooked, violated, fixes)
 
 
 class TestRecoveryBoundary:
@@ -260,6 +299,18 @@ class TestRecoveryBoundary:
         ))
         with pytest.raises(SemanticError, match=r"'tone'.*A -> B -> A"):
             SessionMonitor(contract)
+
+    def test_raising_hook_closes_the_session(self):
+        monitor = SessionMonitor(tone_contract(), hook=lambda s, c, state: 1 / 0)
+        monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
+        with pytest.raises(RecoveryHookError) as info:
+            monitor.step({"tone": 0, "safety": 5}, ActionRecord("go"))
+        for part in ("step 1", "'tone'", "'fix'", "raised ZeroDivisionError"):
+            assert part in str(info.value)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert monitor.terminated and len(monitor.step_reports) == 1
+        with pytest.raises(SessionTerminated, match=r"closed by RecoveryHookError .* before step 2"):
+            monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
 
     @pytest.mark.parametrize("returned,named", [
         pytest.param(({"tone": 5, "safety": 5}, ActionRecord("go"), None),
@@ -276,6 +327,8 @@ class TestRecoveryBoundary:
             monitor.step({"tone": 0, "safety": 5}, ActionRecord("go"))
         for part in ("step 1", "'tone'", "'fix'", named):
             assert part in str(info.value)
+        with pytest.raises(SessionTerminated, match=r"closed by BadHookReturn .* before step 2"):
+            monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
 
 
 class TestRunSession:
