@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
 from .generator import generate_suite
-from .model import ActionRecord, ExecutionTrace, validate_contract
+from .model import ExecutionTrace, validate_contract, wire_elements
 from .monitor import run_session
 from .parser import PipelineContract, load_document
 
@@ -190,15 +190,16 @@ def cmd_compose(args) -> int:
         print("compose expects a pipeline document", file=sys.stderr)
         return EXIT_INPUT
 
-    samples, actions = [], []
+    witnesses = {"states": (), "actions": ()}
     if args.witnesses:
-        states_path = os.path.join(args.witnesses, "states.json")
-        actions_path = os.path.join(args.witnesses, "actions.json")
-        if os.path.exists(states_path):
-            samples = _load_json(states_path)
-        if os.path.exists(actions_path):
-            actions = [ActionRecord(label=a["label"], payload=a.get("payload", {}))
-                       for a in _load_json(actions_path)]
+        for key in witnesses:
+            path = os.path.join(args.witnesses, f"{key}.json")
+            if os.path.exists(path):
+                try:
+                    witnesses[key] = wire_elements(key, _load_json(path))
+                except FormatError as exc:
+                    raise FormatError(f"{path}: {exc}") from None
+    samples, actions = witnesses["states"], witnesses["actions"]
 
     reports = []
     for i in range(len(pipeline.stages) - 1):
@@ -234,13 +235,20 @@ def cmd_compose(args) -> int:
 
 
 def _read_observations(path: str) -> list:
+    """Pass/fail observations: a JSON array of true/false/0/1, or one 0 or 1
+    per line.  Any other entry is a FormatError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
-    if not text:
-        return []
     if text.startswith("["):
-        return [bool(x) for x in json.loads(text)]
-    return [bool(int(line)) for line in text.splitlines() if line.strip()]
+        values = json.loads(text)
+        valid = [type(x) in (bool, int) and x in (0, 1) for x in values]
+    else:
+        values = [line.strip() for line in text.splitlines() if line.strip()]
+        valid = [x in ("0", "1") for x in values]
+    if not all(valid):
+        i = valid.index(False)
+        raise FormatError(f"{path}: observation {i} must be 0 or 1, got {values[i]!r}")
+    return [int(x) == 1 for x in values]
 
 
 def cmd_certify(args) -> int:

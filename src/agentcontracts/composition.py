@@ -28,6 +28,7 @@ from .engine import (
     evaluate_constraint,
 )
 from .errors import BadBoundaries, InsufficientSamples
+from .expressions import OPERATORS
 from .model import (
     MISSING,
     ActionRecord,
@@ -414,8 +415,6 @@ def _symbolic_governance_conflicts(a: Contract, b: Contract) -> list:
     """Same-field conflicts provable from eq/in/range operand structure:
     a value permitted by all of A's predicates on a field yet rejected by
     one of B's predicates on that field."""
-    from .engine import _apply_operator  # shared operator semantics
-
     witnesses = []
     a_preds = [c for c in a.governance()
                if not c.check.is_expression() and c.check.operator in ("eq", "in", "range")]
@@ -429,10 +428,10 @@ def _symbolic_governance_conflicts(a: Contract, b: Contract) -> list:
             continue
         for value in _candidate_values(ga.check):
             try:
-                if not all(_apply_operator(p.operator, value, p.operand) for p in same_field_a):
+                if not all(OPERATORS[p.operator](value, p.operand) for p in same_field_a):
                     continue
                 for gb in b_preds:
-                    if not _apply_operator(gb.check.operator, value, gb.check.operand):
+                    if not OPERATORS[gb.check.operator](value, gb.check.operand):
                         witnesses.append(("value", field_path, value, gb.name))
             except Exception:
                 continue  # incomparable operand kinds: leave to the corpus pass

@@ -18,23 +18,12 @@ diagnostic is attached to the result either way.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import FieldResolutionError, TypeMismatch, ZeroSeverity
-from .expressions import eval_expression
-from .model import (
-    MISSING,
-    ActionRecord,
-    Constraint,
-    Contract,
-    ExecutionTrace,
-    StateDict,
-    is_number,
-    resolve_path,
-    value_eq,
-)
+from .expressions import OPERATORS, eval_expression, resolve_field
+from .model import MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict
 
 __all__ = [
     "ConstraintResult",
@@ -129,73 +118,32 @@ class SatisfactionVerdict:
 # Single-constraint evaluation
 # ---------------------------------------------------------------------------
 
-def _strip_prefix(path: str, prefix: str) -> str:
-    return path[len(prefix):] if path.startswith(prefix) else path
-
-
-def _field_value(constraint: Constraint, state: StateDict,
-                 action: Optional[ActionRecord], target: str):
-    path = constraint.check.field_path
-    if target == "action":
-        if action is None:
-            return MISSING
-        return resolve_path(action.view(), _strip_prefix(path, "action."))
-    return resolve_path(state, _strip_prefix(path, "state."))
-
-
-def _apply_operator(op: str, value, operand) -> bool:
-    if op == "eq":
-        return value_eq(value, operand)
-    if op == "ne":
-        return not value_eq(value, operand)
-    if op in ("lt", "le", "gt", "ge"):
-        if not (is_number(value) and is_number(operand)):
-            raise TypeMismatch(f"operator {op!r} needs numbers, got "
-                               f"{type(value).__name__} vs {type(operand).__name__}")
-        a, b = float(value), float(operand)
-        return {"lt": a < b, "le": a <= b, "gt": a > b, "ge": a >= b}[op]
-    if op in ("in", "not_in"):
-        hit = any(value_eq(value, m) for m in operand)
-        return hit if op == "in" else not hit
-    if op == "matches":
-        if not isinstance(value, str):
-            raise TypeMismatch(f"'matches' needs a string value, got {type(value).__name__}")
-        return re.search(operand, value) is not None
-    if op == "range":
-        if not is_number(value):
-            raise TypeMismatch(f"'range' needs a numeric value, got {type(value).__name__}")
-        lo, hi = float(operand[0]), float(operand[1])
-        return lo <= float(value) <= hi
-    raise TypeMismatch(f"unknown operator {op!r}")
-
-
 def evaluate_constraint(constraint: Constraint, state: StateDict,
                         action: Optional[ActionRecord],
                         target: str) -> ConstraintResult:
     """Evaluate one constraint against a state/action pair.
 
     ``target`` is "state" for preconditions and invariants, "action" for
-    governance.  Missing fields follow the constraint's on_missing policy;
-    type errors always fail closed (violated, with the diagnostic).
+    governance: the side a field predicate's bare path reads (see
+    :func:`resolve_field`).  Missing fields follow the constraint's
+    on_missing policy; type errors always fail closed (violated, with the
+    diagnostic).
     """
     check = constraint.check
-    if check.is_expression():
-        try:
-            ok = eval_expression(check.expression, state, action)
-            return ConstraintResult(satisfied=bool(ok))
-        except FieldResolutionError as exc:
-            return _missing_result(constraint, str(exc))
-        except TypeMismatch as exc:
-            return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
-
-    value = _field_value(constraint, state, action, target)
-    if check.operator == "exists":
-        return ConstraintResult(satisfied=value is not MISSING)
-    if value is MISSING:
-        return _missing_result(constraint, f"field path {check.field_path!r} does not resolve")
     try:
-        ok = _apply_operator(check.operator, value, check.operand)
-        return ConstraintResult(satisfied=ok)
+        if check.is_expression():
+            return ConstraintResult(satisfied=eval_expression(check.expression, state, action))
+        value = resolve_field(check.field_path, state, action, target)
+        if check.operator == "exists":
+            return ConstraintResult(satisfied=value is not MISSING)
+        if value is MISSING:
+            raise FieldResolutionError(check.field_path)
+        predicate = OPERATORS.get(check.operator)
+        if predicate is None:
+            raise TypeMismatch(f"unknown operator {check.operator!r}")
+        return ConstraintResult(satisfied=predicate(value, check.operand))
+    except FieldResolutionError as exc:
+        return _missing_result(constraint, str(exc))
     except TypeMismatch as exc:
         return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
 

@@ -5,21 +5,25 @@ unary not/neg, the usual arithmetic/comparison/boolean binary operators,
 ``in``, and four whitelisted functions (len, abs, min, max).  There are no
 loops, definitions, attribute access on values, or other calls, so the
 language is not Turing-complete by construction.  Compilation is
-state-independent; evaluation resolves field references against a merged
-view of the step state and the action payload.
+state-independent.  Evaluation shares two rules with field predicates:
+field references resolve by :func:`resolve_field`, and comparisons and
+``in`` dispatch through :data:`OPERATORS`.
 """
 
 from __future__ import annotations
 
 import ast as _pyast
+import operator
+import re
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
 from .model import MISSING, ActionRecord, StateDict, is_number, resolve_path, value_eq
 
-__all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call",
-           "compile_expression", "eval_expression", "field_paths", "MAX_DEPTH"]
+__all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call", "OPERATORS",
+           "compile_expression", "eval_expression", "field_paths", "resolve_field",
+           "MAX_DEPTH"]
 
 MAX_DEPTH = 64
 
@@ -180,24 +184,26 @@ def field_paths(ast: ExprAst):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation; field paths and operators are shared with field predicates
 # ---------------------------------------------------------------------------
 
-def _resolve(path: str, state: StateDict, action: Optional[ActionRecord]):
-    if path == "action" or path.startswith("action."):
+def resolve_field(path: str, state: StateDict, action: Optional[ActionRecord],
+                  bare: str = "state"):
+    """The value at a field path, or MISSING.  ``action``/``action.`` paths
+    read the action (label plus payload) and are missing without one;
+    ``state.`` paths read the state; any other path reads the ``bare``
+    side, "state" or "action" (a field predicate's target)."""
+    head, dot, rest = path.partition(".")
+    if head == "action":
         if action is None:
-            raise FieldResolutionError(path)
+            return MISSING
         view = action.view()
-        if path == "action":
-            return view
-        value = resolve_path(view, path[len("action."):])
-    elif path.startswith("state."):
-        value = resolve_path(state, path[len("state."):])
-    else:
-        value = resolve_path(state, path)
-    if value is MISSING:
-        raise FieldResolutionError(path)
-    return value
+        return resolve_path(view, rest) if dot else view
+    if head == "state" and dot:
+        return resolve_path(state, rest)
+    if bare == "action":
+        return MISSING if action is None else resolve_path(action.view(), path)
+    return resolve_path(state, path)
 
 
 def _require_number(v: Any, op: str) -> float:
@@ -212,11 +218,61 @@ def _require_bool(v: Any, op: str) -> bool:
     return v
 
 
+def _ordering(op: str, compare):
+    return lambda a, b: compare(_require_number(a, op), _require_number(b, op))
+
+
+def _differ(a, b) -> bool:
+    return not value_eq(a, b)
+
+
+def _member(a, b) -> bool:
+    if isinstance(b, str):
+        if not isinstance(a, str):
+            raise TypeMismatch(f"membership in a string needs a string, got {type(a).__name__}")
+        return a in b
+    if not isinstance(b, (list, tuple)):
+        raise TypeMismatch(f"membership needs a list or string, got {type(b).__name__}")
+    return any(value_eq(a, m) for m in b)
+
+
+def _not_member(a, b) -> bool:
+    return not _member(a, b)
+
+
+def _matches(a, pattern) -> bool:
+    if not isinstance(a, str):
+        raise TypeMismatch(f"'matches' needs a string value, got {type(a).__name__}")
+    return re.search(pattern, a) is not None
+
+
+def _in_range(a, bounds) -> bool:
+    return float(bounds[0]) <= _require_number(a, "range") <= float(bounds[1])
+
+
+#: The binary predicates of the contract language under both spellings
+#: (field operator, expression operator): ``OPERATORS[op](value, operand)``
+#: is a bool or raises TypeMismatch.
+OPERATORS = {
+    "eq": value_eq, "==": value_eq, "ne": _differ, "!=": _differ,
+    "lt": _ordering("lt", operator.lt), "<": _ordering("<", operator.lt),
+    "le": _ordering("le", operator.le), "<=": _ordering("<=", operator.le),
+    "gt": _ordering("gt", operator.gt), ">": _ordering(">", operator.gt),
+    "ge": _ordering("ge", operator.ge), ">=": _ordering(">=", operator.ge),
+    "in": _member, "not_in": _not_member, "matches": _matches, "range": _in_range,
+}
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval(node: ExprAst, state: StateDict, action: Optional[ActionRecord]):
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Field):
-        return _resolve(node.path, state, action)
+        value = resolve_field(node.path, state, action)
+        if value is MISSING:
+            raise FieldResolutionError(node.path)
+        return value
     if isinstance(node, Unary):
         v = _eval(node.operand, state, action)
         if node.op == "not":
@@ -233,26 +289,13 @@ def _eval(node: ExprAst, state: StateDict, action: Optional[ActionRecord]):
             return _require_bool(_eval(node.right, state, action), op)
         left = _eval(node.left, state, action)
         right = _eval(node.right, state, action)
-        if op == "in":
-            if not isinstance(right, (list, tuple, str)):
-                raise TypeMismatch("'in' needs a list or string on the right")
-            if isinstance(right, str):
-                if not isinstance(left, str):
-                    raise TypeMismatch("'in' over a string needs a string on the left")
-                return left in right
-            return any(value_eq(left, member) for member in right)
-        if op in ("==", "!="):
-            equal = value_eq(left, right)
-            return equal if op == "==" else not equal
-        if op in ("<", "<=", ">", ">="):
-            a, b = _require_number(left, op), _require_number(right, op)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+        predicate = OPERATORS.get(op)
+        if predicate is not None:
+            return predicate(left, right)
         a, b = _require_number(left, op), _require_number(right, op)
-        if op == "/":
-            if b == 0.0:
-                raise TypeMismatch("division by zero")
-            return a / b
-        return {"+": a + b, "-": a - b, "*": a * b}[op]
+        if op == "/" and b == 0.0:
+            raise TypeMismatch("division by zero")
+        return _ARITHMETIC[op](a, b)
     if isinstance(node, Call):
         args = [_eval(a, state, action) for a in node.args]
         if node.func == "len":
@@ -270,10 +313,10 @@ def eval_expression(ast: ExprAst, state: StateDict,
                     action: Optional[ActionRecord] = None) -> bool:
     """Evaluate a compiled expression to a boolean.
 
-    Field references resolve against the step state (bare or under
-    ``state.``) and the action payload under ``action.``.  Raises
-    FieldResolutionError for missing paths and TypeMismatch for ill-typed
-    operations; callers apply the constraint's fail-closed policy.
+    Field references resolve by :func:`resolve_field`, bare paths against
+    the step state.  Raises FieldResolutionError for missing paths and
+    TypeMismatch for ill-typed operations; callers apply the constraint's
+    fail-closed policy.
     """
     value = _eval(ast, state, action)
     if not isinstance(value, bool):

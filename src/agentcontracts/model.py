@@ -29,6 +29,7 @@ __all__ = [
     "StructuralIssue",
     "validate_contract",
     "fallback_chain",
+    "wire_elements",
     "OTHER_LABEL",
     "FIELD_OPERATORS",
     "RECOVERY_TYPES",
@@ -116,40 +117,48 @@ class ExecutionTrace:
         """Build a trace from the JSON wire shape
         {"states": [{...}, ...], "actions": [{"label", "payload"?}, ...]}.
 
-        The shape is checked here, once: FormatError names the first
-        element that does not match it.
+        The shape is checked here and by :func:`wire_elements`, once:
+        FormatError names the first element that does not match it.
         """
         if not isinstance(doc, Mapping):
             raise FormatError(f"trace must be a mapping, got {type(doc).__name__}")
-        states, actions = doc.get("states", []), doc.get("actions", [])
-        for key, value in (("states", states), ("actions", actions)):
-            if not isinstance(value, (list, tuple)):
-                raise FormatError(f"trace {key} must be a list, got {type(value).__name__}")
+        states = wire_elements("states", doc.get("states", []))
+        actions = wire_elements("actions", doc.get("actions", []))
         if len(states) != len(actions) + 1:
             raise FormatError(f"trace needs |states| = |actions| + 1, got "
                               f"{len(states)} states / {len(actions)} actions")
-        for i, state in enumerate(states):
-            if not isinstance(state, Mapping):
-                raise FormatError(f"states[{i}] must be a mapping, got {type(state).__name__}")
-        records = []
-        for i, a in enumerate(actions):
-            if not isinstance(a, Mapping):
-                raise FormatError(f"actions[{i}] must be a mapping, got {type(a).__name__}")
-            label, payload = a.get("label"), a.get("payload", {})
-            if not (isinstance(label, str) and label):
-                raise FormatError(f"actions[{i}].label must be a non-empty string, "
-                                  f"got {label!r}")
-            if not isinstance(payload, Mapping):
-                raise FormatError(f"actions[{i}].payload must be a mapping, "
-                                  f"got {type(payload).__name__}")
-            records.append(ActionRecord(label=label, payload=payload))
-        return ExecutionTrace(states=states, actions=records)
+        return ExecutionTrace(states=states, actions=actions)
 
     def to_dict(self) -> dict:
         return {
             "states": [dict(s) for s in self.states],
             "actions": [{"label": a.label, "payload": dict(a.payload)} for a in self.actions],
         }
+
+
+def wire_elements(key: str, items) -> tuple:
+    """The ``states`` or ``actions`` list of the JSON wire shape, checked
+    once: states are mappings, actions ``{"label", "payload"?}`` objects
+    with a non-empty label, returned as ActionRecords.  FormatError names
+    the first element that does not fit, as ``key[i]``.
+    """
+    if not isinstance(items, (list, tuple)):
+        raise FormatError(f"{key} must be a list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        if not isinstance(item, Mapping):
+            raise FormatError(f"{key}[{i}] must be a mapping, got {type(item).__name__}")
+    if key == "states":
+        return tuple(items)
+    records = []
+    for i, a in enumerate(items):
+        label, payload = a.get("label"), a.get("payload", {})
+        if not (isinstance(label, str) and label):
+            raise FormatError(f"actions[{i}].label must be a non-empty string, got {label!r}")
+        if not isinstance(payload, Mapping):
+            raise FormatError(f"actions[{i}].payload must be a mapping, "
+                              f"got {type(payload).__name__}")
+        records.append(ActionRecord(label=label, payload=payload))
+    return tuple(records)
 
 
 @dataclass(frozen=True)

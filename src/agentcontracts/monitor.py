@@ -20,7 +20,8 @@ violations of constraints whose strategies need corrective action emit
 ``recovery_failed`` immediately.  A hook returns None or a (state mapping,
 ActionRecord) pair.  A hook that raises (RecoveryHookError, chained to the
 hook's exception) or returns anything else (BadHookReturn) closes the
-session: a later step raises SessionTerminated.
+session: the failing step's report is recorded, without a post-recovery
+evaluation, and a later step raises SessionTerminated.
 """
 
 from __future__ import annotations
@@ -321,21 +322,24 @@ class SessionMonitor:
             self._emit("drift_alert_severe", t, drift=d)
 
         # 4. Recovery for violated soft constraints (hard ones only logged).
+        # The step's report is kept even when recovery raises: a failed
+        # hook closes the session after its step.
+        post = None
         try:
             post = self._attempt_recovery(t, state, action, evaluation)
         except (RecoveryHookError, BadHookReturn) as exc:
             self._closed_by = f"{type(exc).__name__} ({exc})"
             raise
-
-        report = StepReport(
-            step=t,
-            evaluation=evaluation,
-            drift=drift,
-            events=tuple(self._events[step_events_start:]),
-            post_recovery=post,
-            terminated=self.terminated,
-        )
-        self.step_reports.append(report)
+        finally:
+            report = StepReport(
+                step=t,
+                evaluation=evaluation,
+                drift=drift,
+                events=tuple(self._events[step_events_start:]),
+                post_recovery=post,
+                terminated=self.terminated,
+            )
+            self.step_reports.append(report)
         return report
 
     def _flag_preconditions(self, preconditions: Mapping) -> None:

@@ -3,6 +3,7 @@
 import json
 import os
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +232,25 @@ class TestCompose:
         assert code == 0
 
 
+    @pytest.mark.parametrize("name,content,named", [
+        pytest.param("actions.json", [{"nolabel": 1}], "actions[0].label",
+                     id="action-without-label"),
+        pytest.param("actions.json", {"label": "go"}, "actions must be a list",
+                     id="actions-not-a-list"),
+        pytest.param("states.json", [5], "states[0] must be a mapping",
+                     id="state-not-a-mapping"),
+    ])
+    def test_malformed_witnesses_exit_two(self, capsys, tmp_path, name, content, named):
+        pipe = self.five_agent_pipeline(tmp_path)
+        witnesses = tmp_path / "wit"
+        witnesses.mkdir()
+        (witnesses / "states.json").write_text(json.dumps([{"data": {"ok": True}}]))
+        (witnesses / name).write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "compose", pipe, "--witnesses", str(witnesses))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and name in err and named in err
+
+
 class TestCertify:
     def test_all_success_decides_at_55(self, capsys, tmp_path):
         path = tmp_path / "obs.json"
@@ -261,6 +281,29 @@ class TestCertify:
         assert state.to_dict() == payload["state"]
 
 
+    def test_json_outcomes_accepted(self, capsys, tmp_path):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([True, False, 1, 0]))
+        code, out, _ = run_cli(capsys, "certify", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["observations"] == 4
+
+    @pytest.mark.parametrize("name,text,bad", [
+        pytest.param("obs.json", '[1, "a", [0], 2, null]', "observation 1", id="json-mixed"),
+        pytest.param("obs.json", "[1, 2]", "observation 1", id="json-two"),
+        pytest.param("obs.json", "[1.0]", "observation 0", id="json-float"),
+        pytest.param("obs.json", '["1"]', "observation 0", id="json-string"),
+        pytest.param("obs.txt", "1\n7\n", "observation 1", id="line-seven"),
+        pytest.param("obs.txt", "1\ntrue\n", "observation 1", id="line-word"),
+    ])
+    def test_observations_not_zero_or_one_exit_two(self, capsys, tmp_path, name, text, bad):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and name in err and bad in err
+
+
 class TestBench:
     def test_generated_suite_scores_clean(self, capsys, suite_dir):
         code, out, _ = run_cli(capsys, "bench", suite_dir, "--format", "json")
@@ -268,6 +311,15 @@ class TestBench:
         payload = json.loads(out)
         assert payload["overall"]["detection_accuracy"] == 1.0
         assert payload["overall"]["n"] >= 50
+
+    def test_seed7_suite_json_is_pinned(self, capsys, suite_dir):
+        """The JSON report of generate_suite(seed=7) must stay byte-identical
+        across refactors; the committed file is never regenerated to absorb
+        a change."""
+        code, out, _ = run_cli(capsys, "bench", suite_dir, "--format", "json")
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "suite_seed7_bench.json"
+        assert out.encode("utf-8") == golden.read_bytes()
 
     def test_table_output(self, capsys, suite_dir):
         code, out, _ = run_cli(capsys, "bench", suite_dir)

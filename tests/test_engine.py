@@ -1,7 +1,11 @@
 """Step evaluation, deterministic satisfaction, and outcome classification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agentcontracts.engine import (
     check_deterministic,
@@ -9,8 +13,9 @@ from agentcontracts.engine import (
     evaluate_constraint,
     evaluate_step,
 )
-from agentcontracts.expressions import compile_expression, eval_expression
+from agentcontracts.expressions import OPERATORS, compile_expression, eval_expression
 from agentcontracts.model import (
+    FIELD_OPERATORS,
     ActionRecord,
     Constraint,
     Contract,
@@ -182,6 +187,115 @@ class TestOperators:
                          check=Predicate(field_path="v.x", operator="exists"))
         assert evaluate_constraint(con, {"v": {"x": 0}}, None, "state").satisfied is True
         assert evaluate_constraint(con, {"v": {}}, None, "state").satisfied is False
+
+
+# A plain reference for the shared operator semantics, written without the
+# library: booleans equal only booleans, ordering needs finite numbers, and
+# a string right of ``in`` is a substring test.
+MISMATCH = "type mismatch"
+
+
+def ref_eq(a, b):
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    return a == b
+
+
+def ref_order(compare):
+    def apply(a, b):
+        finite = [type(v) in (int, float) and math.isfinite(v) for v in (a, b)]
+        return compare(a, b) if all(finite) else MISMATCH
+    return apply
+
+
+def ref_in(a, b):
+    if isinstance(b, str):
+        return a in b if isinstance(a, str) else MISMATCH
+    if isinstance(b, list):
+        return any(ref_eq(a, m) for m in b)
+    return MISMATCH
+
+
+OPERATOR_PAIRS = [
+    ("eq", "==", ref_eq),
+    ("ne", "!=", lambda a, b: not ref_eq(a, b)),
+    ("lt", "<", ref_order(lambda a, b: a < b)),
+    ("le", "<=", ref_order(lambda a, b: a <= b)),
+    ("gt", ">", ref_order(lambda a, b: a > b)),
+    ("ge", ">=", ref_order(lambda a, b: a >= b)),
+    ("in", "in", ref_in),
+]
+
+# A small shared pool makes equal and cross-type pairs (1 and True, 0.0 and
+# -0.0, nan and nan) common; the examples pin the edge cases outright.
+POOL = [None, True, False, 0, 1, 0.0, 1.0, -0.0, 1.5, math.nan, math.inf, -math.inf,
+        "", "a", "ab", "1"]
+SCALARS = st.one_of(st.sampled_from(POOL), st.booleans(), st.integers(-2, 2), st.floats(),
+                    st.text(alphabet="ab1", max_size=2))
+VALUES = st.one_of(SCALARS, st.lists(st.sampled_from(POOL), max_size=3),
+                   st.lists(SCALARS, max_size=3))
+EDGE_CASES = [(1, [True]), (True, [1.0]), (0, False), (1, 1.0), (-0.0, 0), (True, True),
+              (math.nan, math.nan), (math.inf, math.inf), (1, math.inf), ("a", "ab"),
+              (1, "1"), ("1", [1]), ([1], [[True]]), (None, [None]), (None, None)]
+
+
+def verdict(result):
+    """A constraint result as the reference states it."""
+    if result.satisfied is False and (result.detail or "").startswith(MISMATCH):
+        return MISMATCH
+    return result.satisfied
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for value, operand in cases:
+            test = example(value=value, operand=operand)(test)
+        return test
+    return decorate
+
+
+class TestOneOperatorRule:
+    @pytest.mark.parametrize("field_op,expr_op,reference", OPERATOR_PAIRS,
+                             ids=[field_op for field_op, _, _ in OPERATOR_PAIRS])
+    @given(value=VALUES, operand=VALUES)
+    @settings(max_examples=200, deadline=None)
+    @_with_examples(EDGE_CASES)
+    def test_field_and_expression_operators_agree(self, field_op, expr_op, reference,
+                                                  value, operand):
+        field = Constraint(name="c", severity="hard", check=Predicate(
+            field_path="v", operator=field_op, operand=operand))
+        src = f"v {expr_op} w"
+        expr = Constraint(name="c", severity="hard", check=Predicate(
+            expression=compile_expression(src), expression_src=src))
+        expected = reference(value, operand)
+        assert verdict(evaluate_constraint(field, {"v": value}, None, "state")) == expected
+        assert verdict(evaluate_constraint(
+            expr, {"v": value, "w": operand}, None, "state")) == expected
+
+    def test_every_field_operator_has_a_table_entry(self):
+        assert set(FIELD_OPERATORS) - set(OPERATORS) == {"exists"}
+
+    def test_governance_state_path_reads_the_state(self):
+        con = Constraint(name="budget", severity="hard", check=Predicate(
+            field_path="state.budget", operator="le", operand=10))
+        action = ActionRecord("spend", {"amount": 3, "state": {"budget": 50}})
+        assert evaluate_constraint(con, {"budget": 5}, action, "action").satisfied is True
+        assert evaluate_constraint(con, {"budget": 50}, action, "action").satisfied is False
+
+    def test_governance_bare_and_action_paths_read_the_action(self):
+        for path in ("amount", "action.amount"):
+            con = Constraint(name="cap", severity="hard", check=Predicate(
+                field_path=path, operator="le", operand=10))
+            state = {"amount": 50, "action": {"amount": 50}}
+            assert evaluate_constraint(con, state, ActionRecord("spend", {"amount": 3}),
+                                       "action").satisfied is True
+
+    def test_state_side_action_path_reads_the_absent_action(self):
+        con = Constraint(name="cap", severity="hard", check=Predicate(
+            field_path="action.amount", operator="le", operand=10))
+        result = evaluate_constraint(con, {"action": {"amount": 3}}, None, "state")
+        assert result.satisfied is False
+        assert "does not resolve" in result.detail
 
 
 class TestDeterministicSatisfaction:

@@ -308,9 +308,33 @@ class TestRecoveryBoundary:
         for part in ("step 1", "'tone'", "'fix'", "raised ZeroDivisionError"):
             assert part in str(info.value)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
-        assert monitor.terminated and len(monitor.step_reports) == 1
+        assert monitor.terminated and len(monitor.step_reports) == 2
+        failed = monitor.step_reports[1]
+        assert failed.terminated and failed.post_recovery is None
         with pytest.raises(SessionTerminated, match=r"closed by RecoveryHookError .* before step 2"):
             monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
+
+    @pytest.mark.parametrize("hook", [
+        pytest.param(lambda s, c, state: 1 / 0, id="raises"),
+        pytest.param(lambda s, c, state: "fixed", id="bad-return"),
+    ])
+    def test_views_agree_after_a_failed_hook(self, hook):
+        contract, trace = tone_contract(k=0), trace_of([5, 0, 5, 5])
+        monitor = SessionMonitor(contract, hook=hook)
+        monitor.step(trace.states[0], trace.actions[0])
+        with pytest.raises((RecoveryHookError, BadHookReturn)):
+            monitor.step(trace.states[1], trace.actions[1])
+        report = monitor.finalize(trace)
+        assert [s.step for s in report.steps] == [0, 1] and report.excluded_steps == 1
+        assert report.c_soft_series == (1.0, 0.0) and report.c_hard_series == (1.0, 1.0)
+        # The monitor's events, the deterministic verdict, the outcome and
+        # the (p, delta, k) verdict all see the unrecovered dip at step 1.
+        seen = ExecutionTrace(states=trace.states[:3], actions=trace.actions[:2])
+        assert report.detected_violations() == ((1, "tone"),)
+        assert report.verdict == engine.check_deterministic(contract, seen)
+        assert report.verdict.witnesses["recoverability"] == ((1, "tone"),)
+        assert report.outcome == engine.classify_outcome(contract, seen) == "soft_violation"
+        assert pdk_verdict(contract, [report]).soft_counterexamples == (0,)
 
     @pytest.mark.parametrize("returned,named", [
         pytest.param(({"tone": 5, "safety": 5}, ActionRecord("go"), None),
