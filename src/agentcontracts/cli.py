@@ -121,7 +121,10 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     contract = load_document(args.contract)
     doc = _load_json(args.trace)
-    trace = ExecutionTrace.from_dict(doc)
+    try:
+        trace = ExecutionTrace.from_dict(doc)
+    except FormatError as exc:
+        raise FormatError(f"{args.trace}: {exc}") from None
     boundaries = doc.get("boundaries")
     if isinstance(contract, PipelineContract):
         contract = compose_chain([s.contract for s in contract.stages],

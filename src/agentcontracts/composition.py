@@ -28,7 +28,7 @@ from .engine import (
     evaluate_constraint,
 )
 from .errors import BadBoundaries, InsufficientSamples
-from .expressions import OPERATORS
+from .expressions import OPERATORS, field_key
 from .model import (
     MISSING,
     ActionRecord,
@@ -414,25 +414,32 @@ def _candidate_values(predicate) -> list:
 def _symbolic_governance_conflicts(a: Contract, b: Contract) -> list:
     """Same-field conflicts provable from eq/in/range operand structure:
     a value permitted by all of A's predicates on a field yet rejected by
-    one of B's predicates on that field."""
+    one of B's predicates on that field.  Predicates name the same field
+    when their paths have one key (``amount`` and ``action.amount`` do)."""
+    def by_field(contract):
+        fields: dict = {}
+        for con in contract.governance():
+            if not con.check.is_expression():
+                fields.setdefault(field_key(con.check.field_path, "action"), []).append(con)
+        return fields
+
+    a_fields, b_fields = by_field(a), by_field(b)
     witnesses = []
-    a_preds = [c for c in a.governance()
-               if not c.check.is_expression() and c.check.operator in ("eq", "in", "range")]
-    for ga in a_preds:
-        field_path = ga.check.field_path
-        same_field_a = [c.check for c in a.governance()
-                        if not c.check.is_expression() and c.check.field_path == field_path]
-        b_preds = [c for c in b.governance()
-                   if not c.check.is_expression() and c.check.field_path == field_path]
+    for ga in a.governance():
+        if ga.check.is_expression() or ga.check.operator not in ("eq", "in", "range"):
+            continue
+        key = field_key(ga.check.field_path, "action")
+        same_field_a, b_preds = a_fields[key], b_fields.get(key)
         if not b_preds:
             continue
         for value in _candidate_values(ga.check):
             try:
-                if not all(OPERATORS[p.operator](value, p.operand) for p in same_field_a):
+                if not all(OPERATORS[c.check.operator](value, c.check.operand)
+                           for c in same_field_a):
                     continue
                 for gb in b_preds:
                     if not OPERATORS[gb.check.operator](value, gb.check.operand):
-                        witnesses.append(("value", field_path, value, gb.name))
+                        witnesses.append(("value", ga.check.field_path, value, gb.name))
             except Exception:
                 continue  # incomparable operand kinds: leave to the corpus pass
     # Deduplicate while keeping deterministic order.

@@ -7,15 +7,21 @@ distribution.  Out-of-vocabulary action labels pool into a reserved
 ``__other__`` bucket carried in both supports; both distributions receive
 add-epsilon smoothing (1e-9) before the divergence so KL terms stay
 finite.
+
+The module imports no numpy.  The window keeps its counts in a list and
+smooths its reference once; the divergence runs in plain Python, and its
+sums and the session means use :func:`pairwise_sum`, a copy of numpy's
+pairwise summation, so they equal numpy's results bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import StepEvaluation, ViolationEvent
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
@@ -23,6 +29,7 @@ from .model import OTHER_LABEL, ActionRecord, Constraint, DriftConfig, Reliabili
 
 __all__ = [
     "jsd",
+    "mean",
     "DriftWindow",
     "DriftSample",
     "SessionMetrics",
@@ -36,35 +43,77 @@ _SMOOTH_EPS = 1e-9
 _NORM_TOL = 1e-9
 
 
+def pairwise_sum(xs: Sequence[float]) -> float:
+    """Sum of a list of floats, bit-identical to ``numpy.sum`` of it:
+    numpy's pairwise summation, started (as numpy's add reduction is) from
+    its identity 0.0, so all ``-0.0`` sums to 0.0."""
+    return 0.0 + _pairwise(xs, 0, len(xs))
+
+
+def _pairwise(xs: Sequence[float], lo: int, n: int) -> float:
+    # numpy's pairwise_sum: under 8 terms, left to right; up to a block of
+    # 128, eight interleaved accumulators combined as a tree, then the rest
+    # left to right; a longer run splits at a multiple of 8 near its middle.
+    # reduce(add) folds left to right in plain float additions.
+    if n < 8:
+        return reduce(add, xs[lo:lo + n], -0.0)
+    if n <= 128:
+        stop = lo + n - n % 8
+        r = [reduce(add, xs[lo + j:stop:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[stop:lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(xs, lo, half) + _pairwise(xs, lo + half, n - half)
+
+
+def mean(xs: Sequence[float], empty: float = math.nan) -> float:
+    """Mean of a list of floats, bit-identical to ``float(numpy.mean(xs))``;
+    ``empty`` (numpy's nan by default) for an empty list."""
+    return pairwise_sum(xs) / len(xs) if len(xs) else empty
+
+
 def jsd(p: Sequence[float], q: Sequence[float]) -> float:
     """Jensen--Shannon divergence with log base 2 (bounded by 1).
 
     Both inputs must be non-negative vectors over the same support
     ordering, each summing to 1 within 1e-9.  Symmetric, zero iff p == q.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DimensionMismatch(f"supports differ: {p.shape} vs {q.shape}")
-    if p.size == 0:
+    p, q = _vector(p), _vector(q)
+    if len(p) != len(q):
+        raise DimensionMismatch(f"supports differ: ({len(p)},) vs ({len(q)},)")
+    if not p:
         raise DimensionMismatch("empty distributions")
-    if np.any(p < 0) or np.any(q < 0):
+    if any(v < 0 for v in p) or any(v < 0 for v in q):
         raise NotNormalized("distributions must be non-negative")
-    if abs(p.sum() - 1.0) > _NORM_TOL or abs(q.sum() - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"distributions must sum to 1 (got {p.sum()}, {q.sum()})")
-    m = 0.5 * (p + q)
-    return float(_kl2(p, m) / 2.0 + _kl2(q, m) / 2.0)
+    p_sum, q_sum = pairwise_sum(p), pairwise_sum(q)
+    if abs(p_sum - 1.0) > _NORM_TOL or abs(q_sum - 1.0) > _NORM_TOL:
+        raise NotNormalized(f"distributions must sum to 1 (got {p_sum}, {q_sum})")
+    return _jsd(p, q)
 
 
-def _kl2(p: np.ndarray, q: np.ndarray) -> float:
+def _vector(p) -> list:
+    try:
+        return [float(v) for v in p]
+    except TypeError:
+        raise DimensionMismatch("distributions must be one-dimensional") from None
+
+
+def _jsd(p: Sequence[float], q: Sequence[float]) -> float:
+    """The divergence kernel over two distributions on one support."""
+    m = [0.5 * (a + b) for a, b in zip(p, q)]
+    return _kl2(p, m) / 2.0 + _kl2(q, m) / 2.0
+
+
+def _kl2(p: Sequence[float], q: Sequence[float]) -> float:
     """KL divergence in bits with the 0 log 0 = 0 convention."""
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+    return pairwise_sum([a * math.log2(a / b) for a, b in zip(p, q) if a > 0])
 
 
-def _smooth(p: np.ndarray) -> np.ndarray:
-    p = p + _SMOOTH_EPS
-    return p / p.sum()
+def _smooth(p: Sequence[float]) -> list:
+    p = [v + _SMOOTH_EPS for v in p]
+    total = pairwise_sum(p)
+    return [v / total for v in p]
 
 
 @dataclass(frozen=True)
@@ -102,15 +151,15 @@ class DriftWindow:
         self.support = tuple(config.vocabulary) + (OTHER_LABEL,)
         self._index = {label: i for i, label in enumerate(self.support)}
         self._labels: deque = deque()
-        self._counts = np.zeros(len(self.support), dtype=float)
-        ref = np.array([config.reference.get(label, 0.0) for label in self.support], dtype=float)
-        if ref.sum() <= 0:
-            # No calibrated reference (empty vocabulary): the
-            # distributional component is disabled.
-            ref = None
-        self._reference = ref
+        self._counts = [0] * len(self.support)
+        ref = [float(config.reference.get(label, 0.0)) for label in self.support]
+        # No calibrated reference (empty vocabulary): the distributional
+        # component is disabled.  Otherwise it is smoothed once, here.
+        self._reference = _smooth(ref) if pairwise_sum(ref) > 0 else None
         self.invariants = tuple(invariants)
         self.governance = tuple(governance)
+        self._weights = (tuple((c.name, c.weight) for c in self.invariants),
+                         tuple((c.name, c.weight) for c in self.governance))
 
     @classmethod
     def for_contract(cls, contract) -> "DriftWindow":
@@ -126,33 +175,40 @@ class DriftWindow:
             old = self._labels.popleft()
             self._counts[old] -= 1
 
-    def observed(self) -> np.ndarray:
+    def observed(self) -> list:
         """Normalized observed distribution over the support (empty window
         yields the zero vector)."""
-        total = self._counts.sum()
+        total = sum(self._counts)
         if total <= 0:
-            return np.zeros_like(self._counts)
-        return self._counts / total
+            return [0.0] * len(self._counts)
+        return [c / total for c in self._counts]
 
     def distributional_drift(self) -> float:
         """Smoothed JSD between observed and reference; 0 with no evidence."""
         if self._reference is None or not self._labels:
             return 0.0
-        return jsd(_smooth(self.observed()), _smooth(self._reference))
+        return _jsd(_smooth(self.observed()), self._reference)
 
-
-def _weighted_gap(step: StepEvaluation, constraints: Sequence[Constraint]) -> float:
-    """Weighted compliance gap over the given constraints (skipped results
-    are excluded from numerator and denominator)."""
-    num = den = 0.0
-    for con in constraints:
-        r = step.results.get(con.name)
-        if r is None or r.satisfied is None:
-            continue
-        den += con.weight
-        if not r.satisfied:
-            num += con.weight
-    return num / den if den > 0 else 0.0
+    def weighted_gaps(self, results: Mapping) -> tuple:
+        """Weighted compliance gaps ``(all, invariants, governance)`` in one
+        pass over the window's invariants then governance constraints;
+        skipped or absent results are excluded from numerator and
+        denominator."""
+        num = den = 0.0
+        parts = []
+        for weights in self._weights:
+            part_num = part_den = 0.0
+            for name, weight in weights:
+                r = results.get(name)
+                if r is None or r.satisfied is None:
+                    continue
+                den += weight
+                part_den += weight
+                if not r.satisfied:
+                    num += weight
+                    part_num += weight
+            parts.append(part_num / part_den if part_den > 0 else 0.0)
+        return (num / den if den > 0 else 0.0, parts[0], parts[1])
 
 
 def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
@@ -167,7 +223,7 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     """
     window.push(action.label)
 
-    d_comp = _weighted_gap(step, window.invariants + window.governance)
+    d_comp, d_inv, d_gov = window.weighted_gaps(step.results)
     d_dist = window.distributional_drift()
     d_total = config.w_c * d_comp + config.w_d * d_dist
 
@@ -178,10 +234,7 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
         d_compliance=d_comp,
         d_distributional=d_dist,
         d_total=d_total,
-        decomposition=(d_pre,
-                       _weighted_gap(step, window.invariants),
-                       _weighted_gap(step, window.governance),
-                       d_dist),
+        decomposition=(d_pre, d_inv, d_gov, d_dist),
     )
 
 
@@ -193,10 +246,8 @@ def recovery_effectiveness(events: Sequence[ViolationEvent]) -> float:
     """Session recovery effectiveness: mean of delta_t / severity over the
     violation events that carry a recovery duration.  Lower is better; no
     events at all means 0 (the best possible contribution)."""
-    samples = [e.delta_t_recovery / e.nu for e in events if e.delta_t_recovery is not None]
-    if not samples:
-        return 0.0
-    return float(np.mean(samples))
+    return mean([e.delta_t_recovery / e.nu for e in events if e.delta_t_recovery is not None],
+                0.0)
 
 
 def stress_resilience(stressed: Sequence[float], baseline: Sequence[float]) -> float:
@@ -207,10 +258,10 @@ def stress_resilience(stressed: Sequence[float], baseline: Sequence[float]) -> f
     """
     if len(stressed) == 0 or len(baseline) == 0:
         raise EmptyInput("stress resilience needs non-empty compliance series")
-    base = float(np.mean(baseline))
+    base = mean([float(v) for v in baseline])
     if base == 0.0:
         raise ZeroBaseline("baseline compliance mean is zero")
-    return float(np.mean(stressed)) / base
+    return mean([float(v) for v in stressed]) / base
 
 
 def reliability_index(mean_compliance: float, mean_drift: float,
@@ -246,14 +297,13 @@ class SessionMetrics:
                 events: Sequence[ViolationEvent],
                 weights: ReliabilityWeights,
                 stress: Optional[float] = None) -> "SessionMetrics":
-        mean = lambda xs: float(np.mean(xs)) if len(xs) else 1.0
         e = recovery_effectiveness(events)
-        c_bar = mean(compliance)
-        d_bar = float(np.mean(drift)) if len(drift) else 0.0
+        c_bar = mean(compliance, 1.0)
+        d_bar = mean(drift, 0.0)
         theta = reliability_index(c_bar, d_bar, e, 1.0 if stress is None else stress, weights)
         return SessionMetrics(
-            mean_c_hard=mean(c_hard),
-            mean_c_soft=mean(c_soft),
+            mean_c_hard=mean(c_hard, 1.0),
+            mean_c_soft=mean(c_soft, 1.0),
             mean_compliance=c_bar,
             mean_drift=d_bar,
             recovery_effectiveness=e,

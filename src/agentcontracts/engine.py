@@ -14,15 +14,24 @@ composed contract, a phase-scoped constraint outside its stage (see
 Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
 diagnostic is attached to the result either way.
+
+Each constraint compiles once, on first use, into a closure
+``(state, action) -> ConstraintResult`` (:func:`compile_constraint`):
+its field path is split into keys, its operator looked up and a
+``matches`` pattern compiled ahead of time.  A contract's closures,
+names and scopes are cached on the contract object, so a step does
+constant work per constraint.  The closures are the one evaluator: steps,
+post-recovery re-scoring, the trailing state and
+:func:`evaluate_constraint` all run them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import FieldResolutionError, TypeMismatch, ZeroSeverity
-from .expressions import OPERATORS, eval_expression, resolve_field
+from .expressions import compile_evaluator, field_getter, operator_for
 from .model import MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict
 
 __all__ = [
@@ -30,6 +39,7 @@ __all__ = [
     "StepEvaluation",
     "ViolationEvent",
     "SatisfactionVerdict",
+    "compile_constraint",
     "evaluate_constraint",
     "evaluate_step",
     "check_deterministic",
@@ -115,46 +125,111 @@ class SatisfactionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Single-constraint evaluation
+# Constraint compilation: once per constraint object, then a closure per step
 # ---------------------------------------------------------------------------
 
-def evaluate_constraint(constraint: Constraint, state: StateDict,
-                        action: Optional[ActionRecord],
-                        target: str) -> ConstraintResult:
-    """Evaluate one constraint against a state/action pair.
+#: Shared detail-free results.
+SATISFIED = ConstraintResult(satisfied=True)
+VIOLATED = ConstraintResult(satisfied=False)
+OUT_OF_PHASE = ConstraintResult(satisfied=None, detail="out of phase")
+
+Evaluator = Callable[[StateDict, Optional[ActionRecord]], ConstraintResult]
+
+
+def compile_constraint(constraint: Constraint, target: str) -> Evaluator:
+    """The constraint as a closure ``(state, action) -> ConstraintResult``.
 
     ``target`` is "state" for preconditions and invariants, "action" for
     governance: the side a field predicate's bare path reads (see
-    :func:`resolve_field`).  Missing fields follow the constraint's
-    on_missing policy; type errors always fail closed (violated, with the
-    diagnostic).
+    :func:`~agentcontracts.expressions.field_key`).  Missing fields follow
+    the constraint's on_missing policy; type errors always fail closed
+    (violated, with the diagnostic).  The closure is cached on the
+    constraint object, so each object compiles once per target; it is
+    keyed by identity, never by value (``x == 1`` and ``x == True`` are
+    equal constraints with different verdicts).  Threads that compile one
+    object at once build equivalent closures, and either may be kept.
     """
-    check = constraint.check
-    try:
-        if check.is_expression():
-            return ConstraintResult(satisfied=eval_expression(check.expression, state, action))
-        value = resolve_field(check.field_path, state, action, target)
-        if check.operator == "exists":
-            return ConstraintResult(satisfied=value is not MISSING)
+    cache = vars(constraint).setdefault("_compiled", {})
+    evaluate = cache.get(target)
+    if evaluate is None:
+        evaluate = cache[target] = _compile(constraint, target)
+    return evaluate
+
+
+def _compile(constraint: Constraint, target: str) -> Evaluator:
+    check, policy = constraint.check, constraint.on_missing
+    if check.is_expression():
+        expression = compile_evaluator(check.expression)
+
+        def evaluate_expression(state, action):
+            try:
+                return SATISFIED if expression(state, action) else VIOLATED
+            except FieldResolutionError as exc:
+                return _missing_result(policy, str(exc))
+            except TypeMismatch as exc:
+                return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
+
+        return evaluate_expression
+
+    get = field_getter(check.field_path, target)
+    if check.operator == "exists":
+        return lambda state, action: VIOLATED if get(state, action) is MISSING else SATISFIED
+    missing = _missing_result(policy, str(FieldResolutionError(check.field_path)))
+    predicate, operand = operator_for(check.operator, check.operand), check.operand
+
+    def evaluate_field(state, action):
+        value = get(state, action)
         if value is MISSING:
-            raise FieldResolutionError(check.field_path)
-        predicate = OPERATORS.get(check.operator)
-        if predicate is None:
-            raise TypeMismatch(f"unknown operator {check.operator!r}")
-        return ConstraintResult(satisfied=predicate(value, check.operand))
-    except FieldResolutionError as exc:
-        return _missing_result(constraint, str(exc))
-    except TypeMismatch as exc:
-        return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
+            return missing
+        try:
+            return SATISFIED if predicate(value, operand) else VIOLATED
+        except TypeMismatch as exc:
+            return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
+
+    return evaluate_field
 
 
-def _missing_result(constraint: Constraint, diagnostic: str) -> ConstraintResult:
-    policy = constraint.on_missing
+def _missing_result(policy: str, diagnostic: str) -> ConstraintResult:
     if policy == "satisfy":
         return ConstraintResult(satisfied=True, detail=f"{diagnostic} (on_missing=satisfy)")
     if policy == "skip":
         return ConstraintResult(satisfied=None, detail=f"{diagnostic} (on_missing=skip)")
     return ConstraintResult(satisfied=False, detail=f"{diagnostic} (on_missing=violate)")
+
+
+def evaluate_constraint(constraint: Constraint, state: StateDict,
+                        action: Optional[ActionRecord],
+                        target: str) -> ConstraintResult:
+    """Evaluate one constraint against a state/action pair, by its
+    compiled closure (see :func:`compile_constraint`)."""
+    return compile_constraint(constraint, target)(state, action)
+
+
+class _Plan:
+    """A contract's constraints compiled once: ``(name, scope, closure)``
+    per precondition, invariant and governance constraint, and the hard
+    and soft names the compliance scores read."""
+
+    __slots__ = ("preconditions", "invariants", "governance", "hard", "soft")
+
+    def __init__(self, contract: Contract):
+        def entries(constraints, target):
+            return tuple((c.name, c.scope, compile_constraint(c, target)) for c in constraints)
+
+        self.preconditions = entries(contract.preconditions, "state")
+        self.invariants = entries(contract.invariants(), "state")
+        self.governance = entries(contract.governance(), "action")
+        self.hard = tuple(c.name for c in contract.hard_constraints())
+        self.soft = tuple(c.name for c in contract.soft_constraints())
+
+
+def _plan(contract: Contract) -> _Plan:
+    """The contract's compiled constraints, built on first use and cached on
+    the contract object."""
+    plan = vars(contract).get("_compiled")
+    if plan is None:
+        plan = vars(contract)["_compiled"] = _Plan(contract)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +239,22 @@ def _missing_result(constraint: Constraint, diagnostic: str) -> ConstraintResult
 def _ratio(results: Mapping[str, ConstraintResult], names: Sequence[str]) -> float:
     satisfied = total = 0
     for name in names:
-        r = results[name]
-        if r.satisfied is None:
+        r = results[name].satisfied
+        if r is None:
             continue
         total += 1
-        if r.satisfied:
+        if r:
             satisfied += 1
     return satisfied / total if total else 1.0
 
 
-def _evaluate_into(results: dict, constraints: Sequence[Constraint], state: StateDict,
-                   action: Optional[ActionRecord], target: str,
-                   t: int, boundaries: Sequence[int]) -> dict:
-    for con in constraints:
-        if boundaries and not scope_active(con.scope, t, boundaries):
-            results[con.name] = ConstraintResult(satisfied=None, detail="out of phase")
+def _evaluate_into(results: dict, entries: Sequence[tuple], state: StateDict,
+                   action: Optional[ActionRecord], t: int, boundaries: Sequence[int]) -> dict:
+    for name, scope, evaluate in entries:
+        if boundaries and not scope_active(scope, t, boundaries):
+            results[name] = OUT_OF_PHASE
         else:
-            results[con.name] = evaluate_constraint(con, state, action, target)
+            results[name] = evaluate(state, action)
     return results
 
 
@@ -188,12 +262,11 @@ def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: i
                 boundaries: Sequence[int],
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
     """Step ``t`` with the given precondition results, which it does not evaluate."""
-    results = _evaluate_into({}, contract.invariants(), state, None, "state", t, boundaries)
-    _evaluate_into(results, contract.governance(), state, action, "action", t, boundaries)
-    hard_names = [c.name for c in contract.hard_constraints()]
-    soft_names = [c.name for c in contract.soft_constraints()]
-    return StepEvaluation(step=t, results=results, c_hard=_ratio(results, hard_names),
-                          c_soft=_ratio(results, soft_names), preconditions=preconditions)
+    plan = _plan(contract)
+    results = _evaluate_into({}, plan.invariants, state, None, t, boundaries)
+    _evaluate_into(results, plan.governance, state, action, t, boundaries)
+    return StepEvaluation(step=t, results=results, c_hard=_ratio(results, plan.hard),
+                          c_soft=_ratio(results, plan.soft), preconditions=preconditions)
 
 
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
@@ -208,7 +281,7 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
     """
     preconditions = None
     if t == 0:
-        preconditions = _evaluate_into({}, contract.preconditions, state, None, "state", 0, ())
+        preconditions = _evaluate_into({}, _plan(contract).preconditions, state, None, 0, ())
     return _score_step(contract, state, action, t, boundaries, preconditions)
 
 
@@ -245,7 +318,7 @@ def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
     ``states[0]`` when no step ran."""
     if steps:
         return steps[0].preconditions
-    return _evaluate_into({}, contract.preconditions, states[0], None, "state", 0, ())
+    return _evaluate_into({}, _plan(contract).preconditions, states[0], None, 0, ())
 
 
 def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
@@ -257,13 +330,14 @@ def session_timelines(contract: Contract, preconditions: Mapping[str, Constraint
     given :func:`initial_preconditions`.
     """
     n = len(steps)
-    trailing = _evaluate_into({}, contract.invariants(), states[n], None, "state", n, boundaries)
+    plan = _plan(contract)
+    trailing = _evaluate_into({}, plan.invariants, states[n], None, n, boundaries)
     timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
-    for con in contract.invariants():
-        timelines[con.name] = (tuple(s.results[con.name].satisfied for s in steps)
-                               + (trailing[con.name].satisfied,))
-    for con in contract.governance():
-        timelines[con.name] = tuple(s.results[con.name].satisfied for s in steps)
+    for name, _, _ in plan.invariants:
+        timelines[name] = (tuple(s.results[name].satisfied for s in steps)
+                           + (trailing[name].satisfied,))
+    for name, _, _ in plan.governance:
+        timelines[name] = tuple(s.results[name].satisfied for s in steps)
     return timelines
 
 

@@ -5,9 +5,12 @@ unary not/neg, the usual arithmetic/comparison/boolean binary operators,
 ``in``, and four whitelisted functions (len, abs, min, max).  There are no
 loops, definitions, attribute access on values, or other calls, so the
 language is not Turing-complete by construction.  Compilation is
-state-independent.  Evaluation shares two rules with field predicates:
-field references resolve by :func:`resolve_field`, and comparisons and
-``in`` dispatch through :data:`OPERATORS`.
+state-independent.  :func:`compile_evaluator` turns an AST into nested
+closures, which is how expressions are evaluated; there is no AST walker.
+Evaluation shares two rules with field predicates: field paths are split
+once by :func:`field_key` and read by :func:`field_getter`, and
+comparisons and ``in`` dispatch through :data:`OPERATORS`, looked up when
+the closure is built.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import ast as _pyast
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
-from .model import MISSING, ActionRecord, StateDict, is_number, resolve_path, value_eq
+from .model import MISSING, ActionRecord, StateDict, is_number, value_eq, walk_path
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call", "OPERATORS",
-           "compile_expression", "eval_expression", "field_paths", "resolve_field",
-           "MAX_DEPTH"]
+           "compile_expression", "compile_evaluator", "eval_expression", "field_paths",
+           "field_key", "field_getter", "operator_for", "MAX_DEPTH"]
 
 MAX_DEPTH = 64
 
@@ -184,27 +187,54 @@ def field_paths(ast: ExprAst):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation; field paths and operators are shared with field predicates
+# Field paths, shared with field predicates: split once, walked per step
 # ---------------------------------------------------------------------------
 
-def resolve_field(path: str, state: StateDict, action: Optional[ActionRecord],
-                  bare: str = "state"):
-    """The value at a field path, or MISSING.  ``action``/``action.`` paths
-    read the action (label plus payload) and are missing without one;
-    ``state.`` paths read the state; any other path reads the ``bare``
-    side, "state" or "action" (a field predicate's target)."""
+def field_key(path: str, bare: str = "state") -> tuple:
+    """``(side, keys)``: the side a field path reads, "state" or "action",
+    and its keys below that side.  ``action``/``action.`` paths read the
+    action (label plus payload), ``state.`` paths the state, and any other
+    path the ``bare`` side (a field predicate's target).  Two paths with
+    one key name the same field."""
     head, dot, rest = path.partition(".")
     if head == "action":
+        return "action", tuple(rest.split(".")) if dot else ()
+    if head == "state" and dot:
+        return "state", tuple(rest.split("."))
+    return bare, tuple(path.split("."))
+
+
+def field_getter(path: str,
+                 bare: str = "state") -> Callable[[StateDict, Optional[ActionRecord]], Any]:
+    """``get(state, action)``: the value at a field path (see
+    :func:`field_key`), or MISSING; an action path is missing without an
+    action.  The action side reads the payload, whose own ``label`` key
+    wins over the action's label, as in :meth:`ActionRecord.view`."""
+    side, keys = field_key(path, bare)
+    if side == "state":
+        return lambda state, action: walk_path(state, keys)
+    if not keys:
+        return lambda state, action: MISSING if action is None else action.view()
+    first, rest = keys[0], keys[1:]
+
+    def get(state, action):
         if action is None:
             return MISSING
-        view = action.view()
-        return resolve_path(view, rest) if dot else view
-    if head == "state" and dot:
-        return resolve_path(state, rest)
-    if bare == "action":
-        return MISSING if action is None else resolve_path(action.view(), path)
-    return resolve_path(state, path)
+        payload = action.payload
+        if first in payload:
+            value = payload[first]
+        elif first == "label":
+            value = action.label
+        else:
+            return MISSING
+        return walk_path(value, rest) if rest else value
 
+    return get
+
+
+# ---------------------------------------------------------------------------
+# Operators, shared with field predicates
+# ---------------------------------------------------------------------------
 
 def _require_number(v: Any, op: str) -> float:
     if not is_number(v):
@@ -240,10 +270,14 @@ def _not_member(a, b) -> bool:
     return not _member(a, b)
 
 
-def _matches(a, pattern) -> bool:
+def _search(search, a) -> bool:
     if not isinstance(a, str):
         raise TypeMismatch(f"'matches' needs a string value, got {type(a).__name__}")
-    return re.search(pattern, a) is not None
+    return search(a) is not None
+
+
+def _matches(a, pattern) -> bool:
+    return _search(lambda s: re.search(pattern, s), a)
 
 
 def _in_range(a, bounds) -> bool:
@@ -262,64 +296,128 @@ OPERATORS = {
     "in": _member, "not_in": _not_member, "matches": _matches, "range": _in_range,
 }
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+def operator_for(op: str, operand: Any) -> Callable[[Any, Any], bool]:
+    """``OPERATORS[op]``, looked up once, with a valid ``matches`` pattern
+    compiled once.  An unknown operator gives a predicate that raises
+    TypeMismatch."""
+    if op == "matches" and isinstance(operand, str):
+        try:
+            search = re.compile(operand).search
+        except re.error:
+            pass  # left to OPERATORS, which raises the same error per call
+        else:
+            return lambda a, _: _search(search, a)
+    predicate = OPERATORS.get(op)
+    if predicate is None:
+        def unknown(a, b):
+            raise TypeMismatch(f"unknown operator {op!r}")
+        return unknown
+    return predicate
 
 
-def _eval(node: ExprAst, state: StateDict, action: Optional[ActionRecord]):
+# ---------------------------------------------------------------------------
+# Evaluation: an expression compiles to nested closures
+# ---------------------------------------------------------------------------
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise TypeMismatch("division by zero")
+    return a / b
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _closure(node: ExprAst):
+    """``value(state, action)`` of one AST node.  Operands are evaluated
+    left to right, all before their types are checked, except that
+    and/or stop early."""
     if isinstance(node, Lit):
-        return node.value
+        constant = node.value
+        return lambda state, action: constant
     if isinstance(node, Field):
-        value = resolve_field(node.path, state, action)
-        if value is MISSING:
-            raise FieldResolutionError(node.path)
-        return value
+        get, path = field_getter(node.path), node.path
+
+        def field(state, action):
+            value = get(state, action)
+            if value is MISSING:
+                raise FieldResolutionError(path)
+            return value
+
+        return field
     if isinstance(node, Unary):
-        v = _eval(node.operand, state, action)
+        inner = _closure(node.operand)
         if node.op == "not":
-            return not _require_bool(v, "not")
-        return -_require_number(v, "neg")
+            return lambda state, action: not _require_bool(inner(state, action), "not")
+        return lambda state, action: -_require_number(inner(state, action), "neg")
     if isinstance(node, Binary):
         op = node.op
-        if op in ("and", "or"):
-            left = _require_bool(_eval(node.left, state, action), op)
-            if op == "and" and not left:
-                return False
-            if op == "or" and left:
-                return True
-            return _require_bool(_eval(node.right, state, action), op)
-        left = _eval(node.left, state, action)
-        right = _eval(node.right, state, action)
+        left, right = _closure(node.left), _closure(node.right)
+        if op == "and":
+            return lambda state, action: (_require_bool(left(state, action), op)
+                                          and _require_bool(right(state, action), op))
+        if op == "or":
+            return lambda state, action: (_require_bool(left(state, action), op)
+                                          or _require_bool(right(state, action), op))
         predicate = OPERATORS.get(op)
         if predicate is not None:
-            return predicate(left, right)
-        a, b = _require_number(left, op), _require_number(right, op)
-        if op == "/" and b == 0.0:
-            raise TypeMismatch("division by zero")
-        return _ARITHMETIC[op](a, b)
+            if isinstance(node.right, Lit):
+                constant = node.right.value
+                return lambda state, action: predicate(left(state, action), constant)
+            return lambda state, action: predicate(left(state, action), right(state, action))
+        arithmetic = _ARITHMETIC[op]
+
+        def combine(state, action):
+            a, b = left(state, action), right(state, action)
+            return arithmetic(_require_number(a, op), _require_number(b, op))
+
+        return combine
     if isinstance(node, Call):
-        args = [_eval(a, state, action) for a in node.args]
-        if node.func == "len":
-            if not isinstance(args[0], (list, tuple, str)):
-                raise TypeMismatch("len() needs a list or string")
-            return float(len(args[0]))
-        if node.func == "abs":
-            return abs(_require_number(args[0], "abs"))
-        nums = [_require_number(a, node.func) for a in args]
-        return min(nums) if node.func == "min" else max(nums)
+        func = node.func
+        args = tuple(_closure(a) for a in node.args)
+        if func == "len":
+            def length(state, action):
+                value = args[0](state, action)
+                if not isinstance(value, (list, tuple, str)):
+                    raise TypeMismatch("len() needs a list or string")
+                return float(len(value))
+            return length
+        if func == "abs":
+            return lambda state, action: abs(_require_number(args[0](state, action), "abs"))
+        pick = min if func == "min" else max
+
+        def extreme(state, action):
+            values = [arg(state, action) for arg in args]
+            return pick([_require_number(v, func) for v in values])
+
+        return extreme
     raise TypeMismatch(f"unknown node {node!r}")  # pragma: no cover
+
+
+def compile_evaluator(ast: ExprAst) -> Callable[[StateDict, Optional[ActionRecord]], bool]:
+    """The expression as a closure ``(state, action) -> bool``.
+
+    Field references resolve by :func:`field_getter`, bare paths against
+    the step state.  The closure raises FieldResolutionError for missing
+    paths and TypeMismatch for ill-typed operations; callers apply the
+    constraint's fail-closed policy.
+    """
+    value = _closure(ast)
+
+    def evaluate(state, action):
+        result = value(state, action)
+        if not isinstance(result, bool):
+            raise TypeMismatch(
+                f"expression must evaluate to a boolean, got {type(result).__name__}")
+        return result
+
+    return evaluate
 
 
 def eval_expression(ast: ExprAst, state: StateDict,
                     action: Optional[ActionRecord] = None) -> bool:
-    """Evaluate a compiled expression to a boolean.
-
-    Field references resolve by :func:`resolve_field`, bare paths against
-    the step state.  Raises FieldResolutionError for missing paths and
-    TypeMismatch for ill-typed operations; callers apply the constraint's
-    fail-closed policy.
-    """
-    value = _eval(ast, state, action)
-    if not isinstance(value, bool):
-        raise TypeMismatch(
-            f"expression must evaluate to a boolean, got {type(value).__name__}")
-    return value
+    """Evaluate an expression once, by its compiled closure (see
+    :func:`compile_evaluator`, which repeated evaluation should hold on
+    to)."""
+    return compile_evaluator(ast)(state, action)

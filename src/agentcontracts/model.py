@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -71,6 +72,12 @@ ON_MISSING_POLICIES = ("violate", "satisfy", "skip")
 
 _WEIGHT_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
+
+
+def _fields_only(obj) -> dict:
+    """Pickled state of a contract or constraint: its fields, without the
+    compiled form the engine caches on the object (closures do not pickle)."""
+    return {k: v for k, v in vars(obj).items() if k != "_compiled"}
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,8 @@ class Constraint:
     on_missing: str = "violate"
     scope: Optional[str] = None
 
+    __getstate__ = _fields_only
+
 
 @dataclass(frozen=True)
 class RecoveryStrategy:
@@ -274,6 +283,8 @@ class Contract:
     drift_config: DriftConfig = field(default_factory=DriftConfig)
     reliability_weights: ReliabilityWeights = field(default_factory=ReliabilityWeights)
     stages: int = 1
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         for f in ("preconditions", "invariants_hard", "invariants_soft",
@@ -496,15 +507,20 @@ def validate_contract(c: Contract) -> list:
 
 
 def resolve_path(mapping: Mapping, path: str):
-    """Resolve a dot-separated key path inside a nested mapping.
+    """The value at a dot-separated key path inside a nested mapping, or
+    the module-level MISSING marker (missing fields are an expected,
+    policy-governed case, so this raises nothing)."""
+    return walk_path(mapping, path.split("."))
 
-    Raises KeyError (via a sentinel check in callers) by returning a
-    module-level MISSING marker; kept exception-free because missing
-    fields are an expected, policy-governed case.
-    """
-    cur: Any = mapping
-    for part in path.split("."):
-        if isinstance(cur, Mapping) and part in cur:
+
+def walk_path(cur: Any, parts) -> Any:
+    """The value at pre-split key ``parts`` below ``cur``, or MISSING.  A
+    plain dict takes the fast path; any other mapping is recognised by
+    isinstance."""
+    for part in parts:
+        if type(cur) is dict:
+            cur = cur.get(part, MISSING)
+        elif isinstance(cur, abc.Mapping) and part in cur:
             cur = cur[part]
         else:
             return MISSING
@@ -522,15 +538,31 @@ MISSING = _Missing()
 
 
 def is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(float(v))
+    """A finite int or float, not a bool.  An int too large for a float is
+    not a number: ordering it fails closed and equality compares it exactly."""
+    if type(v) is float:
+        return math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def value_eq(a: Any, b: Any) -> bool:
     """The one equality of the contract language (field ``eq``/``ne``/``in``
     and expression ``==``/``!=``/``in``): numbers compare numerically and
-    exactly, booleans only against booleans."""
+    exactly, booleans only against booleans, at every depth of lists,
+    tuples and mappings."""
+    if type(a) is str or type(b) is str:  # no rule below applies to a string
+        return a == b
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a is b
     if is_number(a) and is_number(b):
         return float(a) == float(b)
+    if isinstance(a, list) and isinstance(b, list) or isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(value_eq, a, b))
+    if isinstance(a, abc.Mapping) and isinstance(b, abc.Mapping):
+        return len(a) == len(b) and all(k in b and value_eq(v, b[k]) for k, v in a.items())
     return a == b

@@ -98,7 +98,7 @@ class TestRun:
         path.write_text(json.dumps(shape(json.load(open(DEMO_TRACE)))))
         code, out, err = run_cli(capsys, "run", FINANCIAL, str(path))
         assert code == 2
-        assert err.startswith("error: ") and not out
+        assert err.startswith(f"error: {path}: ") and not out
 
     def test_hook_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -212,6 +212,18 @@ class TestCheckConditions:
         assert report.c3_governance.passed is False
         assert any("access_demographics" in str(w) for w in report.c3_governance.witnesses)
 
+    @pytest.mark.parametrize("b_path", ["amount", "action.amount"])
+    def test_c3_one_field_under_two_spellings(self, b_path):
+        a = agent("up", governance_hard=(
+            Constraint(name="a-exact", severity="hard",
+                       check=Predicate(field_path="amount", operator="eq", operand=50)),))
+        b = agent("down", governance_hard=(
+            Constraint(name="b-cap", severity="hard",
+                       check=Predicate(field_path=b_path, operator="le", operand=10)),))
+        report = check_conditions(a, b, HandoffSpec(), [{"up": {"v": 1}}])
+        assert report.c3_governance.passed is False
+        assert report.c3_governance.witnesses == (("value", "amount", 50, "b-cap"),)
+
     def test_c3_detected_from_action_corpus(self):
         rng = np.random.default_rng(53)
         inst = random_chain_instance(rng, fault="c3")

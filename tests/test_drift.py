@@ -1,13 +1,19 @@
 """Drift score, JSD, window equivalence, and session metrics."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import jensenshannon
 
 from agentcontracts.drift import (
     DriftWindow,
     jsd,
+    mean,
     recovery_effectiveness,
     reliability_index,
     stress_resilience,
@@ -28,6 +34,36 @@ from agentcontracts.model import (
     DriftConfig,
     Predicate,
 )
+
+
+@st.composite
+def distribution_pairs(draw):
+    size = draw(st.integers(1, 60))
+    weights = st.lists(st.floats(0, 1, allow_subnormal=False), min_size=size, max_size=size)
+    p, q = draw(weights.filter(lambda w: sum(w) >= 1e-3)), draw(
+        weights.filter(lambda w: sum(w) >= 1e-3))
+    return [v / sum(p) for v in p], [v / sum(q) for v in q]
+
+
+class TestPurePythonKernels:
+    """drift runs without numpy: its JSD against scipy as an oracle, and its
+    mean bit for bit against numpy's."""
+
+    @given(pair=distribution_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_jsd_matches_scipy(self, pair):
+        p, q = pair
+        assert jsd(p, q) == pytest.approx(jensenshannon(p, q, base=2) ** 2, abs=1e-12)
+
+    @given(xs=st.lists(st.floats(), max_size=600))
+    @settings(max_examples=300, deadline=None)
+    def test_mean_is_numpys_bit_for_bit(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = float(np.mean(xs))
+        got = mean(xs)
+        assert (math.isnan(got) and math.isnan(expected)) or \
+            struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 def brute_force_jsd(p, q):

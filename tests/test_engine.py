@@ -198,6 +198,8 @@ MISMATCH = "type mismatch"
 def ref_eq(a, b):
     if isinstance(a, bool) or isinstance(b, bool):
         return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(ref_eq(x, y) for x, y in zip(a, b))
     return a == b
 
 
@@ -236,7 +238,8 @@ VALUES = st.one_of(SCALARS, st.lists(st.sampled_from(POOL), max_size=3),
                    st.lists(SCALARS, max_size=3))
 EDGE_CASES = [(1, [True]), (True, [1.0]), (0, False), (1, 1.0), (-0.0, 0), (True, True),
               (math.nan, math.nan), (math.inf, math.inf), (1, math.inf), ("a", "ab"),
-              (1, "1"), ("1", [1]), ([1], [[True]]), (None, [None]), (None, None)]
+              (1, "1"), ("1", [1]), ([1], [[True]]), ([True], [1]), (None, [None]),
+              (None, None)]
 
 
 def verdict(result):

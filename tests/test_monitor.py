@@ -472,15 +472,27 @@ class TestOneEvaluation:
         assert report.detected_violations() == ((0, "ready"),)
         assert report.events[0].payload["precondition"] is True
 
+    @staticmethod
+    def record_evaluations(monkeypatch, record):
+        """Wrap every closure the compiler builds so that each evaluation
+        calls ``record(constraint name)``."""
+        real = engine.compile_constraint
+
+        def counting(con, target):
+            evaluate = real(con, target)
+
+            def counted(state, action):
+                record(con.name)
+                return evaluate(state, action)
+
+            return counted
+
+        monkeypatch.setattr(engine, "compile_constraint", counting)
+
     def test_each_constraint_evaluated_once_per_index(self, monkeypatch):
         calls = {}
-        real = engine.evaluate_constraint
-
-        def counting(con, *args, **kwargs):
-            calls[con.name] = calls.get(con.name, 0) + 1
-            return real(con, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "evaluate_constraint", counting)
+        self.record_evaluations(monkeypatch,
+                                lambda name: calls.__setitem__(name, calls.get(name, 0) + 1))
         contract = Contract(
             name="t",
             preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
@@ -495,9 +507,7 @@ class TestOneEvaluation:
 
     def test_recovery_at_step_zero_does_not_reevaluate_preconditions(self, monkeypatch):
         calls = []
-        real = engine.evaluate_constraint
-        monkeypatch.setattr(engine, "evaluate_constraint",
-                            lambda con, *a, **kw: calls.append(con.name) or real(con, *a, **kw))
+        self.record_evaluations(monkeypatch, calls.append)
         contract = Contract(
             name="t",
             preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
