@@ -16,6 +16,8 @@ Typical use::
     print(report.outcome, report.metrics.theta)
 """
 
+import importlib
+
 from .model import (
     ActionRecord,
     Constraint,
@@ -66,20 +68,6 @@ from .monitor import (
     pdk_verdict,
     run_session,
 )
-from .dynamics import (
-    DesignSpec,
-    OUFit,
-    OUParams,
-    design_gamma_approx,
-    fit_ou,
-    mse_at_time,
-    simulate_ou,
-    simulate_ou_exact,
-    simulate_ou_paths,
-    solve_design_gamma,
-    stationary_stats,
-    tail_probability,
-)
 from .composition import (
     ChainBounds,
     ChainSpec,
@@ -91,19 +79,6 @@ from .composition import (
     compose_contracts,
     verify_chain_trace,
 )
-from .certification import (
-    CertificationStream,
-    SprtConfig,
-    SprtState,
-    compliance_no_recovery,
-    compliance_with_recovery,
-    hoeffding_n,
-    kl_bernoulli,
-    sprt_expected_n,
-    sprt_start,
-    sprt_update,
-    sprt_update_batch,
-)
 from .bench import (
     Scenario,
     ScenarioScore,
@@ -113,6 +88,36 @@ from .bench import (
     score_scenario,
     score_suite,
 )
-from .generator import generate_suite
 
 __version__ = "0.1.0"
+
+# Names resolved on first use (PEP 562).  ``dynamics`` and ``generator``
+# import numpy, which importing the package, CLI ``run`` and CLI ``bench``
+# do not need; ``certification`` is off those paths too.
+_LAZY = {
+    **dict.fromkeys(("DesignSpec", "OUFit", "OUParams", "design_gamma_approx", "fit_ou",
+                     "mse_at_time", "simulate_ou", "simulate_ou_exact", "simulate_ou_paths",
+                     "solve_design_gamma", "stationary_stats", "tail_probability"),
+                    "dynamics"),
+    **dict.fromkeys(("CertificationStream", "SprtConfig", "SprtState",
+                     "compliance_no_recovery", "compliance_with_recovery", "hoeffding_n",
+                     "kl_bernoulli", "sprt_expected_n", "sprt_start", "sprt_update",
+                     "sprt_update_batch"),
+                    "certification"),
+    "generate_suite": "generator",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    elif name in _LAZY.values():   # the submodule itself
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

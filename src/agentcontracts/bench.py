@@ -16,9 +16,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .composition import check_boundaries, compose_chain
+from .drift import mean
 from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import Contract, ExecutionTrace
 from .monitor import run_session
@@ -291,12 +290,12 @@ def aggregate(scores: Sequence[ScenarioScore], by: str = "domain") -> DomainSumm
         return {
             "domain": label,
             "n": len(subset),
-            "detection_accuracy": float(np.mean([s.detection_accuracy for s in subset])),
+            "detection_accuracy": mean([s.detection_accuracy for s in subset]),
             "false_flags": int(sum(s.false_flags for s in subset)),
-            "c_hard": float(np.mean([s.c_hard for s in subset])),
-            "c_soft": float(np.mean([s.c_soft for s in subset])),
-            "mean_drift": float(np.mean([s.mean_drift for s in subset])),
-            "theta": float(np.mean([s.theta for s in subset])),
+            "c_hard": mean([s.c_hard for s in subset]),
+            "c_soft": mean([s.c_soft for s in subset]),
+            "mean_drift": mean([s.mean_drift for s in subset]),
+            "theta": mean([s.theta for s in subset]),
             "outcomes": {
                 "compliant": sum(1 for s in subset if s.outcome == "compliant"),
                 "hard_violation": sum(1 for s in subset if s.outcome == "hard_violation"),

@@ -23,24 +23,13 @@ import sys
 
 from . import __version__
 from .bench import aggregate, load_suite, score_suite
-from .certification import CertificationStream, SprtConfig
 from .composition import ChainSpec, chain_bounds, check_conditions, compose_chain
-from .dynamics import (
-    DesignSpec,
-    OUParams,
-    design_gamma_approx,
-    fit_ou,
-    load_trajectory,
-    save_trajectory,
-    simulate_ou,
-    solve_design_gamma,
-    tail_probability,
-)
 from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
-from .generator import generate_suite
 from .model import ExecutionTrace, validate_contract, wire_elements
 from .monitor import run_session
 from .parser import PipelineContract, load_document
+# dynamics, generator and certification are imported by the commands that
+# use them: dynamics and generator load numpy, which run and bench do not need.
 
 EXIT_OK = 0
 EXIT_ISSUES = 1
@@ -144,6 +133,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_drift_simulate(args) -> int:
+    from .dynamics import OUParams, save_trajectory, simulate_ou
+
     params = OUParams(alpha=args.alpha, gamma=args.gamma, sigma=args.sigma, d0=args.d0)
     times, values = simulate_ou(params, horizon=args.horizon, dt=args.dt,
                                 seed=args.seed, clamp_zero=args.clamp_zero)
@@ -157,6 +148,9 @@ def cmd_drift_simulate(args) -> int:
 
 
 def cmd_drift_design(args) -> int:
+    from .dynamics import (DesignSpec, OUParams, design_gamma_approx, solve_design_gamma,
+                           tail_probability)
+
     spec = DesignSpec(d_max=args.dmax, epsilon=args.epsilon)
     gamma = solve_design_gamma(args.alpha, args.sigma, spec)
     approx = design_gamma_approx(args.alpha, args.sigma, spec)
@@ -175,6 +169,8 @@ def cmd_drift_design(args) -> int:
 
 
 def cmd_drift_fit(args) -> int:
+    from .dynamics import fit_ou, load_trajectory
+
     times, values = load_trajectory(args.csv)
     fit = fit_ou(list(zip(times, values)))
     payload = {"gamma_hat": fit.gamma_hat, "d_star_hat": fit.d_star_hat,
@@ -255,6 +251,8 @@ def _read_observations(path: str) -> list:
 
 
 def cmd_certify(args) -> int:
+    from .certification import CertificationStream, SprtConfig
+
     cfg = SprtConfig(p0=args.p0, p1=args.p1, alpha_err=args.alpha_err,
                      beta_err=args.beta_err)
     stream = CertificationStream(cfg, window=args.window)
@@ -276,6 +274,8 @@ def cmd_certify(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.generate:
+        from .generator import generate_suite
+
         manifest = generate_suite(args.suite, seed=args.seed)
         print(f"generated {len(manifest['scenarios'])} scenarios in {args.suite}")
         return EXIT_OK

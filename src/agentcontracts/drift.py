@@ -84,10 +84,11 @@ def jsd(p: Sequence[float], q: Sequence[float]) -> float:
         raise DimensionMismatch(f"supports differ: ({len(p)},) vs ({len(q)},)")
     if not p:
         raise DimensionMismatch("empty distributions")
-    if any(v < 0 for v in p) or any(v < 0 for v in q):
+    # Written so that NaN fails each check: every comparison with NaN is False.
+    if not all(v >= 0 for v in p) or not all(v >= 0 for v in q):
         raise NotNormalized("distributions must be non-negative")
     p_sum, q_sum = pairwise_sum(p), pairwise_sum(q)
-    if abs(p_sum - 1.0) > _NORM_TOL or abs(q_sum - 1.0) > _NORM_TOL:
+    if not abs(p_sum - 1.0) <= _NORM_TOL or not abs(q_sum - 1.0) <= _NORM_TOL:
         raise NotNormalized(f"distributions must sum to 1 (got {p_sum}, {q_sum})")
     return _jsd(p, q)
 

@@ -341,6 +341,19 @@ def _validate_predicate(name: str, p: Predicate, out: list) -> None:
         out.append(_issue(name, "unknown-operator",
                           f"operator {p.operator!r} is not one of {FIELD_OPERATORS}"))
         return
+    if p.operator in ("lt", "le", "gt", "ge", "range"):
+        # Ordering operands and range bounds must be finite: against NaN, an
+        # infinity or an int too large for a float, lt/le/gt/ge fail every
+        # evaluation as a type mismatch.
+        bounds = p.operand if p.operator == "range" and isinstance(p.operand, (list, tuple)) \
+            else (p.operand,)
+        bad = [v for v in bounds
+               if isinstance(v, (int, float)) and not isinstance(v, bool) and not is_number(v)]
+        if bad:
+            got = repr(bad[0]) if isinstance(bad[0], float) else "an int too large for a float"
+            out.append(_issue(name, "non-finite-operand",
+                              f"{p.operator} operand must be finite, got {got}"))
+            return
     if p.operator == "range":
         ok = (isinstance(p.operand, (list, tuple)) and len(p.operand) == 2
               and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p.operand)

@@ -39,6 +39,22 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "/nonexistent/contract.yaml")
         assert code == 2
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_ordering_operand_exits_one(self, capsys, tmp_path, value):
+        doc = tmp_path / "nonfinite.yaml"
+        doc.write_text(textwrap.dedent(f"""\
+            contractspec: "1.0"
+            kind: agent
+            name: nonfinite
+            invariants:
+              hard:
+                - name: cap
+                  check: {{field: x, operator: lt, value: {value}}}
+        """))
+        code, _, err = run_cli(capsys, "validate", str(doc))
+        assert code == 1
+        assert "cap" in err and "finite" in err
+
     def test_json_format_is_machine_readable(self, capsys):
         code, out, _ = run_cli(capsys, "validate", FINANCIAL, "--format", "json")
         assert code == 0

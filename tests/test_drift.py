@@ -104,6 +104,17 @@ class TestJsd:
         with pytest.raises(NotNormalized):
             jsd([-0.1, 1.1], [0.5, 0.5])
 
+    @pytest.mark.parametrize("p, q", [
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [math.nan, 1.0]),
+        ([math.nan, math.nan], [0.5, 0.5]),
+        ([0.5, 0.5, math.nan], [0.5, 0.5, 0.0]),
+        ([math.inf, 0.0], [0.5, 0.5]),
+    ])
+    def test_non_finite_entries_not_normalized(self, p, q):
+        with pytest.raises(NotNormalized):
+            jsd(p, q)
+
     def test_sqrt_jsd_triangle_inequality(self):
         rng = np.random.default_rng(11)
         for _ in range(300):

@@ -123,6 +123,27 @@ class TestValidateContract:
                                         check=field_check("x", "range", [5, 1])),))
         assert any(i.rule == "bad-range-operand" for i in validate_contract(contract))
 
+    @pytest.mark.parametrize("operator, value", [
+        ("lt", float("nan")), ("le", float("inf")), ("gt", float("-inf")), ("ge", 10 ** 400),
+        ("range", [0, float("inf")]), ("range", [float("nan"), 1]), ("range", [-10 ** 400, 1]),
+    ])
+    def test_non_finite_ordering_operand(self, operator, value):
+        contract = minimal_contract(
+            governance_hard=(Constraint(name="lim", severity="hard",
+                                        check=field_check("x", operator, value)),))
+        assert [(i.element, i.rule, i.severity) for i in validate_contract(contract)] == [
+            ("lim", "non-finite-operand", "error")]
+
+    @pytest.mark.parametrize("operator, value", [
+        ("lt", 0), ("le", -1.5), ("gt", 10 ** 300), ("ge", 1e308), ("range", [-1e308, 2]),
+        ("eq", float("inf")), ("ne", float("nan")),
+    ])
+    def test_finite_ordering_operands_and_equality_pass(self, operator, value):
+        contract = minimal_contract(
+            governance_hard=(Constraint(name="lim", severity="hard",
+                                        check=field_check("x", operator, value)),))
+        assert validate_contract(contract) == []
+
     def test_invalid_regex_operand(self):
         contract = minimal_contract(
             governance_hard=(Constraint(name="m", severity="hard",
