@@ -38,7 +38,7 @@ from .model import (
     SatisfactionParams,
     StateDict,
     is_number,
-    resolve_path,
+    walk_path,
 )
 
 __all__ = [
@@ -343,7 +343,7 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
     c1_witnesses = []
     for i, sample in enumerate(samples):
         for upstream, downstream in sorted(h.type_map.items()):
-            value = resolve_path(sample, upstream)
+            value = walk_path(sample, upstream.split("."))
             if value is MISSING:
                 c1_witnesses.append((i, upstream, "missing in upstream output"))
                 continue

@@ -8,10 +8,21 @@ distribution.  Out-of-vocabulary action labels pool into a reserved
 add-epsilon smoothing (1e-9) before the divergence so KL terms stay
 finite.
 
-The module imports no numpy.  The window keeps its counts in a list and
-smooths its reference once; the divergence runs in plain Python, and its
-sums and the session means use :func:`pairwise_sum`, a copy of numpy's
-pairwise summation, so they equal numpy's results bit for bit.
+The module imports no numpy.  The window keeps its counts in a list; the
+divergence runs in plain Python, and its sums and the session means use
+:func:`pairwise_sum`, a copy of numpy's pairwise summation, so they equal
+numpy's results bit for bit.
+
+A window holds at most ``window`` distinct labels, and every label absent
+from it smooths to the same ``eps / norm`` (``norm`` the smoothed total,
+of which a session sees only a handful of values).  So the smoothed
+reference and, per ``norm``, both KL terms of every absent label are
+built once per drift configuration and shared by its windows; a step
+computes terms for the labels present only.  Each term comes from the
+same float operations on the same inputs as the plain kernel, and both
+term lists are summed in support order, so the divergence stays
+bit-identical to ``_jsd(_smooth(observed), reference)``.  Steps with no
+violated result skip the weighted gaps, whose numerators are then 0.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ __all__ = [
 
 _SMOOTH_EPS = 1e-9
 _NORM_TOL = 1e-9
+#: Smoothed totals whose absent-label terms a drift configuration keeps;
+#: a window of w labels gives only a handful of distinct totals.
+_ABSENT_TERMS_KEPT = 64
 
 
 def pairwise_sum(xs: Sequence[float]) -> float:
@@ -111,6 +125,15 @@ def _kl2(p: Sequence[float], q: Sequence[float]) -> float:
     return pairwise_sum([a * math.log2(a / b) for a, b in zip(p, q) if a > 0])
 
 
+def _kl_terms(p: Sequence[float], q: Sequence[float]) -> tuple:
+    """The per-index terms of ``_kl2(p, m)`` and ``_kl2(q, m)``, m the
+    midpoint, as :func:`_jsd` forms them, for two strictly positive
+    (smoothed) distributions: no term is dropped."""
+    m = [0.5 * (a + b) for a, b in zip(p, q)]
+    return ([a * math.log2(a / b) for a, b in zip(p, m)],
+            [a * math.log2(a / b) for a, b in zip(q, m)])
+
+
 def _smooth(p: Sequence[float]) -> list:
     p = [v + _SMOOTH_EPS for v in p]
     total = pairwise_sum(p)
@@ -153,10 +176,16 @@ class DriftWindow:
         self._index = {label: i for i, label in enumerate(self.support)}
         self._labels: deque = deque()
         self._counts = [0] * len(self.support)
-        ref = [float(config.reference.get(label, 0.0)) for label in self.support]
-        # No calibrated reference (empty vocabulary): the distributional
-        # component is disabled.  Otherwise it is smoothed once, here.
-        self._reference = _smooth(ref) if pairwise_sum(ref) > 0 else None
+        # The smoothed reference and the absent-label term cache are built
+        # once per configuration object and shared by its windows.  With no
+        # calibrated reference (empty vocabulary) the distributional
+        # component is disabled.
+        shared = vars(config).get("_compiled")
+        if shared is None:
+            ref = [float(config.reference.get(label, 0.0)) for label in self.support]
+            shared = vars(config)["_compiled"] = (
+                _smooth(ref) if pairwise_sum(ref) > 0 else None, {})
+        self._reference, self._absent_terms = shared
         self.invariants = tuple(invariants)
         self.governance = tuple(governance)
         self._weights = (tuple((c.name, c.weight) for c in self.invariants),
@@ -185,10 +214,35 @@ class DriftWindow:
         return [c / total for c in self._counts]
 
     def distributional_drift(self) -> float:
-        """Smoothed JSD between observed and reference; 0 with no evidence."""
-        if self._reference is None or not self._labels:
+        """Smoothed JSD between observed and reference; 0 with no evidence.
+
+        Equal bit for bit to ``_jsd(_smooth(self.observed()), reference)``:
+        both KL term lists are built by the same float operations on the
+        same inputs and summed in the same order.  A label absent from the
+        window smooths to ``eps / norm``, so its two terms depend only on
+        ``norm``, the smoothed total; they are cached per ``norm``, and only
+        the labels present are computed afresh."""
+        q = self._reference
+        if q is None or not self._labels:
             return 0.0
-        return _jsd(_smooth(self.observed()), self._reference)
+        counts, total = self._counts, len(self._labels)
+        present = set(self._labels)
+        p = [_SMOOTH_EPS] * len(q)   # 0 / total + eps for an absent label
+        for i in present:
+            p[i] = counts[i] / total + _SMOOTH_EPS
+        norm = pairwise_sum(p)
+        absent = self._absent_terms.get(norm)
+        if absent is None:
+            if len(self._absent_terms) >= _ABSENT_TERMS_KEPT:
+                self._absent_terms.clear()
+            absent = self._absent_terms[norm] = _kl_terms([_SMOOTH_EPS / norm] * len(q), q)
+        p_terms, q_terms = absent[0][:], absent[1][:]
+        for i in present:
+            a, b = p[i] / norm, q[i]
+            m = 0.5 * (a + b)
+            p_terms[i] = a * math.log2(a / m)
+            q_terms[i] = b * math.log2(b / m)
+        return pairwise_sum(p_terms) / 2.0 + pairwise_sum(q_terms) / 2.0
 
     def weighted_gaps(self, results: Mapping) -> tuple:
         """Weighted compliance gaps ``(all, invariants, governance)`` in one
@@ -224,7 +278,11 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     """
     window.push(action.label)
 
-    d_comp, d_inv, d_gov = window.weighted_gaps(step.results)
+    results = step.results
+    if any(results[name].satisfied is False for name in step.non_satisfied):
+        d_comp, d_inv, d_gov = window.weighted_gaps(results)
+    else:
+        d_comp = d_inv = d_gov = 0.0   # no violation: every gap's numerator is 0
     d_dist = window.distributional_drift()
     d_total = config.w_c * d_comp + config.w_d * d_dist
 

@@ -17,16 +17,24 @@ diagnostic is attached to the result either way.
 
 Each constraint compiles once, on first use, into a closure
 ``(state, action) -> ConstraintResult`` (:func:`compile_constraint`):
-its field path is split into keys, its operator looked up and a
-``matches`` pattern compiled ahead of time.  A contract's closures,
-names and scopes are cached on the contract object, so a step does
-constant work per constraint.  The closures are the one evaluator: steps,
-post-recovery re-scoring, the trailing state and
-:func:`evaluate_constraint` all run them.
+its field path becomes a walker unrolled for its key count and its
+operator a test specialised on the constant operand (see
+:mod:`~agentcontracts.expressions`, whose fallbacks keep every result and
+detail the same).  A contract's closures, names and scopes are cached on
+the contract object, so a step does constant work per constraint.  The
+closures are the one evaluator: steps, post-recovery re-scoring, the
+trailing state and :func:`evaluate_constraint` all run them.
+
+A passing closure returns the shared ``SATISFIED`` result, so a step
+records which results are anything else (``StepEvaluation.non_satisfied``)
+and its bookkeeping reads only those: with none, both compliance scores
+are 1.0; otherwise the same integer counts as a full pass give the same
+ratios.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -75,6 +83,15 @@ class StepEvaluation:
     c_hard: float
     c_soft: float
     preconditions: Optional[Mapping[str, ConstraintResult]] = None
+    #: Names of the results other than the shared plain pass ``SATISFIED``
+    #: (violated, skipped, or satisfied with a diagnostic), in results
+    #: order: all the step's bookkeeping needs to read.  Derived from
+    #: ``results`` when not given.
+    non_satisfied: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.non_satisfied is None:
+            object.__setattr__(self, "non_satisfied", _non_satisfied(self.results))
 
     def preconditions_ok(self) -> bool:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
@@ -175,14 +192,14 @@ def _compile(constraint: Constraint, target: str) -> Evaluator:
     if check.operator == "exists":
         return lambda state, action: VIOLATED if get(state, action) is MISSING else SATISFIED
     missing = _missing_result(policy, str(FieldResolutionError(check.field_path)))
-    predicate, operand = operator_for(check.operator, check.operand), check.operand
+    test = operator_for(check.operator, check.operand)
 
     def evaluate_field(state, action):
         value = get(state, action)
         if value is MISSING:
             return missing
         try:
-            return SATISFIED if predicate(value, operand) else VIOLATED
+            return SATISFIED if test(value) else VIOLATED
         except TypeMismatch as exc:
             return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
 
@@ -207,8 +224,9 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
 
 class _Plan:
     """A contract's constraints compiled once: ``(name, scope, closure)``
-    per precondition, invariant and governance constraint, and the hard
-    and soft names the compliance scores read."""
+    per precondition, invariant and governance constraint, and, for the
+    hard and the soft compliance score, how many constraints carry each
+    name."""
 
     __slots__ = ("preconditions", "invariants", "governance", "hard", "soft")
 
@@ -219,8 +237,8 @@ class _Plan:
         self.preconditions = entries(contract.preconditions, "state")
         self.invariants = entries(contract.invariants(), "state")
         self.governance = entries(contract.governance(), "action")
-        self.hard = tuple(c.name for c in contract.hard_constraints())
-        self.soft = tuple(c.name for c in contract.soft_constraints())
+        self.hard = Counter(c.name for c in contract.hard_constraints())
+        self.soft = Counter(c.name for c in contract.soft_constraints())
 
 
 def _plan(contract: Contract) -> _Plan:
@@ -236,24 +254,36 @@ def _plan(contract: Contract) -> _Plan:
 # Step evaluation
 # ---------------------------------------------------------------------------
 
-def _ratio(results: Mapping[str, ConstraintResult], names: Sequence[str]) -> float:
-    satisfied = total = 0
-    for name in names:
-        r = results[name].satisfied
-        if r is None:
-            continue
-        total += 1
-        if r:
-            satisfied += 1
+def _non_satisfied(results: Mapping[str, ConstraintResult]) -> tuple:
+    return tuple(name for name, r in results.items() if r is not SATISFIED)
+
+
+def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str],
+           counts: Counter) -> float:
+    """Satisfied over scored constraints among those ``counts`` names, a
+    skipped one not scored (1.0 with none scored); only the non-satisfied
+    results can differ from a plain pass."""
+    satisfied = total = counts.total()
+    for name in non_satisfied:
+        n = counts.get(name)
+        if n:
+            r = results[name].satisfied
+            if r is None:
+                total -= n
+                satisfied -= n
+            elif not r:
+                satisfied -= n
     return satisfied / total if total else 1.0
 
 
 def _evaluate_into(results: dict, entries: Sequence[tuple], state: StateDict,
                    action: Optional[ActionRecord], t: int, boundaries: Sequence[int]) -> dict:
-    for name, scope, evaluate in entries:
-        if boundaries and not scope_active(scope, t, boundaries):
-            results[name] = OUT_OF_PHASE
-        else:
+    if boundaries:
+        for name, scope, evaluate in entries:
+            results[name] = (evaluate(state, action) if scope_active(scope, t, boundaries)
+                             else OUT_OF_PHASE)
+    else:
+        for name, _, evaluate in entries:
             results[name] = evaluate(state, action)
     return results
 
@@ -265,8 +295,11 @@ def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: i
     plan = _plan(contract)
     results = _evaluate_into({}, plan.invariants, state, None, t, boundaries)
     _evaluate_into(results, plan.governance, state, action, t, boundaries)
-    return StepEvaluation(step=t, results=results, c_hard=_ratio(results, plan.hard),
-                          c_soft=_ratio(results, plan.soft), preconditions=preconditions)
+    non_satisfied = _non_satisfied(results)
+    return StepEvaluation(step=t, results=results,
+                          c_hard=_ratio(results, non_satisfied, plan.hard),
+                          c_soft=_ratio(results, non_satisfied, plan.soft),
+                          preconditions=preconditions, non_satisfied=non_satisfied)
 
 
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,

@@ -98,6 +98,11 @@ class SessionTerminated(ContractError):
     terminate_session, or by a recovery hook that failed."""
 
 
+class TraceTooShort(ContractError):
+    """A session was finalized with a trace of fewer steps than the
+    monitor ran."""
+
+
 class BadHookReturn(ContractError):
     """A recovery hook returned neither None nor a (state, action) pair."""
 

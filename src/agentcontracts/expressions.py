@@ -11,6 +11,17 @@ Evaluation shares two rules with field predicates: field paths are split
 once by :func:`field_key` and read by :func:`field_getter`, and
 comparisons and ``in`` dispatch through :data:`OPERATORS`, looked up when
 the closure is built.
+
+Closures are specialised when they are built, on what cannot change per
+step: :func:`field_getter` returns a walker unrolled for its key count,
+with a plain-dict fast path at every depth, and :func:`operator_for`
+specialises a predicate on its constant operand (numeric bounds converted
+to float once, string lists turned into frozensets).  Arithmetic combines
+two finite floats directly.  Each fast path is taken only on an exact
+type (``dict``, ``str``, a finite ``float``); any other value falls back
+to :func:`~agentcontracts.model.walk_path` from the root or to
+``OPERATORS[op]``, so results and TypeMismatch messages do not depend on
+which path ran.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import ast as _pyast
 import operator
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Callable, Optional, Union
 
 from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
@@ -204,18 +216,74 @@ def field_key(path: str, bare: str = "state") -> tuple:
     return bare, tuple(path.split("."))
 
 
+def _walker(keys: tuple) -> Callable[..., Any]:
+    """``walk(root, _=None)``: :func:`walk_path` of ``keys`` below ``root``,
+    unrolled for up to four keys with a plain-dict fast path at every
+    depth; a non-dict or a missing key falls back to :func:`walk_path`
+    from the root.  The ignored second argument lets a state-side walker
+    serve as a ``get(state, action)``."""
+    n = len(keys)
+    if n == 1:
+        k0, = keys
+
+        def walk(root, _=None):
+            if type(root) is dict:
+                return root.get(k0, MISSING)
+            return walk_path(root, keys)
+    elif n == 2:
+        k0, k1 = keys
+
+        def walk(root, _=None):
+            if type(root) is dict:
+                v = root.get(k0)
+                if type(v) is dict:
+                    return v.get(k1, MISSING)
+            return walk_path(root, keys)
+    elif n == 3:
+        k0, k1, k2 = keys
+
+        def walk(root, _=None):
+            if type(root) is dict:
+                v = root.get(k0)
+                if type(v) is dict:
+                    v = v.get(k1)
+                    if type(v) is dict:
+                        return v.get(k2, MISSING)
+            return walk_path(root, keys)
+    elif n == 4:
+        k0, k1, k2, k3 = keys
+
+        def walk(root, _=None):
+            if type(root) is dict:
+                v = root.get(k0)
+                if type(v) is dict:
+                    v = v.get(k1)
+                    if type(v) is dict:
+                        v = v.get(k2)
+                        if type(v) is dict:
+                            return v.get(k3, MISSING)
+            return walk_path(root, keys)
+    else:
+        def walk(root, _=None):
+            return walk_path(root, keys)
+    return walk
+
+
 def field_getter(path: str,
                  bare: str = "state") -> Callable[[StateDict, Optional[ActionRecord]], Any]:
     """``get(state, action)``: the value at a field path (see
     :func:`field_key`), or MISSING; an action path is missing without an
     action.  The action side reads the payload, whose own ``label`` key
-    wins over the action's label, as in :meth:`ActionRecord.view`."""
+    wins over the action's label, as in :meth:`ActionRecord.view`.  The
+    keys below the side are walked by a walker built for their count
+    (:func:`_walker`)."""
     side, keys = field_key(path, bare)
     if side == "state":
-        return lambda state, action: walk_path(state, keys)
+        return _walker(keys)
     if not keys:
         return lambda state, action: MISSING if action is None else action.view()
     first, rest = keys[0], keys[1:]
+    walk = _walker(rest) if rest else None
 
     def get(state, action):
         if action is None:
@@ -227,7 +295,7 @@ def field_getter(path: str,
             value = action.label
         else:
             return MISSING
-        return walk_path(value, rest) if rest else value
+        return walk(value) if walk else value
 
     return get
 
@@ -281,39 +349,74 @@ def _matches(a, pattern) -> bool:
 
 
 def _in_range(a, bounds) -> bool:
-    return float(bounds[0]) <= _require_number(a, "range") <= float(bounds[1])
+    return (_require_number(bounds[0], "range") <= _require_number(a, "range")
+            <= _require_number(bounds[1], "range"))
 
+
+_COMPARE = {"lt": operator.lt, "<": operator.lt, "le": operator.le, "<=": operator.le,
+            "gt": operator.gt, ">": operator.gt, "ge": operator.ge, ">=": operator.ge}
 
 #: The binary predicates of the contract language under both spellings
 #: (field operator, expression operator): ``OPERATORS[op](value, operand)``
 #: is a bool or raises TypeMismatch.
 OPERATORS = {
     "eq": value_eq, "==": value_eq, "ne": _differ, "!=": _differ,
-    "lt": _ordering("lt", operator.lt), "<": _ordering("<", operator.lt),
-    "le": _ordering("le", operator.le), "<=": _ordering("<=", operator.le),
-    "gt": _ordering("gt", operator.gt), ">": _ordering(">", operator.gt),
-    "ge": _ordering("ge", operator.ge), ">=": _ordering(">=", operator.ge),
+    **{op: _ordering(op, compare) for op, compare in _COMPARE.items()},
     "in": _member, "not_in": _not_member, "matches": _matches, "range": _in_range,
 }
 
 
-def operator_for(op: str, operand: Any) -> Callable[[Any, Any], bool]:
-    """``OPERATORS[op]``, looked up once, with a valid ``matches`` pattern
-    compiled once.  An unknown operator gives a predicate that raises
-    TypeMismatch."""
-    if op == "matches" and isinstance(operand, str):
-        try:
-            search = re.compile(operand).search
-        except re.error:
-            pass  # left to OPERATORS, which raises the same error per call
-        else:
-            return lambda a, _: _search(search, a)
+def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
+    """``test(value)``: ``OPERATORS[op](value, operand)`` specialised on
+    its constant operand, once.
+
+    - an ordering against a number, and ``range`` with numeric bounds,
+      convert the operand to float once and compare a finite float value
+      directly;
+    - ``in``/``not_in`` over a list of strings test a ``str`` value
+      against a frozenset of them;
+    - ``eq``/``ne`` against a string are ``==``, which is what
+      :func:`value_eq` does whenever one side is a string;
+    - a valid ``matches`` pattern is compiled once.
+
+    Each fast path is guarded by an exact type check (and, for floats,
+    :func:`math.isfinite`); every other value goes to ``OPERATORS[op]``,
+    so results and TypeMismatch messages are the same as without it.  An
+    unknown operator gives a test that raises TypeMismatch."""
     predicate = OPERATORS.get(op)
     if predicate is None:
-        def unknown(a, b):
+        def unknown(a):
             raise TypeMismatch(f"unknown operator {op!r}")
         return unknown
-    return predicate
+    compare = _COMPARE.get(op)
+    if compare is not None and is_number(operand):
+        b = float(operand)
+        return lambda a: (compare(a, b) if type(a) is float and isfinite(a)
+                          else predicate(a, operand))
+    if op == "range" and isinstance(operand, (list, tuple)) and len(operand) == 2 \
+            and all(map(is_number, operand)):
+        lo, hi = float(operand[0]), float(operand[1])
+        return lambda a: (lo <= a <= hi if type(a) is float and isfinite(a)
+                          else predicate(a, operand))
+    if op in ("in", "not_in") and isinstance(operand, (list, tuple)) \
+            and all(type(m) is str for m in operand):
+        members = frozenset(operand)
+        if op == "in":
+            return lambda a: a in members if type(a) is str else predicate(a, operand)
+        return lambda a: a not in members if type(a) is str else predicate(a, operand)
+    if type(operand) is str:
+        if op in ("eq", "=="):
+            return lambda a: a == operand
+        if op in ("ne", "!="):
+            return lambda a: not a == operand
+        if op == "matches":
+            try:
+                search = re.compile(operand).search
+            except re.error:
+                pass  # left to OPERATORS, which raises the same error per call
+            else:
+                return lambda a: _search(search, a)
+    return lambda a: predicate(a, operand)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +463,18 @@ def _closure(node: ExprAst):
         if op == "or":
             return lambda state, action: (_require_bool(left(state, action), op)
                                           or _require_bool(right(state, action), op))
-        predicate = OPERATORS.get(op)
-        if predicate is not None:
+        if op in OPERATORS:
             if isinstance(node.right, Lit):
-                constant = node.right.value
-                return lambda state, action: predicate(left(state, action), constant)
+                test = operator_for(op, node.right.value)
+                return lambda state, action: test(left(state, action))
+            predicate = OPERATORS[op]
             return lambda state, action: predicate(left(state, action), right(state, action))
         arithmetic = _ARITHMETIC[op]
 
         def combine(state, action):
             a, b = left(state, action), right(state, action)
+            if type(a) is float and type(b) is float and isfinite(a) and isfinite(b):
+                return arithmetic(a, b)
             return arithmetic(_require_number(a, op), _require_number(b, op))
 
         return combine

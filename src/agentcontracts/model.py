@@ -75,8 +75,9 @@ _DIST_SUM_TOL = 1e-9
 
 
 def _fields_only(obj) -> dict:
-    """Pickled state of a contract or constraint: its fields, without the
-    compiled form the engine caches on the object (closures do not pickle)."""
+    """Pickled state of a contract, constraint or drift configuration: its
+    fields, without the compiled form cached on the object under
+    ``_compiled`` (closures do not pickle)."""
     return {k: v for k, v in vars(obj).items() if k != "_compiled"}
 
 
@@ -246,6 +247,8 @@ class DriftConfig:
     reference: Mapping[str, float] = field(default_factory=dict)
     theta1: float = 0.05
     theta2: float = 0.30
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
@@ -517,13 +520,6 @@ def validate_contract(c: Contract) -> list:
 
     issues.sort(key=lambda i: (i.element, i.rule))
     return issues
-
-
-def resolve_path(mapping: Mapping, path: str):
-    """The value at a dot-separated key path inside a nested mapping, or
-    the module-level MISSING marker (missing fields are an expected,
-    policy-governed case, so this raises nothing)."""
-    return walk_path(mapping, path.split("."))
 
 
 def walk_path(cur: Any, parts) -> Any:

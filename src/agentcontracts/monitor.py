@@ -45,7 +45,7 @@ from .engine import (
     session_timelines,
 )
 from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
-                     SessionTerminated)
+                     SessionTerminated, TraceTooShort)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
                     SatisfactionParams, StateDict, fallback_chain)
 
@@ -257,6 +257,9 @@ class SessionMonitor:
         self.violation_events: list = []
         self._events: list = []
         self._hard_names = {c.name for c in contract.hard_constraints()}
+        # Each result name's position in a step's results.
+        self._order = {name: i for i, name in enumerate(dict.fromkeys(
+            c.name for c in contract.invariants() + contract.governance()))}
         weights = [c.weight for c in contract.invariants() + contract.governance()]
         self._total_weight = sum(weights)
         self._weights = {c.name: c.weight
@@ -297,22 +300,26 @@ class SessionMonitor:
         if evaluation.preconditions:
             self._flag_preconditions(evaluation.preconditions)
 
-        # Close episodes for constraints back in compliance, then open new ones.
-        newly_violated = []
-        for name, result in evaluation.results.items():
-            episode = self._episodes.get(name)
-            if result.satisfied is True and episode is not None:
+        # Close episodes for constraints back in compliance, then open new
+        # ones, each in results order (which orders violation_events).  A
+        # new episode needs a violated result, so only the non-satisfied
+        # results are read for it.
+        results, episodes = evaluation.results, self._episodes
+        if episodes:
+            closing = [name for name in episodes if results[name].satisfied is True]
+            closing.sort(key=self._order.__getitem__)
+            for name in closing:
                 self._close_episode(name, recovered_at=t)
-            elif result.satisfied is False and episode is None:
-                newly_violated.append(name)
+        newly_violated = [name for name in evaluation.non_satisfied
+                          if results[name].satisfied is False and name not in episodes]
 
         if newly_violated:
             nu = self._severity(newly_violated)
             for name in newly_violated:
                 severity = "hard" if name in self._hard_names else "soft"
-                self._episodes[name] = _Episode(step=t, nu=nu, severity=severity)
+                episodes[name] = _Episode(step=t, nu=nu, severity=severity)
                 self._emit("violation", t, constraint=name, severity=severity,
-                           nu=nu, detail=evaluation.results[name].detail)
+                           nu=nu, detail=results[name].detail)
 
         d = drift.d_total
         cfg = self.contract.drift_config
@@ -373,13 +380,16 @@ class SessionMonitor:
     def _attempt_recovery(self, t: int, state: StateDict, action: ActionRecord,
                           evaluation: StepEvaluation) -> Optional[StepEvaluation]:
         post: Optional[StepEvaluation] = None
+        if not self._episodes:
+            return post
         current_state, current_action = state, action
 
         for con, schedule in self._schedules:
-            result = (post or evaluation).results.get(con.name)
             episode = self._episodes.get(con.name)
-            if (result is None or result.satisfied is not False
-                    or episode is None or episode.failed):
+            if episode is None or episode.failed:
+                continue
+            result = (post or evaluation).results.get(con.name)
+            if result is None or result.satisfied is not False:
                 continue
 
             stop = len(schedule)
@@ -434,9 +444,13 @@ class SessionMonitor:
         truncated trace if terminated): pre-recovery behavior exactly.
         When no step ran, the preconditions are evaluated here and each
         one that does not hold is flagged at step 0, as :meth:`step` does.
+        A trace of fewer steps than the monitor ran raises TraceTooShort.
         """
         evaluations = [r.evaluation for r in self.step_reports]
         steps_run = len(evaluations)
+        if trace.length < steps_run:
+            raise TraceTooShort(f"finalize needs the session's trace: the monitor ran "
+                                f"{steps_run} steps, the trace has {trace.length}")
         preconditions = initial_preconditions(self.contract, evaluations, trace.states)
         if not steps_run:
             self._flag_preconditions(preconditions)

@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import sys
+from collections import OrderedDict
 from dataclasses import replace
 from types import MappingProxyType
 from typing import Mapping
@@ -19,9 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcontracts.engine import evaluate_step
-from agentcontracts.expressions import Binary, Call, Field, Lit, Unary, compile_expression
+from agentcontracts import expressions
+from agentcontracts.assets import asset_path
+from agentcontracts.engine import ConstraintResult, evaluate_constraint, evaluate_step
+from agentcontracts.errors import TypeMismatch
+from agentcontracts.expressions import (OPERATORS, Binary, Call, Field, Lit, Unary,
+                                        compile_expression, field_getter)
 from agentcontracts.model import (
+    MISSING,
     ActionRecord,
     Constraint,
     Contract,
@@ -30,6 +36,7 @@ from agentcontracts.model import (
     value_eq,
 )
 from agentcontracts.monitor import run_session
+from agentcontracts.parser import load_contract
 
 from helpers import ACTION_FIELDS, STATE_FIELDS, random_action, random_contract, random_state
 
@@ -338,6 +345,22 @@ class TestHugeInts:
         assert (result.detail or "").startswith("type mismatch:") is mismatch
 
 
+def test_a_range_bound_beyond_floats_fails_closed():
+    # A Python-built contract skips the parser's validation; its range
+    # bound is then checked at each evaluation, as ordering operands are.
+    demo = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+    with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
+        trace = ExecutionTrace.from_dict(json.load(fh))
+    bounded = Constraint(name="bounded-tone", severity="hard", check=Predicate(
+        field_path="output.tone_score", operator="range", operand=[0, HUGE]))
+    report = run_session(replace(demo, invariants_hard=demo.invariants_hard + (bounded,)), trace)
+    assert len(report.steps) == trace.length
+    for step in report.steps:
+        assert step.evaluation.results["bounded-tone"] == ConstraintResult(
+            satisfied=False, detail="type mismatch: operator 'range' needs numeric operands, got int")
+    assert report.outcome == "hard_violation"
+
+
 class TestValueEqInContainers:
     @pytest.mark.parametrize("a,b,expected", [
         ([True], [1], False), ([[True]], [[1]], False), ((True,), (1,), False),
@@ -359,4 +382,172 @@ def test_a_used_contract_still_pickles_and_copies():
     report = run_session(contract, trace)
     for copy_ in (pickle.loads(pickle.dumps(contract)), copy.deepcopy(contract)):
         assert copy_ == contract
+        assert "_compiled" not in vars(copy_) and "_compiled" not in vars(copy_.drift_config)
         assert run_session(copy_, trace).to_dict() == report.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against their fallbacks
+# ---------------------------------------------------------------------------
+
+class Text(str):
+    """A str subclass: never takes a ``type(v) is str`` fast path."""
+
+
+class Bag(Mapping):
+    """A mapping that is not a dict."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+VALUES = (0, 7, -3, 75, 80, True, False, HUGE, -HUGE, math.nan, math.inf, -math.inf,
+          0.0, -0.0, 74.5, 75.0, 80.5, 1e308, -1e308, "ok", "alpha", "", Text("ok"),
+          Text("alpha"), [1], ["ok"], [True], {"k": 1}, MappingProxyType({"k": 1}), None)
+
+# (operator, operand): the operands each fast path specialises on, and
+# operands it must leave to OPERATORS.
+FIELD_CHECKS = (
+    ("lt", 75), ("le", 75.0), ("gt", -3), ("ge", 0.0), ("ge", -0.0), ("lt", 1e308),
+    ("lt", HUGE), ("le", math.nan), ("gt", math.inf), ("ge", True), ("lt", "ok"),
+    ("range", [0, 80]), ("range", [-3.5, 74.5]), ("range", (0.0, 0.0)), ("range", [0, HUGE]),
+    ("range", [math.nan, 1]), ("range", [True, 3]), ("range", ["a", "z"]),
+    ("in", ["ok", "alpha"]), ("not_in", ["ok", "alpha"]), ("in", []), ("not_in", ()),
+    ("in", ["ok", 7]), ("not_in", [Text("ok")]), ("in", [[1], {"k": 1}]), ("in", "okay"),
+    ("not_in", "okay"), ("eq", "ok"), ("ne", "ok"), ("eq", ""), ("eq", Text("ok")),
+    ("ne", Text("alpha")), ("eq", 7), ("ne", 7.0), ("eq", True), ("eq", [1]),
+    ("eq", HUGE), ("matches", "^o"), ("matches", Text("a")),
+)
+
+
+def unspecialised(op, value, operand):
+    """The result the engine gives from ``OPERATORS[op]`` called as is."""
+    try:
+        return ConstraintResult(satisfied=True if OPERATORS[op](value, operand) else False)
+    except TypeMismatch as exc:
+        return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
+
+
+class TestConstantOperandFastPaths:
+    @pytest.mark.parametrize("op,operand", FIELD_CHECKS)
+    def test_field_predicates_match_the_operator_table(self, op, operand):
+        con = Constraint(name="c", check=Predicate(field_path="x", operator=op, operand=operand))
+        for value in VALUES:
+            got = evaluate_constraint(con, {"x": value}, None, "state")
+            assert got == unspecialised(op, value, operand), value
+            if op in ("eq", "ne", "lt", "le", "gt", "ge"):
+                assert observed(got) == reference(con, {"x": value}, None, "state"), value
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "==", "!=", "in"])
+    @pytest.mark.parametrize("literal", ["75", "74.5", "0", "1e308", "\"ok\"", "\"\"",
+                                         "True"])
+    def test_expression_compares_match_a_field_operand(self, op, literal):
+        # ``x OP literal`` takes operator_for; ``x OP y`` with the same value
+        # in ``y`` calls OPERATORS directly.
+        constant = Constraint(name="c", check=Predicate(
+            expression=compile_expression(f"x {op} {literal}")))
+        field = Constraint(name="c", check=Predicate(expression=compile_expression(f"x {op} y")))
+        y = compile_expression(literal).value
+        for value in VALUES:
+            got = evaluate_constraint(constant, {"x": value}, None, "state")
+            assert got == evaluate_constraint(field, {"x": value, "y": y}, None, "state"), value
+            if op != "in":
+                assert observed(got) == reference(constant, {"x": value}, None, "state"), value
+
+    @pytest.mark.parametrize("src", ["x * 1.5 >= 0", "x - 2 < 1", "x / 0.5 > 0", "x / 0 > 0",
+                                     "x + -1e308 <= 0", "x * y >= 0", "x + y <= 0",
+                                     "x / y > 0", "y - x < 1"])
+    def test_arithmetic_constraints_match_the_reference(self, src):
+        con = Constraint(name="c", check=Predicate(expression=compile_expression(src)))
+        for x in VALUES:
+            for y in ARITHMETIC_OPERANDS:
+                state = {"x": x, "y": y}
+                got = evaluate_constraint(con, state, None, "state")
+                assert observed(got) == reference(con, state, None, "state"), (x, y)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_arithmetic_matches_the_plain_rule(self, op):
+        # Both operands checked by _require_number, left first, then combined.
+        def outcome(compute):
+            try:
+                return repr(compute())
+            except TypeMismatch as exc:
+                return f"TypeMismatch: {exc}"
+
+        for a in VALUES:
+            for b in ARITHMETIC_OPERANDS:
+                plain = outcome(lambda: expressions._ARITHMETIC[op](
+                    expressions._require_number(a, op), expressions._require_number(b, op)))
+                fields = expressions._closure(Binary(op, Field("x"), Field("y")))
+                constant = expressions._closure(Binary(op, Field("x"), Lit(b)))
+                assert outcome(lambda: fields({"x": a, "y": b}, None)) == plain, (a, b)
+                assert outcome(lambda: constant({"x": a}, None)) == plain, (a, b)
+
+
+ARITHMETIC_OPERANDS = (1.5, 0.0, -0.0, 3, 1e308, -1e308, HUGE, math.inf, math.nan, "1", True)
+
+
+KEYS = ("a", "b", "label", "c")
+
+
+@st.composite
+def nested_paths(draw, mapping_root=False):
+    """``(keys, root)``: a key path of 1-5 keys and a root built along it,
+    each level a dict, a MappingProxyType, a non-dict Mapping, a dict
+    subclass, a mapping without the next key, or a value that is no
+    mapping at all."""
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=5))
+    node = draw(st.sampled_from([1, "v", None, [1], {"z": 1}, 2.5]))
+    for depth, key in enumerate(reversed(keys)):
+        kinds = ["dict"] * 4 + ["proxy", "bag", "ordered", "no-key"]
+        if not (mapping_root and depth == len(keys) - 1):
+            kinds += ["list", "text"]
+        kind = draw(st.sampled_from(kinds))
+        contents = {key: node, "other": 0}
+        if kind == "no-key":
+            node = {"other": node}
+        elif kind == "list":
+            node = [contents]
+        elif kind == "text":
+            node = "a.b"
+        else:
+            node = {"dict": dict, "proxy": MappingProxyType, "bag": Bag,
+                    "ordered": OrderedDict}[kind](contents)
+    return keys, node
+
+
+class TestFieldWalkers:
+    @given(case=nested_paths(), prefix=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_state_paths_match_the_reference(self, case, prefix):
+        keys, state = case
+        path = ("state." if prefix else "") + ".".join(keys)
+        got = field_getter(path)(state, None)
+        want = ref_field(path, state, None, "state")
+        assert got is want or (got is MISSING and want is ABSENT)
+        for op, operand in (("exists", None), ("eq", 1)):
+            con = Constraint(name="c", check=Predicate(field_path=path, operator=op,
+                                                       operand=operand))
+            assert observed(evaluate_constraint(con, state, None, "state")) == \
+                reference(con, state, None, "state")
+
+    @given(case=nested_paths(mapping_root=True), prefix=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_action_paths_match_the_reference(self, case, prefix):
+        keys, payload = case
+        path = ("action." if prefix else "") + ".".join(keys)
+        action = ActionRecord("go", payload)
+        got = field_getter(path, "action")({}, action)
+        want = ref_field(path, {}, action, "action")
+        assert got is want or (got is MISSING and want is ABSENT)
+        con = Constraint(name="c", check=Predicate(field_path=path, operator="exists"))
+        assert evaluate_constraint(con, {}, action, "action").satisfied is (want is not ABSENT)

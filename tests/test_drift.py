@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
+from agentcontracts import drift
 from agentcontracts.drift import (
     DriftWindow,
+    _jsd,
+    _smooth,
     jsd,
     mean,
     recovery_effectiveness,
@@ -123,6 +126,54 @@ class TestJsd:
             bc = math.sqrt(jsd(q, r))
             ac = math.sqrt(jsd(p, r))
             assert ac <= ab + bc + 1e-9
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestDistributionalDriftTerms:
+    """The window's divergence reuses cached terms for labels absent from
+    it; it must equal the plain kernel over the full support bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_plain_kernel_bit_for_bit(self, data):
+        size = data.draw(st.integers(1, 60))
+        vocabulary = [f"a{i}" for i in range(size)]
+        weights = data.draw(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=size,
+                                     max_size=size).filter(lambda w: sum(w) >= 1e-3))
+        config = DriftConfig(window=data.draw(st.integers(1, 20)), vocabulary=vocabulary,
+                             reference={a: w / sum(weights) for a, w in zip(vocabulary, weights)})
+        labels = st.sampled_from(vocabulary + ["oov-1", "oov-2"])
+        # Fresh windows on one configuration share its cache of terms.
+        for _ in range(data.draw(st.integers(1, 3))):
+            window = DriftWindow(config)
+            reference = _smooth([config.reference.get(a, 0.0) for a in window.support])
+            assert window.distributional_drift() == 0.0
+            for label in data.draw(st.lists(labels, min_size=1, max_size=40)):
+                window.push(label)
+                expected = _jsd(_smooth(window.observed()), reference)
+                assert bits(window.distributional_drift()) == bits(expected)
+
+    def test_the_cache_of_terms_stays_bounded(self, monkeypatch):
+        # A window gives only a few distinct smoothed totals (4 here), so
+        # the bound is lowered to see it hold.
+        monkeypatch.setattr(drift, "_ABSENT_TERMS_KEPT", 2)
+        vocabulary = [f"a{i}" for i in range(40)]
+        config = DriftConfig(window=20, vocabulary=vocabulary,
+                             reference={a: (i + 1) / 820 for i, a in enumerate(vocabulary)})
+        reference = _smooth([config.reference[a] for a in vocabulary] + [0.0])
+        rng = np.random.default_rng(3)
+        window = DriftWindow(config)
+        norms = set()
+        for label in rng.choice(vocabulary, size=600):
+            window.push(str(label))
+            expected = _jsd(_smooth(window.observed()), reference)
+            assert bits(window.distributional_drift()) == bits(expected)
+            norms.update(window._absent_terms)
+            assert len(window._absent_terms) <= 2
+        assert len(norms) > 2
 
 
 def contract_for_drift(w_c=0.7, w_d=0.3):

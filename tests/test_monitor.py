@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from agentcontracts.assets import asset_path
 from agentcontracts import engine
 from agentcontracts.errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
-                                  SessionTerminated)
+                                  SessionTerminated, TraceTooShort)
 from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
@@ -384,6 +384,18 @@ class TestRunSession:
         assert event.recovered_at == 3
         assert event.delta_t_recovery == 1
 
+    def test_episodes_closing_together_are_logged_in_results_order(self):
+        # "b" opens first, "a" second; both close at step 2, logged as a plain
+        # pass over that step's results meets them.
+        contract = Contract(name="t", invariants_soft=(
+            Constraint(name="a", check=ge("a", 1)), Constraint(name="b", check=ge("b", 1))),
+            drift_config=QUIET_DRIFT)
+        states = ({"a": 1, "b": 0}, {"a": 0, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 1})
+        report = run_session(contract, ExecutionTrace(states=states,
+                                                      actions=(ActionRecord("go"),) * 3))
+        assert [(v.constraint, v.step, v.recovered_at) for v in report.violations] == [
+            ("a", 1, 2), ("b", 0, 2)]
+
     def test_unrecovered_violation_left_open(self):
         contract = tone_contract(k=1)
         trace = trace_of([5, 0, 0, 0])
@@ -430,6 +442,19 @@ class TestRunSession:
         with open(asset_path("golden", "financial_advisor_demo_report.json")) as fh:
             golden = json.load(fh)
         assert report.to_dict() == golden
+
+    def test_finalize_rejects_a_trace_shorter_than_the_session(self):
+        contract = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+        with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
+            trace = ExecutionTrace.from_dict(json.load(fh))
+        monitor = SessionMonitor(contract)
+        for t in range(trace.length):
+            monitor.step(trace.states[t], trace.actions[t])
+        short = ExecutionTrace(states=trace.states[:3], actions=trace.actions[:2])
+        with pytest.raises(TraceTooShort, match=f"ran {trace.length} steps, the trace has 2$"):
+            monitor.finalize(short)
+        # Nothing was closed: the session still finalizes with its own trace.
+        assert monitor.finalize(trace).to_dict() == run_session(contract, trace).to_dict()
 
 
 class TestOneEvaluation:
