@@ -212,10 +212,9 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     a_strats = list(a.recovery_strategies)
     b_strats = list(b.recovery_strategies)
     strategy_renames = _rename_collisions([(a.name, a_strats), (b.name, b_strats)])
-    # Old name -> new name per side; a reference resolves to the first
-    # strategy of its name.
-    a_names = {s.name: strategy_renames[id(s)] for s in reversed(a_strats)}
-    b_names = {s.name: strategy_renames[id(s)] for s in reversed(b_strats)}
+    # Old name -> new name per side.
+    a_names = {s.name: strategy_renames[id(s)] for s in a_strats}
+    b_names = {s.name: strategy_renames[id(s)] for s in b_strats}
 
     def rebuild(con: Constraint, names: dict, scope: Optional[str] = None) -> Constraint:
         """``con`` renamed, its recovery following its side's strategy

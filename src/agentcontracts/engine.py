@@ -20,10 +20,10 @@ Each constraint compiles once, on first use, into a closure
 its field path becomes a walker unrolled for its key count and its
 operator a test specialised on the constant operand (see
 :mod:`~agentcontracts.expressions`, whose fallbacks keep every result and
-detail the same).  A contract's closures, names and scopes are cached on
-the contract object, so a step does constant work per constraint.  The
-closures are the one evaluator: steps, post-recovery re-scoring, the
-trailing state and :func:`evaluate_constraint` all run them.
+detail the same).  A contract's plan, cached on the contract object,
+validates it once and holds its tables, so a step does constant work per
+constraint.  The closures are the one evaluator: steps, post-recovery
+re-scoring, the trailing state and :func:`evaluate_constraint` all run them.
 
 A passing closure returns the shared ``SATISFIED`` result, so a step
 records which results are anything else (``StepEvaluation.non_satisfied``)
@@ -34,13 +34,13 @@ ratios.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import FieldResolutionError, TypeMismatch, ZeroSeverity
 from .expressions import compile_evaluator, field_getter, operator_for
-from .model import MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict
+from .model import (MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict,
+                    fallback_chain, require_valid)
 
 __all__ = [
     "ConstraintResult",
@@ -223,27 +223,40 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
 
 
 class _Plan:
-    """A contract's constraints compiled once: ``(name, scope, closure)``
-    per precondition, invariant and governance constraint, and, for the
-    hard and the soft compliance score, how many constraints carry each
-    name."""
+    """A contract validated (an error issue raises SemanticError, as the
+    parser does), then compiled once: ``(name, scope, closure)`` per
+    precondition, invariant and governance constraint, the hard and the soft
+    names, each scored name's results position and weight (and their total),
+    and each soft constraint's recovery chain, one strategy per attempt."""
 
-    __slots__ = ("preconditions", "invariants", "governance", "hard", "soft")
+    __slots__ = ("preconditions", "invariants", "governance", "hard", "soft",
+                 "order", "weights", "total_weight", "schedules")
 
     def __init__(self, contract: Contract):
+        require_valid(contract)
+
         def entries(constraints, target):
             return tuple((c.name, c.scope, compile_constraint(c, target)) for c in constraints)
 
         self.preconditions = entries(contract.preconditions, "state")
         self.invariants = entries(contract.invariants(), "state")
         self.governance = entries(contract.governance(), "action")
-        self.hard = Counter(c.name for c in contract.hard_constraints())
-        self.soft = Counter(c.name for c in contract.soft_constraints())
+        self.hard = frozenset(c.name for c in contract.hard_constraints())
+        self.soft = frozenset(c.name for c in contract.soft_constraints())
+        scored = contract.invariants() + contract.governance()
+        self.order = {c.name: i for i, c in enumerate(scored)}
+        self.weights = {c.name: c.weight for c in scored}
+        self.total_weight = sum(self.weights.values())
+        strategies = {s.name: s for s in contract.recovery_strategies}
+        self.schedules = tuple(
+            (con, tuple(s for s in fallback_chain(strategies, con.recovery)[0]
+                        for _ in range(s.max_attempts)))
+            for con in contract.soft_constraints())
 
 
 def _plan(contract: Contract) -> _Plan:
-    """The contract's compiled constraints, built on first use and cached on
-    the contract object."""
+    """The contract's plan, built (and so validated) on first use and cached
+    on the contract object."""
     plan = vars(contract).get("_compiled")
     if plan is None:
         plan = vars(contract)["_compiled"] = _Plan(contract)
@@ -259,20 +272,19 @@ def _non_satisfied(results: Mapping[str, ConstraintResult]) -> tuple:
 
 
 def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str],
-           counts: Counter) -> float:
-    """Satisfied over scored constraints among those ``counts`` names, a
-    skipped one not scored (1.0 with none scored); only the non-satisfied
-    results can differ from a plain pass."""
-    satisfied = total = counts.total()
+           names: frozenset) -> float:
+    """Satisfied over scored constraints among ``names``, a skipped one not
+    scored (1.0 with none scored); only the non-satisfied results can
+    differ from a plain pass."""
+    satisfied = total = len(names)
     for name in non_satisfied:
-        n = counts.get(name)
-        if n:
+        if name in names:
             r = results[name].satisfied
             if r is None:
-                total -= n
-                satisfied -= n
+                total -= 1
+                satisfied -= 1
             elif not r:
-                satisfied -= n
+                satisfied -= 1
     return satisfied / total if total else 1.0
 
 

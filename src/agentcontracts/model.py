@@ -12,9 +12,9 @@ import math
 import re
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from .errors import FormatError
+from .errors import FormatError, SemanticError
 
 __all__ = [
     "StateDict",
@@ -29,6 +29,7 @@ __all__ = [
     "Contract",
     "StructuralIssue",
     "validate_contract",
+    "require_valid",
     "fallback_chain",
     "wire_elements",
     "OTHER_LABEL",
@@ -378,6 +379,15 @@ def _validate_predicate(name: str, p: Predicate, out: list) -> None:
                               f"{p.operator} operand must be a list"))
 
 
+def _scope_fits(scope, stages) -> bool:
+    """Whether ``scope`` names a stage (``stage:i``, i < stages) or a
+    handoff (``handoff:j``, j < stages - 1) of a ``stages``-stage contract."""
+    match = isinstance(scope, str) and re.fullmatch(r"(stage|handoff):([0-9]+)", scope)
+    if not match or not isinstance(stages, int):
+        return False
+    return int(match[2]) < (stages if match[1] == "stage" else stages - 1)
+
+
 def fallback_chain(strategies: Mapping[str, RecoveryStrategy], start: Optional[str]) -> tuple:
     """``(chain, cyclic)``: the strategies reached from ``start`` by following
     ``fallback`` links, in order.  The walk stops at a name ``strategies``
@@ -420,11 +430,16 @@ def validate_contract(c: Contract) -> list:
             issues.append(_issue(con.name, "duplicate-name",
                                  "constraint names must be unique within a contract"))
         names_seen[con.name] = True
-        if not (isinstance(con.weight, (int, float)) and con.weight > 0):
-            issues.append(_issue(con.name, "nonpositive-weight", "weight must be > 0"))
+        if not (is_number(con.weight) and con.weight > 0):
+            issues.append(_issue(con.name, "nonpositive-weight",
+                                 "weight must be a finite number > 0"))
         if con.severity not in ("hard", "soft"):
             issues.append(_issue(con.name, "bad-severity",
                                  f"severity must be hard or soft, got {con.severity!r}"))
+        if con.scope is not None and not _scope_fits(con.scope, c.stages):
+            issues.append(_issue(con.name, "bad-scope",
+                                 f"scope must be stage:<i> with i < {c.stages} or "
+                                 f"handoff:<j> with j < {c.stages - 1}, got {con.scope!r}"))
         if con.severity == "hard" and con.recovery is not None:
             issues.append(_issue(con.name, "hard-with-recovery",
                                  "hard constraints carry no recovery reference"))
@@ -440,6 +455,14 @@ def validate_contract(c: Contract) -> list:
                                  severity="warning"))
         _validate_predicate(con.name, con.check, issues)
 
+    # A hard or soft section decides how its constraints are scored and
+    # recovered, so a constraint's severity must agree with its section.
+    for section, constraints in (("hard", c.hard_constraints()), ("soft", c.soft_constraints())):
+        for con in constraints:
+            if con.severity in ("hard", "soft") and con.severity != section:
+                issues.append(_issue(con.name, "severity-section-mismatch",
+                                     f"a {con.severity} constraint in a {section} section"))
+
     # Preconditions and invariants are over states; only governance sees the action.
     from .expressions import field_paths  # expressions imports this module
     for con in c.preconditions + c.invariants():
@@ -451,7 +474,12 @@ def validate_contract(c: Contract) -> list:
 
     # Recovery strategies.
     referenced = {con.recovery for con in c.all_constraints() if con.recovery}
+    strategies_seen: set = set()
     for s in c.recovery_strategies:
+        if s.name in strategies_seen:
+            issues.append(_issue(s.name, "duplicate-strategy-name",
+                                 "strategy names must be unique within a contract"))
+        strategies_seen.add(s.name)
         if s.type not in RECOVERY_TYPES:
             issues.append(_issue(s.name, "bad-strategy-type",
                                  f"type must be one of {RECOVERY_TYPES}, got {s.type!r}"))
@@ -460,9 +488,12 @@ def validate_contract(c: Contract) -> list:
         if s.fallback is not None and s.fallback not in strategy_names:
             issues.append(_issue(s.name, "unresolved-fallback-reference",
                                  f"fallback strategy {s.fallback!r} is not defined"))
-        elif fallback_chain(strategy_names, s.name)[1]:
-            issues.append(_issue(s.name, "cyclic-fallback-chain",
-                                 "fallback chain must be acyclic"))
+        else:
+            chain, cyclic = fallback_chain(strategy_names, s.name)
+            if cyclic:
+                names = " -> ".join([x.name for x in chain] + [chain[-1].fallback])
+                issues.append(_issue(s.name, "cyclic-fallback-chain",
+                                     f"fallback chain must be acyclic: {names}"))
         if s.name not in referenced:
             issues.append(_issue(s.name, "unreferenced-strategy",
                                  "strategy is not referenced by any constraint",
@@ -520,6 +551,17 @@ def validate_contract(c: Contract) -> list:
 
     issues.sort(key=lambda i: (i.element, i.rule))
     return issues
+
+
+def require_valid(c: Contract, span_of: Callable[[str], Any] = lambda element: None) -> None:
+    """Raise SemanticError when :func:`validate_contract` finds an error in
+    ``c``: ``"{element}: {message} (+N more issues)"`` for the first one,
+    located by ``span_of(element)``."""
+    errors = [i for i in validate_contract(c) if i.severity == "error"]
+    if errors:
+        more = f" (+{len(errors) - 1} more issues)" if len(errors) > 1 else ""
+        raise SemanticError(f"{errors[0].element}: {errors[0].message}{more}",
+                            span=span_of(errors[0].element))
 
 
 def walk_path(cur: Any, parts) -> Any:

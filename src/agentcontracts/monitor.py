@@ -6,22 +6,23 @@ violated soft constraints, then a separately recorded post-recovery
 re-evaluation.  Compliance series always reflect pre-recovery state; hard
 violations are logged, never recovered.
 
-Recovery follows a soft constraint's chain of strategies, flattened when
-the monitor is built into one strategy per attempt: each strategy spends
-its ``max_attempts`` consecutive attempts before its fallback takes over,
-and a cyclic chain is rejected with SemanticError.  One attempt is made per
-step unless ``attempts_per_step=None``, which runs the whole chain within a
-single step.  Each violation episode owns its attempt counter: the counter
-persists across that episode's steps, and a new episode, opened when the
-constraint is violated again after being satisfied, starts at zero.  An
-episode emits at most one ``recovery_failed``, after which it gets no more
-attempts.  Without a registered hook the monitor is detection-only:
-violations of constraints whose strategies need corrective action emit
-``recovery_failed`` immediately.  A hook returns None or a (state mapping,
-ActionRecord) pair.  A hook that raises (RecoveryHookError, chained to the
-hook's exception) or returns anything else (BadHookReturn) closes the
-session: the failing step's report is recorded, without a post-recovery
-evaluation, and a later step raises SessionTerminated.
+The monitor keeps only per-session state: the contract's plan (see
+:mod:`~agentcontracts.engine`) validates the contract when the monitor is
+built and holds its tables, among them each soft constraint's chain
+flattened into one strategy per attempt: each strategy spends its
+``max_attempts`` consecutive attempts before its fallback takes over.  One
+attempt is made per step unless ``attempts_per_step=None``, which runs the
+whole chain within a single step.  Each violation episode owns its attempt
+counter: the counter persists across that episode's steps, and a new
+episode, opened when the constraint is violated again after being satisfied,
+starts at zero.  An episode emits at most one ``recovery_failed``, after
+which it gets no more attempts.  Without a registered hook the monitor is
+detection-only: violations of constraints whose strategies need corrective
+action emit ``recovery_failed`` immediately.  A hook returns None or a
+(state mapping, ActionRecord) pair.  A hook that raises (RecoveryHookError,
+chained to the hook's exception) or returns anything else (BadHookReturn)
+closes the session: the failing step's report is recorded, without a
+post-recovery evaluation, and a later step raises SessionTerminated.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .engine import (
     SatisfactionVerdict,
     StepEvaluation,
     ViolationEvent,
+    _plan,
     _recoverable,
     _score_step,
     check_deterministic,
@@ -44,10 +46,10 @@ from .engine import (
     initial_preconditions,
     session_timelines,
 )
-from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
-                     SessionTerminated, TraceTooShort)
+from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SessionTerminated,
+                     TraceTooShort)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
-                    SatisfactionParams, StateDict, fallback_chain)
+                    SatisfactionParams, StateDict)
 
 __all__ = [
     "MonitorEvent",
@@ -221,8 +223,9 @@ class SessionMonitor:
     to the end of the trace, and handoff invariants only at their boundary
     state.  They are checked here, against ``trace_length`` when it is
     given (None, for a stream of unknown length, sets no upper bound);
-    bad or missing boundaries raise BadBoundaries.  A soft constraint whose
-    fallback chain is cyclic raises SemanticError.
+    bad or missing boundaries raise BadBoundaries.  A contract that
+    :func:`~agentcontracts.model.validate_contract` rejects raises
+    SemanticError here, when the contract's plan is built.
     """
 
     def __init__(self, contract: Contract, hook: Optional[RecoveryHook] = None,
@@ -230,6 +233,7 @@ class SessionMonitor:
                  attempts_per_step: Optional[int] = 1,
                  boundaries: Optional[Sequence[int]] = None,
                  trace_length: Optional[int] = None):
+        self._plan = _plan(contract)
         self.contract = contract
         self.hook = hook
         self.listeners = list(listeners)
@@ -240,30 +244,10 @@ class SessionMonitor:
         self._t = 0
         self._closed_by: Optional[str] = None
         self.window = DriftWindow.for_contract(contract)
-        # Each soft constraint's chain, one strategy per attempt: after an
-        # episode's ``used`` attempts the next one runs schedule[used].
-        strategies = {s.name: s for s in reversed(contract.recovery_strategies)}
-        self._schedules = []
-        for con in contract.soft_constraints():
-            chain, cyclic = fallback_chain(strategies, con.recovery)
-            if cyclic:
-                names = " -> ".join([s.name for s in chain] + [chain[-1].fallback])
-                raise SemanticError(f"soft constraint {con.name!r} recovers through "
-                                    f"a cyclic fallback chain: {names}")
-            self._schedules.append(
-                (con, tuple(s for s in chain for _ in range(s.max_attempts))))
         self._episodes: dict = {}
         self.step_reports: list = []
         self.violation_events: list = []
         self._events: list = []
-        self._hard_names = {c.name for c in contract.hard_constraints()}
-        # Each result name's position in a step's results.
-        self._order = {name: i for i, name in enumerate(dict.fromkeys(
-            c.name for c in contract.invariants() + contract.governance()))}
-        weights = [c.weight for c in contract.invariants() + contract.governance()]
-        self._total_weight = sum(weights)
-        self._weights = {c.name: c.weight
-                         for c in contract.invariants() + contract.governance()}
 
     @property
     def terminated(self) -> bool:
@@ -307,7 +291,7 @@ class SessionMonitor:
         results, episodes = evaluation.results, self._episodes
         if episodes:
             closing = [name for name in episodes if results[name].satisfied is True]
-            closing.sort(key=self._order.__getitem__)
+            closing.sort(key=self._plan.order.__getitem__)
             for name in closing:
                 self._close_episode(name, recovered_at=t)
         newly_violated = [name for name in evaluation.non_satisfied
@@ -316,7 +300,7 @@ class SessionMonitor:
         if newly_violated:
             nu = self._severity(newly_violated)
             for name in newly_violated:
-                severity = "hard" if name in self._hard_names else "soft"
+                severity = "hard" if name in self._plan.hard else "soft"
                 episodes[name] = _Episode(step=t, nu=nu, severity=severity)
                 self._emit("violation", t, constraint=name, severity=severity,
                            nu=nu, detail=results[name].detail)
@@ -359,10 +343,8 @@ class SessionMonitor:
     def _severity(self, names: Sequence[str]) -> float:
         """Compliance drop attributable to this step's new violations,
         floored at one unit weight."""
-        if self._total_weight <= 0:
-            return 1.0
-        drop = sum(self._weights.get(n, 0.0) for n in names)
-        return min(1.0, max(drop, 1.0) / self._total_weight)
+        drop = sum(self._plan.weights[n] for n in names)
+        return min(1.0, max(drop, 1.0) / self._plan.total_weight)
 
     def _close_episode(self, name: str, recovered_at: Optional[int] = None) -> None:
         """Log the episode of ``name``; one never recovered has no duration."""
@@ -384,12 +366,11 @@ class SessionMonitor:
             return post
         current_state, current_action = state, action
 
-        for con, schedule in self._schedules:
+        for con, schedule in self._plan.schedules:
             episode = self._episodes.get(con.name)
             if episode is None or episode.failed:
                 continue
-            result = (post or evaluation).results.get(con.name)
-            if result is None or result.satisfied is not False:
+            if (post or evaluation).results[con.name].satisfied is not False:
                 continue
 
             stop = len(schedule)

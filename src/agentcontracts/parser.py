@@ -46,7 +46,7 @@ from .model import (
     RecoveryStrategy,
     ReliabilityWeights,
     SatisfactionParams,
-    validate_contract,
+    require_valid,
 )
 
 __all__ = [
@@ -481,13 +481,8 @@ def _parse_agent(doc: _Doc, root: Mapping) -> Contract:
         reliability_weights=_parse_reliability(doc, root.get("reliability"), ("reliability",)),
     )
 
-    issues = [i for i in validate_contract(contract) if i.severity == "error"]
-    if issues:
-        first = issues[0]
-        raise SemanticError(
-            f"{first.element}: {first.message}"
-            + (f" (+{len(issues) - 1} more issues)" if len(issues) > 1 else ""),
-            span=doc.span(_element_paths(contract).get(first.element, ())))
+    paths = _element_paths(contract)
+    require_valid(contract, lambda element: doc.span(paths.get(element, ())))
     return contract
 
 
@@ -552,9 +547,14 @@ def _parse_pipeline_doc(doc: _Doc, root: Mapping,
         if not isinstance(type_map_raw, Mapping):
             raise SchemaError("type_map must be a mapping of upstream path to downstream path",
                               span=doc.span(p + ("type_map",)), field="type_map")
+        invariants = _parse_constraint_section(doc, entry.get("invariants"),
+                                               p + ("invariants",), "hard")
+        # The contract rules a handoff invariant meets once composed, checked here.
+        paths = {con.name: p + ("invariants", i) for i, con in enumerate(invariants)}
+        require_valid(Contract(name=f"handoff {j}", invariants_hard=invariants),
+                      lambda element: doc.span(paths.get(element, p)))
         handoffs.append(HandoffSpec(
-            invariants=_parse_constraint_section(doc, entry.get("invariants"), p + ("invariants",),
-                                                 "hard"),
+            invariants=invariants,
             type_map={str(k): str(v) for k, v in type_map_raw.items()},
             p_h=_get_number(doc, entry, "p_h", p, default=1.0, lo=0.0, hi=1.0),
             delta_h=_get_number(doc, entry, "delta_h", p, default=0.0, lo=0.0, hi=1.0),

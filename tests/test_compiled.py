@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from agentcontracts import expressions
 from agentcontracts.assets import asset_path
 from agentcontracts.engine import ConstraintResult, evaluate_constraint, evaluate_step
-from agentcontracts.errors import TypeMismatch
+from agentcontracts.errors import SemanticError, TypeMismatch
 from agentcontracts.expressions import (OPERATORS, Binary, Call, Field, Lit, Unary,
                                         compile_expression, field_getter)
 from agentcontracts.model import (
@@ -35,7 +35,7 @@ from agentcontracts.model import (
     Predicate,
     value_eq,
 )
-from agentcontracts.monitor import run_session
+from agentcontracts.monitor import SessionMonitor, run_session
 from agentcontracts.parser import load_contract
 
 from helpers import ACTION_FIELDS, STATE_FIELDS, random_action, random_contract, random_state
@@ -346,19 +346,19 @@ class TestHugeInts:
 
 
 def test_a_range_bound_beyond_floats_fails_closed():
-    # A Python-built contract skips the parser's validation; its range
-    # bound is then checked at each evaluation, as ordering operands are.
+    # A Python-built contract is validated when its plan is built: the
+    # bound is rejected before the first step, never evaluated.
     demo = load_contract(asset_path("contracts", "financial-advisor.yaml"))
     with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
         trace = ExecutionTrace.from_dict(json.load(fh))
     bounded = Constraint(name="bounded-tone", severity="hard", check=Predicate(
         field_path="output.tone_score", operator="range", operand=[0, HUGE]))
-    report = run_session(replace(demo, invariants_hard=demo.invariants_hard + (bounded,)), trace)
-    assert len(report.steps) == trace.length
-    for step in report.steps:
-        assert step.evaluation.results["bounded-tone"] == ConstraintResult(
-            satisfied=False, detail="type mismatch: operator 'range' needs numeric operands, got int")
-    assert report.outcome == "hard_violation"
+    contract = replace(demo, invariants_hard=demo.invariants_hard + (bounded,))
+    message = r"^bounded-tone: range operand must be finite, got an int too large for a float$"
+    with pytest.raises(SemanticError, match=message):
+        SessionMonitor(contract)
+    with pytest.raises(SemanticError, match=message):
+        run_session(contract, trace)
 
 
 class TestValueEqInContainers:
