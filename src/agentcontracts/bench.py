@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .composition import check_boundaries, compose_chain
+from .composition import check_boundaries
 from .drift import mean
 from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import Contract, ExecutionTrace
@@ -111,8 +111,7 @@ def _load_contract(path: str, cache: dict) -> tuple:
         loaded = load_document(path)
         contract = loaded
         if isinstance(loaded, PipelineContract):
-            contract = compose_chain([s.contract for s in loaded.stages],
-                                     list(loaded.handoffs))
+            contract = loaded.compose()
         cache[key] = (loaded, contract)
     return cache[key]
 

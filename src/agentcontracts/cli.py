@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .bench import aggregate, load_suite, score_suite
-from .composition import ChainSpec, chain_bounds, check_conditions, compose_chain
+from .composition import ChainSpec, chain_bounds, check_conditions
 from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
 from .model import ExecutionTrace, validate_contract, wire_elements
 from .monitor import run_session
@@ -116,8 +116,7 @@ def cmd_run(args) -> int:
         raise FormatError(f"{args.trace}: {exc}") from None
     boundaries = doc.get("boundaries")
     if isinstance(contract, PipelineContract):
-        contract = compose_chain([s.contract for s in contract.stages],
-                                 list(contract.handoffs))
+        contract = contract.compose()
     report = run_session(contract, trace, hook=None, boundaries=boundaries)
 
     output = report.to_json()

@@ -18,16 +18,12 @@ witness corpora travel with the benchmark scenarios.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .engine import (
-    SatisfactionVerdict,
-    check_deterministic,
-    constraint_timelines,
-    evaluate_constraint,
-)
-from .errors import BadBoundaries, InsufficientSamples
+from .engine import SatisfactionVerdict, _plan, check_deterministic, constraint_timelines
+from .errors import BadBoundaries, InsufficientSamples, TypeMismatch
 from .expressions import OPERATORS, field_key
 from .model import (
     MISSING,
@@ -49,6 +45,7 @@ __all__ = [
     "ConditionResult",
     "compose_contracts",
     "compose_chain",
+    "handoff_contract",
     "check_conditions",
     "chain_bounds",
     "verify_chain_trace",
@@ -70,6 +67,14 @@ class HandoffSpec:
         object.__setattr__(self, "type_map", dict(self.type_map))
         if not (0.0 <= self.p_h <= 1.0 and 0.0 <= self.delta_h <= 1.0):
             raise ValueError("p_h and delta_h must lie in [0, 1]")
+
+
+def handoff_contract(invariants: Sequence[Constraint]) -> Contract:
+    """Handoff invariants as the contract they are validated and evaluated
+    as: each in the section it takes once composed (only a soft one soft)."""
+    return Contract(name="handoff",
+                    invariants_hard=tuple(c for c in invariants if c.severity != "soft"),
+                    invariants_soft=tuple(c for c in invariants if c.severity == "soft"))
 
 
 @dataclass(frozen=True)
@@ -177,16 +182,22 @@ def _shift_scope(scope: Optional[str], stage_offset: int, default_stage: int) ->
 
 def _rename_collisions(groups: Sequence[Tuple[str, list]]) -> dict:
     """groups: (owner prefix, list of named items).  Returns mapping
-    id(item) -> new name, prefixing every name that appears in more than
-    one group."""
-    counts: dict = {}
-    for _, items in groups:
-        for item in items:
-            counts[item.name] = counts.get(item.name, 0) + 1
+    id(item) -> new name: a name held in more than one group is prefixed by
+    its group's owner, again until it clashes with no other name, and every
+    other name is kept."""
+    held = Counter(name for _, items in groups for name in {item.name for item in items})
+    taken = set(held)
     renames: dict = {}
     for prefix, items in groups:
+        chosen: dict = {}
         for item in items:
-            renames[id(item)] = f"{prefix}.{item.name}" if counts[item.name] > 1 else item.name
+            if held[item.name] > 1 and item.name not in chosen:
+                name = f"{prefix}.{item.name}"
+                while name in taken:
+                    name = f"{prefix}.{name}"
+                taken.add(name)
+                chosen[item.name] = name
+            renames[id(item)] = chosen.get(item.name, item.name)
     return renames
 
 
@@ -198,7 +209,8 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     surfaced by :func:`check_conditions`, not here); the composed recovery
     window is max(k_a, k_b) and the composed (p, delta) follow the
     probabilistic composition bounds.  Duplicate constraint or strategy
-    names across the two sides are prefixed by their agent's name.  The
+    names across the two sides are prefixed by their agent's name (again,
+    until no name clashes); every other name is kept.  The
     result spans ``a.stages + b.stages`` stages, ``b``'s scopes offset by
     ``a.stages``.
     """
@@ -207,6 +219,7 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     a_cons = list(a.all_constraints())
     b_cons = list(b.all_constraints())
     h_cons = list(h.invariants)
+    h_sections = handoff_contract(h_cons)
     renames = _rename_collisions([(a.name, a_cons), (b.name, b_cons),
                                   ("handoff", h_cons)])
     a_strats = list(a.recovery_strategies)
@@ -245,10 +258,10 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
         preconditions=tuple(rebuild(c, a_names) for c in a.preconditions),
         invariants_hard=tuple(
             staged(a.invariants_hard, a_names, 0) + staged(b.invariants_hard, b_names, n_a)
-            + [rebuild(c, {}, handoff) for c in h_cons if c.severity == "hard"]),
+            + [rebuild(c, {}, handoff) for c in h_sections.invariants_hard]),
         invariants_soft=tuple(
             staged(a.invariants_soft, a_names, 0) + staged(b.invariants_soft, b_names, n_a)
-            + [rebuild(c, {}, handoff) for c in h_cons if c.severity == "soft"]),
+            + [rebuild(c, {}, handoff) for c in h_sections.invariants_soft]),
         governance_hard=tuple([rebuild(c, a_names) for c in a.governance_hard]
                               + [rebuild(c, b_names) for c in b.governance_hard]),
         governance_soft=tuple([rebuild(c, a_names) for c in a.governance_soft]
@@ -298,10 +311,11 @@ def _scalar_kind(value) -> Optional[str]:
 
 
 def _expected_kind(b: Contract, path: str) -> Optional[str]:
-    """Scalar kind B's preconditions require of an input field, if any."""
+    """Scalar kind B's preconditions require of an input field (under either
+    spelling, see :func:`~agentcontracts.expressions.field_key`), if any."""
     for con in b.preconditions:
         check = con.check
-        if check.is_expression() or check.field_path != path:
+        if check.is_expression() or field_key(check.field_path) != field_key(path):
             continue
         kind = _KIND_OF_OPERATOR.get(check.operator)
         if kind:
@@ -313,10 +327,11 @@ def _expected_kind(b: Contract, path: str) -> Optional[str]:
     return None
 
 
-def _holds(constraints: Sequence[Constraint], state: StateDict,
-           target: str = "state", action: Optional[ActionRecord] = None) -> bool:
-    return all(evaluate_constraint(c, state, action, target=target).satisfied is True
-               for c in constraints)
+def _unsatisfied(entries: Sequence[tuple], state: StateDict,
+                 action: Optional[ActionRecord] = None) -> list:
+    """Names of the plan ``entries`` not satisfied (violated or skipped), in order."""
+    return [name for name, _, evaluate in entries
+            if evaluate(state, action).satisfied is not True]
 
 
 def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
@@ -334,9 +349,13 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
     same-field witness value) is allowed by G_A yet prohibited by G_B.  C4
     (recovery independence): applying A's recovery transform to a sample
     must leave P_B satisfied (identity transform when none is registered).
+    A, B and :func:`handoff_contract` evaluate through their validated plans,
+    so an invalid one raises SemanticError before any sample is read.
     """
     if not samples:
         raise InsufficientSamples("C2/C4 are semantic checks and need witness states")
+    plan_a, plan_b = _plan(a), _plan(b)
+    antecedent = plan_a.invariants + _plan(handoff_contract(h.invariants)).invariants
 
     # C1 -- interface compatibility over the type map.
     c1_witnesses = []
@@ -358,40 +377,28 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
                          checked=len(samples) * len(h.type_map))
 
     # C2 -- assumption discharge on samples passing the antecedent.
-    c2_witnesses = []
-    c2_checked = 0
-    for i, sample in enumerate(samples):
-        if not (_holds(a.invariants(), sample) and _holds(h.invariants, sample)):
-            continue
-        c2_checked += 1
-        for con in b.preconditions:
-            if evaluate_constraint(con, sample, None, target="state").satisfied is not True:
-                c2_witnesses.append((i, con.name))
+    passing = [i for i, sample in enumerate(samples) if not _unsatisfied(antecedent, sample)]
+    c2_witnesses = [(i, name) for i in passing
+                    for name in _unsatisfied(plan_b.preconditions, samples[i])]
     c2 = ConditionResult(passed=not c2_witnesses, witnesses=tuple(c2_witnesses),
-                         checked=c2_checked)
+                         checked=len(passing))
 
     # C3 -- governance consistency: corpus pass, then symbolic fast path.
     c3_witnesses = []
     for action in actions:
-        allowed_by_a = _holds(a.governance(), {}, target="action", action=action)
-        prohibited_by_b = any(
-            evaluate_constraint(g, {}, action, target="action").satisfied is False
-            for g in b.governance())
+        allowed_by_a = not _unsatisfied(plan_a.governance, {}, action)
+        prohibited_by_b = any(evaluate({}, action).satisfied is False
+                              for _, _, evaluate in plan_b.governance)
         if allowed_by_a and prohibited_by_b:
             c3_witnesses.append(("action", action.label))
-    for witness in _symbolic_governance_conflicts(a, b):
-        c3_witnesses.append(witness)
+    c3_witnesses.extend(_symbolic_governance_conflicts(a, b))
     c3 = ConditionResult(passed=not c3_witnesses, witnesses=tuple(c3_witnesses),
                          checked=len(actions))
 
     # C4 -- recovery independence.
     transform = recovery_transform or (lambda s: s)
-    c4_witnesses = []
-    for i, sample in enumerate(samples):
-        after = transform(sample)
-        for con in b.preconditions:
-            if evaluate_constraint(con, after, None, target="state").satisfied is not True:
-                c4_witnesses.append((i, con.name))
+    c4_witnesses = [(i, name) for i, sample in enumerate(samples)
+                    for name in _unsatisfied(plan_b.preconditions, transform(sample))]
     c4 = ConditionResult(passed=not c4_witnesses, witnesses=tuple(c4_witnesses),
                          checked=len(samples))
 
@@ -414,11 +421,12 @@ def _symbolic_governance_conflicts(a: Contract, b: Contract) -> list:
     """Same-field conflicts provable from eq/in/range operand structure:
     a value permitted by all of A's predicates on a field yet rejected by
     one of B's predicates on that field.  Predicates name the same field
-    when their paths have one key (``amount`` and ``action.amount`` do)."""
+    when their paths have one key (``amount`` and ``action.amount`` do);
+    ``exists`` holds for every candidate value."""
     def by_field(contract):
         fields: dict = {}
         for con in contract.governance():
-            if not con.check.is_expression():
+            if not con.check.is_expression() and con.check.operator != "exists":
                 fields.setdefault(field_key(con.check.field_path, "action"), []).append(con)
         return fields
 
@@ -439,17 +447,9 @@ def _symbolic_governance_conflicts(a: Contract, b: Contract) -> list:
                 for gb in b_preds:
                     if not OPERATORS[gb.check.operator](value, gb.check.operand):
                         witnesses.append(("value", ga.check.field_path, value, gb.name))
-            except Exception:
+            except TypeMismatch:
                 continue  # incomparable operand kinds: leave to the corpus pass
-    # Deduplicate while keeping deterministic order.
-    seen = set()
-    unique = []
-    for w in witnesses:
-        key = repr(w)
-        if key not in seen:
-            seen.add(key)
-            unique.append(w)
-    return unique
+    return list({repr(w): w for w in witnesses}.values())  # unique, in first-seen order
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,15 @@ Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
 diagnostic is attached to the result either way.
 
-Each constraint compiles once, on first use, into a closure
-``(state, action) -> ConstraintResult`` (:func:`compile_constraint`):
-its field path becomes a walker unrolled for its key count and its
-operator a test specialised on the constant operand (see
-:mod:`~agentcontracts.expressions`, whose fallbacks keep every result and
-detail the same).  A contract's plan, cached on the contract object,
-validates it once and holds its tables, so a step does constant work per
-constraint.  The closures are the one evaluator: steps, post-recovery
-re-scoring, the trailing state and :func:`evaluate_constraint` all run them.
+A contract's plan, cached on the contract object, validates it once,
+compiles each constraint into a closure ``(state, action) ->
+ConstraintResult`` (:func:`compile_constraint`: a field path becomes a
+walker unrolled for its key count, an operator a test specialised on the
+constant operand, see :mod:`~agentcontracts.expressions`) and holds its
+tables, so a step does constant work per constraint.  A plan's closures are
+the one evaluator: steps, post-recovery re-scoring, the trailing state and
+composition's conditions run them; :func:`evaluate_constraint` compiles
+a lone constraint for one call.
 
 A passing closure returns the shared ``SATISFIED`` result, so a step
 records which results are anything else (``StepEvaluation.non_satisfied``)
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import FieldResolutionError, TypeMismatch, ZeroSeverity
+from .errors import FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
 from .expressions import compile_evaluator, field_getter, operator_for
 from .model import (MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict,
                     fallback_chain, require_valid)
@@ -142,7 +142,7 @@ class SatisfactionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Constraint compilation: once per constraint object, then a closure per step
+# Constraint compilation: once per contract plan, then a closure per step
 # ---------------------------------------------------------------------------
 
 #: Shared detail-free results.
@@ -160,20 +160,10 @@ def compile_constraint(constraint: Constraint, target: str) -> Evaluator:
     governance: the side a field predicate's bare path reads (see
     :func:`~agentcontracts.expressions.field_key`).  Missing fields follow
     the constraint's on_missing policy; type errors always fail closed
-    (violated, with the diagnostic).  The closure is cached on the
-    constraint object, so each object compiles once per target; it is
-    keyed by identity, never by value (``x == 1`` and ``x == True`` are
-    equal constraints with different verdicts).  Threads that compile one
-    object at once build equivalent closures, and either may be kept.
+    (violated, with the diagnostic).  An unknown operator or an invalid
+    ``matches`` pattern raises SemanticError naming the constraint, in the
+    validator's words (only a constraint outside a plan can have one).
     """
-    cache = vars(constraint).setdefault("_compiled", {})
-    evaluate = cache.get(target)
-    if evaluate is None:
-        evaluate = cache[target] = _compile(constraint, target)
-    return evaluate
-
-
-def _compile(constraint: Constraint, target: str) -> Evaluator:
     check, policy = constraint.check, constraint.on_missing
     if check.is_expression():
         expression = compile_evaluator(check.expression)
@@ -192,7 +182,10 @@ def _compile(constraint: Constraint, target: str) -> Evaluator:
     if check.operator == "exists":
         return lambda state, action: VIOLATED if get(state, action) is MISSING else SATISFIED
     missing = _missing_result(policy, str(FieldResolutionError(check.field_path)))
-    test = operator_for(check.operator, check.operand)
+    try:
+        test = operator_for(check.operator, check.operand)
+    except SemanticError as exc:
+        raise SemanticError(f"{constraint.name}: {exc}") from None
 
     def evaluate_field(state, action):
         value = get(state, action)
@@ -217,8 +210,8 @@ def _missing_result(policy: str, diagnostic: str) -> ConstraintResult:
 def evaluate_constraint(constraint: Constraint, state: StateDict,
                         action: Optional[ActionRecord],
                         target: str) -> ConstraintResult:
-    """Evaluate one constraint against a state/action pair, by its
-    compiled closure (see :func:`compile_constraint`)."""
+    """Evaluate one constraint against a state/action pair, compiled for
+    this call alone (see :func:`compile_constraint`)."""
     return compile_constraint(constraint, target)(state, action)
 
 

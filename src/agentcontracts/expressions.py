@@ -33,8 +33,10 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Any, Callable, Optional, Union
 
-from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
-from .model import MISSING, ActionRecord, StateDict, is_number, value_eq, walk_path
+from .errors import (ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, SemanticError,
+                     TypeMismatch)
+from .model import (FIELD_OPERATORS, MISSING, ActionRecord, StateDict, is_number, value_eq,
+                    walk_path)
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call", "OPERATORS",
            "compile_expression", "compile_evaluator", "eval_expression", "field_paths",
@@ -377,17 +379,16 @@ def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
       against a frozenset of them;
     - ``eq``/``ne`` against a string are ``==``, which is what
       :func:`value_eq` does whenever one side is a string;
-    - a valid ``matches`` pattern is compiled once.
+    - a ``matches`` pattern is compiled once.
 
     Each fast path is guarded by an exact type check (and, for floats,
     :func:`math.isfinite`); every other value goes to ``OPERATORS[op]``,
     so results and TypeMismatch messages are the same as without it.  An
-    unknown operator gives a test that raises TypeMismatch."""
+    unknown operator or an invalid pattern raises SemanticError, in the
+    validator's words."""
     predicate = OPERATORS.get(op)
     if predicate is None:
-        def unknown(a):
-            raise TypeMismatch(f"unknown operator {op!r}")
-        return unknown
+        raise SemanticError(f"operator {op!r} is not one of {FIELD_OPERATORS}")
     compare = _COMPARE.get(op)
     if compare is not None and is_number(operand):
         b = float(operand)
@@ -404,18 +405,17 @@ def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
         if op == "in":
             return lambda a: a in members if type(a) is str else predicate(a, operand)
         return lambda a: a not in members if type(a) is str else predicate(a, operand)
+    if op == "matches" and isinstance(operand, str):
+        try:
+            search = re.compile(operand).search
+        except re.error as exc:
+            raise SemanticError(f"invalid regular expression: {exc}") from None
+        return lambda a: _search(search, a)
     if type(operand) is str:
         if op in ("eq", "=="):
             return lambda a: a == operand
         if op in ("ne", "!="):
             return lambda a: not a == operand
-        if op == "matches":
-            try:
-                search = re.compile(operand).search
-            except re.error:
-                pass  # left to OPERATORS, which raises the same error per call
-            else:
-                return lambda a: _search(search, a)
     return lambda a: predicate(a, operand)
 
 

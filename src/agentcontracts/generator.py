@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .composition import compose_chain
 from .engine import scope_active
 from .model import Contract
 from .parser import load_document
@@ -551,7 +550,7 @@ def generate_suite(out_dir: str, seed: int = 7, per_domain: int = 8,
         fh.write(_yaml.safe_dump(_PIPELINE_DOC, sort_keys=False))
 
     pipeline = load_document(os.path.join(contracts_dir, "loan-pipeline.yaml"))
-    composed = compose_chain([s.contract for s in pipeline.stages], list(pipeline.handoffs))
+    composed = pipeline.compose()
 
     entries = []
 

@@ -76,9 +76,9 @@ _DIST_SUM_TOL = 1e-9
 
 
 def _fields_only(obj) -> dict:
-    """Pickled state of a contract, constraint or drift configuration: its
-    fields, without the compiled form cached on the object under
-    ``_compiled`` (closures do not pickle)."""
+    """Pickled state of a contract or drift configuration: its fields,
+    without the compiled form cached on the object under ``_compiled``
+    (closures do not pickle)."""
     return {k: v for k, v in vars(obj).items() if k != "_compiled"}
 
 
@@ -211,8 +211,6 @@ class Constraint:
     recovery: Optional[str] = None
     on_missing: str = "violate"
     scope: Optional[str] = None
-
-    __getstate__ = _fields_only
 
 
 @dataclass(frozen=True)
@@ -425,6 +423,7 @@ def validate_contract(c: Contract) -> list:
     # Constraint-level rules.
     names_seen: dict = {}
     strategy_names = {s.name: s for s in c.recovery_strategies}
+    preconditions = set(map(id, c.preconditions))
     for con in c.all_constraints():
         if con.name in names_seen:
             issues.append(_issue(con.name, "duplicate-name",
@@ -440,7 +439,8 @@ def validate_contract(c: Contract) -> list:
             issues.append(_issue(con.name, "bad-scope",
                                  f"scope must be stage:<i> with i < {c.stages} or "
                                  f"handoff:<j> with j < {c.stages - 1}, got {con.scope!r}"))
-        if con.severity == "hard" and con.recovery is not None:
+        # Preconditions are hard by section, whatever their severity.
+        if con.recovery is not None and (con.severity == "hard" or id(con) in preconditions):
             issues.append(_issue(con.name, "hard-with-recovery",
                                  "hard constraints carry no recovery reference"))
         if con.recovery is not None and con.recovery not in strategy_names:

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Optional, Union
 
 import yaml
 
-from .composition import HandoffSpec
+from .composition import HandoffSpec, compose_chain, handoff_contract
 from .errors import (
     DslSyntaxError,
     ExprSyntaxError,
@@ -85,6 +85,10 @@ class PipelineContract:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "handoffs", tuple(self.handoffs))
+
+    def compose(self) -> Contract:
+        """The stages' contracts composed by :func:`compose_chain`."""
+        return compose_chain([s.contract for s in self.stages], list(self.handoffs))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +555,7 @@ def _parse_pipeline_doc(doc: _Doc, root: Mapping,
                                                p + ("invariants",), "hard")
         # The contract rules a handoff invariant meets once composed, checked here.
         paths = {con.name: p + ("invariants", i) for i, con in enumerate(invariants)}
-        require_valid(Contract(name=f"handoff {j}", invariants_hard=invariants),
+        require_valid(handoff_contract(invariants),
                       lambda element: doc.span(paths.get(element, p)))
         handoffs.append(HandoffSpec(
             invariants=invariants,

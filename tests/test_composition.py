@@ -1,6 +1,7 @@
 """Contract composition: composed structure, conditions C1-C4, chain
 bounds, and phase-scoped verification."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentcontracts import composition
 from agentcontracts.composition import (
     ChainSpec,
     HandoffSpec,
@@ -154,6 +156,35 @@ class TestComposeContracts:
         assert [(s.name, s.fallback) for s in composed.recovery_strategies] == [
             ("fix", "a.esc"), ("a.esc", "log"), ("log", None), ("b.esc", "gone")]
 
+    def test_a_prefixed_name_never_clashes_with_a_kept_one(self):
+        # ``a`` holds ``x`` and ``b.x``: prefixing the shared ``x`` by agent
+        # alone gave ``a.x``, ``b.x``, ``b.x``.
+        a = Contract(name="a", invariants_hard=(
+            Constraint(name="x", severity="hard", check=rng_check("p", 0, 1)),
+            Constraint(name="b.x", severity="hard", check=rng_check("q", 0, 1))))
+        b = Contract(name="b", invariants_hard=(
+            Constraint(name="x", severity="hard", check=rng_check("r", 0, 1)),))
+        composed = compose_contracts(a, b, HandoffSpec())
+        assert [c.name for c in composed.invariants_hard] == ["a.x", "b.x", "b.b.x"]
+        assert validate_contract(composed) == []
+
+    def test_a_prefixed_strategy_never_clashes_with_a_kept_one(self):
+        def soft(name, recovery, path):
+            return Constraint(name=name, severity="soft", recovery=recovery,
+                              check=rng_check(path, 0, 1))
+
+        a = Contract(name="a", invariants_soft=(soft("sa", "fix", "p"), soft("sa2", "b.fix", "q")),
+                     recovery_strategies=(RecoveryStrategy(name="fix", type="re_prompt"),
+                                          RecoveryStrategy(name="b.fix", type="emit_event")))
+        b = Contract(name="b", invariants_soft=(soft("sb", "fix", "r"),),
+                     recovery_strategies=(RecoveryStrategy(name="fix", type="escalate_human"),))
+        composed = compose_contracts(a, b, HandoffSpec())
+        assert [(s.name, s.type) for s in composed.recovery_strategies] == [
+            ("a.fix", "re_prompt"), ("b.fix", "emit_event"), ("b.b.fix", "escalate_human")]
+        assert [(c.name, c.recovery) for c in composed.invariants_soft] == [
+            ("sa", "a.fix"), ("sa2", "b.fix"), ("sb", "b.b.fix")]
+        assert validate_contract(composed) == []
+
     def test_three_stage_fold(self):
         composed = compose_chain(
             [agent("a"), agent("b"), agent("c")],
@@ -222,6 +253,27 @@ class TestCheckConditions:
                        check=Predicate(field_path=b_path, operator="le", operand=10)),))
         report = check_conditions(a, b, HandoffSpec(), [{"up": {"v": 1}}])
         assert report.c3_governance.passed is False
+        assert report.c3_governance.witnesses == (("value", "amount", 50, "b-cap"),)
+
+    @pytest.mark.parametrize("pre_path", ["amount", "state.amount"])
+    @pytest.mark.parametrize("target", ["amount", "state.amount"])
+    def test_c1_reads_a_precondition_under_either_spelling(self, pre_path, target):
+        b = agent("down", preconditions=(
+            Constraint(name="pre", severity="hard",
+                       check=Predicate(field_path=pre_path, operator="ge", operand=0)),))
+        handoff = HandoffSpec(type_map={"out.amount": target})
+        report = check_conditions(agent("up"), b, handoff, [{"out": {"amount": "ten"}}])
+        assert report.c1_interface.witnesses == (
+            (0, "out.amount", f"kind string incompatible with {target} (number)"),)
+
+    def test_c3_an_exists_predicate_neither_permits_nor_rejects(self):
+        def gov(name, operator, operand=None):
+            return Constraint(name=name, severity="hard", check=Predicate(
+                field_path="amount", operator=operator, operand=operand))
+
+        a = agent("up", governance_hard=(gov("a-exact", "eq", 50), gov("a-present", "exists")))
+        b = agent("down", governance_hard=(gov("b-present", "exists"), gov("b-cap", "le", 10)))
+        report = check_conditions(a, b, HandoffSpec(), [{"up": {"v": 1}}])
         assert report.c3_governance.witnesses == (("value", "amount", 50, "b-cap"),)
 
     def test_c3_detected_from_action_corpus(self):
@@ -559,3 +611,146 @@ def test_phase_scoping_binds_each_invariant_in_its_own_stage(case):
     for idx, name in verdict.witnesses["recoverability"]:
         if name in stage_of:
             assert idx in bound_at(name)
+
+
+# ---------------------------------------------------------------------------
+# Composition keeps names unique
+# ---------------------------------------------------------------------------
+
+NAMES = ("x", "y", "a.x", "b.x", "a.y", "b.b.x", "handoff.x", "random.x", "fix")
+
+
+@st.composite
+def dotted_contracts(draw):
+    """A valid random contract under a drawn name, its constraints and 0-2
+    strategies renamed from a pool of plain and dotted names; every soft
+    constraint recovers through the first strategy."""
+    contract = random_contract(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    count = len(contract.all_constraints())
+    names = iter(draw(st.lists(st.sampled_from(NAMES), min_size=count, max_size=count,
+                               unique=True)))
+    strategies = tuple(RecoveryStrategy(name=name, type="re_prompt")
+                       for name in draw(st.lists(st.sampled_from(NAMES), max_size=2, unique=True)))
+    recovery = strategies[0].name if strategies else None
+
+    def rename(section):
+        return tuple(replace(c, name=next(names),
+                             recovery=recovery if c.severity == "soft" else None)
+                     for c in section)
+
+    return replace(contract, name=draw(st.sampled_from(["a", "b", "random"])),
+                   preconditions=rename(contract.preconditions),
+                   invariants_hard=rename(contract.invariants_hard),
+                   invariants_soft=rename(contract.invariants_soft),
+                   governance_hard=rename(contract.governance_hard),
+                   governance_soft=rename(contract.governance_soft),
+                   recovery_strategies=strategies)
+
+
+def error_issues(contract):
+    return [i for i in validate_contract(contract) if i.severity == "error"]
+
+
+@given(dotted_contracts(), dotted_contracts(),
+       st.lists(st.sampled_from(NAMES), max_size=2, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_composing_two_valid_contracts_gives_a_valid_one(a, b, handoff_names):
+    handoff = HandoffSpec(invariants=tuple(
+        Constraint(name=name, severity="hard", check=Predicate(
+            field_path=STATE_FIELDS[0], operator="ge", operand=1.0))
+        for name in handoff_names))
+    assert error_issues(a) == error_issues(b) == []
+    composed = compose_contracts(a, b, handoff)
+    assert error_issues(composed) == []
+
+    # A name held by one side only is kept.
+    sides = (a.all_constraints(), b.all_constraints(), handoff.invariants)
+    held = Counter(name for side in sides for name in {c.name for c in side})
+    composed_names = {c.name for c in composed.all_constraints()}
+    for con in a.all_constraints() + b.invariants() + b.governance() + handoff.invariants:
+        assert con.name in composed_names or held[con.name] > 1
+    strategy_held = Counter(s.name for side in (a, b)
+                            for s in side.recovery_strategies)
+    composed_strategies = {s.name for s in composed.recovery_strategies}
+    for s in a.recovery_strategies + b.recovery_strategies:
+        assert s.name in composed_strategies or strategy_held[s.name] > 1
+
+
+# ---------------------------------------------------------------------------
+# check_conditions against a constraint-by-constraint reference
+# ---------------------------------------------------------------------------
+
+def reference_conditions(a, b, h, samples, actions, transform) -> dict:
+    """C2-C4 witnesses and ``checked`` counts, each constraint evaluated
+    alone by :func:`evaluate_constraint`; C3's symbolic witnesses follow
+    its corpus ones."""
+    def holds(constraints, state, target="state", action=None):
+        return all(evaluate_constraint(c, state, action, target).satisfied is True
+                   for c in constraints)
+
+    c2, c2_checked = [], 0
+    for i, sample in enumerate(samples):
+        if holds(a.invariants(), sample) and holds(h.invariants, sample):
+            c2_checked += 1
+            c2 += [(i, c.name) for c in b.preconditions if not holds([c], sample)]
+    c3 = [("action", action.label) for action in actions
+          if holds(a.governance(), {}, "action", action)
+          and any(evaluate_constraint(g, {}, action, "action").satisfied is False
+                  for g in b.governance())]
+    c3 += composition._symbolic_governance_conflicts(a, b)
+    c4 = [(i, c.name) for i, sample in enumerate(samples) for c in b.preconditions
+          if not holds([c], transform(sample))]
+    return {"C2": (tuple(c2), c2_checked), "C3": (tuple(c3), len(actions)),
+            "C4": (tuple(c4), len(samples))}
+
+
+def drawn_policies(constraints, rng) -> tuple:
+    """``constraints``, each with an on_missing policy drawn at random."""
+    return tuple(replace(c, on_missing=str(rng.choice(["violate", "satisfy", "skip"])))
+                 for c in constraints)
+
+
+def with_missing_policies(contract, rng, cap_name):
+    """``contract`` with drawn on_missing policies and a hard governance cap
+    on the optional payload field ``amount``."""
+    cap = Constraint(name=cap_name, severity="hard", check=Predicate(
+        field_path="amount", operator="le", operand=float(rng.integers(0, 6))))
+    return replace(contract, preconditions=drawn_policies(contract.preconditions, rng),
+                   invariants_hard=drawn_policies(contract.invariants_hard, rng),
+                   invariants_soft=drawn_policies(contract.invariants_soft, rng),
+                   governance_hard=drawn_policies(contract.governance_hard + (cap,), rng))
+
+
+@pytest.mark.parametrize("fault", ["none", "c1", "c2", "c3", "c4"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_check_conditions_matches_the_reference(fault, seed):
+    rng = np.random.default_rng(seed)
+    inst = random_chain_instance(rng, fault=fault)
+    a = with_missing_policies(inst["a"], rng, "a-cap")
+    b = with_missing_policies(inst["b"], rng, "b-cap")
+    handoff = replace(inst["handoff"], invariants=drawn_policies(inst["handoff"].invariants, rng))
+    # The instance's witnesses, its trace states, and copies of the
+    # witnesses with values drawn around every threshold (or dropped).
+    samples = list(inst["witnesses"]) + list(inst["trace"].states)
+    for witness in inst["witnesses"]:
+        sample = {k: dict(v) for k, v in witness.items()}
+        for part, key in (("work", "quality"), ("work", "style"), ("handoff", "value")):
+            if rng.random() < 0.2:
+                sample[part].pop(key, None)
+            else:
+                sample[part][key] = float(rng.uniform(0.0, 6.0))
+        samples.append(sample)
+    labels = ["alpha", "beta", "gamma", "delta", "omega", "other"]
+    actions = list(inst["corpus"]) + [
+        ActionRecord(str(rng.choice(labels)),
+                     {"amount": float(rng.integers(0, 6))} if rng.random() < 0.5 else {})
+        for _ in range(6)]
+    transform = inst["transform"] or (lambda state: state)
+
+    report = check_conditions(a, b, handoff, samples, actions,
+                              recovery_transform=inst["transform"])
+    want = reference_conditions(a, b, handoff, samples, actions, transform)
+    got = {"C2": report.c2_assumptions, "C3": report.c3_governance, "C4": report.c4_recovery}
+    for key, result in got.items():
+        assert (result.witnesses, result.checked) == want[key], key

@@ -5,6 +5,7 @@ first step, with the parser's SemanticError."""
 import ast
 import inspect
 import textwrap
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 from agentcontracts import model
 from agentcontracts.cli import main
-from agentcontracts.composition import HandoffSpec, compose_contracts, verify_chain_trace
-from agentcontracts.engine import check_deterministic, classify_outcome, constraint_timelines
+from agentcontracts.composition import (HandoffSpec, check_conditions, compose_contracts,
+                                        verify_chain_trace)
+from agentcontracts.engine import (check_deterministic, classify_outcome, constraint_timelines,
+                                   evaluate_constraint)
 from agentcontracts.errors import SemanticError
 from agentcontracts.model import (
     ActionRecord,
@@ -116,6 +119,13 @@ class TestInvalidContractsAreRejectedBeforeTheFirstStep:
         with pytest.raises(SemanticError, match=r"^h: invalid regular expression"):
             SessionMonitor(composed, boundaries=[1])
 
+    def test_a_handoff_invariant_of_no_known_severity_is_checked_not_dropped(self):
+        odd = Constraint(name="h", severity="medium", check=check("a", "exists"))
+        composed = compose_contracts(base_contract(name="up"), base_contract(name="down"),
+                                     HandoffSpec(invariants=(odd,)))
+        with pytest.raises(SemanticError, match=r"^h: severity must be hard or soft"):
+            SessionMonitor(composed, boundaries=[1])
+
     def test_the_message_counts_the_other_errors(self):
         contract = with_hard(hard("odd", check("a", "zz", 1)), hard("pat", check("y", "matches", "(")))
         with pytest.raises(SemanticError, match=r"^odd: .* \(\+1 more issues\)$"):
@@ -150,6 +160,67 @@ def test_a_soft_constraint_in_a_hard_section_is_rejected():
     assert error_rules(contract) == [("tone", "severity-section-mismatch")]
     with pytest.raises(SemanticError, match=r"^tone: a soft constraint in a hard section$"):
         SessionMonitor(contract)
+
+
+def test_a_recovery_reference_on_a_precondition_is_rejected():
+    # Preconditions are hard by section: the monitor never recovers one, so a
+    # Python-built precondition (soft by default) that names a strategy
+    # would have it never run.
+    pre = Constraint(name="ready", recovery="fix", check=check("a", "eq", 1))
+    contract = base_contract(preconditions=(pre,))
+    assert error_rules(contract) == [("ready", "hard-with-recovery")]
+    with pytest.raises(SemanticError,
+                       match=r"^ready: hard constraints carry no recovery reference$"):
+        SessionMonitor(contract)
+
+
+class TestLoneConstraints:
+    """A constraint compiled outside a contract meets the two rules its
+    operator needs to compile, in the validator's words."""
+
+    @pytest.mark.parametrize("predicate", [check("y", "matches", "("), check("y", "zz", 1)],
+                             ids=["invalid-pattern", "unknown-operator"])
+    def test_evaluate_constraint_rejects_it_when_compiling(self, predicate):
+        issue, = validate_contract(Contract(name="t", invariants_hard=(hard("c", predicate),)))
+        with pytest.raises(SemanticError) as caught:
+            evaluate_constraint(Constraint(name="c", check=predicate), {"y": "a"}, None, "state")
+        assert str(caught.value) == f"c: {issue.message}"
+
+    def test_only_plans_keep_compiled_closures(self):
+        handoff = HandoffSpec(invariants=(hard("h", check("a", "exists")),))
+        upstream = base_contract(name="up", preconditions=(hard("ready", check("a", "exists")),))
+        downstream = base_contract(name="down")
+        run_session(upstream, TRACE)
+        check_conditions(upstream, downstream, handoff, list(TRACE.states), [ActionRecord("go")])
+        assert "_compiled" in vars(upstream) and "_compiled" in vars(downstream)
+        for con in upstream.all_constraints() + downstream.all_constraints() + handoff.invariants:
+            assert "_compiled" not in vars(con), con.name
+
+
+class Tripwire(Mapping):
+    """A witness sample that fails the test when it is read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a sample was read")
+
+    def __iter__(self):
+        raise AssertionError("a sample was read")
+
+    def __len__(self):
+        raise AssertionError("a sample was read")
+
+
+@pytest.mark.parametrize("side", ["upstream", "downstream", "handoff"])
+def test_check_conditions_rejects_an_invalid_side_before_reading_a_sample(side):
+    bad = hard("pat", check("y", "matches", "("))
+    upstream, downstream = base_contract(name="up"), base_contract(name="down")
+    handoff = HandoffSpec(invariants=(bad,) if side == "handoff" else (), type_map={"y": "y"})
+    if side == "upstream":
+        upstream = with_hard(bad, name="up")
+    elif side == "downstream":
+        downstream = with_hard(bad, name="down")
+    with pytest.raises(SemanticError, match=r"^pat: invalid regular expression"):
+        check_conditions(upstream, downstream, handoff, [Tripwire()], [ActionRecord("go")])
 
 
 class TestScopes:
