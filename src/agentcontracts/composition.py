@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .engine import SatisfactionVerdict, _plan, check_deterministic, constraint_timelines
 from .errors import BadBoundaries, InsufficientSamples, TypeMismatch
-from .expressions import OPERATORS, field_key
+from .expressions import OPERATORS, field_getter, field_key
 from .model import (
     MISSING,
     ActionRecord,
@@ -34,7 +34,6 @@ from .model import (
     SatisfactionParams,
     StateDict,
     is_number,
-    walk_path,
 )
 
 __all__ = [
@@ -342,9 +341,10 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
     """Check the four composition conditions over witness corpora.
 
     C1 (interface compatibility): every upstream path in the handoff type
-    map resolves in every sample with the scalar kind B's preconditions
-    expect of the mapped input path.  C2 (assumption discharge): samples
-    satisfying PostCond_A and the handoff invariant must satisfy P_B.  C3
+    map resolves in every sample (read as a state, by the one path rule of
+    :func:`~agentcontracts.expressions.field_key`) with the scalar kind B's
+    preconditions expect of the mapped input path.  C2 (assumption
+    discharge): samples satisfying PostCond_A and the handoff invariant must satisfy P_B.  C3
     (governance consistency): no corpus action (nor symbolically derived
     same-field witness value) is allowed by G_A yet prohibited by G_B.  C4
     (recovery independence): applying A's recovery transform to a sample
@@ -359,9 +359,11 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
 
     # C1 -- interface compatibility over the type map.
     c1_witnesses = []
+    type_map = [(upstream, downstream, field_getter(upstream))
+                for upstream, downstream in sorted(h.type_map.items())]
     for i, sample in enumerate(samples):
-        for upstream, downstream in sorted(h.type_map.items()):
-            value = walk_path(sample, upstream.split("."))
+        for upstream, downstream, get in type_map:
+            value = get(sample, None)
             if value is MISSING:
                 c1_witnesses.append((i, upstream, "missing in upstream output"))
                 continue
@@ -499,6 +501,8 @@ def check_boundaries(boundaries, n_stages: int, trace_length: Optional[int]) -> 
     ``[0, trace_length]`` (``trace_length`` None: no upper bound),
     strictly increasing.  Raises BadBoundaries.
     """
+    if n_stages == 1 and isinstance(boundaries, (tuple, list)) and not boundaries:
+        return ()
     try:
         boundaries = tuple(boundaries)
     except TypeError:

@@ -23,6 +23,22 @@ same float operations on the same inputs as the plain kernel, and both
 term lists are summed in support order, so the divergence stays
 bit-identical to ``_jsd(_smooth(observed), reference)``.  Steps with no
 violated result skip the weighted gaps, whose numerators are then 0.
+
+The divergence depends on the window's count vector alone, and a window
+of ``w`` labels over a support of ``n`` can hold only
+``comb(w + n, n)`` count vectors.  A configuration whose count times
+``n`` (the key length) is at most ``_TABLE_CELLS`` (2**16) keeps a table
+from count vector to divergence, next to its other shared state (built
+by its first window, never pickled or copied), filled as windows reach
+each vector: a step looks its counts up and runs the kernel only on a
+miss.  The stored value is the kernel's own result for those counts, so
+every drift value stays bit-identical; the table can never outgrow the
+gate's count, so it needs no eviction; a configuration past the gate (50
+labels with window 10 come to about 4.6e12) keeps none and pays nothing.
+The worst case is the smallest support, 2 labels with window 254:
+32,640 entries, about 4 MB.  The bundled contract comes to 126 entries
+of 5 counts.  Two windows filling one entry at once store the same value,
+so concurrent writers are harmless.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .engine import StepEvaluation, ViolationEvent
+from .engine import StepEvaluation, ViolationEvent, _plan
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
 from .model import OTHER_LABEL, ActionRecord, Constraint, DriftConfig, ReliabilityWeights
 
@@ -55,6 +71,9 @@ _NORM_TOL = 1e-9
 #: Smoothed totals whose absent-label terms a drift configuration keeps;
 #: a window of w labels gives only a handful of distinct totals.
 _ABSENT_TERMS_KEPT = 64
+#: Bound on a configuration's table of window states: the count vectors
+#: its windows can hold times their length.
+_TABLE_CELLS = 2 ** 16
 
 
 def pairwise_sum(xs: Sequence[float]) -> float:
@@ -160,45 +179,73 @@ class DriftSample:
         }
 
 
+def _tabled(window, n: int) -> bool:
+    """Whether a window of ``window`` labels over a support of ``n`` gets a
+    table: ``comb(window + n, n)`` count vectors of length ``n`` fit
+    ``_TABLE_CELLS``.  The count is at least ``2 ** min(window, n)``, so it
+    is computed only when that is at most 16 (and cheap)."""
+    return (type(window) is int and 0 <= min(window, n) <= 16
+            and math.comb(window + n, n) * n <= _TABLE_CELLS)
+
+
+class _Shared:
+    """What the windows over one drift configuration share, built by the
+    first of them and cached on the configuration object: the support and
+    its label index, the smoothed reference (None with no calibrated
+    reference, an empty vocabulary, which disables the distributional
+    component), the absent-label terms per smoothed total, and the table
+    of window states (None past the gate, or with no reference)."""
+
+    __slots__ = ("support", "index", "other", "reference", "absent_terms", "table")
+
+    def __init__(self, config: DriftConfig):
+        self.support = tuple(config.vocabulary) + (OTHER_LABEL,)
+        self.index = {label: i for i, label in enumerate(self.support)}
+        self.other = self.index[OTHER_LABEL]
+        ref = [float(config.reference.get(label, 0.0)) for label in self.support]
+        self.reference = _smooth(ref) if pairwise_sum(ref) > 0 else None
+        self.absent_terms: dict = {}
+        tabled = self.reference is not None and _tabled(config.window, len(self.support))
+        self.table = {} if tabled else None
+
+
 class DriftWindow:
     """Sliding histogram of recent action labels for one session.
 
     Single-writer: one session feeds one window.  The observed
     distribution always matches a from-scratch recount of the retained
     labels (the incremental update is an optimization, not a semantic).
+    Everything but the labels and their counts is shared: with the other
+    windows over the configuration, and the constraints' weights with the
+    contract's plan.
     """
 
     def __init__(self, config: DriftConfig,
                  invariants: Iterable[Constraint] = (),
                  governance: Iterable[Constraint] = ()):
-        self.config = config
-        self.support = tuple(config.vocabulary) + (OTHER_LABEL,)
-        self._index = {label: i for i, label in enumerate(self.support)}
-        self._labels: deque = deque()
-        self._counts = [0] * len(self.support)
-        # The smoothed reference and the absent-label term cache are built
-        # once per configuration object and shared by its windows.  With no
-        # calibrated reference (empty vocabulary) the distributional
-        # component is disabled.
         shared = vars(config).get("_compiled")
         if shared is None:
-            ref = [float(config.reference.get(label, 0.0)) for label in self.support]
-            shared = vars(config)["_compiled"] = (
-                _smooth(ref) if pairwise_sum(ref) > 0 else None, {})
-        self._reference, self._absent_terms = shared
-        self.invariants = tuple(invariants)
-        self.governance = tuple(governance)
-        self._weights = (tuple((c.name, c.weight) for c in self.invariants),
-                         tuple((c.name, c.weight) for c in self.governance))
+            shared = vars(config)["_compiled"] = _Shared(config)
+        self.config = config
+        self.support = shared.support
+        self._index, self._other = shared.index, shared.other
+        self._reference, self._absent_terms = shared.reference, shared.absent_terms
+        self._table = shared.table
+        self._weights = (tuple((c.name, c.weight) for c in invariants),
+                         tuple((c.name, c.weight) for c in governance))
+        self._labels: deque = deque()
+        self._counts = [0] * len(self.support)
 
     @classmethod
     def for_contract(cls, contract) -> "DriftWindow":
-        return cls(contract.drift_config,
-                   invariants=contract.invariants(),
-                   governance=contract.governance())
+        """A window over the contract's drift configuration that scores its
+        invariants and governance constraints by its plan's weights."""
+        window = cls(contract.drift_config)
+        window._weights = _plan(contract).gap_weights
+        return window
 
     def push(self, label: str) -> None:
-        idx = self._index.get(label, self._index[OTHER_LABEL])
+        idx = self._index.get(label, self._other)
         self._labels.append(idx)
         self._counts[idx] += 1
         if len(self._labels) > self.config.window:
@@ -216,15 +263,29 @@ class DriftWindow:
     def distributional_drift(self) -> float:
         """Smoothed JSD between observed and reference; 0 with no evidence.
 
-        Equal bit for bit to ``_jsd(_smooth(self.observed()), reference)``:
-        both KL term lists are built by the same float operations on the
-        same inputs and summed in the same order.  A label absent from the
-        window smooths to ``eps / norm``, so its two terms depend only on
-        ``norm``, the smoothed total; they are cached per ``norm``, and only
-        the labels present are computed afresh."""
-        q = self._reference
-        if q is None or not self._labels:
+        A configuration with a table (see the module docstring) looks the
+        window's counts up in it and computes the divergence only on a miss.
+        """
+        if self._reference is None or not self._labels:
             return 0.0
+        table = self._table
+        if table is None:
+            return self._divergence()
+        key = tuple(self._counts)
+        d = table.get(key)
+        if d is None:
+            d = table[key] = self._divergence()
+        return d
+
+    def _divergence(self) -> float:
+        """The divergence of a non-empty window, equal bit for bit to
+        ``_jsd(_smooth(self.observed()), reference)``: both KL term lists
+        are built by the same float operations on the same inputs and
+        summed in the same order.  A label absent from the window smooths
+        to ``eps / norm``, so its two terms depend only on ``norm``, the
+        smoothed total; they are cached per ``norm``, and only the labels
+        present are computed afresh."""
+        q = self._reference
         counts, total = self._counts, len(self._labels)
         present = set(self._labels)
         p = [_SMOOTH_EPS] * len(q)   # 0 / total + eps for an absent label

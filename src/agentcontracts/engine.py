@@ -220,10 +220,12 @@ class _Plan:
     parser does), then compiled once: ``(name, scope, closure)`` per
     precondition, invariant and governance constraint, the hard and the soft
     names, each scored name's results position and weight (and their total),
-    and each soft constraint's recovery chain, one strategy per attempt."""
+    the ``(name, weight)`` pairs of the invariants and of the governance
+    constraints that drift's compliance gaps read, and each soft
+    constraint's recovery chain, one strategy per attempt."""
 
     __slots__ = ("preconditions", "invariants", "governance", "hard", "soft",
-                 "order", "weights", "total_weight", "schedules")
+                 "order", "weights", "total_weight", "gap_weights", "schedules")
 
     def __init__(self, contract: Contract):
         require_valid(contract)
@@ -240,6 +242,8 @@ class _Plan:
         self.order = {c.name: i for i, c in enumerate(scored)}
         self.weights = {c.name: c.weight for c in scored}
         self.total_weight = sum(self.weights.values())
+        self.gap_weights = tuple(tuple((c.name, c.weight) for c in constraints)
+                                 for constraints in (contract.invariants(), contract.governance()))
         strategies = {s.name: s for s in contract.recovery_strategies}
         self.schedules = tuple(
             (con, tuple(s for s in fallback_chain(strategies, con.recovery)[0]

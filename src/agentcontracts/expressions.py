@@ -16,10 +16,13 @@ Closures are specialised when they are built, on what cannot change per
 step: :func:`field_getter` returns a walker unrolled for its key count,
 with a plain-dict fast path at every depth, and :func:`operator_for`
 specialises a predicate on its constant operand (numeric bounds converted
-to float once, string lists turned into frozensets).  Arithmetic combines
-two finite floats directly.  Each fast path is taken only on an exact
-type (``dict``, ``str``, a finite ``float``); any other value falls back
-to :func:`~agentcontracts.model.walk_path` from the root or to
+to float once, string lists turned into frozensets).  Arithmetic, and
+ordering between two operands that are not literals, take two plain
+numbers directly.  Each fast path is taken only on an exact type
+(``dict``, ``str``, or a plain number: a finite ``float``, or an ``int``
+within 2**53, where ``float()`` and int-to-float comparison are both
+exact); any other value falls back to
+:func:`~agentcontracts.model.walk_path` from the root or to
 ``OPERATORS[op]``, so results and TypeMismatch messages do not depend on
 which path ran.
 """
@@ -306,6 +309,19 @@ def field_getter(path: str,
 # Operators, shared with field predicates
 # ---------------------------------------------------------------------------
 
+#: The largest magnitude of an int that a float holds exactly.
+_EXACT_INT = 2 ** 53
+
+
+def _plain(v: Any) -> bool:
+    """A finite float, or an int that a float holds exactly: a number that
+    ordering and arithmetic may use as is, with the result that converting
+    it by :func:`_require_number` gives."""
+    if type(v) is float:
+        return isfinite(v)
+    return type(v) is int and -_EXACT_INT <= v <= _EXACT_INT
+
+
 def _require_number(v: Any, op: str) -> float:
     if not is_number(v):
         raise TypeMismatch(f"operator {op!r} needs numeric operands, got {type(v).__name__}")
@@ -373,39 +389,39 @@ def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
     its constant operand, once.
 
     - an ordering against a number, and ``range`` with numeric bounds,
-      convert the operand to float once and compare a finite float value
-      directly;
+      convert the operand to float once and compare a plain number (see
+      :func:`_plain`) directly;
     - ``in``/``not_in`` over a list of strings test a ``str`` value
       against a frozenset of them;
     - ``eq``/``ne`` against a string are ``==``, which is what
       :func:`value_eq` does whenever one side is a string;
     - a ``matches`` pattern is compiled once.
 
-    Each fast path is guarded by an exact type check (and, for floats,
-    :func:`math.isfinite`); every other value goes to ``OPERATORS[op]``,
-    so results and TypeMismatch messages are the same as without it.  An
-    unknown operator or an invalid pattern raises SemanticError, in the
-    validator's words."""
+    Each fast path is guarded by an exact type check (and, for numbers,
+    :func:`_plain`); every other value goes to ``OPERATORS[op]``, so
+    results and TypeMismatch messages are the same as without it.  An
+    unknown operator, a ``matches`` operand that is not a string or an
+    invalid pattern raises SemanticError, in the validator's words."""
     predicate = OPERATORS.get(op)
     if predicate is None:
         raise SemanticError(f"operator {op!r} is not one of {FIELD_OPERATORS}")
     compare = _COMPARE.get(op)
     if compare is not None and is_number(operand):
         b = float(operand)
-        return lambda a: (compare(a, b) if type(a) is float and isfinite(a)
-                          else predicate(a, operand))
+        return lambda a: compare(a, b) if _plain(a) else predicate(a, operand)
     if op == "range" and isinstance(operand, (list, tuple)) and len(operand) == 2 \
             and all(map(is_number, operand)):
         lo, hi = float(operand[0]), float(operand[1])
-        return lambda a: (lo <= a <= hi if type(a) is float and isfinite(a)
-                          else predicate(a, operand))
+        return lambda a: lo <= a <= hi if _plain(a) else predicate(a, operand)
     if op in ("in", "not_in") and isinstance(operand, (list, tuple)) \
             and all(type(m) is str for m in operand):
         members = frozenset(operand)
         if op == "in":
             return lambda a: a in members if type(a) is str else predicate(a, operand)
         return lambda a: a not in members if type(a) is str else predicate(a, operand)
-    if op == "matches" and isinstance(operand, str):
+    if op == "matches":
+        if not isinstance(operand, str):
+            raise SemanticError("matches operand must be a string")
         try:
             search = re.compile(operand).search
         except re.error as exc:
@@ -468,13 +484,22 @@ def _closure(node: ExprAst):
                 test = operator_for(op, node.right.value)
                 return lambda state, action: test(left(state, action))
             predicate = OPERATORS[op]
-            return lambda state, action: predicate(left(state, action), right(state, action))
+            compare = _COMPARE.get(op)
+            if compare is None:
+                return lambda state, action: predicate(left(state, action),
+                                                       right(state, action))
+
+            def order(state, action):
+                a, b = left(state, action), right(state, action)
+                return compare(a, b) if _plain(a) and _plain(b) else predicate(a, b)
+
+            return order
         arithmetic = _ARITHMETIC[op]
 
         def combine(state, action):
             a, b = left(state, action), right(state, action)
-            if type(a) is float and type(b) is float and isfinite(a) and isfinite(b):
-                return arithmetic(a, b)
+            if _plain(a) and _plain(b):
+                return arithmetic(float(a), float(b))
             return arithmetic(_require_number(a, op), _require_number(b, op))
 
         return combine

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from agentcontracts import expressions
 from agentcontracts.assets import asset_path
-from agentcontracts.engine import ConstraintResult, evaluate_constraint, evaluate_step
+from agentcontracts.engine import (ConstraintResult, compile_constraint, evaluate_constraint,
+                                   evaluate_step)
 from agentcontracts.errors import SemanticError, TypeMismatch
 from agentcontracts.expressions import (OPERATORS, Binary, Call, Field, Lit, Unary,
                                         compile_expression, field_getter)
@@ -31,6 +32,7 @@ from agentcontracts.model import (
     ActionRecord,
     Constraint,
     Contract,
+    DriftConfig,
     ExecutionTrace,
     Predicate,
     value_eq,
@@ -361,6 +363,16 @@ def test_a_range_bound_beyond_floats_fails_closed():
         run_session(contract, trace)
 
 
+def test_a_lone_matches_needs_a_string_operand():
+    # Rejected when compiled, in the validator's bad-regex-operand words,
+    # never per evaluation.
+    with pytest.raises(SemanticError, match=r"^matches operand must be a string$"):
+        expressions.operator_for("matches", 5)
+    con = Constraint(name="c", check=Predicate(field_path="x", operator="matches", operand=5))
+    with pytest.raises(SemanticError, match=r"^c: matches operand must be a string$"):
+        evaluate_constraint(con, {"x": "a"}, None, "state")
+
+
 class TestValueEqInContainers:
     @pytest.mark.parametrize("a,b,expected", [
         ([True], [1], False), ([[True]], [[1]], False), ((True,), (1,), False),
@@ -374,12 +386,15 @@ class TestValueEqInContainers:
 
 
 def test_a_used_contract_still_pickles_and_copies():
-    # The compiled closures cached on a contract and its constraints are not
-    # part of its state: a copy compiles its own on first use.
+    # The compiled closures cached on a contract and the drift tables cached
+    # on its configuration are not part of its state: a copy builds its own
+    # on first use.
     contract = Contract(name="t", invariants_hard=(Constraint(
-        name="c", severity="hard", check=Predicate(field_path="x", operator="ge", operand=1)),))
+        name="c", severity="hard", check=Predicate(field_path="x", operator="ge", operand=1)),),
+        drift_config=DriftConfig(window=3, vocabulary=("go",), reference={"go": 1.0}))
     trace = ExecutionTrace(states=({"x": 2}, {"x": 0}), actions=(ActionRecord("go"),))
     report = run_session(contract, trace)
+    assert vars(contract.drift_config)["_compiled"].table
     for copy_ in (pickle.loads(pickle.dumps(contract)), copy.deepcopy(contract)):
         assert copy_ == contract
         assert "_compiled" not in vars(copy_) and "_compiled" not in vars(copy_.drift_config)
@@ -410,7 +425,10 @@ class Bag(Mapping):
         return len(self._data)
 
 
-VALUES = (0, 7, -3, 75, 80, True, False, HUGE, -HUGE, math.nan, math.inf, -math.inf,
+EXACT = 2 ** 53      # every int up to it is exact as a float; EXACT + 1 is not
+
+VALUES = (0, 7, -3, 75, 80, True, False, HUGE, -HUGE, EXACT, -EXACT, EXACT + 1, -EXACT - 1,
+          math.nan, math.inf, -math.inf,
           0.0, -0.0, 74.5, 75.0, 80.5, 1e308, -1e308, "ok", "alpha", "", Text("ok"),
           Text("alpha"), [1], ["ok"], [True], {"k": 1}, MappingProxyType({"k": 1}), None)
 
@@ -419,6 +437,8 @@ VALUES = (0, 7, -3, 75, 80, True, False, HUGE, -HUGE, math.nan, math.inf, -math.
 FIELD_CHECKS = (
     ("lt", 75), ("le", 75.0), ("gt", -3), ("ge", 0.0), ("ge", -0.0), ("lt", 1e308),
     ("lt", HUGE), ("le", math.nan), ("gt", math.inf), ("ge", True), ("lt", "ok"),
+    ("ge", 0), ("le", EXACT), ("gt", -EXACT), ("lt", EXACT + 1), ("ge", -EXACT - 1),
+    ("range", [-EXACT, EXACT]), ("range", [0, EXACT + 1]), ("range", [False, 1]),
     ("range", [0, 80]), ("range", [-3.5, 74.5]), ("range", (0.0, 0.0)), ("range", [0, HUGE]),
     ("range", [math.nan, 1]), ("range", [True, 3]), ("range", ["a", "z"]),
     ("in", ["ok", "alpha"]), ("not_in", ["ok", "alpha"]), ("in", []), ("not_in", ()),
@@ -463,6 +483,19 @@ class TestConstantOperandFastPaths:
             if op != "in":
                 assert observed(got) == reference(constant, {"x": value}, None, "state"), value
 
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_field_versus_field_orderings_match_the_operator_table(self, op):
+        # Neither operand is a literal: ints within 2**53 and finite floats
+        # are compared directly, every other value goes to OPERATORS.
+        con = Constraint(name="c", check=Predicate(expression=compile_expression(f"x {op} y")))
+        evaluate = compile_constraint(con, "state")
+        for x in VALUES:
+            for y in VALUES:
+                state = {"x": x, "y": y}
+                got = evaluate(state, None)
+                assert got == unspecialised(op, x, y), (x, y)
+                assert observed(got) == reference(con, state, None, "state"), (x, y)
+
     @pytest.mark.parametrize("src", ["x * 1.5 >= 0", "x - 2 < 1", "x / 0.5 > 0", "x / 0 > 0",
                                      "x + -1e308 <= 0", "x * y >= 0", "x + y <= 0",
                                      "x / y > 0", "y - x < 1"])
@@ -493,7 +526,8 @@ class TestConstantOperandFastPaths:
                 assert outcome(lambda: constant({"x": a}, None)) == plain, (a, b)
 
 
-ARITHMETIC_OPERANDS = (1.5, 0.0, -0.0, 3, 1e308, -1e308, HUGE, math.inf, math.nan, "1", True)
+ARITHMETIC_OPERANDS = (1.5, 0.0, -0.0, 3, 0, EXACT, -EXACT - 1, 1e308, -1e308, HUGE, math.inf,
+                       math.nan, "1", True, False)
 
 
 KEYS = ("a", "b", "label", "c")

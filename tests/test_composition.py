@@ -266,6 +266,20 @@ class TestCheckConditions:
         assert report.c1_interface.witnesses == (
             (0, "out.amount", f"kind string incompatible with {target} (number)"),)
 
+    @pytest.mark.parametrize("upstream", ["amount", "state.amount"])
+    def test_c1_reads_an_upstream_path_under_either_spelling(self, upstream):
+        # Both spellings name one field of the sample; a witness keeps the
+        # path as the type map writes it.
+        b = agent("down", preconditions=(
+            Constraint(name="pre", severity="hard",
+                       check=Predicate(field_path="amount", operator="ge", operand=0)),))
+        handoff = HandoffSpec(type_map={upstream: "amount"})
+        report = check_conditions(agent("up"), b, handoff, [{"amount": 5}, {"amount": "ten"},
+                                                            {"other": 1}])
+        assert report.c1_interface.witnesses == (
+            (1, upstream, "kind string incompatible with amount (number)"),
+            (2, upstream, "missing in upstream output"))
+
     def test_c3_an_exists_predicate_neither_permits_nor_rejects(self):
         def gov(name, operator, operand=None):
             return Constraint(name=name, severity="hard", check=Predicate(

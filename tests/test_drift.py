@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from agentcontracts import drift
+from agentcontracts.assets import asset_path
 from agentcontracts.drift import (
     DriftWindow,
     _jsd,
@@ -30,6 +31,7 @@ from agentcontracts.errors import (
     ZeroBaseline,
     ZeroSeverity,
 )
+from agentcontracts.generator import generate_suite
 from agentcontracts.model import (
     ActionRecord,
     Constraint,
@@ -37,6 +39,8 @@ from agentcontracts.model import (
     DriftConfig,
     Predicate,
 )
+from agentcontracts.monitor import SessionMonitor
+from agentcontracts.parser import PipelineContract, load_contract, load_document
 
 
 @st.composite
@@ -174,6 +178,98 @@ class TestDistributionalDriftTerms:
             norms.update(window._absent_terms)
             assert len(window._absent_terms) <= 2
         assert len(norms) > 2
+
+
+def gate_count(config):
+    """The count vectors a window over the configuration can hold: at most
+    ``window`` labels over the vocabulary plus the pooled bucket."""
+    return math.comb(config.window + len(config.vocabulary) + 1, len(config.vocabulary) + 1)
+
+
+class TestWindowStateTable:
+    """A configuration with few reachable windows keeps a table from count
+    vector to divergence; its values are the plain kernel's bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tabled_and_untabled_windows_equal_the_plain_kernel(self, data):
+        # Sizes and windows on both sides of the gate; streams over a few
+        # labels revisit windows, and fresh windows fill one shared table.
+        size = data.draw(st.sampled_from([1, 2, 4, 9, 30]))
+        vocabulary = [f"a{i}" for i in range(size)]
+        weights = data.draw(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=size,
+                                     max_size=size).filter(lambda w: sum(w) >= 1e-3))
+        config = DriftConfig(window=data.draw(st.integers(1, 12)), vocabulary=vocabulary,
+                             reference={a: w / sum(weights) for a, w in zip(vocabulary, weights)})
+        tabled = gate_count(config) * (size + 1) <= 2 ** 16
+        labels = st.sampled_from(vocabulary[:3] + ["oov-1", "oov-2"])
+        windows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            window = DriftWindow(config)
+            windows.append(window)
+            reference = _smooth([config.reference.get(a, 0.0) for a in window.support])
+            for label in data.draw(st.lists(labels, min_size=1, max_size=60)):
+                window.push(label)
+                expected = _jsd(_smooth(window.observed()), reference)
+                assert bits(window.distributional_drift()) == bits(expected)
+                assert bits(window.distributional_drift()) == bits(expected)  # a hit
+        table = windows[0]._table
+        assert all(w._table is table for w in windows)
+        if not tabled:
+            assert table is None
+            return
+        assert len(table) <= gate_count(config)
+        for counts, value in table.items():
+            observed = [c / sum(counts) for c in counts]
+            assert bits(value) == bits(_jsd(_smooth(observed), reference))
+
+    def test_the_bundled_and_generated_contracts_get_a_table(self, tmp_path):
+        contracts = [load_contract(asset_path("contracts", "financial-advisor.yaml"))]
+        for seed in (1, 2, 3, 7, 11):
+            out = tmp_path / str(seed)
+            generate_suite(str(out), seed=seed)
+            for path in sorted((out / "contracts").glob("*.yaml")):
+                doc = load_document(str(path))
+                if isinstance(doc, PipelineContract):
+                    contracts += [doc.compose()] + [s.contract for s in doc.stages]
+                else:
+                    contracts.append(doc)
+        assert len(contracts) > 40
+        # A contract with no vocabulary (the loan pipeline's) has no
+        # reference and no distributional drift to table.
+        drifting = [c for c in contracts if c.drift_config.vocabulary]
+        assert len(drifting) > 20
+        for contract in contracts:
+            table = DriftWindow.for_contract(contract)._table
+            assert (table is not None) is bool(contract.drift_config.vocabulary), contract.name
+        for contract in drifting:
+            assert gate_count(contract.drift_config) * 5 == 630, contract.name
+
+    def test_a_config_past_the_gate_gets_none(self):
+        vocabulary = [f"a{i}" for i in range(50)]
+        config = DriftConfig(window=10, vocabulary=vocabulary,
+                             reference={a: 1 / 50 for a in vocabulary})
+        window = DriftWindow(config)
+        for label in vocabulary[:20]:
+            window.push(label)
+            window.distributional_drift()
+        assert window._table is None
+        assert gate_count(config) * 51 > 4.5e12
+
+    def test_a_config_without_reference_fills_no_table(self):
+        window = DriftWindow(DriftConfig(window=3))
+        window.push("a")
+        assert window.distributional_drift() == 0.0
+        assert window._table is None
+
+    def test_monitors_on_one_contract_share_its_tables(self):
+        contract = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+        one, two = SessionMonitor(contract).window, SessionMonitor(contract).window
+        assert one.support is two.support
+        assert one._index is two._index
+        assert one._weights is two._weights
+        assert one._table is two._table
+        assert one._labels is not two._labels and one._counts is not two._counts
 
 
 def contract_for_drift(w_c=0.7, w_d=0.3):
