@@ -68,33 +68,21 @@ from .monitor import (
     pdk_verdict,
     run_session,
 )
-from .composition import (
-    ChainBounds,
-    ChainSpec,
-    ConditionReport,
-    HandoffSpec,
-    chain_bounds,
-    check_conditions,
-    compose_chain,
-    compose_contracts,
-    verify_chain_trace,
-)
-from .bench import (
-    Scenario,
-    ScenarioScore,
-    aggregate,
-    load_scenario,
-    load_suite,
-    score_scenario,
-    score_suite,
-)
 
 __version__ = "0.1.0"
 
 # Names resolved on first use (PEP 562).  ``dynamics`` and ``generator``
 # import numpy, which importing the package, CLI ``run`` and CLI ``bench``
-# do not need; ``certification`` is off those paths too.
+# do not need; ``certification`` is off those paths too, and ``bench`` and
+# ``composition`` are off CLI ``run``'s.
 _LAZY = {
+    **dict.fromkeys(("ChainBounds", "ChainSpec", "ConditionReport", "HandoffSpec",
+                     "chain_bounds", "check_conditions", "compose_chain", "compose_contracts",
+                     "verify_chain_trace"),
+                    "composition"),
+    **dict.fromkeys(("Scenario", "ScenarioScore", "aggregate", "load_scenario", "load_suite",
+                     "score_scenario", "score_suite"),
+                    "bench"),
     **dict.fromkeys(("DesignSpec", "OUFit", "OUParams", "design_gamma_approx", "fit_ou",
                      "mse_at_time", "simulate_ou", "simulate_ou_exact", "simulate_ou_paths",
                      "solve_design_gamma", "stationary_stats", "tail_probability"),

@@ -16,8 +16,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .composition import check_boundaries
 from .drift import mean
+from .engine import check_boundaries
 from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import Contract, ExecutionTrace
 from .monitor import run_session

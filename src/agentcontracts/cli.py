@@ -22,14 +22,13 @@ import os
 import sys
 
 from . import __version__
-from .bench import aggregate, load_suite, score_suite
-from .composition import ChainSpec, chain_bounds, check_conditions
 from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
 from .model import ExecutionTrace, validate_contract, wire_elements
 from .monitor import run_session
 from .parser import PipelineContract, load_document
-# dynamics, generator and certification are imported by the commands that
-# use them: dynamics and generator load numpy, which run and bench do not need.
+# bench, composition, dynamics, generator and certification are imported by
+# the commands that use them: dynamics and generator load numpy, which run and
+# bench do not need, and run needs neither bench nor composition.
 
 EXIT_OK = 0
 EXIT_ISSUES = 1
@@ -183,6 +182,8 @@ def cmd_drift_fit(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .composition import ChainSpec, chain_bounds, check_conditions
+
     pipeline = load_document(args.pipeline)
     if not isinstance(pipeline, PipelineContract):
         print("compose expects a pipeline document", file=sys.stderr)
@@ -278,6 +279,8 @@ def cmd_bench(args) -> int:
         manifest = generate_suite(args.suite, seed=args.seed)
         print(f"generated {len(manifest['scenarios'])} scenarios in {args.suite}")
         return EXIT_OK
+    from .bench import aggregate, load_suite, score_suite
+
     scenarios = load_suite(args.suite)
     scores = score_suite(scenarios)
     summary = aggregate(scores)

@@ -17,13 +17,13 @@ witness corpora travel with the benchmark scenarios.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .engine import SatisfactionVerdict, _plan, check_deterministic, constraint_timelines
-from .errors import BadBoundaries, InsufficientSamples, TypeMismatch
+from .engine import (SatisfactionVerdict, _plan, check_boundaries, check_deterministic,
+                     constraint_timelines)
+from .errors import InsufficientSamples, TypeMismatch
 from .expressions import OPERATORS, field_getter, field_key
 from .model import (
     MISSING,
@@ -491,36 +491,6 @@ def chain_bounds(spec: ChainSpec) -> ChainBounds:
 # ---------------------------------------------------------------------------
 # Phase-scoped trace verification
 # ---------------------------------------------------------------------------
-
-def check_boundaries(boundaries, n_stages: int, trace_length: Optional[int]) -> tuple:
-    """Check the stage boundaries of an ``n_stages``-stage composed
-    contract over a trace of ``trace_length`` steps, and return them as a
-    tuple of ints.
-
-    There must be one boundary per handoff, each an integer state index in
-    ``[0, trace_length]`` (``trace_length`` None: no upper bound),
-    strictly increasing.  Raises BadBoundaries.
-    """
-    if n_stages == 1 and isinstance(boundaries, (tuple, list)) and not boundaries:
-        return ()
-    try:
-        boundaries = tuple(boundaries)
-    except TypeError:
-        raise BadBoundaries(f"boundaries must be a list of state indices, "
-                            f"got {type(boundaries).__name__}") from None
-    if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in boundaries):
-        raise BadBoundaries(f"boundary indices must be integers, got {list(boundaries)!r}")
-    boundaries = tuple(int(b) for b in boundaries)
-    if len(boundaries) != n_stages - 1:
-        raise BadBoundaries(
-            f"{n_stages}-stage contract needs {n_stages - 1} boundaries, got {len(boundaries)}")
-    upper = float("inf") if trace_length is None else trace_length
-    if any(not (0 <= idx <= upper) for idx in boundaries):
-        raise BadBoundaries(f"boundary indices must lie in [0, {upper}]")
-    if any(boundaries[i] >= boundaries[i + 1] for i in range(len(boundaries) - 1)):
-        raise BadBoundaries("boundary indices must be strictly increasing")
-    return boundaries
-
 
 def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
                        boundaries: Sequence[int]) -> SatisfactionVerdict:

@@ -134,9 +134,11 @@ def _vector(p) -> list:
 
 
 def _jsd(p: Sequence[float], q: Sequence[float]) -> float:
-    """The divergence kernel over two distributions on one support."""
+    """The divergence kernel over two distributions on one support,
+    clamped at 0: rounding can leave the sum of the two KL terms a few ulps
+    below it for nearly equal inputs."""
     m = [0.5 * (a + b) for a, b in zip(p, q)]
-    return _kl2(p, m) / 2.0 + _kl2(q, m) / 2.0
+    return max(0.0, _kl2(p, m) / 2.0 + _kl2(q, m) / 2.0)
 
 
 def _kl2(p: Sequence[float], q: Sequence[float]) -> float:
@@ -284,7 +286,7 @@ class DriftWindow:
         summed in the same order.  A label absent from the window smooths
         to ``eps / norm``, so its two terms depend only on ``norm``, the
         smoothed total; they are cached per ``norm``, and only the labels
-        present are computed afresh."""
+        present are computed afresh.  Clamped at 0 as ``_jsd`` is."""
         q = self._reference
         counts, total = self._counts, len(self._labels)
         present = set(self._labels)
@@ -303,7 +305,7 @@ class DriftWindow:
             m = 0.5 * (a + b)
             p_terms[i] = a * math.log2(a / m)
             q_terms[i] = b * math.log2(b / m)
-        return pairwise_sum(p_terms) / 2.0 + pairwise_sum(q_terms) / 2.0
+        return max(0.0, pairwise_sum(p_terms) / 2.0 + pairwise_sum(q_terms) / 2.0)
 
     def weighted_gaps(self, results: Mapping) -> tuple:
         """Weighted compliance gaps ``(all, invariants, governance)`` in one

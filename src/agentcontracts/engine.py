@@ -15,30 +15,44 @@ Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
 diagnostic is attached to the result either way.
 
-A contract's plan, cached on the contract object, validates it once,
+A contract's plan, cached on the contract object, validates it once and
 compiles each constraint into a closure ``(state, action) ->
-ConstraintResult`` (:func:`compile_constraint`: a field path becomes a
-walker unrolled for its key count, an operator a test specialised on the
-constant operand, see :mod:`~agentcontracts.expressions`) and holds its
-tables, so a step does constant work per constraint.  A plan's closures are
-the one evaluator: steps, post-recovery re-scoring, the trailing state and
-composition's conditions run them; :func:`evaluate_constraint` compiles
-a lone constraint for one call.
+ConstraintResult`` (:func:`compile_constraint`), the one definition of its
+semantics: fields walked by :func:`~agentcontracts.model.walk_path`,
+operators from :data:`~agentcontracts.expressions.OPERATORS`.  The plan
+then generates one function per section (:func:`_generate`) that runs the
+section's constraints as straight-line code, so a step does constant work
+per constraint.  A block inlines the common value shapes: plain dicts
+along the path, then a ``str``, a ``bool`` or a plain number (an ``int``
+or a ``float`` of magnitude at most 2**53) tested against operands bound
+once; an expression is inlined node by node under the same guards.  Any
+other value (a mapping that is not a dict, a ``str`` subclass, NaN, a large
+int, a missing field, a zero divisor) goes to the constraint's closure, so
+results and diagnostics are the closure's whichever path ran.  No contract
+text reaches the generated source: names, keys, operands, patterns and
+closures are bound in the functions' namespace under generated
+identifiers, so no contract can inject code.  The generated functions run
+steps, post-recovery re-scoring, preconditions and the trailing state;
+composition's conditions run the closures, and :func:`evaluate_constraint`
+compiles a lone constraint for one call.
 
-A passing closure returns the shared ``SATISFIED`` result, so a step
-records which results are anything else (``StepEvaluation.non_satisfied``)
-and its bookkeeping reads only those: with none, both compliance scores
-are 1.0; otherwise the same integer counts as a full pass give the same
-ratios.
+A passing check stores the shared ``SATISFIED`` result, so a step records
+which results are anything else (``StepEvaluation.non_satisfied``) as it
+goes, and its bookkeeping reads only those: with none, both compliance
+scores are 1.0; otherwise the same integer counts as a full pass give the
+same ratios.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
-from .expressions import compile_evaluator, field_getter, operator_for
+from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
+from .expressions import (SOURCE_GLOBALS, NotInlined, Source, compile_evaluator,
+                          expression_source, field_getter, field_key, guarded, operator_for,
+                          predicate_source)
 from .model import (MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict,
                     fallback_chain, require_valid)
 
@@ -47,6 +61,7 @@ __all__ = [
     "StepEvaluation",
     "ViolationEvent",
     "SatisfactionVerdict",
+    "check_boundaries",
     "compile_constraint",
     "evaluate_constraint",
     "evaluate_step",
@@ -91,7 +106,8 @@ class StepEvaluation:
 
     def __post_init__(self):
         if self.non_satisfied is None:
-            object.__setattr__(self, "non_satisfied", _non_satisfied(self.results))
+            object.__setattr__(self, "non_satisfied", tuple(
+                name for name, r in self.results.items() if r is not SATISFIED))
 
     def preconditions_ok(self) -> bool:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
@@ -218,24 +234,28 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
 class _Plan:
     """A contract validated (an error issue raises SemanticError, as the
     parser does), then compiled once: ``(name, scope, closure)`` per
-    precondition, invariant and governance constraint, the hard and the soft
-    names, each scored name's results position and weight (and their total),
-    the ``(name, weight)`` pairs of the invariants and of the governance
-    constraints that drift's compliance gaps read, and each soft
+    precondition, invariant and governance constraint, and one generated
+    function per section (:func:`_generate`) that runs them; the hard and
+    the soft names, each scored name's results position and weight (and
+    their total), the ``(name, weight)`` pairs of the invariants and of the
+    governance constraints that drift's compliance gaps read, and each soft
     constraint's recovery chain, one strategy per attempt."""
 
-    __slots__ = ("preconditions", "invariants", "governance", "hard", "soft",
-                 "order", "weights", "total_weight", "gap_weights", "schedules")
+    __slots__ = ("preconditions", "invariants", "governance", "evaluate_preconditions",
+                 "evaluate_invariants", "evaluate_governance", "hard", "soft", "order",
+                 "weights", "total_weight", "gap_weights", "schedules")
 
     def __init__(self, contract: Contract):
         require_valid(contract)
-
-        def entries(constraints, target):
-            return tuple((c.name, c.scope, compile_constraint(c, target)) for c in constraints)
-
-        self.preconditions = entries(contract.preconditions, "state")
-        self.invariants = entries(contract.invariants(), "state")
-        self.governance = entries(contract.governance(), "action")
+        sections = ((contract.preconditions, "state"), (contract.invariants(), "state"),
+                    (contract.governance(), "action"))
+        compiled = [[(c, target, compile_constraint(c, target)) for c in constraints]
+                    for constraints, target in sections]
+        self.preconditions, self.invariants, self.governance = (
+            tuple((c.name, c.scope, evaluate) for c, _, evaluate in section)
+            for section in compiled)
+        self.evaluate_preconditions, self.evaluate_invariants, self.evaluate_governance = \
+            _generate(compiled)
         self.hard = frozenset(c.name for c in contract.hard_constraints())
         self.soft = frozenset(c.name for c in contract.soft_constraints())
         scored = contract.invariants() + contract.governance()
@@ -251,6 +271,74 @@ class _Plan:
             for con in contract.soft_constraints())
 
 
+def _generate(sections: Sequence[Sequence[tuple]]) -> tuple:
+    """One function per section of ``(constraint, target, closure)``
+    triples, ``run(state, action, t, boundaries, results, non_satisfied)``,
+    from one generated source compiled once.  Each constraint is a
+    straight-line block: it stores the constraint's result under its name
+    and appends the name to ``non_satisfied`` unless the result is the
+    shared ``SATISFIED``.  A check is inlined as the source
+    :mod:`~agentcontracts.expressions` writes (plain-dict walks, exact type
+    guards); a value off that path, and a check it does not inline, calls
+    the constraint's closure, the one definition of its semantics.  Given
+    ``boundaries``, a scoped constraint out of phase at ``t`` (see
+    :func:`scope_active`) is ``OUT_OF_PHASE``.  Every name, key, operand,
+    pattern and closure is bound in the functions' namespace under a
+    generated identifier (see :class:`~agentcontracts.expressions.Source`),
+    so no contract text reaches the source.
+    """
+    namespace = {"SAT": SATISFIED, "VIO": VIOLATED, "OOP": OUT_OF_PHASE, "M": MISSING,
+                 **SOURCE_GLOBALS}
+    lines = []
+    for i, section in enumerate(sections):
+        source = Source(namespace)
+        blocks = [line for entry in section for line in _block(*entry, source)]
+        lines.append(f"def _s{i}(state, action, t, boundaries, results, non_satisfied):")
+        lines += ["    " + line for line in ["add = non_satisfied.append", *source.header, *blocks]]
+    exec(compile("\n".join(lines) + "\n", "<agentcontracts plan>", "exec"), namespace)
+    return tuple(namespace[f"_s{i}"] for i in range(len(sections)))
+
+
+def _block(constraint: Constraint, target: str, evaluate: Evaluator, source: Source) -> list:
+    """The source lines of one constraint's block."""
+    name, fallback = source.bind(constraint.name), f"{source.bind(evaluate)}(state, action)"
+    check = constraint.check
+    try:
+        if check.is_expression():
+            test = expression_source(check.expression, source)
+            lines = [f"try: results[{name}] = r = (SAT if {test} else VIO)",
+                     f"except Slow: results[{name}] = r = {fallback}"]
+        elif check.operator == "exists":
+            guard, last = source.walk(*field_key(check.field_path, target), ", M")
+            lines = [f"results[{name}] = r = "
+                     f"(VIO if {last} is M else SAT) if {guard} else {fallback}"]
+        else:
+            guard, last = source.walk(*field_key(check.field_path, target))
+            kind, test = predicate_source(check.operator, check.operand, source.bind)
+            guard = " and ".join(filter(None, (guard, guarded(kind, last))))
+            lines = [f"results[{name}] = r = (SAT if {test} else VIO) if {guard} else {fallback}"]
+    except NotInlined:
+        lines = [f"results[{name}] = r = {fallback}"]
+    lines.append(f"r is SAT or add({name})")
+    if constraint.scope is not None:
+        lines = [f"if {source.local(_active_source(constraint.scope))}:",
+                 *("    " + line for line in lines),
+                 f"else: results[{name}] = OOP; add({name})"]
+    return lines
+
+
+def _active_source(scope: str) -> str:
+    """Source over ``t`` and ``boundaries``: no boundaries, or
+    :func:`scope_active` of a validated scope (``stage:<i>`` or
+    ``handoff:<j>``)."""
+    kind, _, num = scope.partition(":")
+    j = int(num)
+    if kind == "handoff":
+        return f"not boundaries or t == boundaries[{j}]"
+    start = "0" if j == 0 else f"boundaries[{j - 1}]"
+    return f"not boundaries or {start} <= t and ({j} >= len(boundaries) or t <= boundaries[{j}])"
+
+
 def _plan(contract: Contract) -> _Plan:
     """The contract's plan, built (and so validated) on first use and cached
     on the contract object."""
@@ -263,10 +351,6 @@ def _plan(contract: Contract) -> _Plan:
 # ---------------------------------------------------------------------------
 # Step evaluation
 # ---------------------------------------------------------------------------
-
-def _non_satisfied(results: Mapping[str, ConstraintResult]) -> tuple:
-    return tuple(name for name, r in results.items() if r is not SATISFIED)
-
 
 def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str],
            names: frozenset) -> float:
@@ -285,30 +369,25 @@ def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str]
     return satisfied / total if total else 1.0
 
 
-def _evaluate_into(results: dict, entries: Sequence[tuple], state: StateDict,
-                   action: Optional[ActionRecord], t: int, boundaries: Sequence[int]) -> dict:
-    if boundaries:
-        for name, scope, evaluate in entries:
-            results[name] = (evaluate(state, action) if scope_active(scope, t, boundaries)
-                             else OUT_OF_PHASE)
-    else:
-        for name, _, evaluate in entries:
-            results[name] = evaluate(state, action)
-    return results
-
-
 def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: int,
                 boundaries: Sequence[int],
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
     """Step ``t`` with the given precondition results, which it does not evaluate."""
     plan = _plan(contract)
-    results = _evaluate_into({}, plan.invariants, state, None, t, boundaries)
-    _evaluate_into(results, plan.governance, state, action, t, boundaries)
-    non_satisfied = _non_satisfied(results)
+    results, non_satisfied = {}, []
+    plan.evaluate_invariants(state, None, t, boundaries, results, non_satisfied)
+    plan.evaluate_governance(state, action, t, boundaries, results, non_satisfied)
+    non_satisfied = tuple(non_satisfied)
     return StepEvaluation(step=t, results=results,
                           c_hard=_ratio(results, non_satisfied, plan.hard),
                           c_soft=_ratio(results, non_satisfied, plan.soft),
                           preconditions=preconditions, non_satisfied=non_satisfied)
+
+
+def _preconditions(contract: Contract, state: StateDict) -> dict:
+    results: dict = {}
+    _plan(contract).evaluate_preconditions(state, None, 0, (), results, [])
+    return results
 
 
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
@@ -321,9 +400,7 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
     contract's stage boundaries: constraints out of phase at ``t`` are
     recorded as skipped.
     """
-    preconditions = None
-    if t == 0:
-        preconditions = _evaluate_into({}, _plan(contract).preconditions, state, None, 0, ())
+    preconditions = _preconditions(contract, state) if t == 0 else None
     return _score_step(contract, state, action, t, boundaries, preconditions)
 
 
@@ -354,13 +431,43 @@ def scope_active(scope: Optional[str], state_index: int,
     return start <= state_index and (j >= len(boundaries) or state_index <= boundaries[j])
 
 
+def check_boundaries(boundaries, n_stages: int, trace_length: Optional[int]) -> tuple:
+    """Check the stage boundaries of an ``n_stages``-stage composed
+    contract over a trace of ``trace_length`` steps, and return them as a
+    tuple of ints.
+
+    There must be one boundary per handoff, each an integer state index in
+    ``[0, trace_length]`` (``trace_length`` None: no upper bound),
+    strictly increasing.  Raises BadBoundaries.
+    """
+    if n_stages == 1 and isinstance(boundaries, (tuple, list)) and not boundaries:
+        return ()
+    try:
+        boundaries = tuple(boundaries)
+    except TypeError:
+        raise BadBoundaries(f"boundaries must be a list of state indices, "
+                            f"got {type(boundaries).__name__}") from None
+    if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in boundaries):
+        raise BadBoundaries(f"boundary indices must be integers, got {list(boundaries)!r}")
+    boundaries = tuple(int(b) for b in boundaries)
+    if len(boundaries) != n_stages - 1:
+        raise BadBoundaries(
+            f"{n_stages}-stage contract needs {n_stages - 1} boundaries, got {len(boundaries)}")
+    upper = float("inf") if trace_length is None else trace_length
+    if any(not (0 <= idx <= upper) for idx in boundaries):
+        raise BadBoundaries(f"boundary indices must lie in [0, {upper}]")
+    if any(boundaries[i] >= boundaries[i + 1] for i in range(len(boundaries) - 1)):
+        raise BadBoundaries("boundary indices must be strictly increasing")
+    return boundaries
+
+
 def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
                           states: Sequence[StateDict]) -> Mapping[str, ConstraintResult]:
     """A session's precondition results: step 0's, or an evaluation of
     ``states[0]`` when no step ran."""
     if steps:
         return steps[0].preconditions
-    return _evaluate_into({}, _plan(contract).preconditions, states[0], None, 0, ())
+    return _preconditions(contract, states[0])
 
 
 def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
@@ -373,7 +480,8 @@ def session_timelines(contract: Contract, preconditions: Mapping[str, Constraint
     """
     n = len(steps)
     plan = _plan(contract)
-    trailing = _evaluate_into({}, plan.invariants, states[n], None, n, boundaries)
+    trailing: dict = {}
+    plan.evaluate_invariants(states[n], None, n, boundaries, trailing, [])
     timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
     for name, _, _ in plan.invariants:
         timelines[name] = (tuple(s.results[name].satisfied for s in steps)

@@ -12,19 +12,21 @@ once by :func:`field_key` and read by :func:`field_getter`, and
 comparisons and ``in`` dispatch through :data:`OPERATORS`, looked up when
 the closure is built.
 
-Closures are specialised when they are built, on what cannot change per
-step: :func:`field_getter` returns a walker unrolled for its key count,
-with a plain-dict fast path at every depth, and :func:`operator_for`
-specialises a predicate on its constant operand (numeric bounds converted
-to float once, string lists turned into frozensets).  Arithmetic, and
-ordering between two operands that are not literals, take two plain
-numbers directly.  Each fast path is taken only on an exact type
-(``dict``, ``str``, or a plain number: a finite ``float``, or an ``int``
-within 2**53, where ``float()`` and int-to-float comparison are both
-exact); any other value falls back to
-:func:`~agentcontracts.model.walk_path` from the root or to
-``OPERATORS[op]``, so results and TypeMismatch messages do not depend on
-which path ran.
+The closures are the reference semantics: a field is walked by
+:func:`~agentcontracts.model.walk_path` and an operator is ``OPERATORS[op]``
+(only a ``matches`` pattern is compiled once, by :func:`operator_for`).
+Speed comes from a contract's generated step (see
+:mod:`~agentcontracts.engine`), whose source the last section writes: a
+field predicate or an expression inlined with exact type guards at every
+node (a plain ``dict`` at every depth of a path, ``str``, ``bool``, or a
+plain number: a finite ``float``, or an ``int`` within 2**53, where
+``float()`` and int-to-float comparison are both exact).  Operands are
+still evaluated left to right, and and/or still stop early.  Any other
+value, a missing field and a zero divisor leave the inlined code for the
+constraint's closure, so results and TypeMismatch messages do not depend
+on which path ran.  The source names only fixed identifiers and the
+generated names that ``bind`` returns for keys, operands and patterns, so
+no contract text reaches it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import operator
 import re
 from dataclasses import dataclass
 from math import isfinite
+from types import MappingProxyType
 from typing import Any, Callable, Optional, Union
 
 from .errors import (ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, SemanticError,
@@ -221,86 +224,29 @@ def field_key(path: str, bare: str = "state") -> tuple:
     return bare, tuple(path.split("."))
 
 
-def _walker(keys: tuple) -> Callable[..., Any]:
-    """``walk(root, _=None)``: :func:`walk_path` of ``keys`` below ``root``,
-    unrolled for up to four keys with a plain-dict fast path at every
-    depth; a non-dict or a missing key falls back to :func:`walk_path`
-    from the root.  The ignored second argument lets a state-side walker
-    serve as a ``get(state, action)``."""
-    n = len(keys)
-    if n == 1:
-        k0, = keys
-
-        def walk(root, _=None):
-            if type(root) is dict:
-                return root.get(k0, MISSING)
-            return walk_path(root, keys)
-    elif n == 2:
-        k0, k1 = keys
-
-        def walk(root, _=None):
-            if type(root) is dict:
-                v = root.get(k0)
-                if type(v) is dict:
-                    return v.get(k1, MISSING)
-            return walk_path(root, keys)
-    elif n == 3:
-        k0, k1, k2 = keys
-
-        def walk(root, _=None):
-            if type(root) is dict:
-                v = root.get(k0)
-                if type(v) is dict:
-                    v = v.get(k1)
-                    if type(v) is dict:
-                        return v.get(k2, MISSING)
-            return walk_path(root, keys)
-    elif n == 4:
-        k0, k1, k2, k3 = keys
-
-        def walk(root, _=None):
-            if type(root) is dict:
-                v = root.get(k0)
-                if type(v) is dict:
-                    v = v.get(k1)
-                    if type(v) is dict:
-                        v = v.get(k2)
-                        if type(v) is dict:
-                            return v.get(k3, MISSING)
-            return walk_path(root, keys)
-    else:
-        def walk(root, _=None):
-            return walk_path(root, keys)
-    return walk
-
-
 def field_getter(path: str,
                  bare: str = "state") -> Callable[[StateDict, Optional[ActionRecord]], Any]:
     """``get(state, action)``: the value at a field path (see
-    :func:`field_key`), or MISSING; an action path is missing without an
-    action.  The action side reads the payload, whose own ``label`` key
-    wins over the action's label, as in :meth:`ActionRecord.view`.  The
-    keys below the side are walked by a walker built for their count
-    (:func:`_walker`)."""
+    :func:`field_key`), walked by :func:`walk_path`, or MISSING; an action
+    path is missing without an action.  The action side reads the payload,
+    whose own ``label`` key wins over the action's label, as in
+    :meth:`ActionRecord.view`."""
     side, keys = field_key(path, bare)
     if side == "state":
-        return _walker(keys)
+        return lambda state, action=None: walk_path(state, keys)
     if not keys:
         return lambda state, action: MISSING if action is None else action.view()
     first, rest = keys[0], keys[1:]
-    walk = _walker(rest) if rest else None
 
     def get(state, action):
         if action is None:
             return MISSING
         payload = action.payload
         if first in payload:
-            value = payload[first]
-        elif first == "label":
-            value = action.label
-        else:
-            return MISSING
-        return walk(value) if walk else value
+            return walk_path(payload[first], rest)
+        if first == "label":
+            return walk_path(action.label, rest)
+        return MISSING
 
     return get
 
@@ -308,19 +254,6 @@ def field_getter(path: str,
 # ---------------------------------------------------------------------------
 # Operators, shared with field predicates
 # ---------------------------------------------------------------------------
-
-#: The largest magnitude of an int that a float holds exactly.
-_EXACT_INT = 2 ** 53
-
-
-def _plain(v: Any) -> bool:
-    """A finite float, or an int that a float holds exactly: a number that
-    ordering and arithmetic may use as is, with the result that converting
-    it by :func:`_require_number` gives."""
-    if type(v) is float:
-        return isfinite(v)
-    return type(v) is int and -_EXACT_INT <= v <= _EXACT_INT
-
 
 def _require_number(v: Any, op: str) -> float:
     if not is_number(v):
@@ -385,40 +318,13 @@ OPERATORS = {
 
 
 def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
-    """``test(value)``: ``OPERATORS[op](value, operand)`` specialised on
-    its constant operand, once.
-
-    - an ordering against a number, and ``range`` with numeric bounds,
-      convert the operand to float once and compare a plain number (see
-      :func:`_plain`) directly;
-    - ``in``/``not_in`` over a list of strings test a ``str`` value
-      against a frozenset of them;
-    - ``eq``/``ne`` against a string are ``==``, which is what
-      :func:`value_eq` does whenever one side is a string;
-    - a ``matches`` pattern is compiled once.
-
-    Each fast path is guarded by an exact type check (and, for numbers,
-    :func:`_plain`); every other value goes to ``OPERATORS[op]``, so
-    results and TypeMismatch messages are the same as without it.  An
-    unknown operator, a ``matches`` operand that is not a string or an
-    invalid pattern raises SemanticError, in the validator's words."""
+    """``test(value)``: ``OPERATORS[op](value, operand)``, with a ``matches``
+    pattern compiled once.  An unknown operator, a ``matches`` operand that
+    is not a string or an invalid pattern raises SemanticError, in the
+    validator's words."""
     predicate = OPERATORS.get(op)
     if predicate is None:
         raise SemanticError(f"operator {op!r} is not one of {FIELD_OPERATORS}")
-    compare = _COMPARE.get(op)
-    if compare is not None and is_number(operand):
-        b = float(operand)
-        return lambda a: compare(a, b) if _plain(a) else predicate(a, operand)
-    if op == "range" and isinstance(operand, (list, tuple)) and len(operand) == 2 \
-            and all(map(is_number, operand)):
-        lo, hi = float(operand[0]), float(operand[1])
-        return lambda a: lo <= a <= hi if _plain(a) else predicate(a, operand)
-    if op in ("in", "not_in") and isinstance(operand, (list, tuple)) \
-            and all(type(m) is str for m in operand):
-        members = frozenset(operand)
-        if op == "in":
-            return lambda a: a in members if type(a) is str else predicate(a, operand)
-        return lambda a: a not in members if type(a) is str else predicate(a, operand)
     if op == "matches":
         if not isinstance(operand, str):
             raise SemanticError("matches operand must be a string")
@@ -427,11 +333,6 @@ def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
         except re.error as exc:
             raise SemanticError(f"invalid regular expression: {exc}") from None
         return lambda a: _search(search, a)
-    if type(operand) is str:
-        if op in ("eq", "=="):
-            return lambda a: a == operand
-        if op in ("ne", "!="):
-            return lambda a: not a == operand
     return lambda a: predicate(a, operand)
 
 
@@ -480,26 +381,12 @@ def _closure(node: ExprAst):
             return lambda state, action: (_require_bool(left(state, action), op)
                                           or _require_bool(right(state, action), op))
         if op in OPERATORS:
-            if isinstance(node.right, Lit):
-                test = operator_for(op, node.right.value)
-                return lambda state, action: test(left(state, action))
             predicate = OPERATORS[op]
-            compare = _COMPARE.get(op)
-            if compare is None:
-                return lambda state, action: predicate(left(state, action),
-                                                       right(state, action))
-
-            def order(state, action):
-                a, b = left(state, action), right(state, action)
-                return compare(a, b) if _plain(a) and _plain(b) else predicate(a, b)
-
-            return order
+            return lambda state, action: predicate(left(state, action), right(state, action))
         arithmetic = _ARITHMETIC[op]
 
         def combine(state, action):
             a, b = left(state, action), right(state, action)
-            if _plain(a) and _plain(b):
-                return arithmetic(float(a), float(b))
             return arithmetic(_require_number(a, op), _require_number(b, op))
 
         return combine
@@ -551,3 +438,280 @@ def eval_expression(ast: ExprAst, state: StateDict,
     :func:`compile_evaluator`, which repeated evaluation should hold on
     to)."""
     return compile_evaluator(ast)(state, action)
+
+
+# ---------------------------------------------------------------------------
+# Inline source: the checks a contract's generated step makes without a call
+# ---------------------------------------------------------------------------
+
+#: The largest magnitude of an int that a float holds exactly.
+_EXACT_INT = 2 ** 53
+
+# The operator tokens the source may hold, looked up so that an operator
+# reaches the source as one of these constants, never as contract text.
+_ORDER_SOURCE = {"lt": "<", "<": "<", "le": "<=", "<=": "<=",
+                 "gt": ">", ">": ">", "ge": ">=", ">=": ">="}
+_ARITHMETIC_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
+#: The kinds :func:`guarded` tests, by the exact type of a value.
+_KINDS = {str: "str", bool: "bool", int: "num", float: "num"}
+
+
+class NotInlined(Exception):
+    """A check the generated step leaves to the constraint's closure."""
+
+
+class Slow(Exception):
+    """Raised, as the class and never as a shared instance, by generated
+    expression code on a value off its inlined path."""
+
+
+def slow():
+    raise Slow
+
+
+#: The namespace names inline source may use besides ``bind``'s, and
+#: ``v``, the one scratch local.
+SOURCE_GLOBALS = {"NUM": frozenset((int, float)), "LO": -_EXACT_INT, "HI": _EXACT_INT,
+                  "NODICT": MappingProxyType({}), "isfinite": isfinite, "slow": slow,
+                  "Slow": Slow}
+
+_ROOTS = {"state": "state if type(state) is dict else NODICT",
+          "action": "action.payload if action is not None and type(action.payload) is dict"
+                    " else NODICT"}
+
+
+class Source:
+    """The names one generated function's source may use.
+
+    Besides :data:`SOURCE_GLOBALS` and the scratch local ``v``, the source
+    reads the function's ``state`` and ``action``.  Everything taken from
+    a contract (keys, operands, patterns) is bound by :meth:`bind` under a
+    generated identifier, so no contract text reaches the source.  What
+    several checks share is computed once per call into a local that
+    :meth:`local` declares in ``header``: the state, the action's payload
+    and the value at each key prefix of a path, each the plain dict it is
+    or else ``NODICT``, an empty mapping, so a key read below it is None.
+    """
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace
+        self.header: list = []
+        self._locals: dict = {}
+        self._prefixes: dict = {}
+
+    def bind(self, value: Any) -> str:
+        name = f"_c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def local(self, value: str) -> str:
+        """A local holding the source ``value``, set once at the top of
+        the function."""
+        name = self._locals.get(value)
+        if name is None:
+            name = self._locals[value] = f"w{len(self._locals)}"
+            self.header.append(f"{name} = {value}")
+        return name
+
+    def _at(self, side: str, keys: tuple) -> str:
+        """The local holding the plain dict at ``keys`` below a side, or
+        ``NODICT``."""
+        if not keys:
+            return self.local(_ROOTS[side])
+        local = self._prefixes.get((side, keys))
+        if local is None:
+            container = self._at(side, keys[:-1])
+            local = self._prefixes[side, keys] = self.local(
+                f"v if type(v := {container}.get({self.bind(keys[-1])})) is dict else NODICT")
+        return local
+
+    def walk(self, side: str, keys: tuple, default: str = "") -> tuple:
+        """``(test, last)``: ``last`` reads the last of ``keys`` below a
+        side from the local holding its container, so it is None when the
+        keys above do not lead through plain dicts.  ``default``, source
+        placed after the key, is what a missing last key reads; a lone
+        ``label`` key of the action defaults to the action's label.  With a
+        default, ``test`` is the source testing that the container is a
+        plain dict, which must hold before ``last`` is read, so that a
+        default never answers for a container that is not; else None."""
+        if not keys:
+            raise NotInlined
+        container = self._at(side, keys[:-1])
+        if side == "action" and keys == ("label",):
+            default = ", action.label"
+        test = f"{container} is not NODICT" if default else None
+        return test, f"{container}.get({self.bind(keys[-1])}{default})"
+
+
+def guarded(kind: str, source: str) -> str:
+    """Source binding ``source`` to ``v`` and testing its exact type:
+    "num" is a plain number (an int or a float of magnitude at most 2**53,
+    which ordering and arithmetic use as is; NaN and the infinities fail
+    the bound), "str" and "bool" exactly that type."""
+    if kind == "num":
+        return f"type(v := {source}) in NUM and LO <= v <= HI"
+    return f"type(v := {source}) is {kind}"
+
+
+def predicate_source(op: str, operand: Any, bind) -> tuple:
+    """``(kind, test)``: ``OPERATORS[op](v, operand)`` as a test of ``v``
+    for a value of ``kind`` (see :func:`guarded`), for an ordering or
+    ``range`` against numbers, ``in``/``not_in`` over strings, ``matches``,
+    and ``eq``/``ne`` against a string, a bool or a number (where
+    :func:`~agentcontracts.model.value_eq` is ``==`` or ``is``)."""
+    order = _ORDER_SOURCE.get(op)
+    if order is not None and is_number(operand):
+        return "num", f"v {order} {bind(float(operand))}"
+    if op == "range" and isinstance(operand, (list, tuple)) and len(operand) == 2 \
+            and all(map(is_number, operand)):
+        return "num", f"{bind(float(operand[0]))} <= v <= {bind(float(operand[1]))}"
+    if op in ("in", "not_in") and isinstance(operand, (list, tuple)) \
+            and all(type(m) is str for m in operand):
+        return "str", f"v {'in' if op == 'in' else 'not in'} {bind(frozenset(operand))}"
+    if op == "matches" and type(operand) is str:
+        return "str", f"{bind(re.compile(operand).search)}(v) is not None"
+    kind = _KINDS.get(type(operand))
+    if op in ("eq", "ne", "==", "!=") and kind is not None:
+        negate = op in ("ne", "!=")
+        if kind == "bool":
+            return kind, f"v {'is not' if negate else 'is'} {bind(operand)}"
+        return kind, f"v {'!=' if negate else '=='} {bind(operand)}"
+    raise NotInlined
+
+
+#: The deepest expression inlined: each level nests at most four brackets
+#: in the source, and the parser allows 200.
+_MAX_INLINED_DEPTH = 40
+
+
+def expression_source(ast: ExprAst, source: Source) -> str:
+    """The expression as one source expression of a bool, its operands
+    left to right and ``and``/``or`` short-circuiting as in its closure.
+    Every operand is tested by :func:`guarded` for the kind its operator
+    takes; any other value, a missing field, a non-finite intermediate and
+    a zero divisor call ``slow()``, so the closure decides."""
+    if _depth(ast) > _MAX_INLINED_DEPTH:
+        raise NotInlined
+    return _boolean(ast, source)
+
+
+def _depth(node: ExprAst) -> int:
+    if isinstance(node, Unary):
+        return 1 + _depth(node.operand)
+    if isinstance(node, Binary):
+        return 1 + max(_depth(node.left), _depth(node.right))
+    if isinstance(node, Call):
+        return 1 + max(map(_depth, node.args), default=0)
+    return 1
+
+
+def _field(node: Field, source: Source) -> str:
+    test, last = source.walk(*field_key(node.path))
+    return f"({last} if {test} else None)" if test else last
+
+
+def _number(node: ExprAst, source: Source) -> tuple:
+    """``(source, is_float)``: a plain number; ``is_float`` when it is
+    always a float, so that arithmetic with it converts as the closure's
+    ``float()`` does."""
+    if isinstance(node, Lit):
+        value = node.value
+        if type(value) is float and is_number(value):
+            return source.bind(value), True
+        if type(value) is int and -_EXACT_INT <= value <= _EXACT_INT:
+            return source.bind(value), False
+        raise NotInlined
+    if isinstance(node, Field):
+        return f"(v if {guarded('num', _field(node, source))} else slow())", False
+    if isinstance(node, Unary) and node.op != "not":
+        return f"(-{_float(node.operand, source)})", True
+    if isinstance(node, Binary) and node.op in _ARITHMETIC:
+        left, left_float = _number(node.left, source)
+        right, right_float = _number(node.right, source)
+        if not (left_float or right_float):
+            left = f"float({left})"
+        if node.op == "/":
+            right = f"(v if (v := {right}) else slow())"
+        return (f"(v if isfinite(v := {left} {_ARITHMETIC_SOURCE[node.op]} {right})"
+                f" else slow())"), True
+    if isinstance(node, Call) and node.args:
+        if node.func == "len" and len(node.args) == 1:
+            return (f"(len(v) if type(v := {_value(node.args[0], source)}) is str"
+                    f" or type(v) is list else slow())"), False
+        if node.func == "abs" and len(node.args) == 1:
+            return f"abs({_float(node.args[0], source)})", True
+        if node.func not in ("len", "abs"):
+            args = [_float(arg, source) for arg in node.args]
+            pick = "min" if node.func == "min" else "max"
+            return (f"{pick}({', '.join(args)})" if len(args) > 1 else args[0]), True
+    raise NotInlined
+
+
+def _float(node: ExprAst, source: Source) -> str:
+    text, is_float = _number(node, source)
+    return text if is_float else f"float({text})"
+
+
+def _value(node: ExprAst, source: Source) -> str:
+    """A field's value unchecked (None when it does not resolve through
+    plain dicts), or a string literal."""
+    if isinstance(node, Field):
+        return _field(node, source)
+    if isinstance(node, Lit) and type(node.value) is str:
+        return source.bind(node.value)
+    raise NotInlined
+
+
+def _string(node: ExprAst, source: Source) -> str:
+    if isinstance(node, Field):
+        return f"(v if {guarded('str', _field(node, source))} else slow())"
+    return _value(node, source)
+
+
+def _kind(node: ExprAst) -> Optional[str]:
+    """The kind a node's value always has; None for a field."""
+    if isinstance(node, Lit):
+        return _KINDS.get(type(node.value), "other")
+    if isinstance(node, Unary):
+        return "bool" if node.op == "not" else "num"
+    if isinstance(node, Binary):
+        return "num" if node.op in _ARITHMETIC else "bool"
+    if isinstance(node, Call):
+        return "num"
+    return None
+
+
+def _boolean(node: ExprAst, source: Source) -> str:
+    if isinstance(node, Lit):
+        if type(node.value) is bool:
+            return source.bind(node.value)
+        raise NotInlined
+    if isinstance(node, Field):
+        return f"(v if {guarded('bool', _field(node, source))} else slow())"
+    if isinstance(node, Unary) and node.op == "not":
+        return f"(not {_boolean(node.operand, source)})"
+    if not isinstance(node, Binary):
+        raise NotInlined
+    op = node.op
+    if op in ("and", "or"):
+        return (f"({_boolean(node.left, source)} {'and' if op == 'and' else 'or'}"
+                f" {_boolean(node.right, source)})")
+    if op in _ORDER_SOURCE:
+        return (f"({_number(node.left, source)[0]} {_ORDER_SOURCE[op]}"
+                f" {_number(node.right, source)[0]})")
+    if op in ("==", "!="):
+        kinds = {_kind(node.left), _kind(node.right)} - {None}
+        kind = kinds.pop() if len(kinds) == 1 else None
+        operand = {"num": lambda n: _number(n, source)[0], "str": lambda n: _string(n, source),
+                   "bool": lambda n: _boolean(n, source)}.get(kind)
+        if operand is None:
+            raise NotInlined
+        if op == "==":
+            relation = "is" if kind == "bool" else "=="
+        else:
+            relation = "is not" if kind == "bool" else "!="
+        return f"({operand(node.left)} {relation} {operand(node.right)})"
+    if op == "in" and isinstance(node.right, Lit) and type(node.right.value) is str:
+        return f"({_string(node.left, source)} in {source.bind(node.right.value)})"
+    raise NotInlined

@@ -604,14 +604,13 @@ def is_number(v: Any) -> bool:
 def value_eq(a: Any, b: Any) -> bool:
     """The one equality of the contract language (field ``eq``/``ne``/``in``
     and expression ``==``/``!=``/``in``): numbers compare numerically and
-    exactly, booleans only against booleans, at every depth of lists,
-    tuples and mappings."""
+    exactly (Python's ``==`` compares an int with a float exactly),
+    booleans only against booleans, at every depth of lists, tuples and
+    mappings."""
     if type(a) is str or type(b) is str:  # no rule below applies to a string
         return a == b
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a is b
-    if is_number(a) and is_number(b):
-        return float(a) == float(b)
     if isinstance(a, list) and isinstance(b, list) or isinstance(a, tuple) and isinstance(b, tuple):
         return len(a) == len(b) and all(map(value_eq, a, b))
     if isinstance(a, abc.Mapping) and isinstance(b, abc.Mapping):

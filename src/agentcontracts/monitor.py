@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .composition import check_boundaries
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
 from .engine import (
     SatisfactionVerdict,
@@ -40,6 +39,7 @@ from .engine import (
     _plan,
     _recoverable,
     _score_step,
+    check_boundaries,
     check_deterministic,
     classify_outcome,
     evaluate_step,

@@ -28,7 +28,6 @@ from typing import Any, Mapping, Optional, Union
 
 import yaml
 
-from .composition import HandoffSpec, compose_chain, handoff_contract
 from .errors import (
     DslSyntaxError,
     ExprSyntaxError,
@@ -88,6 +87,8 @@ class PipelineContract:
 
     def compose(self) -> Contract:
         """The stages' contracts composed by :func:`compose_chain`."""
+        from .composition import compose_chain
+
         return compose_chain([s.contract for s in self.stages], list(self.handoffs))
 
 
@@ -537,6 +538,8 @@ def _parse_pipeline_doc(doc: _Doc, root: Mapping,
         raise SemanticError(
             f"a {len(stages)}-stage pipeline needs {len(stages) - 1} handoffs, "
             f"got {len(handoffs_raw)}", span=doc.span(("handoffs",)))
+    from .composition import HandoffSpec, handoff_contract
+
     handoffs = []
     for j, raw in enumerate(handoffs_raw):
         p = ("handoffs", j)

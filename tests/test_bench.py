@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from agentcontracts import bench, parser
+from agentcontracts import bench, composition
 from agentcontracts.bench import (
     aggregate,
     load_scenario,
@@ -128,10 +128,10 @@ class TestLoadScenario:
 class TestLoadSuite:
     def test_each_contract_file_loaded_once(self, suite_dir, monkeypatch):
         loads, composes = [], []
-        real_load, real_compose = bench.load_document, parser.compose_chain
+        real_load, real_compose = bench.load_document, composition.compose_chain
         monkeypatch.setattr(bench, "load_document",
                             lambda path: loads.append(path) or real_load(path))
-        monkeypatch.setattr(parser, "compose_chain",
+        monkeypatch.setattr(composition, "compose_chain",
                             lambda *a: composes.append(1) or real_compose(*a))
         scenarios = load_suite(suite_dir)
         referenced = {json.load(open(os.path.join(suite_dir, e["file"])))["contract"]

@@ -2,7 +2,9 @@
 
 The reference below re-implements field resolution, the operator rules and
 the expression language with plain recursion and dict lookups, so the
-closures the engine compiles are checked against an independent code path.
+closures the engine compiles, and the step each plan generates from them,
+are checked against an independent code path, and the step against the
+closures.
 """
 
 import copy
@@ -10,6 +12,7 @@ import json
 import math
 import pickle
 import sys
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 from types import MappingProxyType
@@ -20,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcontracts import expressions
+from agentcontracts import engine, expressions
 from agentcontracts.assets import asset_path
-from agentcontracts.engine import (ConstraintResult, compile_constraint, evaluate_constraint,
-                                   evaluate_step)
+from agentcontracts.composition import HandoffSpec, compose_chain
+from agentcontracts.engine import (OUT_OF_PHASE, SATISFIED, VIOLATED, ConstraintResult,
+                                   compile_constraint, evaluate_constraint, evaluate_step,
+                                   scope_active)
 from agentcontracts.errors import SemanticError, TypeMismatch
 from agentcontracts.expressions import (OPERATORS, Binary, Call, Field, Lit, Unary,
                                         compile_expression, field_getter)
@@ -35,6 +40,7 @@ from agentcontracts.model import (
     DriftConfig,
     ExecutionTrace,
     Predicate,
+    validate_contract,
     value_eq,
 )
 from agentcontracts.monitor import SessionMonitor, run_session
@@ -215,9 +221,10 @@ ACTION_EXPRESSIONS = ("action.cost <= action.latency", "action.label == \"alpha\
                       "action.cost * 2 > score", "action.label != 5")
 
 
-def reshape(draw, mapping, fields):
+def reshape(draw, mapping, fields, leaves=LEAVES, wrappers=(MappingProxyType,)):
     """A copy of ``mapping`` with some of ``fields`` dropped or replaced by
-    drawn leaves, and some nested mappings turned into MappingProxyTypes."""
+    drawn ``leaves``, and some nested mappings (and maybe the copy itself)
+    wrapped in one of ``wrappers``, mappings that are not dicts."""
     out = json.loads(json.dumps(mapping))
     for path in fields:
         *parents, leaf = path.split(".")
@@ -228,15 +235,15 @@ def reshape(draw, mapping, fields):
         if change == "drop":
             del node[leaf]
         elif change == "replace":
-            node[leaf] = draw(LEAVES)
+            node[leaf] = draw(leaves)
     for key, value in list(out.items()):
         if isinstance(value, dict) and draw(st.booleans()):
-            out[key] = MappingProxyType(value)
-    return MappingProxyType(out) if draw(st.booleans()) else out
+            out[key] = draw(st.sampled_from(wrappers))(value)
+    return draw(st.sampled_from(wrappers))(out) if draw(st.booleans()) else out
 
 
 @st.composite
-def cases(draw):
+def cases(draw, leaves=LEAVES, wrappers=(MappingProxyType,)):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     contract = random_contract(rng)
 
@@ -260,13 +267,13 @@ def cases(draw):
         governance_hard=with_policy(contract.governance_hard),
         governance_soft=(with_policy(contract.governance_soft) + (label_check,)
                          + expressions("ae", ACTION_EXPRESSIONS)))
-    state = reshape(draw, random_state(rng), STATE_FIELDS)
+    state = reshape(draw, random_state(rng), STATE_FIELDS, leaves, wrappers)
     action = random_action(rng)
-    payload = dict(reshape(draw, action.payload, ACTION_FIELDS))
+    payload = dict(reshape(draw, action.payload, ACTION_FIELDS, leaves, wrappers))
     if draw(st.booleans()):
         payload["label"] = draw(st.sampled_from(["alpha", "beta", 5, None]))
     if draw(st.booleans()):
-        payload = MappingProxyType(payload)
+        payload = draw(st.sampled_from(wrappers))(payload)
     return contract, state, ActionRecord(action.label, payload)
 
 
@@ -446,6 +453,8 @@ FIELD_CHECKS = (
     ("not_in", "okay"), ("eq", "ok"), ("ne", "ok"), ("eq", ""), ("eq", Text("ok")),
     ("ne", Text("alpha")), ("eq", 7), ("ne", 7.0), ("eq", True), ("eq", [1]),
     ("eq", HUGE), ("matches", "^o"), ("matches", Text("a")),
+    ("eq", EXACT + 1), ("ne", EXACT + 1), ("eq", -EXACT - 1), ("ne", -EXACT - 1),
+    ("eq", float(EXACT)), ("in", [EXACT + 1, -EXACT - 1]), ("not_in", [EXACT + 1]),
 )
 
 
@@ -457,6 +466,35 @@ def unspecialised(op, value, operand):
         return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
 
 
+SHARED = (SATISFIED, VIOLATED, OUT_OF_PHASE)
+
+
+def same(got, want) -> bool:
+    """Equal results, and the same object where either is a shared one."""
+    shared = any(r is s for r in (got, want) for s in SHARED)
+    return got == want and (got is want or not shared)
+
+
+def through_plan(con, state, action=None, target="state"):
+    """``con``'s result from ``evaluate_step`` on a one-constraint contract,
+    so from the plan's generated step: an invariant for the "state" target,
+    a governance constraint for "action".  None when the validator rejects
+    the contract, which the plan then refuses with SemanticError."""
+    section = "invariants_soft" if target == "state" else "governance_soft"
+    contract = Contract(name="t", **{section: (con,)})
+    action = ActionRecord("go") if action is None else action
+    if any(issue.severity == "error" for issue in validate_contract(contract)):
+        with pytest.raises(SemanticError):
+            evaluate_step(contract, state, action, 0)
+        return None
+    return evaluate_step(contract, state, action, 0).results[con.name]
+
+
+def check_plan(con, state, want, action=None, target="state"):
+    got = through_plan(con, state, action, target)
+    assert got is None or same(got, want), (got, want)
+
+
 class TestConstantOperandFastPaths:
     @pytest.mark.parametrize("op,operand", FIELD_CHECKS)
     def test_field_predicates_match_the_operator_table(self, op, operand):
@@ -464,6 +502,7 @@ class TestConstantOperandFastPaths:
         for value in VALUES:
             got = evaluate_constraint(con, {"x": value}, None, "state")
             assert got == unspecialised(op, value, operand), value
+            check_plan(con, {"x": value}, got)
             if op in ("eq", "ne", "lt", "le", "gt", "ge"):
                 assert observed(got) == reference(con, {"x": value}, None, "state"), value
 
@@ -480,6 +519,8 @@ class TestConstantOperandFastPaths:
         for value in VALUES:
             got = evaluate_constraint(constant, {"x": value}, None, "state")
             assert got == evaluate_constraint(field, {"x": value, "y": y}, None, "state"), value
+            check_plan(constant, {"x": value}, got)
+            check_plan(field, {"x": value, "y": y}, got)
             if op != "in":
                 assert observed(got) == reference(constant, {"x": value}, None, "state"), value
 
@@ -494,6 +535,7 @@ class TestConstantOperandFastPaths:
                 state = {"x": x, "y": y}
                 got = evaluate(state, None)
                 assert got == unspecialised(op, x, y), (x, y)
+                check_plan(con, state, got)
                 assert observed(got) == reference(con, state, None, "state"), (x, y)
 
     @pytest.mark.parametrize("src", ["x * 1.5 >= 0", "x - 2 < 1", "x / 0.5 > 0", "x / 0 > 0",
@@ -506,6 +548,7 @@ class TestConstantOperandFastPaths:
                 state = {"x": x, "y": y}
                 got = evaluate_constraint(con, state, None, "state")
                 assert observed(got) == reference(con, state, None, "state"), (x, y)
+                check_plan(con, state, got)
 
     @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
     def test_arithmetic_matches_the_plain_rule(self, op):
@@ -568,11 +611,12 @@ class TestFieldWalkers:
         got = field_getter(path)(state, None)
         want = ref_field(path, state, None, "state")
         assert got is want or (got is MISSING and want is ABSENT)
-        for op, operand in (("exists", None), ("eq", 1)):
+        for op, operand in (("exists", None), ("eq", 1), ("eq", "v"), ("lt", 2)):
             con = Constraint(name="c", check=Predicate(field_path=path, operator=op,
                                                        operand=operand))
-            assert observed(evaluate_constraint(con, state, None, "state")) == \
-                reference(con, state, None, "state")
+            got = evaluate_constraint(con, state, None, "state")
+            assert observed(got) == reference(con, state, None, "state")
+            check_plan(con, state, got)
 
     @given(case=nested_paths(mapping_root=True), prefix=st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -583,5 +627,164 @@ class TestFieldWalkers:
         got = field_getter(path, "action")({}, action)
         want = ref_field(path, {}, action, "action")
         assert got is want or (got is MISSING and want is ABSENT)
-        con = Constraint(name="c", check=Predicate(field_path=path, operator="exists"))
-        assert evaluate_constraint(con, {}, action, "action").satisfied is (want is not ABSENT)
+        for op, operand in (("exists", None), ("eq", 1), ("eq", "v"), ("lt", 2)):
+            con = Constraint(name="c", check=Predicate(field_path=path, operator=op,
+                                                       operand=operand))
+            got = evaluate_constraint(con, {}, action, "action")
+            assert observed(got) == reference(con, {}, action, "action")
+            check_plan(con, {}, got, action, "action")
+
+
+# ---------------------------------------------------------------------------
+# The generated step against the plan's closures
+# ---------------------------------------------------------------------------
+
+HOSTILE = st.one_of(LEAVES, st.sampled_from([
+    EXACT, -EXACT, EXACT + 1, -EXACT - 1, math.nan, -math.inf, 1e300, Text("alpha"), Text("3"),
+    "", [True], ["t", "t"], ("t",), Bag({"k": 1}), MappingProxyType({"k": 1})]))
+WRAPPERS = (MappingProxyType, Bag)
+
+
+def closure_step(contract, state, action, t, boundaries):
+    """``(preconditions, results)`` of step ``t``, each constraint run by
+    its closure in the plan's entries, a scoped one out of phase recorded
+    as OUT_OF_PHASE."""
+    plan = engine._plan(contract)
+
+    def run(entries, act, t, boundaries):
+        return {name: evaluate(state, act)
+                if not boundaries or scope_active(scope, t, boundaries) else OUT_OF_PHASE
+                for name, scope, evaluate in entries}
+
+    results = run(plan.invariants, None, t, boundaries)
+    results.update(run(plan.governance, action, t, boundaries))
+    return run(plan.preconditions, None, 0, ()), results
+
+
+def ratio(results, names):
+    scored = [r.satisfied for name, r in results.items()
+              if name in names and r.satisfied is not None]
+    return sum(scored) / len(scored) if scored else 1.0
+
+
+def check_step(contract, state, action, t, boundaries):
+    plan = engine._plan(contract)
+    preconditions, want = closure_step(contract, state, action, t, boundaries)
+    ev = evaluate_step(contract, state, action, t, boundaries)
+    assert list(ev.results) == list(want)
+    for name, result in want.items():
+        assert same(ev.results[name], result), name
+    if t == 0:
+        assert list(ev.preconditions) == list(preconditions)
+        for name, result in preconditions.items():
+            assert same(ev.preconditions[name], result), name
+    assert ev.non_satisfied == tuple(name for name, r in want.items() if r is not SATISFIED)
+    assert ev.c_hard == ratio(want, plan.hard)
+    assert ev.c_soft == ratio(want, plan.soft)
+
+
+@st.composite
+def composed_cases(draw):
+    """A chain of two or three of ``cases``' contracts over one drawn step,
+    with stage boundaries (or none) and a step index."""
+    n = draw(st.integers(2, 3))
+    drawn = [draw(cases(HOSTILE, WRAPPERS)) for _ in range(n)]
+    handoffs = [HandoffSpec(invariants=(Constraint(
+        name="handoff", severity="hard", check=Predicate(field_path="score", operator="ge",
+                                                         operand=1.0)),))] * (n - 1)
+    contract = compose_chain([replace(c, name=f"agent{i}") for i, (c, _, _) in enumerate(drawn)],
+                             handoffs)
+    boundaries = draw(st.one_of(st.just(()), st.lists(st.integers(0, 6), min_size=n - 1,
+                                                      max_size=n - 1, unique=True).map(sorted)))
+    _, state, action = drawn[0]
+    return contract, state, action, draw(st.integers(0, 7)), tuple(boundaries)
+
+
+class TestGeneratedStep:
+    @given(case=cases(HOSTILE, WRAPPERS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_closures(self, case):
+        contract, state, action = case
+        check_step(contract, state, action, 0, ())
+
+    @given(case=composed_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_composed_contracts_match_the_closures(self, case):
+        check_step(*case)
+
+    @pytest.mark.parametrize("n", [10, 39, 40, 55])
+    def test_deep_expressions_match_the_closures(self, n):
+        # Nested past what the parser takes as inlined source, an expression
+        # is left to its closure.
+        sources = ("x / (" * n + "x" + ")" * n + " > 0", "1 / (" * n + "x" + ")" * n + " > 0",
+                   "min(" * n + "x" + ", y / x)" * n + " > 0", "not (" * n + "b" + ")" * n,
+                   "-(" * n + "x" + ")" * n + " < 0")
+        contract = Contract(name="t", invariants_soft=tuple(
+            Constraint(name=f"e{i}", check=Predicate(expression=compile_expression(src)))
+            for i, src in enumerate(sources)))
+        for state in ({"x": 1.0, "y": 2, "b": True}, {"x": 0, "y": 2.0, "b": False}, {"x": "1"}):
+            check_step(contract, state, ActionRecord("go"), 0, ())
+
+    def test_no_contract_text_reaches_the_source(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(engine, "compile",
+                            lambda text, *args: sources.append(text) or compile(text, *args),
+                            raising=False)
+        evil = "k'\"\n__import__('os')"
+        literal = compile_expression("x == \"__import__('os')\\n'\"")
+
+        def con(i, check, severity="hard"):
+            return Constraint(name=f"{evil}{i}", severity=severity, check=check)
+
+        contract = Contract(name=evil, invariants_hard=(
+            con(0, Predicate(field_path=f"{evil}.{evil}", operator="eq", operand=evil)),
+            con(1, Predicate(field_path=evil, operator="matches", operand="'\"\n__import__")),
+            con(2, Predicate(field_path=evil, operator="in", operand=[evil, "'"])),
+            con(3, Predicate(field_path=f"state.{evil}", operator="ne", operand="'")),
+            con(4, Predicate(expression=literal)),
+            con(5, Predicate(expression=compile_expression(f"len(x) > 1 and x != \"{'}'}\""))),
+        ), governance_hard=(
+            con(6, Predicate(field_path=evil, operator="lt", operand=3)),
+            con(7, Predicate(field_path=f"action.{evil}", operator="in", operand=["'", evil])),
+        ))
+        assert not validate_contract(contract)
+        states = ({evil: {evil: evil}, "x": "__import__('os')\n'"},
+                  {evil: "'\"\n__import__", "x": "'}"}, {evil: Text(evil), "x": 5})
+        actions = (ActionRecord("go", {evil: 1}), ActionRecord("go", {evil: "'"}),
+                   ActionRecord("go", {evil: 5}))
+        for state, action in zip(states, actions):
+            check_step(contract, state, action, 0, ())
+        source, = sources
+        for text in (evil, "'", '"', "__import__", "os"):
+            assert text not in source
+
+    def test_fallback_heavy_steps_keep_a_flat_peak(self):
+        # Every block here leaves its inlined path (a str subclass, NaN, a
+        # non-dict mapping, a zero divisor), so each expression raises to
+        # its closure on every step; nothing may pile up from one to the next.
+        expression = lambda src: Predicate(expression=compile_expression(src))
+        contract = Contract(name="t", invariants_soft=(
+            Constraint(name="a", check=expression("x == \"a\" and y + 1 > 0")),
+            Constraint(name="b", check=expression("m.k / z >= 0")),
+            Constraint(name="c", check=Predicate(field_path="x", operator="in",
+                                                 operand=["a"])),
+            Constraint(name="d", check=Predicate(field_path="m.k", operator="ge", operand=0)),
+        ))
+        state = {"x": Text("a"), "y": math.nan, "m": MappingProxyType({"k": 1}), "z": 0}
+        action = ActionRecord("go")
+
+        def steps(n):
+            for t in range(n):
+                evaluate_step(contract, state, action, t)
+
+        steps(50)
+        tracemalloc.start()
+        try:
+            steps(500)
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            steps(4500)
+            later = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert later <= first + 16 * 1024, (first, later)

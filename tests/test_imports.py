@@ -13,6 +13,11 @@ import agentcontracts
 from agentcontracts.assets import asset_path
 
 LAZY_NAMES = {
+    "composition": ("ChainBounds", "ChainSpec", "ConditionReport", "HandoffSpec", "chain_bounds",
+                    "check_conditions", "compose_chain", "compose_contracts",
+                    "verify_chain_trace"),
+    "bench": ("Scenario", "ScenarioScore", "aggregate", "load_scenario", "load_suite",
+              "score_scenario", "score_suite"),
     "dynamics": ("DesignSpec", "OUFit", "OUParams", "design_gamma_approx", "fit_ou",
                  "mse_at_time", "simulate_ou", "simulate_ou_exact", "simulate_ou_paths",
                  "solve_design_gamma", "stationary_stats", "tail_probability"),
@@ -53,11 +58,12 @@ class TestLazyNames:
 
 # Runs in a fresh interpreter: each command line is a JSON argument.  Prints,
 # after the imports and after each command, which of the modules off the
-# paths of these commands are loaded.
+# paths of these commands are loaded: numpy and the modules that need it,
+# certification, and the two modules CLI ``run`` does not use.
 _CHILD = """
 import contextlib, io, json, sys
 HEAVY = ("numpy", "agentcontracts.dynamics", "agentcontracts.generator",
-         "agentcontracts.certification")
+         "agentcontracts.certification", "agentcontracts.bench", "agentcontracts.composition")
 loaded = {}
 import agentcontracts
 loaded["import agentcontracts"] = [m for m in HEAVY if m in sys.modules]
@@ -92,6 +98,7 @@ def test_commands_load_no_numpy(suite_dir, tmp_path):
     assert child.returncode == 0, child.stderr[-2000:]
     result = json.loads(child.stdout)
     assert result["codes"] == {"run": 3, "bench": 0, "validate": 0, "compose": 0, "certify": 0}
+    suite = ["agentcontracts.bench", "agentcontracts.composition"]
     assert result["loaded"] == {"import agentcontracts": [], "import agentcontracts.cli": [],
-                                "run": [], "bench": [], "validate": [], "compose": [],
-                                "certify": ["agentcontracts.certification"]}
+                                "run": [], "bench": suite, "validate": suite, "compose": suite,
+                                "certify": ["agentcontracts.certification"] + suite}

@@ -2,6 +2,8 @@
 and (p, delta, k) verdicts."""
 
 import json
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -499,42 +501,49 @@ class TestOneEvaluation:
         assert report.detected_violations() == ((0, "ready"),)
         assert report.events[0].payload["precondition"] is True
 
-    @staticmethod
-    def record_evaluations(monkeypatch, record):
-        """Wrap every closure the compiler builds so that each evaluation
-        calls ``record(constraint name)``."""
-        real = engine.compile_constraint
+    class Reads(Mapping):
+        """A state or payload that logs ``(tag, key)`` for each key read.
+        Not a dict, so every constraint reading it runs its closure, which
+        reads its one field once per evaluation."""
 
-        def counting(con, target):
-            evaluate = real(con, target)
+        def __init__(self, tag, data, log):
+            self._tag, self._data, self._log = tag, dict(data), log
 
-            def counted(state, action):
-                record(con.name)
-                return evaluate(state, action)
+        def __getitem__(self, key):
+            self._log.append((self._tag, key))
+            return self._data[key]
 
-            return counted
+        def __contains__(self, key):
+            return key in self._data
 
-        monkeypatch.setattr(engine, "compile_constraint", counting)
+        def __iter__(self):
+            return iter(self._data)
 
-    def test_each_constraint_evaluated_once_per_index(self, monkeypatch):
-        calls = {}
-        self.record_evaluations(monkeypatch,
-                                lambda name: calls.__setitem__(name, calls.get(name, 0) + 1))
+        def __len__(self):
+            return len(self._data)
+
+    def test_each_constraint_evaluated_once_per_index(self):
+        log = []
         contract = Contract(
             name="t",
             preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
             invariants_hard=(Constraint(name="safe", severity="hard", check=ge("safety", 1)),),
             governance_soft=(Constraint(name="cost", check=ge("cost", 1)),),
         )
-        states = tuple({"ready": 1, "safety": 5} for _ in range(4))
-        report = run_session(contract, ExecutionTrace(
-            states=states, actions=tuple(ActionRecord("go", {"cost": 2}) for _ in range(3))))
+        states = tuple(self.Reads(("state", i), {"ready": 1, "safety": 5}, log)
+                       for i in range(4))
+        actions = tuple(ActionRecord("go", self.Reads(("action", i), {"cost": 2}, log))
+                        for i in range(3))
+        report = run_session(contract, ExecutionTrace(states=states, actions=actions))
         assert report.verdict.overall is True
-        assert calls == {"ready": 1, "safe": 4, "cost": 3}
+        # ready (a precondition) at state 0, safe at every state, cost at
+        # every action: each once.
+        assert set(Counter(log).values()) == {1}
+        assert (("state", 0), "ready") in log
+        assert Counter(key for _, key in log) == {"ready": 1, "safety": 4, "cost": 3}
 
-    def test_recovery_at_step_zero_does_not_reevaluate_preconditions(self, monkeypatch):
-        calls = []
-        self.record_evaluations(monkeypatch, calls.append)
+    def test_recovery_at_step_zero_does_not_reevaluate_preconditions(self):
+        log = []
         contract = Contract(
             name="t",
             preconditions=(Constraint(name="ready", severity="hard", check=ge("ready", 1)),),
@@ -543,12 +552,15 @@ class TestOneEvaluation:
             recovery_strategies=(RecoveryStrategy(name="fix", type="re_prompt"),),
             drift_config=QUIET_DRIFT,
         )
-        trace = ExecutionTrace(states=({"ready": 1, "tone": 0}, {"ready": 1, "tone": 5}),
+        trace = ExecutionTrace(states=(self.Reads(0, {"ready": 1, "tone": 0}, log),
+                                       self.Reads(1, {"ready": 1, "tone": 5}, log)),
                                actions=(ActionRecord("go"),))
-        hook = lambda s, c, st: ({"ready": 0, "tone": 5}, ActionRecord("go"))
+        hook = lambda s, c, st: (self.Reads("hook", {"ready": 0, "tone": 5}, log),
+                                 ActionRecord("go"))
         report = run_session(contract, trace, hook=hook)
         assert report.steps[0].post_recovery is not None
-        assert calls.count("ready") == 1
+        assert [tag for tag, key in log if key == "ready"] == [0]
+        assert ("hook", "tone") in log
         assert report.preconditions_ok is True
 
 
