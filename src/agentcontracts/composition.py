@@ -326,11 +326,12 @@ def _expected_kind(b: Contract, path: str) -> Optional[str]:
     return None
 
 
-def _unsatisfied(entries: Sequence[tuple], state: StateDict,
-                 action: Optional[ActionRecord] = None) -> list:
-    """Names of the plan ``entries`` not satisfied (violated or skipped), in order."""
-    return [name for name, _, evaluate in entries
-            if evaluate(state, action).satisfied is not True]
+def _unsatisfied(run, state: StateDict, action: Optional[ActionRecord] = None) -> dict:
+    """Results not satisfied (violated or skipped) by a plan's section
+    function ``run`` with no stage boundaries, by name in section order."""
+    results, non_satisfied = {}, []
+    run(state, action, 0, (), results, non_satisfied)
+    return {name: results[name] for name in non_satisfied if results[name].satisfied is not True}
 
 
 def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
@@ -349,13 +350,15 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
     same-field witness value) is allowed by G_A yet prohibited by G_B.  C4
     (recovery independence): applying A's recovery transform to a sample
     must leave P_B satisfied (identity transform when none is registered).
-    A, B and :func:`handoff_contract` evaluate through their validated plans,
-    so an invalid one raises SemanticError before any sample is read.
+    A, B and :func:`handoff_contract` evaluate through the generated
+    sections of their validated plans (with no stage boundaries, each plan
+    into its own results), so an invalid one raises SemanticError before
+    any sample is read.
     """
     if not samples:
         raise InsufficientSamples("C2/C4 are semantic checks and need witness states")
     plan_a, plan_b = _plan(a), _plan(b)
-    antecedent = plan_a.invariants + _plan(handoff_contract(h.invariants)).invariants
+    plan_h = _plan(handoff_contract(h.invariants))
 
     # C1 -- interface compatibility over the type map.
     c1_witnesses = []
@@ -379,19 +382,20 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
                          checked=len(samples) * len(h.type_map))
 
     # C2 -- assumption discharge on samples passing the antecedent.
-    passing = [i for i, sample in enumerate(samples) if not _unsatisfied(antecedent, sample)]
+    antecedent = (plan_a.evaluate_invariants, plan_h.evaluate_invariants)
+    passing = [i for i, sample in enumerate(samples)
+               if not any(_unsatisfied(run, sample) for run in antecedent)]
     c2_witnesses = [(i, name) for i in passing
-                    for name in _unsatisfied(plan_b.preconditions, samples[i])]
+                    for name in _unsatisfied(plan_b.evaluate_preconditions, samples[i])]
     c2 = ConditionResult(passed=not c2_witnesses, witnesses=tuple(c2_witnesses),
                          checked=len(passing))
 
     # C3 -- governance consistency: corpus pass, then symbolic fast path.
     c3_witnesses = []
     for action in actions:
-        allowed_by_a = not _unsatisfied(plan_a.governance, {}, action)
-        prohibited_by_b = any(evaluate({}, action).satisfied is False
-                              for _, _, evaluate in plan_b.governance)
-        if allowed_by_a and prohibited_by_b:
+        allowed_by_a = not _unsatisfied(plan_a.evaluate_governance, {}, action)
+        unsatisfied_b = _unsatisfied(plan_b.evaluate_governance, {}, action).values()
+        if allowed_by_a and any(r.satisfied is False for r in unsatisfied_b):
             c3_witnesses.append(("action", action.label))
     c3_witnesses.extend(_symbolic_governance_conflicts(a, b))
     c3 = ConditionResult(passed=not c3_witnesses, witnesses=tuple(c3_witnesses),
@@ -400,7 +404,7 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
     # C4 -- recovery independence.
     transform = recovery_transform or (lambda s: s)
     c4_witnesses = [(i, name) for i, sample in enumerate(samples)
-                    for name in _unsatisfied(plan_b.preconditions, transform(sample))]
+                    for name in _unsatisfied(plan_b.evaluate_preconditions, transform(sample))]
     c4 = ConditionResult(passed=not c4_witnesses, witnesses=tuple(c4_witnesses),
                          checked=len(samples))
 

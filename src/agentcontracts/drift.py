@@ -3,10 +3,11 @@
 The drift score at a step combines a weighted compliance gap with the
 Jensen--Shannon divergence (log base 2) between the observed action
 distribution over a sliding window and a calibrated reference
-distribution.  Out-of-vocabulary action labels pool into a reserved
-``__other__`` bucket carried in both supports; both distributions receive
-add-epsilon smoothing (1e-9) before the divergence so KL terms stay
-finite.
+distribution; the gap's weights come only from the contract's plan
+(:meth:`DriftWindow.for_contract`).  Out-of-vocabulary action labels pool
+into a reserved ``__other__`` bucket carried in both supports; both
+distributions receive add-epsilon smoothing (1e-9) before the divergence
+so KL terms stay finite.
 
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
@@ -48,11 +49,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .engine import StepEvaluation, ViolationEvent, _plan
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
-from .model import OTHER_LABEL, ActionRecord, Constraint, DriftConfig, ReliabilityWeights
+from .model import OTHER_LABEL, ActionRecord, DriftConfig, ReliabilityWeights
 
 __all__ = [
     "jsd",
@@ -219,12 +220,10 @@ class DriftWindow:
     labels (the incremental update is an optimization, not a semantic).
     Everything but the labels and their counts is shared: with the other
     windows over the configuration, and the constraints' weights with the
-    contract's plan.
+    contract's plan, which only :meth:`for_contract` reads.
     """
 
-    def __init__(self, config: DriftConfig,
-                 invariants: Iterable[Constraint] = (),
-                 governance: Iterable[Constraint] = ()):
+    def __init__(self, config: DriftConfig):
         shared = vars(config).get("_compiled")
         if shared is None:
             shared = vars(config)["_compiled"] = _Shared(config)
@@ -233,8 +232,7 @@ class DriftWindow:
         self._index, self._other = shared.index, shared.other
         self._reference, self._absent_terms = shared.reference, shared.absent_terms
         self._table = shared.table
-        self._weights = (tuple((c.name, c.weight) for c in invariants),
-                         tuple((c.name, c.weight) for c in governance))
+        self._weights: tuple = ((), ())
         self._labels: deque = deque()
         self._counts = [0] * len(self.support)
 

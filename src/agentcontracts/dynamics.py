@@ -150,7 +150,9 @@ def simulate_ou_paths(params: OUParams, horizon: float, dt: float,
                       n_paths: int, seed: int, keep: str = "last",
                       block: int = 1000) -> np.ndarray:
     """Batch of Euler--Maruyama paths; path i uses the derived seed
-    (seed, i), so it equals ``simulate_ou(..., seed=(seed, i))``.
+    (seed, i) and the same float operations in the same order as
+    :func:`simulate_ou`, so it equals ``simulate_ou(..., seed=(seed, i))``
+    bit for bit.
 
     ``keep="last"`` returns the final value of each path (shape
     (n_paths,)); ``keep="all"`` returns full trajectories (shape
@@ -159,7 +161,6 @@ def simulate_ou_paths(params: OUParams, horizon: float, dt: float,
     n = _grid(horizon, dt)
     a, g = params.alpha, params.gamma
     s = params.sigma * math.sqrt(dt)
-    decay = 1.0 - g * dt
     if keep == "all":
         out = np.empty((n_paths, n + 1))
     else:
@@ -172,7 +173,7 @@ def simulate_ou_paths(params: OUParams, horizon: float, dt: float,
         if keep == "all":
             out[start:stop, 0] = d
         for step in range(n):
-            d = d * decay + a * dt + s * noise[:, step]
+            d = d + (a - g * d) * dt + s * noise[:, step]
             if keep == "all":
                 out[start:stop, step + 1] = d
         if keep == "last":

@@ -29,12 +29,13 @@ once; an expression is inlined node by node under the same guards.  Any
 other value (a mapping that is not a dict, a ``str`` subclass, NaN, a large
 int, a missing field, a zero divisor) goes to the constraint's closure, so
 results and diagnostics are the closure's whichever path ran.  No contract
-text reaches the generated source: names, keys, operands, patterns and
-closures are bound in the functions' namespace under generated
+text reaches the generated source: names, keys, operands, patterns, scopes
+and closures are bound in the functions' namespace under generated
 identifiers, so no contract can inject code.  The generated functions run
-steps, post-recovery re-scoring, preconditions and the trailing state;
-composition's conditions run the closures, and :func:`evaluate_constraint`
-compiles a lone constraint for one call.
+steps, post-recovery re-scoring, preconditions, the trailing state and
+composition's conditions, and call a closure only as a block's fallback; a
+scoped block reads :func:`scope_active`, once per distinct scope per call.
+:func:`evaluate_constraint` compiles a lone constraint for one call.
 
 A passing check stores the shared ``SATISFIED`` result, so a step records
 which results are anything else (``StepEvaluation.non_satisfied``) as it
@@ -233,29 +234,22 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
 
 class _Plan:
     """A contract validated (an error issue raises SemanticError, as the
-    parser does), then compiled once: ``(name, scope, closure)`` per
-    precondition, invariant and governance constraint, and one generated
-    function per section (:func:`_generate`) that runs them; the hard and
-    the soft names, each scored name's results position and weight (and
-    their total), the ``(name, weight)`` pairs of the invariants and of the
-    governance constraints that drift's compliance gaps read, and each soft
-    constraint's recovery chain, one strategy per attempt."""
+    parser does), then compiled once: one generated function per section
+    (:func:`_generate`) that runs its preconditions, its invariants or its
+    governance constraints; the hard and the soft names, each scored
+    name's results position and weight (and their total), the ``(name,
+    weight)`` pairs of the invariants and of the governance constraints
+    that drift's compliance gaps read, and each soft constraint's recovery
+    chain, one strategy per attempt."""
 
-    __slots__ = ("preconditions", "invariants", "governance", "evaluate_preconditions",
-                 "evaluate_invariants", "evaluate_governance", "hard", "soft", "order",
-                 "weights", "total_weight", "gap_weights", "schedules")
+    __slots__ = ("evaluate_preconditions", "evaluate_invariants", "evaluate_governance",
+                 "hard", "soft", "order", "weights", "total_weight", "gap_weights", "schedules")
 
     def __init__(self, contract: Contract):
         require_valid(contract)
-        sections = ((contract.preconditions, "state"), (contract.invariants(), "state"),
-                    (contract.governance(), "action"))
-        compiled = [[(c, target, compile_constraint(c, target)) for c in constraints]
-                    for constraints, target in sections]
-        self.preconditions, self.invariants, self.governance = (
-            tuple((c.name, c.scope, evaluate) for c, _, evaluate in section)
-            for section in compiled)
         self.evaluate_preconditions, self.evaluate_invariants, self.evaluate_governance = \
-            _generate(compiled)
+            _generate(((contract.preconditions, "state"), (contract.invariants(), "state"),
+                       (contract.governance(), "action")))
         self.hard = frozenset(c.name for c in contract.hard_constraints())
         self.soft = frozenset(c.name for c in contract.soft_constraints())
         scored = contract.invariants() + contract.governance()
@@ -271,36 +265,39 @@ class _Plan:
             for con in contract.soft_constraints())
 
 
-def _generate(sections: Sequence[Sequence[tuple]]) -> tuple:
-    """One function per section of ``(constraint, target, closure)``
-    triples, ``run(state, action, t, boundaries, results, non_satisfied)``,
-    from one generated source compiled once.  Each constraint is a
-    straight-line block: it stores the constraint's result under its name
-    and appends the name to ``non_satisfied`` unless the result is the
-    shared ``SATISFIED``.  A check is inlined as the source
+def _generate(sections: Sequence[tuple]) -> tuple:
+    """One function per section of ``(constraints, target)``,
+    ``run(state, action, t, boundaries, results, non_satisfied)``, from one
+    generated source compiled once.  Each constraint is a straight-line
+    block: it stores the constraint's result under its name and appends
+    the name to ``non_satisfied`` unless the result is the shared
+    ``SATISFIED``.  A check is inlined as the source
     :mod:`~agentcontracts.expressions` writes (plain-dict walks, exact type
     guards); a value off that path, and a check it does not inline, calls
-    the constraint's closure, the one definition of its semantics.  Given
-    ``boundaries``, a scoped constraint out of phase at ``t`` (see
-    :func:`scope_active`) is ``OUT_OF_PHASE``.  Every name, key, operand,
-    pattern and closure is bound in the functions' namespace under a
-    generated identifier (see :class:`~agentcontracts.expressions.Source`),
-    so no contract text reaches the source.
+    the constraint's closure, the one definition of its semantics.  A
+    scoped constraint out of phase at ``t`` (:func:`scope_active`, called
+    once per distinct scope per call) is ``OUT_OF_PHASE``.  Every name,
+    key, operand, pattern, scope and closure is bound in the functions'
+    namespace under a generated identifier (see
+    :class:`~agentcontracts.expressions.Source`), so no contract text
+    reaches the source.
     """
     namespace = {"SAT": SATISFIED, "VIO": VIOLATED, "OOP": OUT_OF_PHASE, "M": MISSING,
                  **SOURCE_GLOBALS}
     lines = []
-    for i, section in enumerate(sections):
-        source = Source(namespace)
-        blocks = [line for entry in section for line in _block(*entry, source)]
+    for i, (constraints, target) in enumerate(sections):
+        source, active = Source(namespace), {}
+        blocks = [line for c in constraints for line in _block(c, target, source, active)]
         lines.append(f"def _s{i}(state, action, t, boundaries, results, non_satisfied):")
         lines += ["    " + line for line in ["add = non_satisfied.append", *source.header, *blocks]]
     exec(compile("\n".join(lines) + "\n", "<agentcontracts plan>", "exec"), namespace)
     return tuple(namespace[f"_s{i}"] for i in range(len(sections)))
 
 
-def _block(constraint: Constraint, target: str, evaluate: Evaluator, source: Source) -> list:
-    """The source lines of one constraint's block."""
+def _block(constraint: Constraint, target: str, source: Source, active: dict) -> list:
+    """The source lines of one constraint's block; ``active`` holds the
+    local of each scope's test already hoisted into the function."""
+    evaluate = compile_constraint(constraint, target)
     name, fallback = source.bind(constraint.name), f"{source.bind(evaluate)}(state, action)"
     check = constraint.check
     try:
@@ -320,23 +317,14 @@ def _block(constraint: Constraint, target: str, evaluate: Evaluator, source: Sou
     except NotInlined:
         lines = [f"results[{name}] = r = {fallback}"]
     lines.append(f"r is SAT or add({name})")
-    if constraint.scope is not None:
-        lines = [f"if {source.local(_active_source(constraint.scope))}:",
-                 *("    " + line for line in lines),
+    scope = constraint.scope
+    if scope is not None:
+        if scope not in active:
+            call = f"{source.bind(scope_active)}({source.bind(scope)}, t, boundaries)"
+            active[scope] = source.local(call)
+        lines = [f"if {active[scope]}:", *("    " + line for line in lines),
                  f"else: results[{name}] = OOP; add({name})"]
     return lines
-
-
-def _active_source(scope: str) -> str:
-    """Source over ``t`` and ``boundaries``: no boundaries, or
-    :func:`scope_active` of a validated scope (``stage:<i>`` or
-    ``handoff:<j>``)."""
-    kind, _, num = scope.partition(":")
-    j = int(num)
-    if kind == "handoff":
-        return f"not boundaries or t == boundaries[{j}]"
-    start = "0" if j == 0 else f"boundaries[{j - 1}]"
-    return f"not boundaries or {start} <= t and ({j} >= len(boundaries) or t <= boundaries[{j}])"
 
 
 def _plan(contract: Contract) -> _Plan:
@@ -419,9 +407,10 @@ def scope_active(scope: Optional[str], state_index: int,
     upstream terminal state and the downstream initial state); the last
     stage runs to the end of the trace.  Handoff constraints apply at
     their boundary state only.  Unscoped constraints (governance, and
-    every constraint of a plain contract) apply everywhere.
+    every constraint of a plain contract) apply everywhere, as does every
+    constraint given no boundaries (as composition's conditions give).
     """
-    if scope is None:
+    if scope is None or not boundaries:
         return True
     kind, _, num = scope.partition(":")
     j = int(num)
@@ -479,15 +468,14 @@ def session_timelines(contract: Contract, preconditions: Mapping[str, Constraint
     given :func:`initial_preconditions`.
     """
     n = len(steps)
-    plan = _plan(contract)
     trailing: dict = {}
-    plan.evaluate_invariants(states[n], None, n, boundaries, trailing, [])
+    _plan(contract).evaluate_invariants(states[n], None, n, boundaries, trailing, [])
     timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
-    for name, _, _ in plan.invariants:
-        timelines[name] = (tuple(s.results[name].satisfied for s in steps)
-                           + (trailing[name].satisfied,))
-    for name, _, _ in plan.governance:
-        timelines[name] = tuple(s.results[name].satisfied for s in steps)
+    for con in contract.invariants():
+        timelines[con.name] = (tuple(s.results[con.name].satisfied for s in steps)
+                               + (trailing[con.name].satisfied,))
+    for con in contract.governance():
+        timelines[con.name] = tuple(s.results[con.name].satisfied for s in steps)
     return timelines
 
 

@@ -85,10 +85,17 @@ def _fields_only(obj) -> dict:
 @dataclass(frozen=True)
 class ActionRecord:
     """One agent action: a vocabulary label plus the payload fields
-    governance predicates read."""
+    governance predicates read.  The label must be a non-empty string and
+    the payload a mapping; anything else raises ValueError."""
 
     label: str
     payload: StateDict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label):
+            raise ValueError(f"label must be a non-empty string, got {self.label!r}")
+        if not isinstance(self.payload, Mapping):
+            raise ValueError(f"payload must be a mapping, got {type(self.payload).__name__}")
 
     def view(self) -> dict:
         """Mapping governance predicates resolve against (label + payload)."""
@@ -112,9 +119,8 @@ class ExecutionTrace:
                 f"trace needs |states| = |actions| + 1, got "
                 f"{len(self.states)} states / {len(self.actions)} actions"
             )
-        for a in self.actions:
-            if not isinstance(a, ActionRecord) or not a.label:
-                raise ValueError("every action needs a non-empty label")
+        if not all(isinstance(a, ActionRecord) for a in self.actions):
+            raise ValueError("every action must be an ActionRecord")
 
     @property
     def length(self) -> int:
@@ -148,8 +154,8 @@ class ExecutionTrace:
 def wire_elements(key: str, items) -> tuple:
     """The ``states`` or ``actions`` list of the JSON wire shape, checked
     once: states are mappings, actions ``{"label", "payload"?}`` objects
-    with a non-empty label, returned as ActionRecords.  FormatError names
-    the first element that does not fit, as ``key[i]``.
+    returned as ActionRecords, which check their own shape.  FormatError
+    names the first element that does not fit, as ``key[i]``.
     """
     if not isinstance(items, (list, tuple)):
         raise FormatError(f"{key} must be a list, got {type(items).__name__}")
@@ -160,13 +166,10 @@ def wire_elements(key: str, items) -> tuple:
         return tuple(items)
     records = []
     for i, a in enumerate(items):
-        label, payload = a.get("label"), a.get("payload", {})
-        if not (isinstance(label, str) and label):
-            raise FormatError(f"actions[{i}].label must be a non-empty string, got {label!r}")
-        if not isinstance(payload, Mapping):
-            raise FormatError(f"actions[{i}].payload must be a mapping, "
-                              f"got {type(payload).__name__}")
-        records.append(ActionRecord(label=label, payload=payload))
+        try:
+            records.append(ActionRecord(label=a.get("label"), payload=a.get("payload", {})))
+        except ValueError as exc:
+            raise FormatError(f"actions[{i}].{exc}") from None
     return tuple(records)
 
 

@@ -223,7 +223,8 @@ class SessionMonitor:
     to the end of the trace, and handoff invariants only at their boundary
     state.  They are checked here, against ``trace_length`` when it is
     given (None, for a stream of unknown length, sets no upper bound);
-    bad or missing boundaries raise BadBoundaries.  A contract that
+    bad or missing boundaries raise BadBoundaries.  ``attempts_per_step``
+    is None or an int >= 1; anything else raises ValueError.  A contract that
     :func:`~agentcontracts.model.validate_contract` rejects raises
     SemanticError here, when the contract's plan is built.
     """
@@ -233,6 +234,10 @@ class SessionMonitor:
                  attempts_per_step: Optional[int] = 1,
                  boundaries: Optional[Sequence[int]] = None,
                  trace_length: Optional[int] = None):
+        if attempts_per_step is not None and not (type(attempts_per_step) is int
+                                                  and attempts_per_step >= 1):
+            raise ValueError(f"attempts_per_step must be None or an int >= 1, "
+                             f"got {attempts_per_step!r}")
         self._plan = _plan(contract)
         self.contract = contract
         self.hook = hook

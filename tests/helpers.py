@@ -8,6 +8,8 @@ independent code paths against each other.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from agentcontracts.composition import HandoffSpec
@@ -20,6 +22,26 @@ from agentcontracts.model import (
     RecoveryStrategy,
     SatisfactionParams,
 )
+
+class Text(str):
+    """A str subclass: never takes a ``type(v) is str`` fast path."""
+
+
+class Bag(Mapping):
+    """A mapping that is not a dict."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
 
 STATE_FIELDS = ("metrics.quality", "metrics.safety", "flags.ok", "score")
 ACTION_FIELDS = ("cost", "latency")

@@ -8,6 +8,7 @@ closures.
 """
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -46,7 +47,8 @@ from agentcontracts.model import (
 from agentcontracts.monitor import SessionMonitor, run_session
 from agentcontracts.parser import load_contract
 
-from helpers import ACTION_FIELDS, STATE_FIELDS, random_action, random_contract, random_state
+from helpers import (ACTION_FIELDS, STATE_FIELDS, Bag, Text, random_action, random_contract,
+                     random_state)
 
 POLICIES = ("violate", "satisfy", "skip")
 HUGE = 10 ** 400   # an int no float can hold
@@ -412,26 +414,6 @@ def test_a_used_contract_still_pickles_and_copies():
 # Fast paths against their fallbacks
 # ---------------------------------------------------------------------------
 
-class Text(str):
-    """A str subclass: never takes a ``type(v) is str`` fast path."""
-
-
-class Bag(Mapping):
-    """A mapping that is not a dict."""
-
-    def __init__(self, data):
-        self._data = dict(data)
-
-    def __getitem__(self, key):
-        return self._data[key]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self):
-        return len(self._data)
-
-
 EXACT = 2 ** 53      # every int up to it is exact as a float; EXACT + 1 is not
 
 VALUES = (0, 7, -3, 75, 80, True, False, HUGE, -HUGE, EXACT, -EXACT, EXACT + 1, -EXACT - 1,
@@ -646,19 +628,17 @@ WRAPPERS = (MappingProxyType, Bag)
 
 
 def closure_step(contract, state, action, t, boundaries):
-    """``(preconditions, results)`` of step ``t``, each constraint run by
-    its closure in the plan's entries, a scoped one out of phase recorded
-    as OUT_OF_PHASE."""
-    plan = engine._plan(contract)
+    """``(preconditions, results)`` of step ``t``, each constraint of the
+    contract's sections run by its closure from ``compile_constraint``, a
+    scoped one out of phase recorded as OUT_OF_PHASE."""
+    def run(constraints, act, target, t, boundaries):
+        return {c.name: compile_constraint(c, target)(state, act)
+                if scope_active(c.scope, t, boundaries) else OUT_OF_PHASE
+                for c in constraints}
 
-    def run(entries, act, t, boundaries):
-        return {name: evaluate(state, act)
-                if not boundaries or scope_active(scope, t, boundaries) else OUT_OF_PHASE
-                for name, scope, evaluate in entries}
-
-    results = run(plan.invariants, None, t, boundaries)
-    results.update(run(plan.governance, action, t, boundaries))
-    return run(plan.preconditions, None, 0, ()), results
+    results = run(contract.invariants(), None, "state", t, boundaries)
+    results.update(run(contract.governance(), action, "action", t, boundaries))
+    return run(contract.preconditions, None, "state", 0, ()), results
 
 
 def ratio(results, names):
@@ -698,6 +678,69 @@ def composed_cases(draw):
                                                       max_size=n - 1, unique=True).map(sorted)))
     _, state, action = drawn[0]
     return contract, state, action, draw(st.integers(0, 7)), tuple(boundaries)
+
+
+def scoped_contract(stages):
+    """A ``stages``-stage contract with two invariants per stage and per
+    handoff (``x eq 1`` and ``y eq 1``) and one unscoped governance
+    constraint."""
+    scopes = [f"stage:{i}" for i in range(stages)] + [f"handoff:{j}" for j in range(stages - 1)]
+    return Contract(name="scoped", stages=stages, invariants_hard=tuple(
+        Constraint(name=f"{scope}/{key}", severity="hard", scope=scope,
+                   check=Predicate(field_path=key, operator="eq", operand=1))
+        for scope in scopes for key in ("x", "y")), governance_hard=(
+        Constraint(name="go", severity="hard",
+                   check=Predicate(field_path="label", operator="eq", operand="go")),))
+
+
+def in_phase(scope, t, boundaries):
+    """The phase rule spelled out: given no boundaries every scope applies;
+    stage j spans [b_{j-1}, b_j] (from 0, and the last to the end), and
+    handoff j is the state b_j alone."""
+    if not boundaries:
+        return True
+    kind, j = scope.split(":")
+    cuts = (0, *boundaries, math.inf)
+    return t == boundaries[int(j)] if kind == "handoff" else cuts[int(j)] <= t <= cuts[int(j) + 1]
+
+
+class TestScopes:
+    @pytest.mark.parametrize("scope", [None, "stage:0", "stage:1", "stage:3", "handoff:0",
+                                       "handoff:2"])
+    def test_every_scope_applies_given_no_boundaries(self, scope):
+        assert all(scope_active(scope, t, ()) is True for t in range(8))
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_the_generated_step_follows_scope_active(self, stages):
+        # Every layout of the contract's stages - 1 boundaries (and of none)
+        # over traces of 0-6 steps, at every state index; scope_active
+        # itself against the rule spelled out.
+        contract = scoped_contract(stages)
+        for length in range(7):
+            layouts = {(), *itertools.combinations(range(length + 1), stages - 1)}
+            for boundaries in layouts:
+                for t in range(length + 1):
+                    ev = evaluate_step(contract, {"x": 1, "y": 0}, ActionRecord("go"), t,
+                                       boundaries)
+                    for con in contract.invariants():
+                        active = scope_active(con.scope, t, boundaries)
+                        assert active == in_phase(con.scope, t, boundaries)
+                        want = (VIOLATED if con.check.field_path == "y" else SATISFIED) \
+                            if active else OUT_OF_PHASE
+                        assert ev.results[con.name] is want, (boundaries, t, con.name)
+                    assert ev.results["go"] is SATISFIED
+
+    def test_one_scope_test_per_distinct_scope(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(engine, "compile",
+                            lambda text, *args: sources.append(text) or compile(text, *args),
+                            raising=False)
+        engine._plan(scoped_contract(3))
+        source, = sources
+        invariants = source.split("def _s")[2]
+        assert invariants.count(", t, boundaries)") == 5
+        for text in ("stage", "handoff", ":0", ":1"):
+            assert text not in source
 
 
 class TestGeneratedStep:

@@ -1,8 +1,10 @@
 """Contract composition: composed structure, conditions C1-C4, chain
 bounds, and phase-scoped verification."""
 
+import math
 from collections import Counter
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from agentcontracts.monitor import SessionMonitor, run_session
 
 from helpers import (
     STATE_FIELDS,
+    Bag,
+    Text,
     random_action,
     random_chain_instance,
     random_contract,
@@ -735,10 +739,18 @@ def with_missing_policies(contract, rng, cap_name):
                    governance_hard=drawn_policies(contract.governance_hard + (cap,), rng))
 
 
+# Values and mappings off the generated sections' inlined path, so C2-C4
+# also reach each constraint's closure.
+HOSTILE = (math.nan, 2**53 + 1, -(2**53 + 1), Text("2"), Text("alpha"), True, 2.5)
+WRAPPERS = (dict, MappingProxyType, Bag)
+
+
 @pytest.mark.parametrize("fault", ["none", "c1", "c2", "c3", "c4"])
-@given(seed=st.integers(0, 2**32 - 1))
+@given(seed=st.integers(0, 2**32 - 1),
+       hostile=st.lists(st.tuples(st.sampled_from(HOSTILE), st.sampled_from(WRAPPERS),
+                                  st.sampled_from(WRAPPERS)), max_size=6))
 @settings(max_examples=40, deadline=None)
-def test_check_conditions_matches_the_reference(fault, seed):
+def test_check_conditions_matches_the_reference(fault, seed, hostile):
     rng = np.random.default_rng(seed)
     inst = random_chain_instance(rng, fault=fault)
     a = with_missing_policies(inst["a"], rng, "a-cap")
@@ -760,6 +772,19 @@ def test_check_conditions_matches_the_reference(fault, seed):
         ActionRecord(str(rng.choice(labels)),
                      {"amount": float(rng.integers(0, 6))} if rng.random() < 0.5 else {})
         for _ in range(6)]
+    # A drawn value in one threshold field of a witness, that field's part
+    # and the sample each in a drawn mapping type; the value as an action's
+    # amount (and, if a string, its label) under a drawn payload type.
+    fields = (("work", "quality"), ("work", "style"), ("handoff", "value"))
+    for i, (value, part_type, root_type) in enumerate(hostile):
+        witness = inst["witnesses"][i % len(inst["witnesses"])]
+        sample = {k: dict(v) for k, v in witness.items()}
+        part, key = fields[i % len(fields)]
+        sample[part][key] = value
+        sample[part] = part_type(sample[part])
+        samples.append(root_type(sample))
+        label = value if isinstance(value, str) else labels[i % len(labels)]
+        actions.append(ActionRecord(label, part_type({"amount": value})))
     transform = inst["transform"] or (lambda state: state)
 
     report = check_conditions(a, b, handoff, samples, actions,

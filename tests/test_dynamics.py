@@ -52,7 +52,17 @@ class TestSimulate:
                                   seed=7, keep="all")
         for i in range(5):
             _, single = simulate_ou(P_REF, horizon=1.0, dt=0.01, seed=(7, i))
-            assert np.allclose(batch[i], single)
+            assert np.array_equal(batch[i], single)
+
+    def test_long_batch_paths_are_bit_identical(self):
+        # The batch once stepped by ``d * (1 - g dt) + a dt + ...``, which
+        # drifted from the single path by up to 1.1e-16.
+        batch = simulate_ou_paths(P_REF, horizon=20.0, dt=0.01, n_paths=6, seed=3, keep="all")
+        finals = simulate_ou_paths(P_REF, horizon=20.0, dt=0.01, n_paths=6, seed=3, block=4)
+        for i in range(6):
+            _, single = simulate_ou(P_REF, horizon=20.0, dt=0.01, seed=(3, i))
+            assert np.array_equal(batch[i], single)
+            assert finals[i] == single[-1]
 
     def test_clamp_zero_reflects(self):
         params = OUParams(alpha=0.001, gamma=0.05, sigma=0.5, d0=0.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from agentcontracts.errors import FormatError
 from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
@@ -219,6 +220,29 @@ class TestTrace:
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
             ExecutionTrace(states=({}, {}), actions=(ActionRecord(""),))
+
+    @pytest.mark.parametrize("label,payload,named", [
+        ("", {}, "label"), (None, {}, "label"), (5, {}, "label"), (b"go", {}, "label"),
+        ("go", 5, "payload"), ("go", None, "payload"), ("go", [("amount", 1)], "payload")])
+    def test_action_record_checks_its_own_shape(self, label, payload, named):
+        # A payload that is no mapping once reached the governance checks and
+        # crashed there with a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            ActionRecord(label, payload)
+
+    @pytest.mark.parametrize("action,message", [
+        ({"label": ""}, "actions[1].label must be a non-empty string, got ''"),
+        ({"payload": {}}, "actions[1].label must be a non-empty string, got None"),
+        ({"label": "go", "payload": 5}, "actions[1].payload must be a mapping, got int")])
+    def test_wire_actions_name_the_element(self, action, message):
+        doc = {"states": [{}, {}, {}], "actions": [{"label": "go"}, action]}
+        with pytest.raises(FormatError) as info:
+            ExecutionTrace.from_dict(doc)
+        assert str(info.value) == message
+
+    def test_trace_actions_must_be_action_records(self):
+        with pytest.raises(ValueError, match="ActionRecord"):
+            ExecutionTrace(states=({}, {}), actions=({"label": "go"},))
 
     def test_round_trip_dict(self):
         trace = ExecutionTrace(

@@ -141,6 +141,23 @@ class TestMonitorStep:
         assert attempted == ["A", "A", "B"]
         assert any(e.kind == "recovery_failed" for e in report.events)
 
+    @pytest.mark.parametrize("attempts", [0, -1, True, False, 1.0, "1"])
+    def test_attempts_per_step_checked_when_built(self, attempts):
+        # 0 and -1 once turned recovery off without a word: a violated soft
+        # constraint got no attempt and never emitted recovery_failed.
+        with pytest.raises(ValueError, match=repr(attempts).replace(".", r"\.")):
+            SessionMonitor(tone_contract(), hook=lambda s, c, st: None,
+                           attempts_per_step=attempts)
+        with pytest.raises(ValueError, match="attempts_per_step"):
+            run_session(tone_contract(), trace_of([0, 1]), attempts_per_step=attempts)
+
+    @pytest.mark.parametrize("attempts", [None, 1, 3])
+    def test_attempts_per_step_accepts_none_or_a_positive_int(self, attempts):
+        monitor = SessionMonitor(tone_contract(), hook=lambda s, c, st: None,
+                                 attempts_per_step=attempts)
+        report = monitor.step({"tone": 0, "safety": 5}, ActionRecord("go"))
+        assert [e.kind for e in report.events].count("recovery_attempted") >= 1
+
     def test_attempt_counter_resets_on_resatisfaction(self):
         strategies = (RecoveryStrategy(name="A", type="re_prompt", max_attempts=1),)
         contract = Contract(
