@@ -12,7 +12,17 @@ so KL terms stay finite.
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
 :func:`pairwise_sum`, a copy of numpy's pairwise summation, so they equal
-numpy's results bit for bit.
+numpy's results bit for bit.  numpy sums a block of 8 to 128 terms with
+eight stride-8 accumulators, each seeded with its first term, combines
+them as a fixed tree and adds the rest left to right; a longer list splits
+into such blocks.  Each block length gets one straight-line function that
+makes exactly these additions on the unpacked terms, generated on first
+use (filename ``<agentcontracts sum>``) and kept in ``_BLOCKS``, at most
+121 of them, so a block costs its additions alone.  Only plain float
+additions run: the builtin ``sum`` compensates float sums from Python
+3.12 on, and would differ from numpy.  (Where two different NaNs meet,
+the sum is a NaN whose sign no order of additions fixes: the C compiler
+may swap the operands of an add.)
 
 A window holds at most ``window`` distinct labels, and every label absent
 from it smooths to the same ``eps / norm`` (``norm`` the smoothed total,
@@ -75,30 +85,53 @@ _ABSENT_TERMS_KEPT = 64
 #: Bound on a configuration's table of window states: the count vectors
 #: its windows can hold times their length.
 _TABLE_CELLS = 2 ** 16
+#: numpy's pairwise block: the longest run summed without a split.
+_BLOCK = 128
+#: The generated sum of each block length met so far (8 to ``_BLOCK``).
+_BLOCKS: dict = {}
 
 
 def pairwise_sum(xs: Sequence[float]) -> float:
     """Sum of a list of floats, bit-identical to ``numpy.sum`` of it:
     numpy's pairwise summation, started (as numpy's add reduction is) from
     its identity 0.0, so all ``-0.0`` sums to 0.0."""
-    return 0.0 + _pairwise(xs, 0, len(xs))
+    n = len(xs)
+    if 8 <= n <= _BLOCK:
+        return 0.0 + (_BLOCKS.get(n) or _block_sum(n))(xs)
+    return 0.0 + _pairwise(xs, 0, n)
 
 
 def _pairwise(xs: Sequence[float], lo: int, n: int) -> float:
-    # numpy's pairwise_sum: under 8 terms, left to right; up to a block of
-    # 128, eight interleaved accumulators combined as a tree, then the rest
-    # left to right; a longer run splits at a multiple of 8 near its middle.
-    # reduce(add) folds left to right in plain float additions.
+    # numpy's pairwise_sum: under 8 terms, left to right (reduce(add) folds
+    # in plain float additions); up to a block of 128, the block's
+    # generated sum; a longer run splits at a multiple of 8 near its middle.
     if n < 8:
         return reduce(add, xs[lo:lo + n], -0.0)
-    if n <= 128:
-        stop = lo + n - n % 8
-        r = [reduce(add, xs[lo + j:stop:8]) for j in range(8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, xs[stop:lo + n], res)
+    if n <= _BLOCK:
+        return (_BLOCKS.get(n) or _block_sum(n))(xs[lo:lo + n])
     half = n // 2
     half -= half % 8
     return _pairwise(xs, lo, half) + _pairwise(xs, lo + half, n - half)
+
+
+def _block_sum(n: int):
+    """The function summing a block of ``n`` terms (8 <= n <= 128) in
+    numpy's order: eight accumulators, the j-th the left fold of terms j,
+    j + 8, ... below the last multiple of 8, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    remaining terms added left to right.  Python's ``+`` associates to the
+    left, so the returned expression makes exactly these additions."""
+    terms = [f"a{i}" for i in range(n)]
+    stop = n - n % 8
+    r = ["(" + " + ".join(terms[j:stop:8]) + ")" for j in range(8)]
+    tree = f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))"
+    source = (f"def _sum{n}(xs):\n"
+              f"    {', '.join(terms)}, = xs\n"
+              f"    return {' + '.join([tree, *terms[stop:]])}\n")
+    namespace: dict = {}
+    exec(compile(source, "<agentcontracts sum>", "exec"), namespace)
+    _BLOCKS[n] = namespace[f"_sum{n}"]
+    return _BLOCKS[n]
 
 
 def mean(xs: Sequence[float], empty: float = math.nan) -> float:

@@ -41,7 +41,11 @@ A passing check stores the shared ``SATISFIED`` result, so a step records
 which results are anything else (``StepEvaluation.non_satisfied``) as it
 goes, and its bookkeeping reads only those: with none, both compliance
 scores are 1.0; otherwise the same integer counts as a full pass give the
-same ratios.
+same ratios.  The session's fold is sparse the same way: each timeline
+starts as a list of True and only the non-satisfied entries are written
+(:func:`session_timelines`), and the verdicts find the False entries
+with ``list.index`` and test each recovery window with ``True in``, both
+C scans, exact because entries are only True, False or None.
 """
 
 from __future__ import annotations
@@ -462,20 +466,30 @@ def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
 def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
                       steps: Sequence[StepEvaluation], states: Sequence[StateDict],
                       boundaries: Sequence[int] = ()) -> dict:
-    """Per-constraint timelines (True/False/None entries) folded from the
-    evaluations of steps 0..n-1, plus an invariant-only evaluation of the
-    trailing state ``states[n]``.  Preconditions get one entry, from the
-    given :func:`initial_preconditions`.
+    """Per-constraint timelines, lists of True/False/None entries, folded
+    from the evaluations of steps 0..n-1, plus an invariant-only evaluation
+    of the trailing state ``states[n]``.  Preconditions get one entry, from
+    the given :func:`initial_preconditions`.
+
+    Every result outside a step's ``non_satisfied`` is the shared
+    ``SATISFIED``, so each line starts all True and only those entries are
+    patched.
     """
     n = len(steps)
-    trailing: dict = {}
-    _plan(contract).evaluate_invariants(states[n], None, n, boundaries, trailing, [])
-    timelines = {name: (r.satisfied,) for name, r in preconditions.items()}
+    trailing, trailing_non_satisfied = {}, []
+    _plan(contract).evaluate_invariants(states[n], None, n, boundaries, trailing,
+                                        trailing_non_satisfied)
+    timelines = {name: [r.satisfied] for name, r in preconditions.items()}
     for con in contract.invariants():
-        timelines[con.name] = (tuple(s.results[con.name].satisfied for s in steps)
-                               + (trailing[con.name].satisfied,))
+        timelines[con.name] = [True] * (n + 1)
     for con in contract.governance():
-        timelines[con.name] = tuple(s.results[con.name].satisfied for s in steps)
+        timelines[con.name] = [True] * n
+    for t, step in enumerate(steps):
+        results = step.results
+        for name in step.non_satisfied:
+            timelines[name][t] = results[name].satisfied
+    for name in trailing_non_satisfied:
+        timelines[name][n] = trailing[name].satisfied
     return timelines
 
 
@@ -490,14 +504,25 @@ def constraint_timelines(contract: Contract, trace: ExecutionTrace,
                              steps, trace.states, boundaries)
 
 
+def _false_at(line: Sequence[Optional[bool]]):
+    """The indices of a timeline's False entries, in order.  Entries are
+    True, False or None, so ``in`` and ``index``, which compare by equality
+    in C, find exactly the False ones."""
+    if False in line:
+        t = line.index(False)
+        try:
+            while True:
+                yield t
+                t = line.index(False, t + 1)
+        except ValueError:
+            return
+
+
 def _recoverable(line: Sequence[Optional[bool]], k: int) -> Optional[int]:
     """First index of an unrecovered violation, or None if all recover
     within k steps (inclusive window [t, t+k] on the constraint's own
     timeline)."""
-    for t, v in enumerate(line):
-        if v is False and not any(u is True for u in line[t:t + k + 1]):
-            return t
-    return None
+    return next((t for t in _false_at(line) if True not in line[t:t + k + 1]), None)
 
 
 def _precondition_witnesses(contract: Contract, timelines: Mapping) -> tuple:
@@ -507,8 +532,7 @@ def _precondition_witnesses(contract: Contract, timelines: Mapping) -> tuple:
 
 
 def _failures(constraints: Sequence[Constraint], timelines: Mapping) -> tuple:
-    return tuple((idx, con.name) for con in constraints
-                 for idx, v in enumerate(timelines[con.name]) if v is False)
+    return tuple((t, con.name) for con in constraints for t in _false_at(timelines[con.name]))
 
 
 def check_deterministic(contract: Contract, trace: ExecutionTrace,

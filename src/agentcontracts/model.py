@@ -119,8 +119,12 @@ class ExecutionTrace:
                 f"trace needs |states| = |actions| + 1, got "
                 f"{len(self.states)} states / {len(self.actions)} actions"
             )
-        if not all(isinstance(a, ActionRecord) for a in self.actions):
-            raise ValueError("every action must be an ActionRecord")
+        for i, s in enumerate(self.states):
+            if not is_state(s):
+                raise ValueError(f"states[{i}] must be a mapping, got {type(s).__name__}")
+        for i, a in enumerate(self.actions):
+            if not isinstance(a, ActionRecord):
+                raise ValueError(f"actions[{i}] must be an ActionRecord, got {type(a).__name__}")
 
     @property
     def length(self) -> int:
@@ -149,6 +153,12 @@ class ExecutionTrace:
             "states": [dict(s) for s in self.states],
             "actions": [{"label": a.label, "payload": dict(a.payload)} for a in self.actions],
         }
+
+
+def is_state(value) -> bool:
+    """Whether ``value`` can be a state: a mapping (a plain dict is checked
+    first, without ``isinstance``)."""
+    return type(value) is dict or isinstance(value, Mapping)
 
 
 def wire_elements(key: str, items) -> tuple:

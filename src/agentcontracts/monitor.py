@@ -49,7 +49,7 @@ from .engine import (
 from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SessionTerminated,
                      TraceTooShort)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
-                    SatisfactionParams, StateDict)
+                    SatisfactionParams, StateDict, is_state)
 
 __all__ = [
     "MonitorEvent",
@@ -272,10 +272,17 @@ class SessionMonitor:
     # -- the enforcement loop ----------------------------------------------
 
     def step(self, state: StateDict, action: ActionRecord) -> StepReport:
-        """Run one enforcement turn for (s_t, a_t)."""
-        if self._closed_by is not None:
-            raise SessionTerminated(f"session closed by {self._closed_by} before step {self._t}")
+        """Run one enforcement turn for (s_t, a_t).  A state that is not a
+        mapping, or an action that is not an ActionRecord, raises ValueError
+        naming the step before anything is evaluated."""
         t = self._t
+        if self._closed_by is not None:
+            raise SessionTerminated(f"session closed by {self._closed_by} before step {t}")
+        if not is_state(state):
+            raise ValueError(f"step {t}: state must be a mapping, got {type(state).__name__}")
+        if not isinstance(action, ActionRecord):
+            raise ValueError(f"step {t}: action must be an ActionRecord, "
+                             f"got {type(action).__name__}")
         self._t += 1
         step_events_start = len(self._events)
 

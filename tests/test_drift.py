@@ -1,6 +1,7 @@
 """Drift score, JSD, window equivalence, and session metrics."""
 
 import math
+import random
 import struct
 import warnings
 
@@ -78,6 +79,50 @@ class TestPurePythonKernels:
         got = mean(xs)
         assert (math.isnan(got) and math.isnan(expected)) or \
             struct.pack("<d", got) == struct.pack("<d", expected)
+
+    # The bits of a NaN sum are not fixed by the order of the additions once
+    # two different NaNs meet (NaN + NaN keeps one operand's bits, and a C
+    # compiler may swap the operands of a commutative add), so a list that
+    # can make two, from two NaN bit patterns or a NaN and inf - inf, only
+    # needs a NaN.  Lists with one source of NaN are compared bit for bit.
+    # A list of at most 1200 terms under 1e300 cannot overflow.
+    SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1e-310, 1e308, -1e308)
+    LENGTHS = [*range(301), 511, 512, 513, 1024, 1200]
+
+    @staticmethod
+    def assert_numpy_sum(xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = float(np.sum(np.array(xs, dtype=np.float64)))
+        got = drift.pairwise_sum(xs)
+        nan_sources = len({struct.pack("<d", x) for x in xs if math.isnan(x)}) + any(
+            abs(x) > 1e300 for x in xs)   # an infinity, or a sum that overflows to one
+        assert struct.pack("<d", got) == struct.pack("<d", expected) or (
+            nan_sources > 1 and math.isnan(got) and math.isnan(expected)), (xs, got, expected)
+
+    def test_block_sums_at_every_length(self):
+        rng = random.Random(18)
+        for n in self.LENGTHS:
+            for specials in ((), self.SPECIALS[:2] + self.SPECIALS[5:],
+                             self.SPECIALS[:4] + self.SPECIALS[5:], self.SPECIALS):
+                xs = [rng.choice(specials) if specials and rng.random() < 0.2
+                      else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+                      for _ in range(n)]
+                self.assert_numpy_sum(xs)
+                self.assert_numpy_sum(tuple(xs))
+        assert sorted(drift._BLOCKS) == list(range(8, 129))
+        assert len(drift._BLOCKS) <= 121
+
+    @given(xs=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIALS)), max_size=300))
+    @example(xs=[1e16, 1.0, -1e16, 1.0, 3.0, -0.0, 5e-324])
+    @example(xs=[-math.nan, 1.0, math.nan, 2.0, -0.0, math.nan, 3.0, 4.0])
+    @example(xs=[0.1 * i for i in range(8)])
+    @example(xs=[(-1.0) ** i * 1e-3 * i for i in range(128)])
+    @example(xs=[1e300, -1e300, 1.0] * 43)
+    @settings(max_examples=300, deadline=None)
+    def test_block_sums_are_numpys_bit_for_bit(self, xs):
+        self.assert_numpy_sum(xs)
 
 
 def brute_force_jsd(p, q):

@@ -59,14 +59,16 @@ class TestLazyNames:
 # Runs in a fresh interpreter: each command line is a JSON argument.  Prints,
 # after the imports and after each command, which of the modules off the
 # paths of these commands are loaded: numpy and the modules that need it,
-# certification, and the two modules CLI ``run`` does not use.
+# certification, and the two modules CLI ``run`` does not use; and the block
+# lengths drift has generated a sum for.
 _CHILD = """
 import contextlib, io, json, sys
 HEAVY = ("numpy", "agentcontracts.dynamics", "agentcontracts.generator",
          "agentcontracts.certification", "agentcontracts.bench", "agentcontracts.composition")
-loaded = {}
+loaded, blocks = {}, {}
 import agentcontracts
 loaded["import agentcontracts"] = [m for m in HEAVY if m in sys.modules]
+blocks["import agentcontracts"] = sorted(agentcontracts.drift._BLOCKS)
 import agentcontracts.cli
 loaded["import agentcontracts.cli"] = [m for m in HEAVY if m in sys.modules]
 codes = {}
@@ -74,7 +76,8 @@ for argv in map(json.loads, sys.argv[1:]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes[argv[0]] = agentcontracts.cli.main(argv)
     loaded[argv[0]] = [m for m in HEAVY if m in sys.modules]
-print(json.dumps({"loaded": loaded, "codes": codes}))
+    blocks[argv[0]] = sorted(agentcontracts.drift._BLOCKS)
+print(json.dumps({"loaded": loaded, "codes": codes, "blocks": blocks}))
 """
 
 
@@ -102,3 +105,8 @@ def test_commands_load_no_numpy(suite_dir, tmp_path):
     assert result["loaded"] == {"import agentcontracts": [], "import agentcontracts.cli": [],
                                 "run": [], "bench": suite, "validate": suite, "compose": suite,
                                 "certify": ["agentcontracts.certification"] + suite}
+    # The demo's sums (6 steps, a support of 5) have fewer than 8 terms: a
+    # cold ``run`` compiles no block sum.  ``bench`` on the seed-7 suite
+    # meets three lengths (8, 15 and 55), each compiled once.
+    assert result["blocks"]["import agentcontracts"] == result["blocks"]["run"] == []
+    assert len(result["blocks"]["bench"]) <= 3

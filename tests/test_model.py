@@ -244,6 +244,14 @@ class TestTrace:
         with pytest.raises(ValueError, match="ActionRecord"):
             ExecutionTrace(states=({}, {}), actions=({"label": "go"},))
 
+    def test_trace_states_must_be_mappings(self):
+        # A state that is no mapping was once scored with every field
+        # missing, and the session reported a hard violation.
+        with pytest.raises(ValueError, match=r"^states\[0\] must be a mapping, got int$"):
+            ExecutionTrace(states=(5, 6), actions=(ActionRecord("respond"),))
+        with pytest.raises(ValueError, match=r"^states\[1\] must be a mapping, got list$"):
+            ExecutionTrace(states=({}, []), actions=(ActionRecord("respond"),))
+
     def test_round_trip_dict(self):
         trace = ExecutionTrace(
             states=({"x": 1}, {"x": 2}),

@@ -58,6 +58,25 @@ def trace_of(tones, safety=None):
 
 
 class TestMonitorStep:
+    def test_action_must_be_an_action_record(self):
+        # A bare label once raised AttributeError from inside the step.
+        monitor = SessionMonitor(tone_contract())
+        monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
+        with pytest.raises(ValueError,
+                           match=r"^step 1: action must be an ActionRecord, got str$"):
+            monitor.step({}, "respond")
+        assert len(monitor.step_reports) == 1
+        assert monitor.step({"tone": 5, "safety": 5}, ActionRecord("go")).step == 1
+
+    def test_state_must_be_a_mapping(self):
+        # A state that is no mapping was once scored with every field
+        # missing: c_hard == c_soft == 0.0, silently.
+        monitor = SessionMonitor(tone_contract())
+        with pytest.raises(ValueError, match=r"^step 0: state must be a mapping, got int$"):
+            monitor.step(5, ActionRecord("respond"))
+        assert monitor.step_reports == []
+        assert monitor.step({"tone": 5, "safety": 5}, ActionRecord("go")).step == 0
+
     def test_clean_step_no_events(self):
         monitor = SessionMonitor(tone_contract())
         report = monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
