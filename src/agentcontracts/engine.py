@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
@@ -244,10 +245,10 @@ class _Plan:
     name's results position and weight (and their total), the ``(name,
     weight)`` pairs of the invariants and of the governance constraints
     that drift's compliance gaps read, and each soft constraint's recovery
-    chain, one strategy per attempt."""
+    chain with the running totals of its strategies' ``max_attempts``."""
 
     __slots__ = ("evaluate_preconditions", "evaluate_invariants", "evaluate_governance",
-                 "hard", "soft", "order", "weights", "total_weight", "gap_weights", "schedules")
+                 "hard", "soft", "order", "weights", "total_weight", "gap_weights", "chains")
 
     def __init__(self, contract: Contract):
         require_valid(contract)
@@ -263,10 +264,10 @@ class _Plan:
         self.gap_weights = tuple(tuple((c.name, c.weight) for c in constraints)
                                  for constraints in (contract.invariants(), contract.governance()))
         strategies = {s.name: s for s in contract.recovery_strategies}
-        self.schedules = tuple(
-            (con, tuple(s for s in fallback_chain(strategies, con.recovery)[0]
-                        for _ in range(s.max_attempts)))
-            for con in contract.soft_constraints())
+        self.chains = []
+        for con in contract.soft_constraints():
+            chain = fallback_chain(strategies, con.recovery)[0]
+            self.chains.append((con, chain, tuple(accumulate(s.max_attempts for s in chain))))
 
 
 def _generate(sections: Sequence[tuple]) -> tuple:

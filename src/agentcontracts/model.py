@@ -29,7 +29,9 @@ __all__ = [
     "Contract",
     "StructuralIssue",
     "validate_contract",
+    "satisfaction_issues",
     "require_valid",
+    "raise_first_error",
     "fallback_chain",
     "wire_elements",
     "OTHER_LABEL",
@@ -390,6 +392,11 @@ def _validate_predicate(name: str, p: Predicate, out: list) -> None:
                               f"{p.operator} operand must be a list"))
 
 
+def _is_count(v: Any, lo: int) -> bool:
+    """Whether ``v`` is an int >= ``lo`` (a bool is not an int here)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
 def _scope_fits(scope, stages) -> bool:
     """Whether ``scope`` names a stage (``stage:i``, i < stages) or a
     handoff (``handoff:j``, j < stages - 1) of a ``stages``-stage contract."""
@@ -429,7 +436,7 @@ def validate_contract(c: Contract) -> list:
 
     if c.kind not in ("agent", "pipeline"):
         issues.append(_issue(c.name, "bad-kind", f"kind must be agent or pipeline, got {c.kind!r}"))
-    if not (isinstance(c.stages, int) and c.stages >= 1):
+    if not _is_count(c.stages, 1):
         issues.append(_issue(c.name, "bad-stage-count",
                              f"stages must be an integer >= 1, got {c.stages!r}"))
 
@@ -496,7 +503,7 @@ def validate_contract(c: Contract) -> list:
         if s.type not in RECOVERY_TYPES:
             issues.append(_issue(s.name, "bad-strategy-type",
                                  f"type must be one of {RECOVERY_TYPES}, got {s.type!r}"))
-        if not (isinstance(s.max_attempts, int) and s.max_attempts >= 1):
+        if not _is_count(s.max_attempts, 1):
             issues.append(_issue(s.name, "bad-max-attempts", "max_attempts must be >= 1"))
         if s.fallback is not None and s.fallback not in strategy_names:
             issues.append(_issue(s.name, "unresolved-fallback-reference",
@@ -516,26 +523,14 @@ def validate_contract(c: Contract) -> list:
     issues = [i for i in issues
               if not (i.rule == "unreferenced-strategy" and i.element in reachable)]
 
-    # Satisfaction parameters.
-    sp = c.satisfaction
-    if not (0.0 <= sp.p <= 1.0):
-        issues.append(_issue("satisfaction", "p-out-of-range", f"p must be in [0,1], got {sp.p}"))
-    if not (0.0 <= sp.delta <= 1.0):
-        issues.append(_issue("satisfaction", "delta-out-of-range",
-                             f"delta must be in [0,1], got {sp.delta}"))
-    if not (isinstance(sp.k, int) and sp.k >= 0):
-        issues.append(_issue("satisfaction", "bad-recovery-window",
-                             f"k must be a non-negative integer, got {sp.k!r}"))
-    if sp.T is not None and not (isinstance(sp.T, int) and sp.T >= 0):
-        issues.append(_issue("satisfaction", "bad-session-length",
-                             f"T must be a non-negative integer, got {sp.T!r}"))
+    issues += satisfaction_issues(c.satisfaction)
 
-    # Drift configuration.
+    # Drift configuration.  Each rule is written so that NaN fails it.
     dc = c.drift_config
-    if dc.w_c < 0 or dc.w_d < 0 or abs(dc.w_c + dc.w_d - 1.0) > _WEIGHT_SUM_TOL:
+    if not (dc.w_c >= 0 and dc.w_d >= 0 and abs(dc.w_c + dc.w_d - 1.0) <= _WEIGHT_SUM_TOL):
         issues.append(_issue("drift", "bad-component-weights",
                              f"w_c + w_d must equal 1 with w_c, w_d >= 0, got ({dc.w_c}, {dc.w_d})"))
-    if not (isinstance(dc.window, int) and dc.window >= 1):
+    if not _is_count(dc.window, 1):
         issues.append(_issue("drift", "bad-window", f"window must be >= 1, got {dc.window!r}"))
     if not (0.0 <= dc.theta1 <= 1.0 and 0.0 <= dc.theta2 <= 1.0 and dc.theta1 < dc.theta2):
         issues.append(_issue("drift", "bad-thresholds",
@@ -550,15 +545,16 @@ def validate_contract(c: Contract) -> list:
         if extra:
             issues.append(_issue("drift", "reference-outside-vocabulary",
                                  f"reference mass on labels outside vocabulary: {sorted(extra)}"))
-        total = sum(dc.reference.get(v, 0.0) for v in dc.vocabulary)
-        if any(dc.reference.get(v, 0.0) < 0 for v in dc.vocabulary) or abs(total - 1.0) > _DIST_SUM_TOL:
+        masses = [dc.reference.get(v, 0.0) for v in dc.vocabulary]
+        total = sum(masses)
+        if not (all(m >= 0 for m in masses) and abs(total - 1.0) <= _DIST_SUM_TOL):
             issues.append(_issue("drift", "reference-not-normalized",
                                  f"reference must be a distribution over the vocabulary (sums to {total})"))
 
     # Reliability weights.
     rw = c.reliability_weights
     ws = (rw.a1, rw.a2, rw.a3, rw.a4)
-    if any(w < 0 for w in ws) or abs(sum(ws) - 1.0) > _WEIGHT_SUM_TOL:
+    if not (all(w >= 0 for w in ws) and abs(sum(ws) - 1.0) <= _WEIGHT_SUM_TOL):
         issues.append(_issue("reliability", "bad-weights",
                              f"a1..a4 must be non-negative and sum to 1, got {ws}"))
 
@@ -566,11 +562,35 @@ def validate_contract(c: Contract) -> list:
     return issues
 
 
+def satisfaction_issues(sp: SatisfactionParams) -> list:
+    """The rules of :func:`validate_contract` for ``(p, delta, k, T)``, which
+    the params given to ``pdk_verdict`` meet too."""
+    issues = []
+    if not (0.0 <= sp.p <= 1.0):
+        issues.append(_issue("satisfaction", "p-out-of-range", f"p must be in [0,1], got {sp.p}"))
+    if not (0.0 <= sp.delta <= 1.0):
+        issues.append(_issue("satisfaction", "delta-out-of-range",
+                             f"delta must be in [0,1], got {sp.delta}"))
+    if not _is_count(sp.k, 0):
+        issues.append(_issue("satisfaction", "bad-recovery-window",
+                             f"k must be a non-negative integer, got {sp.k!r}"))
+    if sp.T is not None and not _is_count(sp.T, 0):
+        issues.append(_issue("satisfaction", "bad-session-length",
+                             f"T must be a non-negative integer, got {sp.T!r}"))
+    return issues
+
+
 def require_valid(c: Contract, span_of: Callable[[str], Any] = lambda element: None) -> None:
     """Raise SemanticError when :func:`validate_contract` finds an error in
-    ``c``: ``"{element}: {message} (+N more issues)"`` for the first one,
-    located by ``span_of(element)``."""
-    errors = [i for i in validate_contract(c) if i.severity == "error"]
+    ``c`` (see :func:`raise_first_error`)."""
+    raise_first_error(validate_contract(c), span_of)
+
+
+def raise_first_error(issues: list, span_of: Callable[[str], Any] = lambda element: None) -> None:
+    """Raise SemanticError for the first error of ``issues``:
+    ``"{element}: {message} (+N more issues)"``, located by
+    ``span_of(element)``."""
+    errors = [i for i in issues if i.severity == "error"]
     if errors:
         more = f" (+{len(errors) - 1} more issues)" if len(errors) > 1 else ""
         raise SemanticError(f"{errors[0].element}: {errors[0].message}{more}",

@@ -8,9 +8,10 @@ violations are logged, never recovered.
 
 The monitor keeps only per-session state: the contract's plan (see
 :mod:`~agentcontracts.engine`) validates the contract when the monitor is
-built and holds its tables, among them each soft constraint's chain
-flattened into one strategy per attempt: each strategy spends its
-``max_attempts`` consecutive attempts before its fallback takes over.  One
+built and holds its tables, among them each soft constraint's chain with
+the running totals of its attempt budgets: each strategy spends its
+``max_attempts`` consecutive attempts before its fallback takes over, and
+attempt ``n``'s strategy is found by bisecting the totals.  One
 attempt is made per step unless ``attempts_per_step=None``, which runs the
 whole chain within a single step.  Each violation episode owns its attempt
 counter: the counter persists across that episode's steps, and a new
@@ -28,6 +29,7 @@ post-recovery evaluation, and a later step raises SessionTerminated.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -49,7 +51,8 @@ from .engine import (
 from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SessionTerminated,
                      TraceTooShort)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
-                    SatisfactionParams, StateDict, is_state)
+                    SatisfactionParams, StateDict, is_state, raise_first_error,
+                    satisfaction_issues)
 
 __all__ = [
     "MonitorEvent",
@@ -378,20 +381,20 @@ class SessionMonitor:
             return post
         current_state, current_action = state, action
 
-        for con, schedule in self._plan.schedules:
+        for con, chain, totals in self._plan.chains:
             episode = self._episodes.get(con.name)
             if episode is None or episode.failed:
                 continue
             if (post or evaluation).results[con.name].satisfied is not False:
                 continue
 
-            stop = len(schedule)
-            if self.attempts_per_step is not None:
-                stop = min(stop, episode.used + self.attempts_per_step)
+            budget = totals[-1] if totals else 0
+            stop = budget if self.attempts_per_step is None \
+                else min(budget, episode.used + self.attempts_per_step)
             recovered = False
 
             while episode.used < stop:
-                strategy = schedule[episode.used]
+                strategy = chain[bisect_right(totals, episode.used)]
                 if self.hook is None and strategy.type not in _INTRINSIC_TYPES:
                     self._recovery_failed(t, con, episode, "no recovery hook registered",
                                           strategy=strategy.name)
@@ -420,8 +423,8 @@ class SessionMonitor:
                         recovered = True
                         break
 
-            if not recovered and episode.used >= len(schedule):
-                self._recovery_failed(t, con, episode, "attempt budget exhausted" if schedule
+            if not recovered and episode.used >= budget:
+                self._recovery_failed(t, con, episode, "attempt budget exhausted" if chain
                                       else "no recovery strategy defined")
             if self.terminated:
                 break
@@ -545,10 +548,12 @@ def pdk_verdict(contract: Contract, sessions: Sequence[SessionReport],
     step must reach p.  Soft guarantee: the fraction of sessions where
     every dip of C_soft below 1 - delta recovers within k steps must reach
     p.  Sessions whose preconditions failed are excluded from the ensemble
-    (their count is reported).
+    (their count is reported).  Params that break the validator's
+    satisfaction rules raise SemanticError.
     """
     if params is None:
         params = contract.satisfaction
+    raise_first_error(satisfaction_issues(params))
     if not sessions:
         raise EmptyEnsemble("no sessions supplied")
     usable = [(i, s) for i, s in enumerate(sessions) if s.preconditions_ok]

@@ -1,11 +1,21 @@
 """Parser for the ContractSpec YAML DSL.
 
-Top-level document keys: ``contractspec`` (version), ``kind``, ``name``,
+Agent document keys: ``contractspec`` (version), ``kind``, ``name``,
 ``preconditions``, ``invariants.{hard,soft}``, ``governance.{hard,soft}``,
-``recovery.strategies``, ``satisfaction.{p,delta,k}``, ``drift.{...}``,
+``recovery.strategies``, ``satisfaction.{p,delta,k,T}``, ``drift.{...}``,
 ``reliability.{a1..a4}``.  A constraint entry is
 ``{name, category?, weight?, check: {field, operator, value} | {expr},
-recovery?, on_missing?}``.
+recovery?, on_missing?}``.  Pipeline document keys: ``contractspec``,
+``kind``, ``name``, ``stages`` (``{name, contract}`` entries), ``handoffs``
+(``{from, to, invariants?, type_map?, p_h?, delta_h?}`` entries) and
+``coordination``.
+
+Every mapping is read by one rule, :func:`_fields`, from a table of key
+readers for its kind (``_AGENT``, ``_PIPELINE`` and the tables nested in
+them): an unknown key raises SchemaError spanned at the key, each present
+value is read once by its key's reader, and only the keys present reach the
+model's constructors, which hold every default.  A pipeline document has
+its own table, so an agent section in it is an unknown key.
 
 Diagnostics carry a :class:`~agentcontracts.errors.SourceSpan` whenever the
 offending element can be located in the document.  Parsing is pure and
@@ -22,9 +32,12 @@ recurses on the C stack.
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from functools import partial
+from typing import Any, Callable, Optional, Union
 
 import yaml
 
@@ -55,12 +68,6 @@ __all__ = [
 ]
 
 _MAX_NESTING = 128
-
-_TOP_KEYS = {"contractspec", "kind", "name", "preconditions", "invariants",
-             "governance", "recovery", "satisfaction", "drift", "reliability",
-             "stages", "handoffs", "coordination"}
-_CONSTRAINT_KEYS = {"name", "category", "weight", "check", "recovery", "on_missing"}
-_STRATEGY_KEYS = {"name", "type", "action", "max_attempts", "fallback"}
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,14 @@ class PipelineContract:
 # Span index: map document paths to source positions
 # ---------------------------------------------------------------------------
 
+def _node_span(node) -> SourceSpan:
+    mark = node.start_mark
+    length = 1
+    if hasattr(node, "end_mark") and node.end_mark.line == mark.line:
+        length = max(1, node.end_mark.column - mark.column)
+    return SourceSpan(line=mark.line + 1, column=mark.column + 1, length=length)
+
+
 def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> None:
     """Index ``node``'s subtree under ``path``.  ``done`` holds the ids of
     collections already indexed: an alias to one is not walked again, so
@@ -103,11 +118,7 @@ def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> Non
     enclosing collection recurses until the nesting limit rejects it."""
     if depth > _MAX_NESTING:
         raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
-    mark = node.start_mark
-    length = 1
-    if hasattr(node, "end_mark") and node.end_mark.line == mark.line:
-        length = max(1, node.end_mark.column - mark.column)
-    out[path] = SourceSpan(line=mark.line + 1, column=mark.column + 1, length=length)
+    out[path] = _node_span(node)
     if id(node) in done:
         return
     if isinstance(node, yaml.MappingNode):
@@ -122,11 +133,12 @@ def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> Non
 
 
 class _Doc:
-    """A parsed document plus its span index."""
+    """A parsed document plus its span index and its node tree."""
 
-    def __init__(self, value: Any, spans: dict):
+    def __init__(self, value: Any, spans: dict, node=None):
         self.value = value
         self.spans = spans
+        self.node = node
 
     def span(self, path: tuple) -> Optional[SourceSpan]:
         while path:
@@ -134,6 +146,16 @@ class _Doc:
                 return self.spans[path]
             path = path[:-1]
         return self.spans.get(())
+
+    def key_span(self, path: tuple) -> Optional[SourceSpan]:
+        """The span of the key that ends ``path``, found in the node tree
+        only when asked (the index holds values), else :meth:`span`."""
+        node = self.node
+        for part in path[:-1]:
+            node = (node.value[part] if isinstance(node, yaml.SequenceNode)
+                    else [v for k, v in node.value if k.value == part][-1])
+        keys = [k for k, _ in node.value if k.value == path[-1]]
+        return _node_span(keys[-1]) if keys else self.span(path)
 
 
 # libyaml when PyYAML was built with it; the pure-Python loader otherwise.
@@ -189,11 +211,11 @@ def _load_yaml(text: Union[str, bytes]) -> _Doc:
         raise DslSyntaxError(f"malformed YAML: {exc}") from None
     except RecursionError:
         raise DslSyntaxError("document nesting exceeds the parser limit") from None
-    return _Doc(value, spans)
+    return _Doc(value, spans, node)
 
 
 # ---------------------------------------------------------------------------
-# Schema helpers
+# Schema: one table of key readers per kind of mapping, read by one rule
 # ---------------------------------------------------------------------------
 
 def _type_name(v: Any) -> str:
@@ -207,195 +229,191 @@ def _expect_mapping(doc: _Doc, value: Any, path: tuple, what: str) -> Mapping:
                           span=doc.span(path), field=".".join(map(str, path)) or what)
     return value
 
-def _expect_list(doc: _Doc, value: Any, path: tuple, what: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a sequence, got {_type_name(value)}",
-                          span=doc.span(path), field=".".join(map(str, path)) or what)
-    return value
 
-
-def _get_required(doc: _Doc, mapping: Mapping, key: str, path: tuple):
-    if key not in mapping:
-        raise SchemaError(f"missing required field {key!r}",
-                          span=doc.span(path), field=key)
-    return mapping[key]
-
-
-def _get_str(doc: _Doc, mapping: Mapping, key: str, path: tuple,
-             required: bool = True, default: Optional[str] = None) -> Optional[str]:
-    if key not in mapping:
-        if required:
+def _fields(doc: _Doc, raw: Any, path: tuple, what: str, readers: Mapping,
+            required: tuple = ()) -> dict:
+    """The keys of the ``what`` mapping ``raw`` at ``path``, each value read
+    once by its key's reader, ``read(doc, value, value_path)``.  Only the
+    keys present come back, so every default stays with the model.  A key
+    outside ``readers`` (spanned at the key), a missing ``required`` key,
+    or a value its reader refuses raises SchemaError."""
+    mapping = _expect_mapping(doc, raw, path, what)
+    for key in mapping:
+        if key not in readers:
+            raise SchemaError(f"unknown key {key!r} in {what}",
+                              span=doc.key_span(path + (key,)), field=key)
+    for key in required:
+        if key not in mapping:
             raise SchemaError(f"missing required field {key!r}", span=doc.span(path), field=key)
-        return default
-    v = mapping[key]
+    return {key: readers[key](doc, value, path + (key,)) for key, value in mapping.items()}
+
+
+def _bad(doc: _Doc, path: tuple, message: str) -> SchemaError:
+    """A SchemaError on the value at ``path``, naming its key."""
+    return SchemaError(message, span=doc.span(path), field=path[-1])
+
+
+def _string(doc: _Doc, v: Any, path: tuple) -> str:
     if not isinstance(v, str):
-        raise SchemaError(f"field {key!r} must be a string, got {_type_name(v)}",
-                          span=doc.span(path + (key,)), field=key)
+        raise _bad(doc, path, f"field {path[-1]!r} must be a string, got {_type_name(v)}")
     return v
 
 
-def _get_number(doc: _Doc, mapping: Mapping, key: str, path: tuple,
-                default: Optional[float] = None, lo: Optional[float] = None,
-                hi: Optional[float] = None) -> Optional[float]:
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"field {key!r} must be a number, got {_type_name(v)}",
-                          span=doc.span(path + (key,)), field=key)
-    v = float(v)
-    if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise SchemaError(f"{key} out of [{lo},{hi}]: {v}",
-                          span=doc.span(path + (key,)), field=key)
-    return v
-
-
-def _get_int(doc: _Doc, mapping: Mapping, key: str, path: tuple,
-             default: Optional[int] = None, lo: Optional[int] = None) -> Optional[int]:
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"field {key!r} must be an integer, got {_type_name(v)}",
-                          span=doc.span(path + (key,)), field=key)
-    if lo is not None and v < lo:
-        raise SchemaError(f"{key} must be >= {lo}: {v}",
-                          span=doc.span(path + (key,)), field=key)
-    return v
-
-
-def _normalize_scalar(v: Any) -> Any:
-    """Numeric literals become 64-bit floats; everything else passes through."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, float)):
+def _float(doc: _Doc, v: Any, path: tuple) -> float:
+    try:
         return float(v)
+    except OverflowError:
+        raise _bad(doc, path, f"field {path[-1]!r} holds an integer too large "
+                              f"for a 64-bit float") from None
+
+
+def _number(lo: float = -math.inf, hi: float = math.inf) -> Callable:
+    """Reader of a number in [lo, hi], as a float (NaN is in no range)."""
+    def read(doc: _Doc, v: Any, path: tuple) -> float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise _bad(doc, path, f"field {path[-1]!r} must be a number, got {_type_name(v)}")
+        v = _float(doc, v, path)
+        if not lo <= v <= hi:
+            raise _bad(doc, path, f"{path[-1]} out of [{lo},{hi}]: {v}")
+        return v
+    return read
+
+
+def _integer(lo: int) -> Callable:
+    """Reader of an integer >= lo."""
+    def read(doc: _Doc, v: Any, path: tuple) -> int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise _bad(doc, path, f"field {path[-1]!r} must be an integer, got {_type_name(v)}")
+        if v < lo:
+            raise _bad(doc, path, f"{path[-1]} must be >= {lo}: {v}")
+        return v
+    return read
+
+
+_REAL, _UNIT, _NONNEGATIVE = _number(), _number(0.0, 1.0), _number(0.0)
+
+
+def _value(doc: _Doc, v: Any, path: tuple) -> Any:
     return v
 
 
-def _parse_check(doc: _Doc, raw: Any, path: tuple) -> Predicate:
+def _operand(doc: _Doc, v: Any, path: tuple) -> Any:
+    """A check's operand: its numeric literals become 64-bit floats."""
+    def scalar(x):
+        return x if isinstance(x, bool) or not isinstance(x, (int, float)) else _float(doc, x, path)
+    return [scalar(x) for x in v] if isinstance(v, list) else scalar(v)
+
+
+def _expression(doc: _Doc, v: Any, path: tuple) -> Predicate:
+    src = _string(doc, v, path)
+    try:
+        return Predicate(expression=compile_expression(src), expression_src=src)
+    except (ExprSyntaxError, ForbiddenConstruct) as exc:
+        raise _bad(doc, path, f"bad expression: {exc}") from exc
+
+
+_FIELD_CHECK = {"field": _string, "operator": _string, "value": _operand}
+_EXPR_CHECK = {"expr": _expression}
+
+
+def _check(doc: _Doc, raw: Any, path: tuple) -> Predicate:
+    """A check, in one of two forms: {field, operator, value} or {expr}."""
     mapping = _expect_mapping(doc, raw, path, "check")
-    has_field = "field" in mapping
-    has_expr = "expr" in mapping
-    if has_field == has_expr:
+    if ("field" in mapping) == ("expr" in mapping):
         raise SchemaError("check must contain either {field, operator, value} or {expr}",
                           span=doc.span(path), field="check")
-    if has_expr:
-        src = _get_str(doc, mapping, "expr", path)
-        try:
-            ast = compile_expression(src)
-        except (ExprSyntaxError, ForbiddenConstruct) as exc:
-            raise SchemaError(f"bad expression: {exc}",
-                              span=doc.span(path + ("expr",)), field="expr") from exc
-        return Predicate(expression=ast, expression_src=src)
-    field_path = _get_str(doc, mapping, "field", path)
-    operator = _get_str(doc, mapping, "operator", path)
-    operand = mapping.get("value")
-    if operator != "exists" and "value" not in mapping:
+    if "expr" in mapping:
+        return _fields(doc, mapping, path, "check", _EXPR_CHECK)["expr"]
+    check = _fields(doc, mapping, path, "check", _FIELD_CHECK, ("field", "operator"))
+    if "value" not in check and check["operator"] != "exists":
         raise SchemaError("check with a field operator needs a 'value' entry "
                           "(operator 'exists' is the exception)",
                           span=doc.span(path), field="value")
-    if isinstance(operand, list):
-        operand = [_normalize_scalar(x) for x in operand]
-    else:
-        operand = _normalize_scalar(operand)
-    return Predicate(field_path=field_path, operator=operator, operand=operand)
+    operand = {"operand": check["value"]} if "value" in check else {}
+    return Predicate(field_path=check["field"], operator=check["operator"], **operand)
 
 
-def _parse_constraint(doc: _Doc, raw: Any, path: tuple, severity: str) -> Constraint:
-    mapping = _expect_mapping(doc, raw, path, "constraint entry")
-    unknown = set(mapping) - _CONSTRAINT_KEYS
-    if unknown:
-        raise SchemaError(f"unknown constraint field(s): {sorted(unknown)}",
-                          span=doc.span(path), field=sorted(unknown)[0])
-    name = _get_str(doc, mapping, "name", path)
-    check = _parse_check(doc, _get_required(doc, mapping, "check", path), path + ("check",))
-    weight = _get_number(doc, mapping, "weight", path, default=1.0)
-    category = _get_str(doc, mapping, "category", path, required=False)
-    recovery = _get_str(doc, mapping, "recovery", path, required=False)
-    on_missing = _get_str(doc, mapping, "on_missing", path, required=False, default="violate")
-    return Constraint(name=name, check=check, severity=severity, category=category,
-                      weight=weight, recovery=recovery, on_missing=on_missing)
+def _vocabulary(doc: _Doc, v: Any, path: tuple) -> list:
+    if not (isinstance(v, list) and all(isinstance(label, str) for label in v)):
+        raise _bad(doc, path, "drift.vocabulary must be a list of strings")
+    return v
 
 
-def _parse_constraint_section(doc: _Doc, raw: Any, path: tuple, severity: str) -> tuple:
-    if raw is None:
-        return ()
-    items = _expect_list(doc, raw, path, ".".join(map(str, path)))
-    return tuple(_parse_constraint(doc, item, path + (i,), severity)
-                 for i, item in enumerate(items))
+def _reference(doc: _Doc, v: Any, path: tuple) -> dict:
+    if not isinstance(v, Mapping):
+        raise _bad(doc, path, "drift.reference must be a mapping of label to probability")
+    return {str(label): _REAL(doc, mass, path + (label,)) for label, mass in v.items()}
 
 
-def _parse_strategies(doc: _Doc, raw: Any, path: tuple) -> tuple:
-    if raw is None:
-        return ()
-    mapping = _expect_mapping(doc, raw, path, "recovery")
-    items = _expect_list(doc, mapping.get("strategies", []), path + ("strategies",),
-                         "recovery.strategies")
-    out = []
-    for i, item in enumerate(items):
-        p = path + ("strategies", i)
-        entry = _expect_mapping(doc, item, p, "strategy entry")
-        unknown = set(entry) - _STRATEGY_KEYS
-        if unknown:
-            raise SchemaError(f"unknown strategy field(s): {sorted(unknown)}",
-                              span=doc.span(p), field=sorted(unknown)[0])
-        out.append(RecoveryStrategy(
-            name=_get_str(doc, entry, "name", p),
-            type=_get_str(doc, entry, "type", p),
-            action=entry.get("action"),
-            max_attempts=_get_int(doc, entry, "max_attempts", p, default=3, lo=1),
-            fallback=_get_str(doc, entry, "fallback", p, required=False),
-        ))
-    return tuple(out)
+def _type_map(doc: _Doc, v: Any, path: tuple) -> dict:
+    if not isinstance(v, Mapping):
+        raise _bad(doc, path, "type_map must be a mapping of upstream path to downstream path")
+    return {str(k): str(target) for k, target in v.items()}
 
 
-def _parse_satisfaction(doc: _Doc, raw: Any, path: tuple) -> SatisfactionParams:
-    if raw is None:
-        return SatisfactionParams()
-    mapping = _expect_mapping(doc, raw, path, "satisfaction")
-    return SatisfactionParams(
-        p=_get_number(doc, mapping, "p", path, default=0.9, lo=0.0, hi=1.0),
-        delta=_get_number(doc, mapping, "delta", path, default=0.1, lo=0.0, hi=1.0),
-        k=_get_int(doc, mapping, "k", path, default=2, lo=0),
-        T=_get_int(doc, mapping, "T", path, default=None, lo=0),
-    )
+def _entries(what: str, readers: Mapping, required: tuple, build: Callable = dict) -> Callable:
+    """Reader of a sequence of ``what`` mappings, each built from its keys
+    (null is the empty sequence)."""
+    def read(doc: _Doc, raw: Any, path: tuple) -> tuple:
+        if raw is not None and not isinstance(raw, list):
+            where = ".".join(map(str, path))
+            raise SchemaError(f"{where} must be a sequence, got {_type_name(raw)}",
+                              span=doc.span(path), field=where)
+        return tuple(build(**_fields(doc, item, path + (i,), what, readers, required))
+                     for i, item in enumerate(raw or ()))
+    return read
 
 
-def _parse_drift(doc: _Doc, raw: Any, path: tuple) -> DriftConfig:
-    if raw is None:
-        return DriftConfig()
-    mapping = _expect_mapping(doc, raw, path, "drift")
-    vocabulary = mapping.get("vocabulary", [])
-    if not isinstance(vocabulary, list) or not all(isinstance(v, str) for v in vocabulary):
-        raise SchemaError("drift.vocabulary must be a list of strings",
-                          span=doc.span(path + ("vocabulary",)), field="vocabulary")
-    reference = mapping.get("reference", {})
-    if not isinstance(reference, Mapping):
-        raise SchemaError("drift.reference must be a mapping of label to probability",
-                          span=doc.span(path + ("reference",)), field="reference")
-    return DriftConfig(
-        w_c=_get_number(doc, mapping, "w_c", path, default=0.7, lo=0.0, hi=1.0),
-        w_d=_get_number(doc, mapping, "w_d", path, default=0.3, lo=0.0, hi=1.0),
-        window=_get_int(doc, mapping, "window", path, default=10, lo=1),
-        vocabulary=tuple(vocabulary),
-        reference={str(k): _get_number(doc, reference, k, path + ("reference",))
-                   for k in reference},
-        theta1=_get_number(doc, mapping, "theta1", path, default=0.05, lo=0.0, hi=1.0),
-        theta2=_get_number(doc, mapping, "theta2", path, default=0.30, lo=0.0, hi=1.0),
-    )
+def _section(what: str, readers: Mapping, build: Callable = dict) -> Callable:
+    """Reader of an optional mapping, built from the keys present (none when null)."""
+    def read(doc: _Doc, raw: Any, path: tuple) -> Any:
+        return build(**({} if raw is None else _fields(doc, raw, path, what, readers)))
+    return read
 
 
-def _parse_reliability(doc: _Doc, raw: Any, path: tuple) -> ReliabilityWeights:
-    if raw is None:
-        return ReliabilityWeights()
-    mapping = _expect_mapping(doc, raw, path, "reliability")
-    return ReliabilityWeights(
-        a1=_get_number(doc, mapping, "a1", path, default=0.4, lo=0.0),
-        a2=_get_number(doc, mapping, "a2", path, default=0.3, lo=0.0),
-        a3=_get_number(doc, mapping, "a3", path, default=0.2, lo=0.0),
-        a4=_get_number(doc, mapping, "a4", path, default=0.1, lo=0.0),
-    )
+def _constraints(severity: str) -> Callable:
+    return _entries("constraint entry",
+                    {"name": _string, "category": _string, "weight": _REAL, "check": _check,
+                     "recovery": _string, "on_missing": _string},
+                    ("name", "check"), partial(Constraint, severity=severity))
+
+
+def _hard_soft(what: str) -> Callable:
+    return _section(what, {"hard": _constraints("hard"), "soft": _constraints("soft")})
+
+
+_AGENT = {
+    "contractspec": _string, "kind": _string, "name": _string,
+    "preconditions": _constraints("hard"),
+    "invariants": _hard_soft("invariants"),
+    "governance": _hard_soft("governance"),
+    "recovery": _section("recovery", {"strategies": _entries(
+        "strategy entry", {"name": _string, "type": _string, "action": _value,
+                           "max_attempts": _integer(1), "fallback": _string},
+        ("name", "type"), RecoveryStrategy)}),
+    "satisfaction": _section("satisfaction", {"p": _UNIT, "delta": _UNIT, "k": _integer(0),
+                                              "T": _integer(0)}, SatisfactionParams),
+    "drift": _section("drift", {"w_c": _UNIT, "w_d": _UNIT, "window": _integer(1),
+                                "vocabulary": _vocabulary, "reference": _reference,
+                                "theta1": _UNIT, "theta2": _UNIT}, DriftConfig),
+    "reliability": _section("reliability", {f"a{i}": _NONNEGATIVE for i in range(1, 5)},
+                            ReliabilityWeights),
+}
+
+_PIPELINE = {
+    "contractspec": _string, "kind": _string, "name": _string,
+    "stages": _entries("stage entry", {"name": _string, "contract": _string},
+                       ("name", "contract")),
+    "handoffs": _entries("handoff entry", {"from": _string, "to": _string,
+                                           "invariants": _constraints("hard"),
+                                           "type_map": _type_map, "p_h": _UNIT, "delta_h": _UNIT},
+                         ("from", "to")),
+    "coordination": _string,
+}
+
+# The Contract argument of an agent document key, where the two differ; the
+# entries of invariants, governance and recovery are `<key>_<entry>` arguments.
+_CONTRACT_ARGS = {"drift": "drift_config", "reliability": "reliability_weights"}
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +435,16 @@ def _parse_loaded(doc: _Doc, base_dir: Optional[str]) -> Union[Contract, "Pipeli
     if doc.value is None:
         raise SchemaError("document is empty", field="contractspec")
     root = _expect_mapping(doc, doc.value, (), "document")
-    unknown = set(root) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level key(s): {sorted(unknown)}",
-                          span=doc.span((sorted(unknown)[0],)), field=sorted(unknown)[0])
-    version = _get_required(doc, root, "contractspec", ())
-    if not isinstance(version, str):
-        raise SchemaError("contractspec version must be a string",
-                          span=doc.span(("contractspec",)), field="contractspec")
-    kind = _get_str(doc, root, "kind", ())
+    kind = root.get("kind")
     if kind == "agent":
-        return _parse_agent(doc, root)
+        return _agent(doc, _fields(doc, root, (), "agent document", _AGENT,
+                                   ("contractspec", "name")))
     if kind == "pipeline":
-        return _parse_pipeline_doc(doc, root, base_dir)
-    raise SchemaError(f"kind must be 'agent' or 'pipeline', got {kind!r}",
-                      span=doc.span(("kind",)), field="kind")
+        return _pipeline(doc, _fields(doc, root, (), "pipeline document", _PIPELINE,
+                                      ("contractspec", "name", "stages", "handoffs")), base_dir)
+    problem = (f"kind must be 'agent' or 'pipeline', got {kind!r}" if "kind" in root
+               else "missing required field 'kind'")
+    raise SchemaError(problem, span=doc.span(("kind",)), field="kind")
 
 
 def parse_contract(text: Union[str, bytes]) -> Contract:
@@ -455,37 +468,14 @@ def parse_pipeline(text: Union[str, bytes], base_dir: Optional[str] = None) -> "
     return result
 
 
-def _parse_agent(doc: _Doc, root: Mapping) -> Contract:
-    name = _get_str(doc, root, "name", ())
-
-    invariants = root.get("invariants") or {}
-    if invariants and not isinstance(invariants, Mapping):
-        raise SchemaError("invariants must be a mapping with hard/soft sections",
-                          span=doc.span(("invariants",)), field="invariants")
-    governance = root.get("governance") or {}
-    if governance and not isinstance(governance, Mapping):
-        raise SchemaError("governance must be a mapping with hard/soft sections",
-                          span=doc.span(("governance",)), field="governance")
-
-    contract = Contract(
-        name=name,
-        kind="agent",
-        preconditions=_parse_constraint_section(
-            doc, root.get("preconditions"), ("preconditions",), "hard"),
-        invariants_hard=_parse_constraint_section(
-            doc, invariants.get("hard"), ("invariants", "hard"), "hard"),
-        invariants_soft=_parse_constraint_section(
-            doc, invariants.get("soft"), ("invariants", "soft"), "soft"),
-        governance_hard=_parse_constraint_section(
-            doc, governance.get("hard"), ("governance", "hard"), "hard"),
-        governance_soft=_parse_constraint_section(
-            doc, governance.get("soft"), ("governance", "soft"), "soft"),
-        recovery_strategies=_parse_strategies(doc, root.get("recovery"), ("recovery",)),
-        satisfaction=_parse_satisfaction(doc, root.get("satisfaction"), ("satisfaction",)),
-        drift_config=_parse_drift(doc, root.get("drift"), ("drift",)),
-        reliability_weights=_parse_reliability(doc, root.get("reliability"), ("reliability",)),
-    )
-
+def _agent(doc: _Doc, fields: dict) -> Contract:
+    args: dict = {}
+    for key, value in fields.items():
+        if key in ("invariants", "governance", "recovery"):
+            args.update((f"{key}_{entry}", v) for entry, v in value.items())
+        elif key != "contractspec":
+            args[_CONTRACT_ARGS.get(key, key)] = value
+    contract = Contract(**args)
     paths = _element_paths(contract)
     require_valid(contract, lambda element: doc.span(paths.get(element, ())))
     return contract
@@ -507,69 +497,48 @@ def _element_paths(contract: Contract) -> dict:
     return paths
 
 
-def _parse_pipeline_doc(doc: _Doc, root: Mapping,
-                        base_dir: Optional[str]) -> "PipelineContract":
-    name = _get_str(doc, root, "name", ())
-    stages_raw = _expect_list(doc, _get_required(doc, root, "stages", ()), ("stages",), "stages")
-    if len(stages_raw) < 2:
+def _pipeline(doc: _Doc, fields: dict, base_dir: Optional[str]) -> "PipelineContract":
+    if len(fields["stages"]) < 2:
         raise SchemaError("a pipeline needs at least two stages", span=doc.span(("stages",)),
                           field="stages")
     stages = []
-    for i, raw in enumerate(stages_raw):
-        p = ("stages", i)
-        entry = _expect_mapping(doc, raw, p, "stage entry")
-        stage_name = _get_str(doc, entry, "name", p)
-        ref = _get_str(doc, entry, "contract", p)
+    for i, entry in enumerate(fields["stages"]):
+        ref = entry["contract"]
         path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
         try:
             contract = load_contract(path)
         except OSError as exc:
-            raise SemanticError(f"stage {stage_name!r}: cannot load contract {ref!r}: {exc}",
-                                span=doc.span(p)) from None
-        stages.append(PipelineStage(name=stage_name, contract_path=ref, contract=contract))
+            raise SemanticError(f"stage {entry['name']!r}: cannot load contract {ref!r}: {exc}",
+                                span=doc.span(("stages", i))) from None
+        stages.append(PipelineStage(name=entry["name"], contract_path=ref, contract=contract))
 
-    stage_names = [s.name for s in stages]
-    if len(set(stage_names)) != len(stage_names):
+    names = [s.name for s in stages]
+    if len(set(names)) != len(names):
         raise SemanticError("stage names must be unique", span=doc.span(("stages",)))
-
-    handoffs_raw = root.get("handoffs") or []
-    handoffs_raw = _expect_list(doc, handoffs_raw, ("handoffs",), "handoffs")
-    if len(handoffs_raw) != len(stages) - 1:
+    if len(fields["handoffs"]) != len(stages) - 1:
         raise SemanticError(
             f"a {len(stages)}-stage pipeline needs {len(stages) - 1} handoffs, "
-            f"got {len(handoffs_raw)}", span=doc.span(("handoffs",)))
+            f"got {len(fields['handoffs'])}", span=doc.span(("handoffs",)))
     from .composition import HandoffSpec, handoff_contract
 
     handoffs = []
-    for j, raw in enumerate(handoffs_raw):
+    for j, entry in enumerate(fields["handoffs"]):
         p = ("handoffs", j)
-        entry = _expect_mapping(doc, raw, p, "handoff entry")
-        src = _get_str(doc, entry, "from", p)
-        dst = _get_str(doc, entry, "to", p)
-        if src != stage_names[j] or dst != stage_names[j + 1]:
+        src, dst = entry.pop("from"), entry.pop("to")
+        if src != names[j] or dst != names[j + 1]:
             raise SemanticError(
-                f"handoff {j} must connect {stage_names[j]!r} -> {stage_names[j + 1]!r}, "
+                f"handoff {j} must connect {names[j]!r} -> {names[j + 1]!r}, "
                 f"got {src!r} -> {dst!r}", span=doc.span(p))
-        type_map_raw = entry.get("type_map", {})
-        if not isinstance(type_map_raw, Mapping):
-            raise SchemaError("type_map must be a mapping of upstream path to downstream path",
-                              span=doc.span(p + ("type_map",)), field="type_map")
-        invariants = _parse_constraint_section(doc, entry.get("invariants"),
-                                               p + ("invariants",), "hard")
+        spec = HandoffSpec(**entry)
         # The contract rules a handoff invariant meets once composed, checked here.
-        paths = {con.name: p + ("invariants", i) for i, con in enumerate(invariants)}
-        require_valid(handoff_contract(invariants),
+        paths = {con.name: p + ("invariants", i) for i, con in enumerate(spec.invariants)}
+        require_valid(handoff_contract(spec.invariants),
                       lambda element: doc.span(paths.get(element, p)))
-        handoffs.append(HandoffSpec(
-            invariants=invariants,
-            type_map={str(k): str(v) for k, v in type_map_raw.items()},
-            p_h=_get_number(doc, entry, "p_h", p, default=1.0, lo=0.0, hi=1.0),
-            delta_h=_get_number(doc, entry, "delta_h", p, default=0.0, lo=0.0, hi=1.0),
-        ))
+        handoffs.append(spec)
 
-    coordination = _get_str(doc, root, "coordination", (), required=False, default="cascade")
-    return PipelineContract(name=name, stages=tuple(stages), handoffs=tuple(handoffs),
-                            coordination=coordination)
+    del fields["contractspec"], fields["kind"]
+    fields.update(stages=tuple(stages), handoffs=tuple(handoffs))
+    return PipelineContract(**fields)
 
 
 def load_document(path: str) -> Union[Contract, PipelineContract]:
@@ -601,59 +570,38 @@ def _check_to_doc(p: Predicate) -> dict:
     return out
 
 
+def _present(entry: dict) -> dict:
+    """``entry`` without its None values."""
+    return {key: value for key, value in entry.items() if value is not None}
+
+
 def _constraint_to_doc(c: Constraint) -> dict:
-    out: dict = {"name": c.name, "check": _check_to_doc(c.check)}
-    if c.category is not None:
-        out["category"] = c.category
-    if c.weight != 1.0:
-        out["weight"] = c.weight
-    if c.recovery is not None:
-        out["recovery"] = c.recovery
-    if c.on_missing != "violate":
-        out["on_missing"] = c.on_missing
-    return out
+    return _present({"name": c.name, "category": c.category, "weight": c.weight,
+                     "check": _check_to_doc(c.check), "recovery": c.recovery,
+                     "on_missing": c.on_missing})
 
 
 def contract_to_yaml(c: Contract) -> str:
-    """Serialize a contract back to the DSL.  parse_contract on the output
-    reproduces the contract field-by-field."""
-    doc: dict = {"contractspec": "1.0", "kind": c.kind, "name": c.name}
-    if c.preconditions:
-        doc["preconditions"] = [_constraint_to_doc(x) for x in c.preconditions]
-    invariants = {}
-    if c.invariants_hard:
-        invariants["hard"] = [_constraint_to_doc(x) for x in c.invariants_hard]
-    if c.invariants_soft:
-        invariants["soft"] = [_constraint_to_doc(x) for x in c.invariants_soft]
-    if invariants:
-        doc["invariants"] = invariants
-    governance = {}
-    if c.governance_hard:
-        governance["hard"] = [_constraint_to_doc(x) for x in c.governance_hard]
-    if c.governance_soft:
-        governance["soft"] = [_constraint_to_doc(x) for x in c.governance_soft]
-    if governance:
-        doc["governance"] = governance
-    if c.recovery_strategies:
-        strategies = []
-        for s in c.recovery_strategies:
-            entry: dict = {"name": s.name, "type": s.type}
-            if s.action is not None:
-                entry["action"] = s.action
-            entry["max_attempts"] = s.max_attempts
-            if s.fallback is not None:
-                entry["fallback"] = s.fallback
-            strategies.append(entry)
-        doc["recovery"] = {"strategies": strategies}
-    sp = c.satisfaction
-    doc["satisfaction"] = {"p": sp.p, "delta": sp.delta, "k": sp.k}
-    if sp.T is not None:
-        doc["satisfaction"]["T"] = sp.T
-    dc = c.drift_config
-    doc["drift"] = {"w_c": dc.w_c, "w_d": dc.w_d, "window": dc.window,
-                    "vocabulary": list(dc.vocabulary),
-                    "reference": dict(dc.reference),
-                    "theta1": dc.theta1, "theta2": dc.theta2}
-    rw = c.reliability_weights
-    doc["reliability"] = {"a1": rw.a1, "a2": rw.a2, "a3": rw.a3, "a4": rw.a4}
+    """Serialize a contract back to the DSL, every field written but a None
+    one.  parse_contract on the output reproduces the contract
+    field-by-field."""
+    def entries(constraints):
+        return [_constraint_to_doc(x) for x in constraints]
+
+    sp, dc, rw = c.satisfaction, c.drift_config, c.reliability_weights
+    doc = {
+        "contractspec": "1.0", "kind": c.kind, "name": c.name,
+        "preconditions": entries(c.preconditions),
+        "invariants": {"hard": entries(c.invariants_hard), "soft": entries(c.invariants_soft)},
+        "governance": {"hard": entries(c.governance_hard), "soft": entries(c.governance_soft)},
+        "recovery": {"strategies": [
+            _present({"name": s.name, "type": s.type, "action": s.action,
+                      "max_attempts": s.max_attempts, "fallback": s.fallback})
+            for s in c.recovery_strategies]},
+        "satisfaction": _present({"p": sp.p, "delta": sp.delta, "k": sp.k, "T": sp.T}),
+        "drift": {"w_c": dc.w_c, "w_d": dc.w_d, "window": dc.window,
+                  "vocabulary": list(dc.vocabulary), "reference": dict(dc.reference),
+                  "theta1": dc.theta1, "theta2": dc.theta2},
+        "reliability": {"a1": rw.a1, "a2": rw.a2, "a3": rw.a3, "a4": rw.a4},
+    }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

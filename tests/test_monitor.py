@@ -2,6 +2,8 @@
 and (p, delta, k) verdicts."""
 
 import json
+import time
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 
@@ -329,6 +331,38 @@ def test_recovery_follows_the_flat_schedule(case):
         expected_recovery(chain, attempts_per_step, hooked, violated, fixes)
 
 
+def test_a_huge_attempt_budget_is_not_materialised():
+    """A budget is kept as running totals, not as one entry per attempt:
+    the monitor of a 10**12-attempt chain builds as fast, and with the same
+    memory peak, as that of a 1-attempt chain, and attempts its first
+    strategy first."""
+    def build(attempts):
+        contract = tone_contract((
+            RecoveryStrategy(name="fix", type="re_prompt", max_attempts=attempts, fallback="up"),
+            RecoveryStrategy(name="up", type="escalate_human")))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            monitor = SessionMonitor(contract, hook=lambda s, c, state: None)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return monitor, elapsed, peak
+
+    build(1)
+    _, _, small_peak = build(1)
+    monitor, elapsed, peak = build(10 ** 12)
+    assert elapsed < 0.25
+    assert peak < small_peak + 32 * 1024
+    for _ in range(2):
+        monitor.step({"tone": 0, "safety": 5}, ActionRecord("go"))
+    attempted = [(e.step, e.payload["strategy"], e.payload["attempt"])
+                 for report in monitor.step_reports for e in report.events
+                 if e.kind == "recovery_attempted"]
+    assert attempted == [(0, "fix", 1), (1, "fix", 2)]
+
+
 class TestRecoveryBoundary:
     def test_cyclic_chain_rejected_when_the_monitor_is_built(self):
         contract = chain_contract((
@@ -463,6 +497,39 @@ class TestRunSession:
         assert len(report.steps) == 4          # steps 0..3 then closed
         assert report.excluded_steps == 2
         assert report.outcome == "hard_violation"
+
+    def test_listeners_receive_every_event_in_order(self):
+        contract = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+        with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
+            trace = ExecutionTrace.from_dict(json.load(fh))
+        first, second = [], []
+        report = run_session(contract, trace, listeners=[first.append, second.append])
+        assert len(report.events) > 3
+        assert first == second == list(report.events)
+
+    def test_a_recovered_step_reports_its_post_recovery_evaluation(self):
+        hook = lambda s, c, state: ({"tone": 5, "safety": 5}, ActionRecord("go"))
+        report = run_session(tone_contract(), trace_of([5, 0, 5]), hook=hook)
+        step = report.steps[1]
+        out = step.to_dict()
+        assert out["results"]["tone"]["satisfied"] is False
+        assert out["c_soft"] == 0.0
+        post = step.post_recovery
+        assert out["post_recovery"] == {
+            "c_hard": 1.0, "c_soft": 1.0,
+            "results": {name: {"satisfied": True, "detail": r.detail}
+                        for name, r in post.results.items()}}
+        assert set(post.results) == {"safe", "tone"}
+        assert report.steps[0].to_dict()["post_recovery"] is None
+
+    def test_drift_series_is_the_steps_drift(self):
+        contract = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+        with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
+            trace = ExecutionTrace.from_dict(json.load(fh))
+        report = run_session(contract, trace)
+        totals = [step["drift"]["d_total"] for step in report.to_dict()["steps"]]
+        assert list(report.drift_series) == totals
+        assert len(totals) == trace.length and any(d > 0 for d in totals)
 
     def test_report_json_round_trip(self):
         contract = tone_contract()
@@ -654,6 +721,19 @@ class TestPdkVerdict:
         verdict = pdk_verdict(contract, sessions, SatisfactionParams(p=0.9))
         assert verdict.excluded == 1
         assert verdict.sessions == 1
+
+    @pytest.mark.parametrize("params,message", [
+        (SatisfactionParams(k=1.5), "k must be a non-negative integer, got 1.5"),
+        (SatisfactionParams(k=-1), "k must be a non-negative integer, got -1"),
+        (SatisfactionParams(k=True), "k must be a non-negative integer, got True"),
+        (SatisfactionParams(p=2.0), "p must be in [0,1], got 2.0"),
+        (SatisfactionParams(delta=float("nan")), "delta must be in [0,1], got nan"),
+    ], ids=["fractional-k", "negative-k", "bool-k", "p", "nan-delta"])
+    def test_bad_params_are_rejected_in_the_validators_words(self, params, message):
+        sessions = [self.perfect_session()]
+        with pytest.raises(SemanticError) as info:
+            pdk_verdict(tone_contract(), sessions, params)
+        assert str(info.value) == f"satisfaction: {message}"
 
     def test_empty_ensemble(self):
         with pytest.raises(EmptyEnsemble):

@@ -2,6 +2,8 @@
 
 import glob
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -20,7 +22,16 @@ from agentcontracts.errors import (
     SchemaError,
     SemanticError,
 )
-from agentcontracts.model import validate_contract
+from agentcontracts.model import (
+    Constraint,
+    Contract,
+    DriftConfig,
+    Predicate,
+    RecoveryStrategy,
+    ReliabilityWeights,
+    SatisfactionParams,
+    validate_contract,
+)
 from agentcontracts.parser import (
     contract_to_yaml,
     load_contract,
@@ -227,6 +238,162 @@ class TestAgentDocuments:
             assert parse_contract(contract_to_yaml(contract)) == contract
 
 
+HEADER = 'contractspec: "1.0"\nkind: agent\nname: x\n'
+UNKNOWN = "zz_unknown"
+FREE_FORM = ("reference", "type_map")   # mappings whose keys the document names
+
+
+def mapping_paths(value, path=()):
+    """The path of every schema mapping in a loaded document."""
+    if isinstance(value, dict):
+        yield path
+        for key, child in value.items():
+            if key not in FREE_FORM:
+                yield from mapping_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from mapping_paths(child, path + (i,))
+
+
+def with_unknown_key(text, path):
+    """``text`` dumped again with ``zz_unknown: 1`` in the mapping at
+    ``path``, and the line of that key."""
+    value = yaml.safe_load(text)
+    target = value
+    for part in path:
+        target = target[part]
+    target[UNKNOWN] = 1
+    out = yaml.safe_dump(value, sort_keys=False, default_flow_style=False)
+    lines = [i for i, line in enumerate(out.splitlines(), 1) if UNKNOWN in line]
+    assert len(lines) == 1
+    return out, lines[0]
+
+
+def refused_mapping(error, text, line):
+    """The mapping ``error`` names, after checking that it names the
+    unknown key and spans it."""
+    assert isinstance(error, SchemaError)
+    assert error.field == UNKNOWN
+    assert (error.span.line, error.span.length) == (line, len(UNKNOWN))
+    assert text.splitlines()[line - 1][error.span.column - 1:].startswith(UNKNOWN + ":")
+    return re.fullmatch(f"unknown key '{UNKNOWN}' in (.+)", str(error))[1]
+
+
+class TestSchemaTable:
+    """Every mapping is read by one rule: an unknown key is refused, and a
+    key left out takes the model's default."""
+
+    AGENT_MAPPINGS = {"agent document", "invariants", "governance", "recovery",
+                      "strategy entry", "constraint entry", "check", "satisfaction", "drift",
+                      "reliability"}
+
+    def test_every_mapping_of_the_bundled_contract_refuses_an_unknown_key(self):
+        text = open(FINANCIAL).read()
+        refused = set()
+        for path in mapping_paths(yaml.safe_load(text)):
+            doc, line = with_unknown_key(text, path)
+            with pytest.raises(SchemaError) as exc:
+                parse_contract(doc)
+            refused.add(refused_mapping(exc.value, doc, line))
+        assert refused == self.AGENT_MAPPINGS
+
+    def test_every_mapping_of_a_loan_pipeline_refuses_an_unknown_key(self, suite_dir, tmp_path):
+        work = tmp_path / "contracts"
+        shutil.copytree(os.path.join(suite_dir, "contracts"), work)
+        pipeline = str(work / "loan-pipeline.yaml")
+        refused = set()
+        for name in ("loan-pipeline.yaml", "loan-intake.yaml", "loan-analysis.yaml",
+                     "loan-decision.yaml"):
+            text = (work / name).read_text()
+            for path in mapping_paths(yaml.safe_load(text)):
+                doc, line = with_unknown_key(text, path)
+                (work / name).write_text(doc)
+                with pytest.raises(SchemaError) as exc:
+                    load_document(pipeline)
+                refused.add(refused_mapping(exc.value, doc, line))
+            (work / name).write_text(text)
+        load_document(pipeline)
+        assert refused == (self.AGENT_MAPPINGS - {"reliability"}) | {
+            "pipeline document", "stage entry", "handoff entry"}
+
+    @pytest.mark.parametrize("sections", [
+        "",
+        "satisfaction: {}\ndrift: {}\nreliability: {}\nrecovery: {}\n",
+        "satisfaction:\ndrift:\nreliability:\nrecovery:\ninvariants:\ngovernance:\n",
+    ], ids=["absent", "empty", "null"])
+    def test_a_minimal_document_takes_the_models_defaults(self, sections):
+        contract = parse_contract(HEADER + sections + textwrap.dedent("""\
+            preconditions:
+              - name: ready
+                check: {field: ready, operator: exists}
+        """))
+        ready = Constraint(name="ready", severity="hard",
+                           check=Predicate(field_path="ready", operator="exists"))
+        assert contract == Contract(name="x", preconditions=(ready,))
+        assert contract.satisfaction == SatisfactionParams()
+        assert contract.drift_config == DriftConfig()
+        assert contract.reliability_weights == ReliabilityWeights()
+
+    def test_entries_take_the_models_defaults(self):
+        contract = parse_contract(HEADER + textwrap.dedent("""\
+            invariants:
+              soft:
+                - name: tone
+                  check: {expr: "tone > 0"}
+                  recovery: fix
+            recovery:
+              strategies:
+                - {name: fix, type: re_prompt}
+        """))
+        tone, = contract.invariants_soft
+        assert tone == Constraint(name="tone", severity="soft", check=tone.check, recovery="fix")
+        assert (tone.weight, tone.category, tone.on_missing) == (1.0, None, "violate")
+        assert contract.recovery_strategies == (RecoveryStrategy(name="fix", type="re_prompt"),)
+        assert contract.recovery_strategies[0].max_attempts == 3
+
+    # Each of these parsed at the parent, the typo silently dropped.
+    @pytest.mark.parametrize("section,key,line", [
+        ("invariants:\n  hard: []\n  sfot:\n    - name: tone\n"
+         "      check: {field: tone, operator: ge, value: 1}\n", "sfot", 6),
+        ("governance: {hrd: [{name: g, check: {field: label, operator: exists}}]}\n",
+         "hrd", 4),
+        ("drift: {windw: 3}\n", "windw", 4),
+        ("satisfaction: {p: 0.9, detla: 0.5}\n", "detla", 4),
+    ], ids=["invariants", "governance", "drift", "satisfaction"])
+    def test_a_misspelt_key_is_refused(self, section, key, line):
+        with pytest.raises(SchemaError) as exc:
+            parse_contract(HEADER + section)
+        assert exc.value.field == key
+        assert f"unknown key {key!r}" in str(exc.value)
+        assert exc.value.span.line == line
+
+    @pytest.mark.parametrize("section", [
+        "drift: {w_c: .nan}\n", "reliability: {a1: .nan}\n", "satisfaction: {p: .nan}\n",
+        "drift: {vocabulary: [a, b], reference: {a: .nan, b: 1.0}}\n",
+        "preconditions:\n  - {name: r, weight: .nan, check: {field: r, operator: exists}}\n",
+    ], ids=["w_c", "a1", "p", "reference", "weight"])
+    def test_a_nan_number_is_out_of_every_range(self, section):
+        with pytest.raises(SchemaError, match=r"out of \[.*\]: nan$"):
+            parse_contract(HEADER + section)
+
+    # The parent crashed on each of these with a bare OverflowError or TypeError.
+    @pytest.mark.parametrize("section,field", [
+        ("satisfaction: {p: " + "9" * 400 + "}\n", "p"),
+        ("preconditions:\n  - name: r\n    check: {field: r, operator: eq, value: "
+         + "9" * 400 + "}\n", "value"),
+        ("bogus: 1\n1: 2\n", "bogus"),
+    ], ids=["huge-number", "huge-operand", "mixed-unknown-keys"])
+    def test_a_malformed_value_is_a_schema_error(self, section, field):
+        with pytest.raises(SchemaError) as exc:
+            parse_contract(HEADER + section)
+        assert exc.value.field == field
+
+    def test_an_expression_check_takes_no_operand(self):
+        with pytest.raises(SchemaError, match=r"^unknown key 'value' in check$"):
+            parse_contract(HEADER + "preconditions:\n  - name: r\n"
+                           "    check: {expr: \"r == 1\", value: 3}\n")
+
+
 class TestPipelineDocuments:
     @pytest.fixture()
     def pipeline_dir(self, tmp_path):
@@ -277,6 +444,17 @@ class TestPipelineDocuments:
         os.remove(pipeline_dir / "b.yaml")
         with pytest.raises(SemanticError):
             load_document(str(pipeline_dir / "pipe.yaml"))
+
+    def test_a_pipeline_document_has_no_agent_sections(self, pipeline_dir):
+        # The parent parsed this and never composed the section.
+        text = (pipeline_dir / "pipe.yaml").read_text() + textwrap.dedent("""\
+            governance:
+              hard:
+                - name: g
+                  check: {field: label, operator: exists}
+        """)
+        with pytest.raises(SchemaError, match="^unknown key 'governance' in pipeline document$"):
+            parse_pipeline(text, base_dir=str(pipeline_dir))
 
     def test_parse_contract_rejects_pipeline(self, pipeline_dir):
         with pytest.raises(SchemaError):

@@ -473,3 +473,46 @@ def test_an_expression_reading_the_action_in_a_handoff_is_rejected(stage_dir):
     text = PIPELINE.format(check='{expr: "action.amount < 1"}')
     with pytest.raises(SemanticError, match="^handoff-check: .*cannot reference action"):
         parse_pipeline(text, base_dir=str(stage_dir))
+
+
+# ---------------------------------------------------------------------------
+# NaN fails every numeric rule, and a bool is no integer
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+class TestNanFailsClosed:
+    """Each of these ran at the parent: a NaN drift weight gave every step a
+    NaN drift and theta, and a NaN reference mass turned the distributional
+    component off."""
+
+    def test_a_nan_drift_weight(self):
+        contract = base_contract(drift_config=DriftConfig(w_c=NAN))
+        assert error_rules(contract) == [("drift", "bad-component-weights")]
+        assert_rejected_everywhere(contract, r"^drift: w_c \+ w_d must equal 1")
+
+    def test_a_nan_reliability_weight(self):
+        contract = base_contract(reliability_weights=ReliabilityWeights(a1=NAN))
+        assert error_rules(contract) == [("reliability", "bad-weights")]
+        assert_rejected_everywhere(contract, r"^reliability: a1..a4 must be non-negative")
+
+    def test_a_nan_reference_mass(self):
+        contract = base_contract(drift_config=DriftConfig(
+            vocabulary=("go", "stop"), reference={"go": NAN, "stop": 1.0}))
+        assert error_rules(contract) == [("drift", "reference-not-normalized")]
+        assert_rejected_everywhere(contract, r"^drift: reference must be a distribution")
+
+
+@pytest.mark.parametrize("contract,rule", [
+    (base_contract(satisfaction=SatisfactionParams(k=True)), "bad-recovery-window"),
+    (base_contract(satisfaction=SatisfactionParams(T=False)), "bad-session-length"),
+    (base_contract(drift_config=DriftConfig(window=True)), "bad-window"),
+    (base_contract(recovery_strategies=(
+        RecoveryStrategy(name="fix", type="re_prompt", max_attempts=True),)), "bad-max-attempts"),
+    (base_contract(stages=True), "bad-stage-count"),
+], ids=["k", "T", "window", "max_attempts", "stages"])
+def test_a_bool_is_not_an_integer(contract, rule):
+    assert rule in {r for _, r in error_rules(contract)}
+    with pytest.raises(SemanticError):
+        SessionMonitor(contract)
