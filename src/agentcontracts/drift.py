@@ -9,6 +9,11 @@ into a reserved ``__other__`` bucket carried in both supports; both
 distributions receive add-epsilon smoothing (1e-9) before the divergence
 so KL terms stay finite.
 
+``DriftSample`` and ``SessionMetrics`` are slotted frozen dataclasses;
+:func:`update_drift` builds its sample positionally (see
+:mod:`~agentcontracts.engine`), and skips the violation scan when the step
+has no non-satisfied result and the precondition check after step 0.
+
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
 :func:`pairwise_sum`, a copy of numpy's pairwise summation, so they equal
@@ -61,7 +66,7 @@ from functools import reduce
 from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .engine import StepEvaluation, ViolationEvent, _plan
+from .engine import StepEvaluation, ViolationEvent, _plan, _positional
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
 from .model import OTHER_LABEL, ActionRecord, DriftConfig, ReliabilityWeights
 
@@ -195,7 +200,7 @@ def _smooth(p: Sequence[float]) -> list:
     return [v / total for v in p]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriftSample:
     """Drift score at one step with its diagnostic decomposition."""
 
@@ -213,6 +218,9 @@ class DriftSample:
             "d_total": self.d_total,
             "decomposition": list(self.decomposition),
         }
+
+
+_drift_sample = _positional(DriftSample)
 
 
 def _tabled(window, n: int) -> bool:
@@ -372,23 +380,15 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     """
     window.push(action.label)
 
-    results = step.results
-    if any(results[name].satisfied is False for name in step.non_satisfied):
+    results, non_satisfied = step.results, step.non_satisfied
+    if non_satisfied and any(results[name].satisfied is False for name in non_satisfied):
         d_comp, d_inv, d_gov = window.weighted_gaps(results)
     else:
         d_comp = d_inv = d_gov = 0.0   # no violation: every gap's numerator is 0
     d_dist = window.distributional_drift()
-    d_total = config.w_c * d_comp + config.w_d * d_dist
-
-    d_pre = 0.0 if step.preconditions_ok() else 1.0
-
-    return DriftSample(
-        t=step.step,
-        d_compliance=d_comp,
-        d_distributional=d_dist,
-        d_total=d_total,
-        decomposition=(d_pre, d_inv, d_gov, d_dist),
-    )
+    d_pre = 0.0 if step.preconditions is None or step.preconditions_ok() else 1.0
+    return _drift_sample(step.step, d_comp, d_dist, config.w_c * d_comp + config.w_d * d_dist,
+                         (d_pre, d_inv, d_gov, d_dist))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def reliability_index(mean_compliance: float, mean_drift: float,
             + weights.a4 * s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionMetrics:
     """Session roll-up consumed by the reliability index."""
 

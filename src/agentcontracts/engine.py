@@ -46,12 +46,21 @@ starts as a list of True and only the non-satisfied entries are written
 (:func:`session_timelines`), and the verdicts find the False entries
 with ``list.index`` and test each recovery window with ``True in``, both
 C scans, exact because entries are only True, False or None.
+
+The records here, as in :mod:`~agentcontracts.drift` and
+:mod:`~agentcontracts.monitor`, are slotted frozen dataclasses: immutable,
+with no instance ``__dict__``.  The step path builds its four per-step
+records (``StepEvaluation`` here, ``DriftSample``, ``MonitorEvent`` and
+``StepReport``) positionally, through a function that
+:func:`_positional` generates from the class's fields: it sets each slot
+through its member descriptor, so no keyword ``__init__`` or frozen
+``__setattr__`` runs.  Every other record keeps its checking ``__init__``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -83,7 +92,7 @@ HARD_VIOLATION = "hard_violation"
 SOFT_VIOLATION = "soft_violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintResult:
     """Outcome of one constraint at one step.
 
@@ -95,7 +104,7 @@ class ConstraintResult:
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepEvaluation:
     """All constraint results at one step plus the compliance scores."""
 
@@ -119,7 +128,7 @@ class StepEvaluation:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationEvent:
     """One violation episode: severity magnitude and recovery timing."""
 
@@ -137,7 +146,7 @@ class ViolationEvent:
             raise ValueError("recovered_at must not precede the violation step")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SatisfactionVerdict:
     """Deterministic satisfaction: four conditions and their conjunction."""
 
@@ -161,6 +170,25 @@ class SatisfactionVerdict:
             "overall": self.overall,
             "witnesses": {k: [list(w) for w in v] for k, v in self.witnesses.items()},
         }
+
+
+def _positional(cls) -> Callable:
+    """A function ``build(*values)`` making a slotted frozen ``cls`` from
+    every field's value, in field order: the object comes from
+    ``object.__new__`` and each slot is set through its member descriptor,
+    so no keyword ``__init__``, no frozen ``__setattr__`` and no
+    ``__post_init__`` runs.  For the records the step path makes."""
+    names = [f.name for f in fields(cls)]
+    namespace = {"_new": object.__new__, "_cls": cls,
+                 **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
+    source = "".join([f"def build({', '.join(names)}):\n", "    _obj = _new(_cls)\n",
+                      *(f"    _set_{name}(_obj, {name})\n" for name in names),
+                      "    return _obj\n"])
+    exec(compile(source, f"<agentcontracts {cls.__name__}>", "exec"), namespace)
+    return namespace["build"]
+
+
+_step_evaluation = _positional(StepEvaluation)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +399,9 @@ def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: i
     plan.evaluate_invariants(state, None, t, boundaries, results, non_satisfied)
     plan.evaluate_governance(state, action, t, boundaries, results, non_satisfied)
     non_satisfied = tuple(non_satisfied)
-    return StepEvaluation(step=t, results=results,
-                          c_hard=_ratio(results, non_satisfied, plan.hard),
-                          c_soft=_ratio(results, non_satisfied, plan.soft),
-                          preconditions=preconditions, non_satisfied=non_satisfied)
+    return _step_evaluation(t, results, _ratio(results, non_satisfied, plan.hard),
+                            _ratio(results, non_satisfied, plan.soft), preconditions,
+                            non_satisfied)
 
 
 def _preconditions(contract: Contract, state: StateDict) -> dict:

@@ -95,7 +95,8 @@ class ZeroSeverity(ContractError):
 
 class SessionTerminated(ContractError):
     """A step was submitted to a closed session: one closed by
-    terminate_session, or by a recovery hook that failed."""
+    terminate_session, by a recovery hook or a listener that failed, or by
+    finalize (which also refuses a second finalize)."""
 
 
 class TraceTooShort(ContractError):
@@ -109,6 +110,11 @@ class BadHookReturn(ContractError):
 
 class RecoveryHookError(ContractError):
     """A recovery hook raised; the hook's exception is the cause."""
+
+
+class ListenerError(ContractError):
+    """A monitor event listener raised; the listener's exception is the
+    cause."""
 
 
 class EmptyEnsemble(ContractError):

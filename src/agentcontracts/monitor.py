@@ -23,7 +23,15 @@ action emit ``recovery_failed`` immediately.  A hook returns None or a
 (state mapping, ActionRecord) pair.  A hook that raises (RecoveryHookError,
 chained to the hook's exception) or returns anything else (BadHookReturn)
 closes the session: the failing step's report is recorded, without a
-post-recovery evaluation, and a later step raises SessionTerminated.
+post-recovery evaluation, and a later step raises SessionTerminated.  A
+listener that raises closes it the same way, with ListenerError naming the
+step and the event kind; the step's report holds the events logged until
+then.  A finalize that returns closes the session too: a later step or
+finalize raises SessionTerminated.
+
+The reports are slotted frozen dataclasses.  A step builds its events and
+its report positionally (see :mod:`~agentcontracts.engine`), and reads its
+results for new violations only when some result is not the shared pass.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .engine import (
     StepEvaluation,
     ViolationEvent,
     _plan,
+    _positional,
     _recoverable,
     _score_step,
     check_boundaries,
@@ -48,8 +57,8 @@ from .engine import (
     initial_preconditions,
     session_timelines,
 )
-from .errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SessionTerminated,
-                     TraceTooShort)
+from .errors import (BadHookReturn, EmptyEnsemble, ListenerError, RecoveryHookError,
+                     SessionTerminated, TraceTooShort)
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
                     SatisfactionParams, StateDict, is_state, raise_first_error,
                     satisfaction_issues)
@@ -98,7 +107,7 @@ def _call_hook(hook: RecoveryHook, t: int, con: Constraint, strategy: RecoverySt
                         f"(state mapping, ActionRecord) pair")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorEvent:
     kind: str
     step: int
@@ -108,7 +117,10 @@ class MonitorEvent:
         return {"kind": self.kind, "step": self.step, "payload": dict(self.payload)}
 
 
-@dataclass(frozen=True)
+_monitor_event = _positional(MonitorEvent)
+
+
+@dataclass(frozen=True, slots=True)
 class StepReport:
     """Everything observed at one step (pre- and post-recovery)."""
 
@@ -144,7 +156,10 @@ class StepReport:
         return out
 
 
-@dataclass(frozen=True)
+_step_report = _positional(StepReport)
+
+
+@dataclass(frozen=True, slots=True)
 class SessionReport:
     """Session summary: series, logs, metrics, verdicts."""
 
@@ -251,6 +266,7 @@ class SessionMonitor:
 
         self._t = 0
         self._closed_by: Optional[str] = None
+        self._finalized = False
         self.window = DriftWindow.for_contract(contract)
         self._episodes: dict = {}
         self.step_reports: list = []
@@ -266,10 +282,20 @@ class SessionMonitor:
     # -- events ------------------------------------------------------------
 
     def _emit(self, kind: str, step: int, **payload) -> MonitorEvent:
-        event = MonitorEvent(kind=kind, step=step, payload=payload)
+        """Log the event, then deliver it to each listener in turn.  A
+        listener that raises closes the session and fails with
+        ListenerError, chained to the listener's exception; the event stays
+        logged."""
+        event = _monitor_event(kind, step, payload)
         self._events.append(event)
         for listener in self.listeners:
-            listener(event)
+            try:
+                listener(event)
+            except Exception as exc:
+                error = ListenerError(f"step {step}: listener raised {type(exc).__name__} "
+                                      f"on {kind!r} event: {exc}")
+                self._closed_by = f"ListenerError ({error})"
+                raise error from exc
         return event
 
     # -- the enforcement loop ----------------------------------------------
@@ -279,8 +305,9 @@ class SessionMonitor:
         mapping, or an action that is not an ActionRecord, raises ValueError
         naming the step before anything is evaluated."""
         t = self._t
-        if self._closed_by is not None:
-            raise SessionTerminated(f"session closed by {self._closed_by} before step {t}")
+        if self._closed_by is not None or self._finalized:
+            raise SessionTerminated(f"session closed by {self._closed_by or 'finalize'} "
+                                    f"before step {t}")
         if not is_state(state):
             raise ValueError(f"step {t}: state must be a mapping, got {type(state).__name__}")
         if not isinstance(action, ActionRecord):
@@ -295,56 +322,45 @@ class SessionMonitor:
         # 2. Metric update.
         drift = update_drift(self.window, self.contract.drift_config, evaluation, action)
 
-        # 3. Event emission.
-        if evaluation.preconditions:
-            self._flag_preconditions(evaluation.preconditions)
-
-        # Close episodes for constraints back in compliance, then open new
-        # ones, each in results order (which orders violation_events).  A
-        # new episode needs a violated result, so only the non-satisfied
-        # results are read for it.
-        results, episodes = evaluation.results, self._episodes
-        if episodes:
-            closing = [name for name in episodes if results[name].satisfied is True]
-            closing.sort(key=self._plan.order.__getitem__)
-            for name in closing:
-                self._close_episode(name, recovered_at=t)
-        newly_violated = [name for name in evaluation.non_satisfied
-                          if results[name].satisfied is False and name not in episodes]
-
-        if newly_violated:
-            nu = self._severity(newly_violated)
-            for name in newly_violated:
-                severity = "hard" if name in self._plan.hard else "soft"
-                episodes[name] = _Episode(step=t, nu=nu, severity=severity)
-                self._emit("violation", t, constraint=name, severity=severity,
-                           nu=nu, detail=results[name].detail)
-
-        d = drift.d_total
-        cfg = self.contract.drift_config
-        if cfg.theta1 < d <= cfg.theta2:
-            self._emit("drift_alert_mild", t, drift=d)
-        elif d > cfg.theta2:
-            self._emit("drift_alert_severe", t, drift=d)
-
-        # 4. Recovery for violated soft constraints (hard ones only logged).
-        # The step's report is kept even when recovery raises: a failed
-        # hook closes the session after its step.
+        # 3. Event emission, then 4. recovery for violated soft constraints
+        # (hard ones only logged).  The step's report is kept even when a
+        # listener or the hook fails: the failure closes the session after
+        # its step, whose report holds the events logged until then.
         post = None
         try:
+            if evaluation.preconditions:
+                self._flag_preconditions(evaluation.preconditions)
+
+            # Close episodes for constraints back in compliance, then open
+            # new ones, each in results order (which orders
+            # violation_events).  A new episode needs a violated result, so
+            # only the non-satisfied results are read for it.
+            results, episodes = evaluation.results, self._episodes
+            if episodes:
+                closing = [name for name in episodes if results[name].satisfied is True]
+                closing.sort(key=self._plan.order.__getitem__)
+                for name in closing:
+                    self._close_episode(name, recovered_at=t)
+            if evaluation.non_satisfied:
+                newly_violated = [name for name in evaluation.non_satisfied
+                                  if results[name].satisfied is False and name not in episodes]
+                if newly_violated:
+                    self._open_episodes(t, results, newly_violated)
+
+            d = drift.d_total
+            cfg = self.contract.drift_config
+            if cfg.theta1 < d <= cfg.theta2:
+                self._emit("drift_alert_mild", t, drift=d)
+            elif d > cfg.theta2:
+                self._emit("drift_alert_severe", t, drift=d)
+
             post = self._attempt_recovery(t, state, action, evaluation)
         except (RecoveryHookError, BadHookReturn) as exc:
             self._closed_by = f"{type(exc).__name__} ({exc})"
             raise
         finally:
-            report = StepReport(
-                step=t,
-                evaluation=evaluation,
-                drift=drift,
-                events=tuple(self._events[step_events_start:]),
-                post_recovery=post,
-                terminated=self.terminated,
-            )
+            report = _step_report(t, evaluation, drift, tuple(self._events[step_events_start:]),
+                                  post, self.terminated)
             self.step_reports.append(report)
         return report
 
@@ -354,6 +370,17 @@ class SessionMonitor:
             if r.satisfied is not True:
                 self._emit("violation", 0, constraint=name, severity="hard",
                            precondition=True, detail=r.detail)
+
+    def _open_episodes(self, t: int, results: Mapping, names: Sequence[str]) -> None:
+        """An episode and a violation event for each newly violated name,
+        every one opened before the first event goes out."""
+        nu = self._severity(names)
+        episodes, hard = self._episodes, self._plan.hard
+        for name in names:
+            episodes[name] = _Episode(step=t, nu=nu, severity="hard" if name in hard else "soft")
+        for name in names:
+            self._emit("violation", t, constraint=name, severity=episodes[name].severity,
+                       nu=nu, detail=results[name].detail)
 
     def _severity(self, names: Sequence[str]) -> float:
         """Compliance drop attributable to this step's new violations,
@@ -439,16 +466,21 @@ class SessionMonitor:
         one invariant-only evaluation of the trailing state (the end of the
         truncated trace if terminated): pre-recovery behavior exactly.
         When no step ran, the preconditions are evaluated here and each
-        one that does not hold is flagged at step 0, as :meth:`step` does.
-        A trace of fewer steps than the monitor ran raises TraceTooShort.
+        one that does not hold is flagged at step 0, as :meth:`step` does
+        (once: not again after a listener failed on a flag).
+        A trace of fewer steps than the monitor ran raises TraceTooShort,
+        and closes nothing.  After a finalize that returns, a later
+        :meth:`step` or finalize raises SessionTerminated.
         """
+        if self._finalized:
+            raise SessionTerminated("session already finalized")
         evaluations = [r.evaluation for r in self.step_reports]
         steps_run = len(evaluations)
         if trace.length < steps_run:
             raise TraceTooShort(f"finalize needs the session's trace: the monitor ran "
                                 f"{steps_run} steps, the trace has {trace.length}")
         preconditions = initial_preconditions(self.contract, evaluations, trace.states)
-        if not steps_run:
+        if not steps_run and self._closed_by is None:   # else flagged by a failed finalize
             self._flag_preconditions(preconditions)
         timelines = session_timelines(self.contract, preconditions, evaluations,
                                       trace.states, self.boundaries)
@@ -475,6 +507,7 @@ class SessionMonitor:
             weights=self.contract.reliability_weights,
         )
 
+        self._finalized = True
         return SessionReport(
             contract=self.contract.name,
             steps=tuple(self.step_reports),
@@ -512,7 +545,7 @@ def run_session(contract: Contract, trace: ExecutionTrace,
 # (p, delta, k) verdicts over session ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdkVerdict:
     """Probabilistic satisfaction over an ensemble of sessions."""
 

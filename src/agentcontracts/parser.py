@@ -111,6 +111,14 @@ def _node_span(node) -> SourceSpan:
     return SourceSpan(line=mark.line + 1, column=mark.column + 1, length=length)
 
 
+def _key(node) -> Any:
+    """A mapping key as the loader constructs it, and so as the schema
+    reads it: ``5`` and ``true`` are an int and a bool, not text."""
+    if node.tag == "tag:yaml.org,2002:str":
+        return node.value
+    return yaml.constructor.SafeConstructor().construct_object(node)
+
+
 def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> None:
     """Index ``node``'s subtree under ``path``.  ``done`` holds the ids of
     collections already indexed: an alias to one is not walked again, so
@@ -123,8 +131,7 @@ def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> Non
         return
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
-            key = getattr(key_node, "value", None)
-            _index_spans(value_node, path + (key,), out, done, depth + 1)
+            _index_spans(value_node, path + (_key(key_node),), out, done, depth + 1)
         done.add(id(node))
     elif isinstance(node, yaml.SequenceNode):
         for i, child in enumerate(node.value):
@@ -153,8 +160,8 @@ class _Doc:
         node = self.node
         for part in path[:-1]:
             node = (node.value[part] if isinstance(node, yaml.SequenceNode)
-                    else [v for k, v in node.value if k.value == part][-1])
-        keys = [k for k, _ in node.value if k.value == path[-1]]
+                    else [v for k, v in node.value if _key(k) == part][-1])
+        keys = [k for k, _ in node.value if _key(k) == path[-1]]
         return _node_span(keys[-1]) if keys else self.span(path)
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from agentcontracts.assets import asset_path
 from agentcontracts import engine
-from agentcontracts.errors import (BadHookReturn, EmptyEnsemble, RecoveryHookError, SemanticError,
-                                  SessionTerminated, TraceTooShort)
+from agentcontracts.errors import (BadHookReturn, EmptyEnsemble, ListenerError, RecoveryHookError,
+                                  SemanticError, SessionTerminated, TraceTooShort)
 from agentcontracts.expressions import compile_expression
 from agentcontracts.model import (
     ActionRecord,
@@ -426,6 +426,39 @@ class TestRecoveryBoundary:
         with pytest.raises(SessionTerminated, match=r"closed by BadHookReturn .* before step 2"):
             monitor.step({"tone": 5, "safety": 5}, ActionRecord("go"))
 
+    def test_raising_listener_closes_the_session_after_its_step(self):
+        contract, trace = demo()
+
+        def listener(event):
+            if event.kind == "violation":
+                raise RuntimeError("sink down")
+
+        monitor = SessionMonitor(contract, listeners=[listener])
+        monitor.step(trace.states[0], trace.actions[0])
+        monitor.step(trace.states[1], trace.actions[1])
+        with pytest.raises(ListenerError) as info:
+            monitor.step(trace.states[2], trace.actions[2])
+        assert str(info.value) == "step 2: listener raised RuntimeError on 'violation' event: sink down"
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert monitor.terminated and [s.step for s in monitor.step_reports] == [0, 1, 2]
+        failed = monitor.step_reports[2]
+        assert failed.terminated and failed.post_recovery is None
+        assert [e.kind for e in failed.events] == ["violation"]
+        with pytest.raises(SessionTerminated, match=r"closed by ListenerError .* before step 3"):
+            monitor.step(trace.states[3], trace.actions[3])
+        report = monitor.finalize(trace)
+        assert [s.step for s in report.steps] == [0, 1, 2] and report.excluded_steps == 3
+        seen = ExecutionTrace(states=trace.states[:4], actions=trace.actions[:3])
+        assert report.verdict == engine.check_deterministic(contract, seen)
+        assert report.outcome == engine.classify_outcome(contract, seen)
+        assert report.detected_violations() == ((2, "professional-tone"),)
+
+
+def demo():
+    contract = load_contract(asset_path("contracts", "financial-advisor.yaml"))
+    with open(asset_path("traces", "financial_advisor_demo.json")) as fh:
+        return contract, ExecutionTrace.from_dict(json.load(fh))
+
 
 class TestRunSession:
     def test_empty_trace_precondition_verdict_only(self):
@@ -560,6 +593,47 @@ class TestRunSession:
             monitor.finalize(short)
         # Nothing was closed: the session still finalizes with its own trace.
         assert monitor.finalize(trace).to_dict() == run_session(contract, trace).to_dict()
+
+    def test_finalize_closes_the_session(self):
+        contract, trace = demo()
+        monitor = SessionMonitor(contract)
+        for t in range(trace.length):
+            monitor.step(trace.states[t], trace.actions[t])
+        report = monitor.finalize(trace)
+        longer = ExecutionTrace(states=trace.states + (trace.states[-1],),
+                                actions=trace.actions + (trace.actions[-1],))
+        with pytest.raises(SessionTerminated, match=r"closed by finalize before step 6$"):
+            monitor.step(longer.states[6], longer.actions[6])
+        with pytest.raises(SessionTerminated, match=r"^session already finalized$"):
+            monitor.finalize(longer)
+        assert len(monitor.step_reports) == 6
+        assert report.to_dict() == run_session(contract, trace).to_dict()
+
+    def test_a_zero_step_session_flags_its_preconditions_once(self):
+        contract = Contract(name="t", preconditions=(Constraint(
+            name="ready", severity="hard",
+            check=Predicate(field_path="ready", operator="eq", operand=True)),))
+        trace = ExecutionTrace(states=({"ready": False},), actions=())
+        monitor = SessionMonitor(contract)
+        report = monitor.finalize(trace)
+        with pytest.raises(SessionTerminated, match=r"^session already finalized$"):
+            monitor.finalize(trace)
+        assert report.detected_violations() == ((0, "ready"),)
+        assert len(monitor._events) == 1
+
+    def test_a_listener_failing_on_a_zero_step_flag_closes_the_session(self):
+        contract = Contract(name="t", preconditions=(Constraint(
+            name="ready", severity="hard",
+            check=Predicate(field_path="ready", operator="eq", operand=True)),))
+        trace = ExecutionTrace(states=({"ready": False},), actions=())
+        monitor = SessionMonitor(contract, listeners=[lambda event: 1 / 0])
+        with pytest.raises(ListenerError, match=r"^step 0: listener raised ZeroDivisionError "
+                                                r"on 'violation' event"):
+            monitor.finalize(trace)
+        with pytest.raises(SessionTerminated, match=r"closed by ListenerError .* before step 0"):
+            monitor.step({"ready": False}, ActionRecord("go"))
+        report = monitor.finalize(trace)
+        assert report.detected_violations() == ((0, "ready"),) and report.steps == ()
 
 
 class TestOneEvaluation:

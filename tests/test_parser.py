@@ -367,6 +367,19 @@ class TestSchemaTable:
         assert f"unknown key {key!r}" in str(exc.value)
         assert exc.value.span.line == line
 
+    # The parent spanned each of these at 1:1, matching keys by their text.
+    @pytest.mark.parametrize("key", ["5", "true"])
+    @pytest.mark.parametrize("section,line,column", [
+        ("{key}: x\n", 4, 1),
+        ("invariants:\n  hard: []\n  {key}: x\n", 6, 3),
+    ], ids=["top-level", "invariants"])
+    def test_an_unknown_non_string_key_is_spanned_at_itself(self, key, section, line, column):
+        with pytest.raises(SchemaError) as exc:
+            parse_contract(HEADER + section.format(key=key))
+        assert exc.value.field == yaml.safe_load(key)
+        span = exc.value.span
+        assert (span.line, span.column, span.length) == (line, column, len(key))
+
     @pytest.mark.parametrize("section", [
         "drift: {w_c: .nan}\n", "reliability: {a1: .nan}\n", "satisfaction: {p: .nan}\n",
         "drift: {vocabulary: [a, b], reference: {a: .nan, b: 1.0}}\n",
