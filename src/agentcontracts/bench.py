@@ -3,7 +3,9 @@
 A scenario is one JSON document: a contract reference, a short execution
 trace, and ground-truth annotations (expected violations, outcome, and
 closed ranges for the session-mean compliance scores).  A suite is a
-directory of scenario files plus a ``manifest.json`` listing them.
+directory of scenario files plus a ``manifest.json`` listing them.  Both
+are read by the one rule of :mod:`~agentcontracts.schema`, from the key
+tables ``_SCENARIO`` and ``_MANIFEST``.
 Scoring replays the trace through the monitor with no recovery hook (pure
 detection) and checks all five dimensions: detection accuracy, compliance
 scores, drift, reliability, and outcome classification.
@@ -11,17 +13,18 @@ scores, drift, reliability, and outcome classification.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .drift import mean
 from .engine import check_boundaries
 from .errors import BadBoundaries, DanglingConstraintRef, FormatError
-from .model import Contract, ExecutionTrace
+from .model import TRACE, Contract, ExecutionTrace
 from .monitor import run_session
 from .parser import PipelineContract, load_document
+from .schema import (as_is, bad, entries, integer, mapping, number, one_of, read_json,
+                     sequence, string)
 
 __all__ = [
     "Scenario",
@@ -35,16 +38,17 @@ __all__ = [
 ]
 
 DIFFICULTIES = ("easy", "medium", "hard")
+OUTCOMES = ("compliant", "hard_violation", "soft_violation")
 
 
 @dataclass(frozen=True)
 class Expected:
     """Ground-truth annotations, produced by construction."""
 
-    violations: tuple
     outcome: str
-    c_hard_range: tuple
-    c_soft_range: tuple
+    violations: tuple = ()
+    c_hard_range: tuple = (0.0, 1.0)
+    c_soft_range: tuple = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,26 +80,48 @@ class ScenarioScore:
     reasons: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.scenario_id, "domain": self.domain,
-            "difficulty": self.difficulty,
-            "detection_accuracy": self.detection_accuracy,
-            "false_flags": self.false_flags,
-            "c_hard": self.c_hard, "c_soft": self.c_soft,
-            "mean_drift": self.mean_drift, "theta": self.theta,
-            "outcome": self.outcome, "passed": self.passed,
-            "reasons": list(self.reasons),
-        }
+        """Every field in order, ``scenario_id`` written as ``id``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"id": out.pop("scenario_id"), **out, "reasons": list(self.reasons)}
 
 
-def _range(raw, what: str) -> tuple:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-        raise FormatError(f"{what} must be [lo, hi]")
-    lo, hi = float(raw[0]), float(raw[1])
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise FormatError(f"{what} must be a sub-interval of [0, 1], got [{lo}, {hi}]")
-    return lo, hi
+def _interval(doc, v, path: tuple) -> tuple:
+    """A closed sub-interval ``[lo, hi]`` of [0, 1]."""
+    bounds = sequence(number(0.0, 1.0))(doc, v, path)
+    if len(bounds) != 2 or bounds[0] > bounds[1]:
+        raise bad(doc, path, f"{path[-1]} must be [lo, hi] with lo <= hi, got {v!r}")
+    return bounds
+
+
+def _violation(doc, v, path: tuple) -> tuple:
+    """One expected violation, ``[step, constraint]``."""
+    if not (isinstance(v, list) and len(v) == 2):
+        raise bad(doc, path, f"an expected violation must be [step, constraint], got {v!r}")
+    return integer(0)(doc, v[0], path + (0,)), string(doc, v[1], path + (1,))
+
+
+def _file(doc, v, path: tuple) -> str:
+    """A non-empty path, relative to the document's directory or absolute."""
+    if not string(doc, v, path):
+        raise bad(doc, path, f"field {path[-1]!r} must be a non-empty path")
+    return v
+
+
+# The key tables of a scenario and of a suite manifest (see
+# :mod:`~agentcontracts.schema`); ``boundaries`` are read by check_boundaries.
+_SCENARIO = mapping("scenario", {
+    "id": string, "domain": string, "difficulty": one_of(DIFFICULTIES), "contract": _file,
+    "trace": TRACE, "boundaries": as_is,
+    "expected": mapping("expected", {
+        "violations": sequence(_violation), "outcome": one_of(OUTCOMES),
+        "c_hard_range": _interval, "c_soft_range": _interval}, ("outcome",), Expected),
+}, ("id", "domain", "difficulty", "contract", "trace", "expected"))
+
+_MANIFEST = mapping("manifest", {
+    "scenarios": entries("scenario entry", {"file": _file, "id": string, "domain": string,
+                                            "difficulty": one_of(DIFFICULTIES)}, ("file",)),
+    "suite": string, "seed": integer(0),
+}, ("scenarios",))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -109,42 +135,19 @@ def _load_contract(path: str, cache: dict) -> tuple:
     key = os.path.abspath(path)
     if key not in cache:
         loaded = load_document(path)
-        contract = loaded
-        if isinstance(loaded, PipelineContract):
-            contract = loaded.compose()
-        cache[key] = (loaded, contract)
+        cache[key] = (loaded, loaded.compose() if isinstance(loaded, PipelineContract) else loaded)
     return cache[key]
 
 
 def _load_scenario(path: str, cache: dict) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: scenario must be a JSON object, got {type(doc).__name__}")
-    for key in ("id", "domain", "difficulty", "contract", "trace", "expected"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing scenario field {key!r}")
-    if doc["difficulty"] not in DIFFICULTIES:
-        raise FormatError(f"{path}: difficulty must be one of {DIFFICULTIES}")
-
-    try:
-        trace = ExecutionTrace.from_dict(doc["trace"])
-    except FormatError as exc:
-        raise FormatError(f"{path}: bad trace: {exc}") from None
+    doc = read_json(path, _SCENARIO)
+    trace, expected = doc["trace"], doc["expected"]
     if trace.length < 1:
-        raise FormatError(f"{path}: scenarios require at least one step")
+        raise FormatError(f"{path}: trace: scenarios require at least one step")
 
-    base_dir = os.path.dirname(os.path.abspath(path))
     contract_path = doc["contract"]
-    if not (isinstance(contract_path, str) and contract_path):
-        raise FormatError(f"{path}: contract must be a non-empty path string, "
-                          f"got {contract_path!r}")
     resolved = contract_path if os.path.isabs(contract_path) \
-        else os.path.join(base_dir, contract_path)
+        else os.path.join(os.path.dirname(os.path.abspath(path)), contract_path)
     loaded, contract = _load_contract(resolved, cache)
     pipeline = loaded if isinstance(loaded, PipelineContract) else None
     raw_boundaries = doc.get("boundaries")
@@ -152,37 +155,17 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
         boundaries = check_boundaries(() if raw_boundaries is None else raw_boundaries,
                                       contract.stages, trace.length)
     except BadBoundaries as exc:
-        raise FormatError(f"{path}: bad stage boundaries: {exc}") from None
+        raise FormatError(f"{path}: boundaries: {exc}") from None
 
-    expected_doc = doc["expected"]
-    if not isinstance(expected_doc, dict):
-        raise FormatError(f"{path}: expected must be a JSON object, "
-                          f"got {type(expected_doc).__name__}")
-    violations = expected_doc.get("violations", [])
-    if not isinstance(violations, list) or not all(
-            isinstance(v, list) and len(v) == 2 and type(v[0]) is int for v in violations):
-        raise FormatError(f"{path}: expected violations must be [step, constraint] "
-                          f"pairs with integer steps, got {violations!r}")
-    violations = tuple((step, str(name)) for step, name in violations)
     known = {c.name for c in contract.all_constraints()}
-    for step, name in violations:
+    for i, (step, name) in enumerate(expected.violations):
+        where = f"{path}: expected.violations[{i}]"
         if name not in known:
-            raise DanglingConstraintRef(
-                f"{path}: expected violation references unknown constraint {name!r}")
-        if not (0 <= step < trace.length):
-            raise FormatError(f"{path}: expected violation step {step} outside the trace")
-    outcome = expected_doc.get("outcome")
-    if outcome not in ("compliant", "hard_violation", "soft_violation"):
-        raise FormatError(f"{path}: bad expected outcome {outcome!r}")
-
-    expected = Expected(
-        violations=violations,
-        outcome=outcome,
-        c_hard_range=_range(expected_doc.get("c_hard_range", [0, 1]), f"{path}: c_hard_range"),
-        c_soft_range=_range(expected_doc.get("c_soft_range", [0, 1]), f"{path}: c_soft_range"),
-    )
+            raise DanglingConstraintRef(f"{where}: unknown constraint {name!r}")
+        if step >= trace.length:
+            raise FormatError(f"{where}: step {step} outside the trace")
     return Scenario(
-        id=str(doc["id"]), domain=str(doc["domain"]), difficulty=doc["difficulty"],
+        id=doc["id"], domain=doc["domain"], difficulty=doc["difficulty"],
         contract_path=contract_path, contract=contract, trace=trace,
         expected=expected, boundaries=boundaries, pipeline=pipeline,
     )
@@ -191,27 +174,14 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
 def load_suite(suite_dir: str) -> list:
     """Load every scenario listed in the suite's manifest.json."""
     manifest_path = os.path.join(suite_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: manifest must be a JSON object, "
-                          f"got {type(manifest).__name__}")
-    entries = manifest.get("scenarios")
-    if not isinstance(entries, list) or not entries:
-        raise FormatError(f"{manifest_path}: manifest needs a non-empty 'scenarios' list")
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
-                and entry["file"]):
-            raise FormatError(f"{manifest_path}: scenario entry {i} must be an object "
-                              f"with a non-empty 'file' string, got {entry!r}")
+    listed = read_json(manifest_path, _MANIFEST)["scenarios"]
+    if not listed:
+        raise FormatError(f"{manifest_path}: scenarios: the manifest lists no scenario")
     # Scenarios share a few contract files: load each one once per call.
     # The cache dies with the call, so a file edited between calls is re-read.
     cache: dict = {}
     return [_load_scenario(os.path.join(suite_dir, entry["file"]), cache)
-            for entry in entries]
+            for entry in listed]
 
 
 _RANGE_SLOP = 1e-9
@@ -223,10 +193,7 @@ def score_scenario(scenario: Scenario) -> ScenarioScore:
                          boundaries=scenario.boundaries)
     detected = set(report.detected_violations())
     expected = set(scenario.expected.violations)
-    if expected:
-        accuracy = len(detected & expected) / len(expected)
-    else:
-        accuracy = 1.0
+    accuracy = len(detected & expected) / len(expected) if expected else 1.0
     false_flags = len(detected - expected)
 
     c_hard = report.metrics.mean_c_hard
@@ -237,12 +204,10 @@ def score_scenario(scenario: Scenario) -> ScenarioScore:
         reasons.append(f"missed violations: {missed}")
     if report.outcome != scenario.expected.outcome:
         reasons.append(f"outcome {report.outcome} != expected {scenario.expected.outcome}")
-    lo, hi = scenario.expected.c_hard_range
-    if not (lo - _RANGE_SLOP <= c_hard <= hi + _RANGE_SLOP):
-        reasons.append(f"c_hard {c_hard:.4f} outside [{lo}, {hi}]")
-    lo, hi = scenario.expected.c_soft_range
-    if not (lo - _RANGE_SLOP <= c_soft <= hi + _RANGE_SLOP):
-        reasons.append(f"c_soft {c_soft:.4f} outside [{lo}, {hi}]")
+    for name, value, (lo, hi) in (("c_hard", c_hard, scenario.expected.c_hard_range),
+                                  ("c_soft", c_soft, scenario.expected.c_soft_range)):
+        if not (lo - _RANGE_SLOP <= value <= hi + _RANGE_SLOP):
+            reasons.append(f"{name} {value:.4f} outside [{lo}, {hi}]")
 
     return ScenarioScore(
         scenario_id=scenario.id, domain=scenario.domain, difficulty=scenario.difficulty,
@@ -270,12 +235,10 @@ class DomainSummary:
 
     def to_table(self) -> str:
         header = f"{'Domain':<22}{'N':>4}  {'C_hard':>7}  {'C_soft':>7}  {'D':>7}  {'Theta':>7}"
-        lines = [header, "-" * len(header)]
-        for row in self.rows + (self.overall,):
-            lines.append(
-                f"{row['domain']:<22}{row['n']:>4}  {row['c_hard']:>7.4f}  "
-                f"{row['c_soft']:>7.4f}  {row['mean_drift']:>7.4f}  {row['theta']:>7.4f}")
-        return "\n".join(lines)
+        return "\n".join([header, "-" * len(header)] + [
+            f"{row['domain']:<22}{row['n']:>4}  {row['c_hard']:>7.4f}  "
+            f"{row['c_soft']:>7.4f}  {row['mean_drift']:>7.4f}  {row['theta']:>7.4f}"
+            for row in self.rows + (self.overall,)])
 
 
 def aggregate(scores: Sequence[ScenarioScore], by: str = "domain") -> DomainSummary:
@@ -295,11 +258,7 @@ def aggregate(scores: Sequence[ScenarioScore], by: str = "domain") -> DomainSumm
             "c_soft": mean([s.c_soft for s in subset]),
             "mean_drift": mean([s.mean_drift for s in subset]),
             "theta": mean([s.theta for s in subset]),
-            "outcomes": {
-                "compliant": sum(1 for s in subset if s.outcome == "compliant"),
-                "hard_violation": sum(1 for s in subset if s.outcome == "hard_violation"),
-                "soft_violation": sum(1 for s in subset if s.outcome == "soft_violation"),
-            },
+            "outcomes": {o: sum(s.outcome == o for s in subset) for o in OUTCOMES},
             "passed": sum(1 for s in subset if s.passed),
         }
 

@@ -23,9 +23,10 @@ import sys
 
 from . import __version__
 from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatError, InvalidStep
-from .model import ExecutionTrace, validate_contract, wire_elements
+from .model import ACTIONS, STATES, TRACE_FIELDS, ExecutionTrace, validate_contract
 from .monitor import run_session
 from .parser import PipelineContract, load_document
+from .schema import as_is, mapping, read_json, read_text, sequence
 # bench, composition, dynamics, generator and certification are imported by
 # the commands that use them: dynamics and generator load numpy, which run and
 # bench do not need, and run needs neither bench nor composition.
@@ -37,15 +38,8 @@ EXIT_SOFT = 3
 EXIT_HARD = 4
 
 
-def _color_enabled() -> bool:
-    mode = os.environ.get("ABC_COLOR", "auto")
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
-
-
 def _paint(text: str, code: str) -> str:
-    if not _color_enabled():
+    if os.environ.get("ABC_COLOR", "auto") == "never" or not sys.stdout.isatty():
         return text
     return f"\033[{code}m{text}\033[0m"
 
@@ -57,11 +51,6 @@ def _emit(payload, fmt: str, render) -> None:
         print(render(payload))
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -70,25 +59,19 @@ def cmd_validate(args) -> int:
     try:
         contract = load_document(args.contract)
     except ContractError as exc:
+        if args.format != "json":
+            raise  # main reports it, and exits 1
         span = getattr(exc, "span", None)
-        if args.format == "json":
-            payload = {"contract": args.contract, "valid": False,
-                       "issues": [{"element": getattr(exc, "field", None) or "document",
-                                   "rule": type(exc).__name__,
-                                   "message": str(exc),
-                                   "severity": "error",
-                                   "span": str(span) if span else None}]}
-            sys.stderr.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            location = f" at {span}" if span else ""
-            print(f"error{location}: {exc}", file=sys.stderr)
+        payload = {"contract": args.contract, "valid": False,
+                   "issues": [{"element": getattr(exc, "field", None) or "document",
+                               "rule": type(exc).__name__,
+                               "message": str(exc),
+                               "severity": "error",
+                               "span": str(span) if span else None}]}
+        sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_ISSUES
-    if isinstance(contract, PipelineContract):
-        issues = []
-        for stage in contract.stages:
-            issues.extend(validate_contract(stage.contract))
-    else:
-        issues = validate_contract(contract)
+    issues = ([i for stage in contract.stages for i in validate_contract(stage.contract)]
+              if isinstance(contract, PipelineContract) else validate_contract(contract))
     errors = [i for i in issues if i.severity == "error"]
     payload = {"contract": args.contract,
                "issues": [{"element": i.element, "rule": i.rule,
@@ -106,17 +89,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not errors else EXIT_ISSUES
 
 
+# A trace file: a trace, plus the stage boundaries a pipeline contract needs.
+_TRACE_FILE = mapping("trace file", {**TRACE_FIELDS, "boundaries": as_is}, ("states", "actions"),
+                      lambda boundaries=None, **trace: (ExecutionTrace(**trace), boundaries))
+
+
 def cmd_run(args) -> int:
     contract = load_document(args.contract)
-    doc = _load_json(args.trace)
-    try:
-        trace = ExecutionTrace.from_dict(doc)
-    except FormatError as exc:
-        raise FormatError(f"{args.trace}: {exc}") from None
-    boundaries = doc.get("boundaries")
+    trace, boundaries = read_json(args.trace, _TRACE_FILE)
     if isinstance(contract, PipelineContract):
         contract = contract.compose()
-    report = run_session(contract, trace, hook=None, boundaries=boundaries)
+    try:
+        report = run_session(contract, trace, hook=None, boundaries=boundaries)
+    except BadBoundaries as exc:
+        raise FormatError(f"{args.trace}: boundaries: {exc}") from None
 
     output = report.to_json()
     if args.out:
@@ -191,21 +177,14 @@ def cmd_compose(args) -> int:
 
     witnesses = {"states": (), "actions": ()}
     if args.witnesses:
-        for key in witnesses:
+        for key, reader in (("states", STATES), ("actions", ACTIONS)):
             path = os.path.join(args.witnesses, f"{key}.json")
             if os.path.exists(path):
-                try:
-                    witnesses[key] = wire_elements(key, _load_json(path))
-                except FormatError as exc:
-                    raise FormatError(f"{path}: {exc}") from None
+                witnesses[key] = read_json(path, reader)
     samples, actions = witnesses["states"], witnesses["actions"]
 
-    reports = []
-    for i in range(len(pipeline.stages) - 1):
-        a = pipeline.stages[i].contract
-        b = pipeline.stages[i + 1].contract
-        report = check_conditions(a, b, pipeline.handoffs[i], samples, actions)
-        reports.append(report)
+    reports = [check_conditions(a.contract, b.contract, handoff, samples, actions)
+               for a, b, handoff in zip(pipeline.stages, pipeline.stages[1:], pipeline.handoffs)]
 
     bounds = chain_bounds(ChainSpec.from_pipeline(pipeline))
     payload = {
@@ -233,21 +212,23 @@ def cmd_compose(args) -> int:
     return EXIT_OK if all(r.all_pass for r in reports) else EXIT_ISSUES
 
 
+def _observation(doc, value, path: tuple) -> bool:
+    if not (type(value) in (bool, int) and value in (0, 1)):
+        raise doc.error(path, f"observation must be 0 or 1, got {value!r}")
+    return value == 1
+
+
 def _read_observations(path: str) -> list:
     """Pass/fail observations: a JSON array of true/false/0/1, or one 0 or 1
     per line.  Any other entry is a FormatError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
+    text = read_text(path).strip()
     if text.startswith("["):
-        values = json.loads(text)
-        valid = [type(x) in (bool, int) and x in (0, 1) for x in values]
-    else:
-        values = [line.strip() for line in text.splitlines() if line.strip()]
-        valid = [x in ("0", "1") for x in values]
-    if not all(valid):
-        i = valid.index(False)
-        raise FormatError(f"{path}: observation {i} must be 0 or 1, got {values[i]!r}")
-    return [int(x) == 1 for x in values]
+        return list(read_json(path, sequence(_observation), text))
+    values = [line.strip() for line in text.splitlines() if line.strip()]
+    for i, x in enumerate(values):
+        if x not in ("0", "1"):
+            raise FormatError(f"{path}: observation {i} must be 0 or 1, got {x!r}")
+    return [x == "1" for x in values]
 
 
 def cmd_certify(args) -> int:
@@ -281,13 +262,11 @@ def cmd_bench(args) -> int:
         return EXIT_OK
     from .bench import aggregate, load_suite, score_suite
 
-    scenarios = load_suite(args.suite)
-    scores = score_suite(scenarios)
+    scores = score_suite(load_suite(args.suite))
     summary = aggregate(scores)
     if args.format == "json":
-        payload = summary.to_dict()
-        payload["scenarios"] = [s.to_dict() for s in scores]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({**summary.to_dict(), "scenarios": [s.to_dict() for s in scores]},
+                         indent=2))
     else:
         print(summary.to_table())
         failed = [s for s in scores if not s.passed]
@@ -386,13 +365,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FormatError, DanglingConstraintRef, InvalidStep, BadBoundaries) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError, ArithmeticError,
+            FormatError, DanglingConstraintRef, InvalidStep, BadBoundaries) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:

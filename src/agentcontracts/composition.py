@@ -18,7 +18,7 @@ witness corpora travel with the benchmark scenarios.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .engine import (SatisfactionVerdict, _plan, check_boundaries, check_deterministic,
@@ -125,12 +125,7 @@ class ChainBounds:
     conditional_independence_assumed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "p_chain_lower": self.p_chain_lower,
-            "delta_chain_upper": self.delta_chain_upper,
-            "p_frechet_lower": self.p_frechet_lower,
-            "conditional_independence_assumed": self.conditional_independence_assumed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

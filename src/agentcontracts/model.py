@@ -3,7 +3,9 @@
 All types here are immutable value objects (frozen dataclasses with tuple
 fields) and can be shared freely between threads.  Nested state is carried
 as plain dicts restricted to JSON-expressible scalars, lists, and maps;
-the library never mutates a state dict it is handed.
+the library never mutates a state dict it is handed.  A trace's JSON wire
+shape is read by the key tables ``TRACE`` and ``ACTIONS``, through the one
+rule of :mod:`~agentcontracts.schema`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .errors import FormatError, SemanticError
+from .errors import SemanticError
+from .schema import JsonDoc, as_is, entries, expect_mapping, mapping, sequence
 
 __all__ = [
     "StateDict",
@@ -33,7 +36,7 @@ __all__ = [
     "require_valid",
     "raise_first_error",
     "fallback_chain",
-    "wire_elements",
+    "MAX_RECOVERY_ATTEMPTS",
     "OTHER_LABEL",
     "FIELD_OPERATORS",
     "RECOVERY_TYPES",
@@ -72,6 +75,11 @@ SUGGESTED_CATEGORIES = (
 )
 
 ON_MISSING_POLICIES = ("violate", "satisfy", "skip")
+
+#: The most attempts one soft constraint's recovery chain may make: the sum
+#: of its strategies' ``max_attempts``.  With ``attempts_per_step=None`` a
+#: step runs a whole chain, so this bounds a step's recovery time and events.
+MAX_RECOVERY_ATTEMPTS = 100
 
 _WEIGHT_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
@@ -135,20 +143,9 @@ class ExecutionTrace:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "ExecutionTrace":
-        """Build a trace from the JSON wire shape
-        {"states": [{...}, ...], "actions": [{"label", "payload"?}, ...]}.
-
-        The shape is checked here and by :func:`wire_elements`, once:
-        FormatError names the first element that does not match it.
-        """
-        if not isinstance(doc, Mapping):
-            raise FormatError(f"trace must be a mapping, got {type(doc).__name__}")
-        states = wire_elements("states", doc.get("states", []))
-        actions = wire_elements("actions", doc.get("actions", []))
-        if len(states) != len(actions) + 1:
-            raise FormatError(f"trace needs |states| = |actions| + 1, got "
-                              f"{len(states)} states / {len(actions)} actions")
-        return ExecutionTrace(states=states, actions=actions)
+        """Build a trace from the JSON wire shape, read by ``TRACE``:
+        FormatError names the key path of the first element that does not fit."""
+        return TRACE(JsonDoc(), doc, ())
 
     def to_dict(self) -> dict:
         return {
@@ -163,26 +160,13 @@ def is_state(value) -> bool:
     return type(value) is dict or isinstance(value, Mapping)
 
 
-def wire_elements(key: str, items) -> tuple:
-    """The ``states`` or ``actions`` list of the JSON wire shape, checked
-    once: states are mappings, actions ``{"label", "payload"?}`` objects
-    returned as ActionRecords, which check their own shape.  FormatError
-    names the first element that does not fit, as ``key[i]``.
-    """
-    if not isinstance(items, (list, tuple)):
-        raise FormatError(f"{key} must be a list, got {type(items).__name__}")
-    for i, item in enumerate(items):
-        if not isinstance(item, Mapping):
-            raise FormatError(f"{key}[{i}] must be a mapping, got {type(item).__name__}")
-    if key == "states":
-        return tuple(items)
-    records = []
-    for i, a in enumerate(items):
-        try:
-            records.append(ActionRecord(label=a.get("label"), payload=a.get("payload", {})))
-        except ValueError as exc:
-            raise FormatError(f"actions[{i}].{exc}") from None
-    return tuple(records)
+#: Readers of the JSON wire shape (see :mod:`~agentcontracts.schema`):
+#: states are free-form mappings, and an action's label and payload are
+#: checked by ActionRecord alone.
+STATES = sequence(lambda doc, value, path: expect_mapping(doc, value, path, "state"))
+ACTIONS = entries("action", {"label": as_is, "payload": as_is}, ("label",), ActionRecord)
+TRACE_FIELDS = {"states": STATES, "actions": ACTIONS}
+TRACE = mapping("trace", TRACE_FIELDS, ("states", "actions"), ExecutionTrace)
 
 
 @dataclass(frozen=True)
@@ -518,6 +502,13 @@ def validate_contract(c: Contract) -> list:
             issues.append(_issue(s.name, "unreferenced-strategy",
                                  "strategy is not referenced by any constraint",
                                  severity="warning"))
+    for con in c.soft_constraints():
+        total = sum(s.max_attempts for s in fallback_chain(strategy_names, con.recovery)[0]
+                    if _is_count(s.max_attempts, 1))
+        if total > MAX_RECOVERY_ATTEMPTS:
+            issues.append(_issue(con.name, "recovery-budget-too-large",
+                                 f"its recovery chain allows {total} attempts, "
+                                 f"more than {MAX_RECOVERY_ATTEMPTS}"))
     # Chains reaching via fallback count as referenced, so demote those warnings.
     reachable = {s.name for ref in referenced for s in fallback_chain(strategy_names, ref)[0]}
     issues = [i for i in issues

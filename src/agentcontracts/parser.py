@@ -1,21 +1,13 @@
 """Parser for the ContractSpec YAML DSL.
 
-Agent document keys: ``contractspec`` (version), ``kind``, ``name``,
-``preconditions``, ``invariants.{hard,soft}``, ``governance.{hard,soft}``,
-``recovery.strategies``, ``satisfaction.{p,delta,k,T}``, ``drift.{...}``,
-``reliability.{a1..a4}``.  A constraint entry is
-``{name, category?, weight?, check: {field, operator, value} | {expr},
-recovery?, on_missing?}``.  Pipeline document keys: ``contractspec``,
-``kind``, ``name``, ``stages`` (``{name, contract}`` entries), ``handoffs``
-(``{from, to, invariants?, type_map?, p_h?, delta_h?}`` entries) and
-``coordination``.
-
-Every mapping is read by one rule, :func:`_fields`, from a table of key
-readers for its kind (``_AGENT``, ``_PIPELINE`` and the tables nested in
-them): an unknown key raises SchemaError spanned at the key, each present
-value is read once by its key's reader, and only the keys present reach the
-model's constructors, which hold every default.  A pipeline document has
-its own table, so an agent section in it is an unknown key.
+Every mapping is read by the one rule of :mod:`~agentcontracts.schema`,
+which reads every JSON input too, from a table of key readers for its kind:
+``_AGENT`` and ``_PIPELINE`` and the tables nested in them list every key
+of an agent and of a pipeline document.  An unknown key raises SchemaError
+spanned at the key, each present value is read once by its key's reader,
+and only the keys present reach the model's constructors, which hold every
+default.  A pipeline document has its own table, so an agent section in it
+is an unknown key.
 
 Diagnostics carry a :class:`~agentcontracts.errors.SourceSpan` whenever the
 offending element can be located in the document.  Parsing is pure and
@@ -32,7 +24,6 @@ recurses on the C stack.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,6 +50,19 @@ from .model import (
     ReliabilityWeights,
     SatisfactionParams,
     require_valid,
+)
+from .schema import (
+    as_is,
+    bad,
+    entries,
+    expect_mapping,
+    fields,
+    integer,
+    mapping,
+    number,
+    sequence,
+    string,
+    to_float,
 )
 
 __all__ = [
@@ -154,6 +158,15 @@ class _Doc:
             path = path[:-1]
         return self.spans.get(())
 
+    def error(self, path: tuple, message: str, field: Any) -> SchemaError:
+        """The SchemaError on the value at ``path``, spanned at it."""
+        return SchemaError(message, span=self.span(path), field=field)
+
+    def unknown_key(self, path: tuple, key: Any, what: str) -> SchemaError:
+        """The SchemaError on an unknown ``key``, spanned at the key."""
+        return SchemaError(f"unknown key {key!r} in {what}",
+                           span=self.key_span(path + (key,)), field=key)
+
     def key_span(self, path: tuple) -> Optional[SourceSpan]:
         """The span of the key that ends ``path``, found in the node tree
         only when asked (the index holds values), else :meth:`span`."""
@@ -222,200 +235,97 @@ def _load_yaml(text: Union[str, bytes]) -> _Doc:
 
 
 # ---------------------------------------------------------------------------
-# Schema: one table of key readers per kind of mapping, read by one rule
+# Schema: one table of key readers per kind of mapping (the rule: schema.py)
 # ---------------------------------------------------------------------------
 
-def _type_name(v: Any) -> str:
-    return {dict: "mapping", list: "sequence", str: "string", bool: "boolean",
-            int: "number", float: "number", type(None): "null"}.get(type(v), type(v).__name__)
-
-
-def _expect_mapping(doc: _Doc, value: Any, path: tuple, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise SchemaError(f"{what} must be a mapping, got {_type_name(value)}",
-                          span=doc.span(path), field=".".join(map(str, path)) or what)
-    return value
-
-
-def _fields(doc: _Doc, raw: Any, path: tuple, what: str, readers: Mapping,
-            required: tuple = ()) -> dict:
-    """The keys of the ``what`` mapping ``raw`` at ``path``, each value read
-    once by its key's reader, ``read(doc, value, value_path)``.  Only the
-    keys present come back, so every default stays with the model.  A key
-    outside ``readers`` (spanned at the key), a missing ``required`` key,
-    or a value its reader refuses raises SchemaError."""
-    mapping = _expect_mapping(doc, raw, path, what)
-    for key in mapping:
-        if key not in readers:
-            raise SchemaError(f"unknown key {key!r} in {what}",
-                              span=doc.key_span(path + (key,)), field=key)
-    for key in required:
-        if key not in mapping:
-            raise SchemaError(f"missing required field {key!r}", span=doc.span(path), field=key)
-    return {key: readers[key](doc, value, path + (key,)) for key, value in mapping.items()}
-
-
-def _bad(doc: _Doc, path: tuple, message: str) -> SchemaError:
-    """A SchemaError on the value at ``path``, naming its key."""
-    return SchemaError(message, span=doc.span(path), field=path[-1])
-
-
-def _string(doc: _Doc, v: Any, path: tuple) -> str:
-    if not isinstance(v, str):
-        raise _bad(doc, path, f"field {path[-1]!r} must be a string, got {_type_name(v)}")
-    return v
-
-
-def _float(doc: _Doc, v: Any, path: tuple) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        raise _bad(doc, path, f"field {path[-1]!r} holds an integer too large "
-                              f"for a 64-bit float") from None
-
-
-def _number(lo: float = -math.inf, hi: float = math.inf) -> Callable:
-    """Reader of a number in [lo, hi], as a float (NaN is in no range)."""
-    def read(doc: _Doc, v: Any, path: tuple) -> float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _bad(doc, path, f"field {path[-1]!r} must be a number, got {_type_name(v)}")
-        v = _float(doc, v, path)
-        if not lo <= v <= hi:
-            raise _bad(doc, path, f"{path[-1]} out of [{lo},{hi}]: {v}")
-        return v
-    return read
-
-
-def _integer(lo: int) -> Callable:
-    """Reader of an integer >= lo."""
-    def read(doc: _Doc, v: Any, path: tuple) -> int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise _bad(doc, path, f"field {path[-1]!r} must be an integer, got {_type_name(v)}")
-        if v < lo:
-            raise _bad(doc, path, f"{path[-1]} must be >= {lo}: {v}")
-        return v
-    return read
-
-
-_REAL, _UNIT, _NONNEGATIVE = _number(), _number(0.0, 1.0), _number(0.0)
-
-
-def _value(doc: _Doc, v: Any, path: tuple) -> Any:
-    return v
+_REAL, _UNIT, _NONNEGATIVE = number(), number(0.0, 1.0), number(0.0)
 
 
 def _operand(doc: _Doc, v: Any, path: tuple) -> Any:
     """A check's operand: its numeric literals become 64-bit floats."""
     def scalar(x):
-        return x if isinstance(x, bool) or not isinstance(x, (int, float)) else _float(doc, x, path)
+        return x if isinstance(x, bool) or not isinstance(x, (int, float)) else to_float(doc, x, path)
     return [scalar(x) for x in v] if isinstance(v, list) else scalar(v)
 
 
 def _expression(doc: _Doc, v: Any, path: tuple) -> Predicate:
-    src = _string(doc, v, path)
+    src = string(doc, v, path)
     try:
         return Predicate(expression=compile_expression(src), expression_src=src)
     except (ExprSyntaxError, ForbiddenConstruct) as exc:
-        raise _bad(doc, path, f"bad expression: {exc}") from exc
+        raise bad(doc, path, f"bad expression: {exc}") from exc
 
 
-_FIELD_CHECK = {"field": _string, "operator": _string, "value": _operand}
+_FIELD_CHECK = {"field": string, "operator": string, "value": _operand}
 _EXPR_CHECK = {"expr": _expression}
 
 
 def _check(doc: _Doc, raw: Any, path: tuple) -> Predicate:
     """A check, in one of two forms: {field, operator, value} or {expr}."""
-    mapping = _expect_mapping(doc, raw, path, "check")
-    if ("field" in mapping) == ("expr" in mapping):
-        raise SchemaError("check must contain either {field, operator, value} or {expr}",
-                          span=doc.span(path), field="check")
-    if "expr" in mapping:
-        return _fields(doc, mapping, path, "check", _EXPR_CHECK)["expr"]
-    check = _fields(doc, mapping, path, "check", _FIELD_CHECK, ("field", "operator"))
+    given = expect_mapping(doc, raw, path, "check")
+    if ("field" in given) == ("expr" in given):
+        raise doc.error(path, "check must contain either {field, operator, value} or {expr}",
+                        "check")
+    if "expr" in given:
+        return fields(doc, given, path, "check", _EXPR_CHECK)["expr"]
+    check = fields(doc, given, path, "check", _FIELD_CHECK, ("field", "operator"))
     if "value" not in check and check["operator"] != "exists":
-        raise SchemaError("check with a field operator needs a 'value' entry "
-                          "(operator 'exists' is the exception)",
-                          span=doc.span(path), field="value")
+        raise doc.error(path, "check with a field operator needs a 'value' entry "
+                              "(operator 'exists' is the exception)", "value")
     operand = {"operand": check["value"]} if "value" in check else {}
     return Predicate(field_path=check["field"], operator=check["operator"], **operand)
 
 
-def _vocabulary(doc: _Doc, v: Any, path: tuple) -> list:
-    if not (isinstance(v, list) and all(isinstance(label, str) for label in v)):
-        raise _bad(doc, path, "drift.vocabulary must be a list of strings")
-    return v
-
-
 def _reference(doc: _Doc, v: Any, path: tuple) -> dict:
     if not isinstance(v, Mapping):
-        raise _bad(doc, path, "drift.reference must be a mapping of label to probability")
+        raise bad(doc, path, "drift.reference must be a mapping of label to probability")
     return {str(label): _REAL(doc, mass, path + (label,)) for label, mass in v.items()}
 
 
 def _type_map(doc: _Doc, v: Any, path: tuple) -> dict:
     if not isinstance(v, Mapping):
-        raise _bad(doc, path, "type_map must be a mapping of upstream path to downstream path")
+        raise bad(doc, path, "type_map must be a mapping of upstream path to downstream path")
     return {str(k): str(target) for k, target in v.items()}
 
 
-def _entries(what: str, readers: Mapping, required: tuple, build: Callable = dict) -> Callable:
-    """Reader of a sequence of ``what`` mappings, each built from its keys
-    (null is the empty sequence)."""
-    def read(doc: _Doc, raw: Any, path: tuple) -> tuple:
-        if raw is not None and not isinstance(raw, list):
-            where = ".".join(map(str, path))
-            raise SchemaError(f"{where} must be a sequence, got {_type_name(raw)}",
-                              span=doc.span(path), field=where)
-        return tuple(build(**_fields(doc, item, path + (i,), what, readers, required))
-                     for i, item in enumerate(raw or ()))
-    return read
-
-
-def _section(what: str, readers: Mapping, build: Callable = dict) -> Callable:
-    """Reader of an optional mapping, built from the keys present (none when null)."""
-    def read(doc: _Doc, raw: Any, path: tuple) -> Any:
-        return build(**({} if raw is None else _fields(doc, raw, path, what, readers)))
-    return read
-
-
 def _constraints(severity: str) -> Callable:
-    return _entries("constraint entry",
-                    {"name": _string, "category": _string, "weight": _REAL, "check": _check,
-                     "recovery": _string, "on_missing": _string},
-                    ("name", "check"), partial(Constraint, severity=severity))
+    return entries("constraint entry",
+                   {"name": string, "category": string, "weight": _REAL, "check": _check,
+                    "recovery": string, "on_missing": string},
+                   ("name", "check"), partial(Constraint, severity=severity))
 
 
 def _hard_soft(what: str) -> Callable:
-    return _section(what, {"hard": _constraints("hard"), "soft": _constraints("soft")})
+    return mapping(what, {"hard": _constraints("hard"), "soft": _constraints("soft")})
 
 
 _AGENT = {
-    "contractspec": _string, "kind": _string, "name": _string,
+    "contractspec": string, "kind": string, "name": string,
     "preconditions": _constraints("hard"),
     "invariants": _hard_soft("invariants"),
     "governance": _hard_soft("governance"),
-    "recovery": _section("recovery", {"strategies": _entries(
-        "strategy entry", {"name": _string, "type": _string, "action": _value,
-                           "max_attempts": _integer(1), "fallback": _string},
+    "recovery": mapping("recovery", {"strategies": entries(
+        "strategy entry", {"name": string, "type": string, "action": as_is,
+                           "max_attempts": integer(1), "fallback": string},
         ("name", "type"), RecoveryStrategy)}),
-    "satisfaction": _section("satisfaction", {"p": _UNIT, "delta": _UNIT, "k": _integer(0),
-                                              "T": _integer(0)}, SatisfactionParams),
-    "drift": _section("drift", {"w_c": _UNIT, "w_d": _UNIT, "window": _integer(1),
-                                "vocabulary": _vocabulary, "reference": _reference,
-                                "theta1": _UNIT, "theta2": _UNIT}, DriftConfig),
-    "reliability": _section("reliability", {f"a{i}": _NONNEGATIVE for i in range(1, 5)},
-                            ReliabilityWeights),
+    "satisfaction": mapping("satisfaction", {"p": _UNIT, "delta": _UNIT, "k": integer(0),
+                                             "T": integer(0)}, build=SatisfactionParams),
+    "drift": mapping("drift", {"w_c": _UNIT, "w_d": _UNIT, "window": integer(1),
+                               "vocabulary": sequence(string), "reference": _reference,
+                               "theta1": _UNIT, "theta2": _UNIT}, build=DriftConfig),
+    "reliability": mapping("reliability", {f"a{i}": _NONNEGATIVE for i in range(1, 5)},
+                           build=ReliabilityWeights),
 }
 
 _PIPELINE = {
-    "contractspec": _string, "kind": _string, "name": _string,
-    "stages": _entries("stage entry", {"name": _string, "contract": _string},
-                       ("name", "contract")),
-    "handoffs": _entries("handoff entry", {"from": _string, "to": _string,
-                                           "invariants": _constraints("hard"),
-                                           "type_map": _type_map, "p_h": _UNIT, "delta_h": _UNIT},
-                         ("from", "to")),
-    "coordination": _string,
+    "contractspec": string, "kind": string, "name": string,
+    "stages": entries("stage entry", {"name": string, "contract": string},
+                      ("name", "contract")),
+    "handoffs": entries("handoff entry", {"from": string, "to": string,
+                                          "invariants": _constraints("hard"),
+                                          "type_map": _type_map, "p_h": _UNIT, "delta_h": _UNIT},
+                        ("from", "to")),
+    "coordination": string,
 }
 
 # The Contract argument of an agent document key, where the two differ; the
@@ -441,14 +351,14 @@ def parse_document(text: Union[str, bytes],
 def _parse_loaded(doc: _Doc, base_dir: Optional[str]) -> Union[Contract, "PipelineContract"]:
     if doc.value is None:
         raise SchemaError("document is empty", field="contractspec")
-    root = _expect_mapping(doc, doc.value, (), "document")
+    root = expect_mapping(doc, doc.value, (), "document")
     kind = root.get("kind")
     if kind == "agent":
-        return _agent(doc, _fields(doc, root, (), "agent document", _AGENT,
-                                   ("contractspec", "name")))
+        return _agent(doc, fields(doc, root, (), "agent document", _AGENT,
+                                  ("contractspec", "name")))
     if kind == "pipeline":
-        return _pipeline(doc, _fields(doc, root, (), "pipeline document", _PIPELINE,
-                                      ("contractspec", "name", "stages", "handoffs")), base_dir)
+        return _pipeline(doc, fields(doc, root, (), "pipeline document", _PIPELINE,
+                                     ("contractspec", "name", "stages", "handoffs")), base_dir)
     problem = (f"kind must be 'agent' or 'pipeline', got {kind!r}" if "kind" in root
                else "missing required field 'kind'")
     raise SchemaError(problem, span=doc.span(("kind",)), field="kind")
@@ -592,15 +502,15 @@ def contract_to_yaml(c: Contract) -> str:
     """Serialize a contract back to the DSL, every field written but a None
     one.  parse_contract on the output reproduces the contract
     field-by-field."""
-    def entries(constraints):
+    def docs(constraints):
         return [_constraint_to_doc(x) for x in constraints]
 
     sp, dc, rw = c.satisfaction, c.drift_config, c.reliability_weights
     doc = {
         "contractspec": "1.0", "kind": c.kind, "name": c.name,
-        "preconditions": entries(c.preconditions),
-        "invariants": {"hard": entries(c.invariants_hard), "soft": entries(c.invariants_soft)},
-        "governance": {"hard": entries(c.governance_hard), "soft": entries(c.governance_soft)},
+        "preconditions": docs(c.preconditions),
+        "invariants": {"hard": docs(c.invariants_hard), "soft": docs(c.invariants_soft)},
+        "governance": {"hard": docs(c.governance_hard), "soft": docs(c.governance_soft)},
         "recovery": {"strategies": [
             _present({"name": s.name, "type": s.type, "action": s.action,
                       "max_attempts": s.max_attempts, "fallback": s.fallback})

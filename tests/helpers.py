@@ -139,9 +139,15 @@ BAD_SCENARIO_SHAPES = [
 # Suite manifests of the wrong shape, each rejected by load_suite with a
 # FormatError naming the manifest: (id, manifest document, expected message part).
 BAD_MANIFESTS = [
-    ("manifest-not-a-mapping", [1], "manifest must be a JSON object"),
-    ("entry-not-a-mapping", {"scenarios": [5]}, "scenario entry 0"),
-    ("entry-without-file", {"scenarios": [{"name": "x"}]}, "scenario entry 0"),
+    ("manifest-not-a-mapping", [1], "manifest must be a mapping, got sequence"),
+    ("entry-not-a-mapping", {"scenarios": [5]},
+     "scenarios[0]: scenario entry must be a mapping, got number"),
+    ("entry-without-file", {"scenarios": [{"name": "x"}]}, "scenarios[0].name: unknown key"),
+    ("entry-with-only-an-id", {"scenarios": [{"id": "x"}]},
+     "scenarios[0]: missing required field 'file'"),
+    ("no-scenarios", {"scenarios": []}, "scenarios: the manifest lists no scenario"),
+    ("unknown-top-level-key", {"scenarios": [{"file": "a.json"}], "seeed": 7},
+     "manifest.json: seeed: unknown key"),
 ]
 
 

@@ -69,7 +69,7 @@ class TestLoadScenario:
         doc["contract"] = os.path.join(suite_dir, doc["contract"])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="bad.json: bad trace"):
+        with pytest.raises(FormatError, match="bad.json: trace"):
             load_scenario(str(bad))
 
     @staticmethod

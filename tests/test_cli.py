@@ -249,11 +249,11 @@ class TestCompose:
 
 
     @pytest.mark.parametrize("name,content,named", [
-        pytest.param("actions.json", [{"nolabel": 1}], "actions[0].label",
+        pytest.param("actions.json", [{"nolabel": 1}], "actions.json: [0].nolabel: unknown key",
                      id="action-without-label"),
-        pytest.param("actions.json", {"label": "go"}, "actions must be a list",
+        pytest.param("actions.json", {"label": "go"}, "document must be a sequence",
                      id="actions-not-a-list"),
-        pytest.param("states.json", [5], "states[0] must be a mapping",
+        pytest.param("states.json", [5], "states.json: [0]: state must be a mapping",
                      id="state-not-a-mapping"),
     ])
     def test_malformed_witnesses_exit_two(self, capsys, tmp_path, name, content, named):
@@ -305,10 +305,11 @@ class TestCertify:
         assert json.loads(out)["observations"] == 4
 
     @pytest.mark.parametrize("name,text,bad", [
-        pytest.param("obs.json", '[1, "a", [0], 2, null]', "observation 1", id="json-mixed"),
-        pytest.param("obs.json", "[1, 2]", "observation 1", id="json-two"),
-        pytest.param("obs.json", "[1.0]", "observation 0", id="json-float"),
-        pytest.param("obs.json", '["1"]', "observation 0", id="json-string"),
+        pytest.param("obs.json", '[1, "a", [0], 2, null]', "[1]: observation must be 0 or 1",
+                     id="json-mixed"),
+        pytest.param("obs.json", "[1, 2]", "[1]: observation must be 0 or 1", id="json-two"),
+        pytest.param("obs.json", "[1.0]", "[0]: observation must be 0 or 1", id="json-float"),
+        pytest.param("obs.json", '["1"]', "[0]: observation must be 0 or 1", id="json-string"),
         pytest.param("obs.txt", "1\n7\n", "observation 1", id="line-seven"),
         pytest.param("obs.txt", "1\ntrue\n", "observation 1", id="line-word"),
     ])

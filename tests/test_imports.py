@@ -110,3 +110,26 @@ def test_commands_load_no_numpy(suite_dir, tmp_path):
     # meets three lengths (8, 15 and 55), each compiled once.
     assert result["blocks"]["import agentcontracts"] == result["blocks"]["run"] == []
     assert len(result["blocks"]["bench"]) <= 3
+
+
+# Runs in a fresh interpreter: imports the schema module under a bare package
+# (the package's own ``__init__`` not run) and prints which modules of the
+# package, and whether yaml or numpy, it loaded.
+_SCHEMA_CHILD = """
+import json, sys, types
+package = types.ModuleType("agentcontracts")
+package.__path__ = [sys.argv[1]]
+sys.modules["agentcontracts"] = package
+import agentcontracts.schema
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("agentcontracts", "yaml", "numpy"))))
+"""
+
+
+def test_the_schema_module_imports_only_errors():
+    package_dir = os.path.dirname(agentcontracts.__file__)
+    child = subprocess.run([sys.executable, "-c", _SCHEMA_CHILD, package_dir],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert json.loads(child.stdout) == ["agentcontracts", "agentcontracts.errors",
+                                        "agentcontracts.schema"]

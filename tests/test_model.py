@@ -231,9 +231,9 @@ class TestTrace:
             ActionRecord(label, payload)
 
     @pytest.mark.parametrize("action,message", [
-        ({"label": ""}, "actions[1].label must be a non-empty string, got ''"),
-        ({"payload": {}}, "actions[1].label must be a non-empty string, got None"),
-        ({"label": "go", "payload": 5}, "actions[1].payload must be a mapping, got int")])
+        ({"label": ""}, "actions[1]: label must be a non-empty string, got ''"),
+        ({"payload": {}}, "actions[1]: missing required field 'label'"),
+        ({"label": "go", "payload": 5}, "actions[1]: payload must be a mapping, got int")])
     def test_wire_actions_name_the_element(self, action, message):
         doc = {"states": [{}, {}, {}], "actions": [{"label": "go"}, action]}
         with pytest.raises(FormatError) as info:

@@ -22,6 +22,7 @@ from agentcontracts.model import (
     Contract,
     DriftConfig,
     ExecutionTrace,
+    MAX_RECOVERY_ATTEMPTS,
     RECOVERY_TYPES,
     Predicate,
     RecoveryStrategy,
@@ -333,26 +334,32 @@ def test_recovery_follows_the_flat_schedule(case):
 
 def test_a_huge_attempt_budget_is_not_materialised():
     """A budget is kept as running totals, not as one entry per attempt:
-    the monitor of a 10**12-attempt chain builds as fast, and with the same
-    memory peak, as that of a 1-attempt chain, and attempts its first
-    strategy first."""
-    def build(attempts):
-        contract = tone_contract((
+    the monitor of a chain of the largest valid budget builds as fast, and
+    with the same memory peak, as that of a 1-attempt chain, and attempts
+    its first strategy first.  A larger budget (10**12) is refused when the
+    monitor is built."""
+    def contract(attempts):
+        return tone_contract((
             RecoveryStrategy(name="fix", type="re_prompt", max_attempts=attempts, fallback="up"),
             RecoveryStrategy(name="up", type="escalate_human")))
+
+    def build(attempts):
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            monitor = SessionMonitor(contract, hook=lambda s, c, state: None)
+            monitor = SessionMonitor(contract(attempts), hook=lambda s, c, state: None)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return monitor, elapsed, peak
 
+    with pytest.raises(SemanticError, match=r"^tone: its recovery chain allows 1000000000003 "
+                                            r"attempts, more than 100$"):
+        SessionMonitor(contract(10 ** 12))
     build(1)
     _, _, small_peak = build(1)
-    monitor, elapsed, peak = build(10 ** 12)
+    monitor, elapsed, peak = build(MAX_RECOVERY_ATTEMPTS - 3)
     assert elapsed < 0.25
     assert peak < small_peak + 32 * 1024
     for _ in range(2):

@@ -123,6 +123,31 @@ class TestAgentDocuments:
             parse_contract(doc)
         assert "acyclic" in str(exc.value)
 
+    def test_a_recovery_budget_beyond_the_bound_is_refused(self):
+        """A chain's attempts are bounded, so ``attempts_per_step=None``
+        cannot stall a step: 100 parse, 101 do not, spanned at the
+        constraint."""
+        def doc(attempts):
+            return textwrap.dedent(f"""\
+                contractspec: "1.0"
+                kind: agent
+                name: budget
+                invariants:
+                  soft:
+                    - name: tone
+                      check: {{field: tone, operator: ge, value: 1}}
+                      recovery: fix
+                recovery:
+                  strategies:
+                    - {{name: fix, type: re_prompt, max_attempts: {attempts - 1}, fallback: up}}
+                    - {{name: up, type: emit_event, max_attempts: 1}}
+            """)
+        assert parse_contract(doc(100)).recovery_strategies[0].max_attempts == 99
+        with pytest.raises(SemanticError, match=r"^tone: its recovery chain allows 101 "
+                                                r"attempts, more than 100$") as exc:
+            parse_contract(doc(101))
+        assert exc.value.span.line == 6
+
     @pytest.mark.parametrize("section,check", [
         ("invariants:\n  hard:\n", '{expr: "action.amount < 10"}'),
         ("invariants:\n  soft:\n", '{expr: "len(action.items) > 0"}'),

@@ -295,6 +295,9 @@ REJECTED = {
         RecoveryStrategy(name="fix", type="pray"),)),
     "bad-max-attempts": base_contract(recovery_strategies=(
         RecoveryStrategy(name="fix", type="re_prompt", max_attempts=0),)),
+    "recovery-budget-too-large": base_contract(recovery_strategies=(
+        RecoveryStrategy(name="fix", type="re_prompt", max_attempts=60, fallback="up"),
+        RecoveryStrategy(name="up", type="escalate_human", max_attempts=41))),
     "unresolved-fallback-reference": base_contract(recovery_strategies=(
         RecoveryStrategy(name="fix", type="re_prompt", fallback="gone"),)),
     "cyclic-fallback-chain": base_contract(recovery_strategies=(
