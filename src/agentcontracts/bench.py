@@ -23,8 +23,8 @@ from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import TRACE, Contract, ExecutionTrace
 from .monitor import run_session
 from .parser import PipelineContract, load_document
-from .schema import (as_is, bad, entries, integer, mapping, number, one_of, read_json,
-                     sequence, string)
+from .schema import (JsonDoc, as_is, bad, entries, integer, key_path, mapping, number, one_of,
+                     read_json, sequence, string)
 
 __all__ = [
     "Scenario",
@@ -117,11 +117,29 @@ _SCENARIO = mapping("scenario", {
         "c_hard_range": _interval, "c_soft_range": _interval}, ("outcome",), Expected),
 }, ("id", "domain", "difficulty", "contract", "trace", "expected"))
 
-_MANIFEST = mapping("manifest", {
-    "scenarios": entries("scenario entry", {"file": _file, "id": string, "domain": string,
-                                            "difficulty": one_of(DIFFICULTIES)}, ("file",)),
-    "suite": string, "seed": integer(0),
-}, ("scenarios",))
+_ENTRIES = entries("scenario entry", {"file": _file, "id": string, "domain": string,
+                                      "difficulty": one_of(DIFFICULTIES)}, ("file",))
+
+#: The keys of a manifest entry that, when given, must match its scenario.
+_LISTED = ("id", "domain", "difficulty")
+
+
+def _scenario_entries(doc, v, path: tuple) -> tuple:
+    """A manifest's entries: at least one, and no file listed twice."""
+    listed = _ENTRIES(doc, v, path)
+    if not listed:
+        raise bad(doc, path, "the manifest lists no scenario")
+    first: dict = {}
+    for i, entry in enumerate(listed):
+        j = first.setdefault(os.path.normpath(entry["file"]), i)
+        if j != i:
+            raise bad(doc, path + (i, "file"),
+                      f"{entry['file']!r} is listed already, at {key_path(path + (j,))}")
+    return listed
+
+
+_MANIFEST = mapping("manifest", {"scenarios": _scenario_entries, "suite": string,
+                                 "seed": integer(0)}, ("scenarios",))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -172,16 +190,24 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
 
 
 def load_suite(suite_dir: str) -> list:
-    """Load every scenario listed in the suite's manifest.json."""
+    """Load every scenario listed in the suite's manifest.json.  An entry's
+    ``id``, ``domain`` and ``difficulty``, where given, must be the
+    scenario's own."""
     manifest_path = os.path.join(suite_dir, "manifest.json")
     listed = read_json(manifest_path, _MANIFEST)["scenarios"]
-    if not listed:
-        raise FormatError(f"{manifest_path}: scenarios: the manifest lists no scenario")
     # Scenarios share a few contract files: load each one once per call.
     # The cache dies with the call, so a file edited between calls is re-read.
     cache: dict = {}
-    return [_load_scenario(os.path.join(suite_dir, entry["file"]), cache)
-            for entry in listed]
+    scenarios = []
+    for i, entry in enumerate(listed):
+        scenario = _load_scenario(os.path.join(suite_dir, entry["file"]), cache)
+        for key in _LISTED:
+            if key in entry and entry[key] != getattr(scenario, key):
+                raise JsonDoc(manifest_path).error(
+                    ("scenarios", i, key), f"{entry[key]!r} is not the scenario's "
+                                           f"{key} {getattr(scenario, key)!r}")
+        scenarios.append(scenario)
+    return scenarios
 
 
 _RANGE_SLOP = 1e-9

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 from .engine import (SatisfactionVerdict, _plan, check_boundaries, check_deterministic,
                      constraint_timelines)
 from .errors import InsufficientSamples, TypeMismatch
-from .expressions import OPERATORS, field_getter, field_key
+from .expressions import OPERATORS, field_key, field_value
 from .model import (
     MISSING,
     ActionRecord,
@@ -357,11 +357,10 @@ def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
 
     # C1 -- interface compatibility over the type map.
     c1_witnesses = []
-    type_map = [(upstream, downstream, field_getter(upstream))
-                for upstream, downstream in sorted(h.type_map.items())]
+    type_map = sorted(h.type_map.items())
     for i, sample in enumerate(samples):
-        for upstream, downstream, get in type_map:
-            value = get(sample, None)
+        for upstream, downstream in type_map:
+            value = field_value(upstream, sample, None)
             if value is MISSING:
                 c1_witnesses.append((i, upstream, "missing in upstream output"))
                 continue

@@ -15,27 +15,30 @@ Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
 diagnostic is attached to the result either way.
 
-A contract's plan, cached on the contract object, validates it once and
-compiles each constraint into a closure ``(state, action) ->
-ConstraintResult`` (:func:`compile_constraint`), the one definition of its
-semantics: fields walked by :func:`~agentcontracts.model.walk_path`,
-operators from :data:`~agentcontracts.expressions.OPERATORS`.  The plan
-then generates one function per section (:func:`_generate`) that runs the
-section's constraints as straight-line code, so a step does constant work
-per constraint.  A block inlines the common value shapes: plain dicts
-along the path, then a ``str``, a ``bool`` or a plain number (an ``int``
-or a ``float`` of magnitude at most 2**53) tested against operands bound
-once; an expression is inlined node by node under the same guards.  Any
-other value (a mapping that is not a dict, a ``str`` subclass, NaN, a large
-int, a missing field, a zero divisor) goes to the constraint's closure, so
-results and diagnostics are the closure's whichever path ran.  No contract
-text reaches the generated source: names, keys, operands, patterns, scopes
-and closures are bound in the functions' namespace under generated
-identifiers, so no contract can inject code.  The generated functions run
-steps, post-recovery re-scoring, preconditions, the trailing state and
-composition's conditions, and call a closure only as a block's fallback; a
-scoped block reads :func:`scope_active`, once per distinct scope per call.
-:func:`evaluate_constraint` compiles a lone constraint for one call.
+:func:`evaluate_constraint` interprets one constraint directly, with
+nothing compiled first: fields read by
+:func:`~agentcontracts.expressions.field_value` (through
+:func:`~agentcontracts.model.walk_path`), operators from
+:data:`~agentcontracts.expressions.OPERATORS`, expressions walked by
+:func:`~agentcontracts.expressions.eval_expression`.  It is the one
+definition of the semantics.  A contract's plan, cached on the contract
+object, validates it once and generates one function per section
+(:func:`_generate`) that runs the section's constraints as straight-line
+code, so a step does constant work per constraint.  A block inlines the
+common value shapes: plain dicts along the path, then a ``str``, a
+``bool`` or a plain number (an ``int`` or a ``float`` of magnitude at most
+2**53) tested against operands bound once; an expression is inlined node
+by node under the same guards.  Any other value (a mapping that is not a
+dict, a ``str`` subclass, NaN, a large int, a missing field, a zero
+divisor) falls back to :func:`evaluate_constraint`, so results and
+diagnostics are the interpreter's whichever path ran, and a plan builds
+no per-constraint closure.  No contract text reaches the generated source:
+names, keys, operands, patterns, scopes and the constraints themselves are
+bound in the functions' namespace under generated identifiers, so no
+contract can inject code.  The generated functions run steps,
+post-recovery re-scoring, preconditions, the trailing state and
+composition's conditions; a scoped block reads :func:`scope_active`, once
+per distinct scope per call.
 
 A passing check stores the shared ``SATISFIED`` result, so a step records
 which results are anything else (``StepEvaluation.non_satisfied``) as it
@@ -60,16 +63,16 @@ through its member descriptor, so no keyword ``__init__`` or frozen
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
-from .expressions import (SOURCE_GLOBALS, NotInlined, Source, compile_evaluator,
-                          expression_source, field_getter, field_key, guarded, operator_for,
-                          predicate_source)
-from .model import (MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict,
-                    fallback_chain, require_valid)
+from .expressions import (OPERATORS, SOURCE_GLOBALS, NotInlined, Source, eval_expression,
+                          expression_source, field_key, field_value, guarded, predicate_source)
+from .model import (FIELD_OPERATORS, MISSING, ActionRecord, Constraint, Contract, ExecutionTrace,
+                    StateDict, fallback_chain, require_valid)
 
 __all__ = [
     "ConstraintResult",
@@ -77,7 +80,6 @@ __all__ = [
     "ViolationEvent",
     "SatisfactionVerdict",
     "check_boundaries",
-    "compile_constraint",
     "evaluate_constraint",
     "evaluate_step",
     "check_deterministic",
@@ -192,7 +194,7 @@ _step_evaluation = _positional(StepEvaluation)
 
 
 # ---------------------------------------------------------------------------
-# Constraint compilation: once per contract plan, then a closure per step
+# Constraint evaluation: the interpreter, then one generated step per plan
 # ---------------------------------------------------------------------------
 
 #: Shared detail-free results.
@@ -200,53 +202,59 @@ SATISFIED = ConstraintResult(satisfied=True)
 VIOLATED = ConstraintResult(satisfied=False)
 OUT_OF_PHASE = ConstraintResult(satisfied=None, detail="out of phase")
 
-Evaluator = Callable[[StateDict, Optional[ActionRecord]], ConstraintResult]
-
-
-def compile_constraint(constraint: Constraint, target: str) -> Evaluator:
-    """The constraint as a closure ``(state, action) -> ConstraintResult``.
+def evaluate_constraint(constraint: Constraint, state: StateDict,
+                        action: Optional[ActionRecord], target: str) -> ConstraintResult:
+    """The constraint's result at a state/action pair, interpreted directly:
+    the one definition of its semantics, and the generated blocks' fallback.
 
     ``target`` is "state" for preconditions and invariants, "action" for
     governance: the side a field predicate's bare path reads (see
-    :func:`~agentcontracts.expressions.field_key`).  Missing fields follow
-    the constraint's on_missing policy; type errors always fail closed
-    (violated, with the diagnostic).  An unknown operator or an invalid
-    ``matches`` pattern raises SemanticError naming the constraint, in the
-    validator's words (only a constraint outside a plan can have one).
+    :func:`~agentcontracts.expressions.field_key`).  A field is read by
+    :func:`~agentcontracts.expressions.field_value`, an operator is
+    ``OPERATORS[op]`` and an expression is walked by
+    :func:`~agentcontracts.expressions.eval_expression`.  Missing fields
+    follow the constraint's on_missing policy; type errors always fail
+    closed (violated, with the diagnostic).  An unknown operator or a
+    ``matches`` operand that is not a valid pattern raises SemanticError
+    naming the constraint, in the validator's words, before any field is
+    read (only a constraint outside a plan can have one).
     """
-    check, policy = constraint.check, constraint.on_missing
+    check = constraint.check
     if check.is_expression():
-        expression = compile_evaluator(check.expression)
-
-        def evaluate_expression(state, action):
-            try:
-                return SATISFIED if expression(state, action) else VIOLATED
-            except FieldResolutionError as exc:
-                return _missing_result(policy, str(exc))
-            except TypeMismatch as exc:
-                return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
-
-        return evaluate_expression
-
-    get = field_getter(check.field_path, target)
-    if check.operator == "exists":
-        return lambda state, action: VIOLATED if get(state, action) is MISSING else SATISFIED
-    missing = _missing_result(policy, str(FieldResolutionError(check.field_path)))
-    try:
-        test = operator_for(check.operator, check.operand)
-    except SemanticError as exc:
-        raise SemanticError(f"{constraint.name}: {exc}") from None
-
-    def evaluate_field(state, action):
-        value = get(state, action)
-        if value is MISSING:
-            return missing
         try:
-            return SATISFIED if test(value) else VIOLATED
+            return SATISFIED if eval_expression(check.expression, state, action) else VIOLATED
+        except FieldResolutionError as exc:
+            return _missing_result(constraint.on_missing, str(exc))
         except TypeMismatch as exc:
             return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
+    op, operand = check.operator, check.operand
+    if op == "exists":
+        return VIOLATED if field_value(check.field_path, state, action, target) is MISSING \
+            else SATISFIED
+    _check_operator(constraint.name, op, operand)
+    value = field_value(check.field_path, state, action, target)
+    if value is MISSING:
+        return _missing_result(constraint.on_missing,
+                               str(FieldResolutionError(check.field_path)))
+    try:
+        return SATISFIED if OPERATORS[op](value, operand) else VIOLATED
+    except TypeMismatch as exc:
+        return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
 
-    return evaluate_field
+
+def _check_operator(name: str, op: str, operand) -> None:
+    """Raise SemanticError, in the validator's words, for an operator
+    missing from ``OPERATORS`` and for a ``matches`` operand that is not a
+    valid pattern."""
+    if op not in OPERATORS:
+        raise SemanticError(f"{name}: operator {op!r} is not one of {FIELD_OPERATORS}")
+    if op == "matches":
+        if not isinstance(operand, str):
+            raise SemanticError(f"{name}: matches operand must be a string")
+        try:
+            re.compile(operand)
+        except re.error as exc:
+            raise SemanticError(f"{name}: invalid regular expression: {exc}") from None
 
 
 def _missing_result(policy: str, diagnostic: str) -> ConstraintResult:
@@ -255,14 +263,6 @@ def _missing_result(policy: str, diagnostic: str) -> ConstraintResult:
     if policy == "skip":
         return ConstraintResult(satisfied=None, detail=f"{diagnostic} (on_missing=skip)")
     return ConstraintResult(satisfied=False, detail=f"{diagnostic} (on_missing=violate)")
-
-
-def evaluate_constraint(constraint: Constraint, state: StateDict,
-                        action: Optional[ActionRecord],
-                        target: str) -> ConstraintResult:
-    """Evaluate one constraint against a state/action pair, compiled for
-    this call alone (see :func:`compile_constraint`)."""
-    return compile_constraint(constraint, target)(state, action)
 
 
 class _Plan:
@@ -307,10 +307,10 @@ def _generate(sections: Sequence[tuple]) -> tuple:
     ``SATISFIED``.  A check is inlined as the source
     :mod:`~agentcontracts.expressions` writes (plain-dict walks, exact type
     guards); a value off that path, and a check it does not inline, calls
-    the constraint's closure, the one definition of its semantics.  A
+    :func:`evaluate_constraint`, the one definition of its semantics.  A
     scoped constraint out of phase at ``t`` (:func:`scope_active`, called
     once per distinct scope per call) is ``OUT_OF_PHASE``.  Every name,
-    key, operand, pattern, scope and closure is bound in the functions'
+    key, operand, pattern, scope and constraint is bound in the functions'
     namespace under a generated identifier (see
     :class:`~agentcontracts.expressions.Source`), so no contract text
     reaches the source.
@@ -330,8 +330,9 @@ def _generate(sections: Sequence[tuple]) -> tuple:
 def _block(constraint: Constraint, target: str, source: Source, active: dict) -> list:
     """The source lines of one constraint's block; ``active`` holds the
     local of each scope's test already hoisted into the function."""
-    evaluate = compile_constraint(constraint, target)
-    name, fallback = source.bind(constraint.name), f"{source.bind(evaluate)}(state, action)"
+    name = source.bind(constraint.name)
+    fallback = (f"{source.bind(evaluate_constraint)}({source.bind(constraint)}, state, action,"
+                f" {source.bind(target)})")
     check = constraint.check
     try:
         if check.is_expression():

@@ -5,16 +5,13 @@ unary not/neg, the usual arithmetic/comparison/boolean binary operators,
 ``in``, and four whitelisted functions (len, abs, min, max).  There are no
 loops, definitions, attribute access on values, or other calls, so the
 language is not Turing-complete by construction.  Compilation is
-state-independent.  :func:`compile_evaluator` turns an AST into nested
-closures, which is how expressions are evaluated; there is no AST walker.
-Evaluation shares two rules with field predicates: field paths are split
-once by :func:`field_key` and read by :func:`field_getter`, and
-comparisons and ``in`` dispatch through :data:`OPERATORS`, looked up when
-the closure is built.
+state-independent.  :func:`eval_expression` walks the AST directly, with
+nothing built first: that walk is the reference semantics.  It shares two
+rules with field predicates: a field path is split by :func:`field_key`
+and read by :func:`field_value` (through
+:func:`~agentcontracts.model.walk_path`), and comparisons and ``in``
+dispatch through :data:`OPERATORS`.
 
-The closures are the reference semantics: a field is walked by
-:func:`~agentcontracts.model.walk_path` and an operator is ``OPERATORS[op]``
-(only a ``matches`` pattern is compiled once, by :func:`operator_for`).
 Speed comes from a contract's generated step (see
 :mod:`~agentcontracts.engine`), whose source the last section writes: a
 field predicate or an expression inlined with exact type guards at every
@@ -23,10 +20,10 @@ plain number: a finite ``float``, or an ``int`` within 2**53, where
 ``float()`` and int-to-float comparison are both exact).  Operands are
 still evaluated left to right, and and/or still stop early.  Any other
 value, a missing field and a zero divisor leave the inlined code for the
-constraint's closure, so results and TypeMismatch messages do not depend
-on which path ran.  The source names only fixed identifiers and the
-generated names that ``bind`` returns for keys, operands and patterns, so
-no contract text reaches it.
+interpreter (:func:`~agentcontracts.engine.evaluate_constraint`), so
+results and TypeMismatch messages do not depend on which path ran.  The
+source names only fixed identifiers and the generated names that ``bind``
+returns for keys, operands and patterns, so no contract text reaches it.
 """
 
 from __future__ import annotations
@@ -37,16 +34,14 @@ import re
 from dataclasses import dataclass
 from math import isfinite
 from types import MappingProxyType
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
-from .errors import (ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, SemanticError,
-                     TypeMismatch)
-from .model import (FIELD_OPERATORS, MISSING, ActionRecord, StateDict, is_number, value_eq,
-                    walk_path)
+from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
+from .model import MISSING, ActionRecord, StateDict, is_number, value_eq, walk_path
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call", "OPERATORS",
-           "compile_expression", "compile_evaluator", "eval_expression", "field_paths",
-           "field_key", "field_getter", "operator_for", "MAX_DEPTH"]
+           "compile_expression", "eval_expression", "field_paths", "field_key", "field_value",
+           "MAX_DEPTH"]
 
 MAX_DEPTH = 64
 
@@ -114,7 +109,14 @@ def _convert(node: _pyast.AST, depth: int) -> ExprAst:
         if isinstance(v, bool) or isinstance(v, str):
             return Lit(v)
         if isinstance(v, (int, float)):
-            return Lit(float(v))
+            # An int past the float range, and a float that overflows to
+            # an infinity, would fail every ordering as a type mismatch.
+            try:
+                if isfinite(value := float(v)):
+                    return Lit(value)
+            except OverflowError:
+                pass
+            raise ExprSyntaxError("numeric literal is not a finite 64-bit float")
         raise ForbiddenConstruct(f"literal of type {type(v).__name__} is not allowed")
 
     if isinstance(node, _pyast.Name):
@@ -224,31 +226,25 @@ def field_key(path: str, bare: str = "state") -> tuple:
     return bare, tuple(path.split("."))
 
 
-def field_getter(path: str,
-                 bare: str = "state") -> Callable[[StateDict, Optional[ActionRecord]], Any]:
-    """``get(state, action)``: the value at a field path (see
-    :func:`field_key`), walked by :func:`walk_path`, or MISSING; an action
-    path is missing without an action.  The action side reads the payload,
-    whose own ``label`` key wins over the action's label, as in
-    :meth:`ActionRecord.view`."""
+def field_value(path: str, state: StateDict, action: Optional[ActionRecord],
+                bare: str = "state") -> Any:
+    """The value at a field path (see :func:`field_key`), walked by
+    :func:`walk_path`, or MISSING; an action path is missing without an
+    action.  The action side reads the payload, whose own ``label`` key
+    wins over the action's label, as in :meth:`ActionRecord.view`."""
     side, keys = field_key(path, bare)
     if side == "state":
-        return lambda state, action=None: walk_path(state, keys)
-    if not keys:
-        return lambda state, action: MISSING if action is None else action.view()
-    first, rest = keys[0], keys[1:]
-
-    def get(state, action):
-        if action is None:
-            return MISSING
-        payload = action.payload
-        if first in payload:
-            return walk_path(payload[first], rest)
-        if first == "label":
-            return walk_path(action.label, rest)
+        return walk_path(state, keys)
+    if action is None:
         return MISSING
-
-    return get
+    if not keys:
+        return action.view()
+    payload, first = action.payload, keys[0]
+    if first in payload:
+        return walk_path(payload[first], keys[1:])
+    if first == "label":
+        return walk_path(action.label, keys[1:])
+    return MISSING
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +285,10 @@ def _not_member(a, b) -> bool:
     return not _member(a, b)
 
 
-def _search(search, a) -> bool:
+def _matches(a, pattern) -> bool:
     if not isinstance(a, str):
         raise TypeMismatch(f"'matches' needs a string value, got {type(a).__name__}")
-    return search(a) is not None
-
-
-def _matches(a, pattern) -> bool:
-    return _search(lambda s: re.search(pattern, s), a)
+    return re.search(pattern, a) is not None
 
 
 def _in_range(a, bounds) -> bool:
@@ -317,27 +309,8 @@ OPERATORS = {
 }
 
 
-def operator_for(op: str, operand: Any) -> Callable[[Any], bool]:
-    """``test(value)``: ``OPERATORS[op](value, operand)``, with a ``matches``
-    pattern compiled once.  An unknown operator, a ``matches`` operand that
-    is not a string or an invalid pattern raises SemanticError, in the
-    validator's words."""
-    predicate = OPERATORS.get(op)
-    if predicate is None:
-        raise SemanticError(f"operator {op!r} is not one of {FIELD_OPERATORS}")
-    if op == "matches":
-        if not isinstance(operand, str):
-            raise SemanticError("matches operand must be a string")
-        try:
-            search = re.compile(operand).search
-        except re.error as exc:
-            raise SemanticError(f"invalid regular expression: {exc}") from None
-        return lambda a: _search(search, a)
-    return lambda a: predicate(a, operand)
-
-
 # ---------------------------------------------------------------------------
-# Evaluation: an expression compiles to nested closures
+# Evaluation: a plain walk of the AST
 # ---------------------------------------------------------------------------
 
 def _divide(a: float, b: float) -> float:
@@ -349,95 +322,58 @@ def _divide(a: float, b: float) -> float:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
-def _closure(node: ExprAst):
-    """``value(state, action)`` of one AST node.  Operands are evaluated
-    left to right, all before their types are checked, except that
-    and/or stop early."""
+def _evaluate(node: ExprAst, state: StateDict, action: Optional[ActionRecord]) -> Any:
+    """The value of one AST node.  Operands are evaluated left to right,
+    all before their types are checked, except that and/or stop early."""
     if isinstance(node, Lit):
-        constant = node.value
-        return lambda state, action: constant
+        return node.value
     if isinstance(node, Field):
-        get, path = field_getter(node.path), node.path
-
-        def field(state, action):
-            value = get(state, action)
-            if value is MISSING:
-                raise FieldResolutionError(path)
-            return value
-
-        return field
+        value = field_value(node.path, state, action)
+        if value is MISSING:
+            raise FieldResolutionError(node.path)
+        return value
     if isinstance(node, Unary):
-        inner = _closure(node.operand)
+        value = _evaluate(node.operand, state, action)
         if node.op == "not":
-            return lambda state, action: not _require_bool(inner(state, action), "not")
-        return lambda state, action: -_require_number(inner(state, action), "neg")
+            return not _require_bool(value, "not")
+        return -_require_number(value, "neg")
     if isinstance(node, Binary):
         op = node.op
-        left, right = _closure(node.left), _closure(node.right)
-        if op == "and":
-            return lambda state, action: (_require_bool(left(state, action), op)
-                                          and _require_bool(right(state, action), op))
-        if op == "or":
-            return lambda state, action: (_require_bool(left(state, action), op)
-                                          or _require_bool(right(state, action), op))
+        left = _evaluate(node.left, state, action)
+        if op in ("and", "or"):
+            if _require_bool(left, op) is (op == "or"):
+                return left
+            return _require_bool(_evaluate(node.right, state, action), op)
+        right = _evaluate(node.right, state, action)
         if op in OPERATORS:
-            predicate = OPERATORS[op]
-            return lambda state, action: predicate(left(state, action), right(state, action))
-        arithmetic = _ARITHMETIC[op]
-
-        def combine(state, action):
-            a, b = left(state, action), right(state, action)
-            return arithmetic(_require_number(a, op), _require_number(b, op))
-
-        return combine
+            return OPERATORS[op](left, right)
+        return _ARITHMETIC[op](_require_number(left, op), _require_number(right, op))
     if isinstance(node, Call):
-        func = node.func
-        args = tuple(_closure(a) for a in node.args)
-        if func == "len":
-            def length(state, action):
-                value = args[0](state, action)
-                if not isinstance(value, (list, tuple, str)):
-                    raise TypeMismatch("len() needs a list or string")
-                return float(len(value))
-            return length
-        if func == "abs":
-            return lambda state, action: abs(_require_number(args[0](state, action), "abs"))
-        pick = min if func == "min" else max
-
-        def extreme(state, action):
-            values = [arg(state, action) for arg in args]
-            return pick([_require_number(v, func) for v in values])
-
-        return extreme
+        values = [_evaluate(arg, state, action) for arg in node.args]
+        if node.func == "len":
+            if not isinstance(values[0], (list, tuple, str)):
+                raise TypeMismatch("len() needs a list or string")
+            return float(len(values[0]))
+        if node.func == "abs":
+            return abs(_require_number(values[0], "abs"))
+        pick = min if node.func == "min" else max
+        return pick([_require_number(v, node.func) for v in values])
     raise TypeMismatch(f"unknown node {node!r}")  # pragma: no cover
-
-
-def compile_evaluator(ast: ExprAst) -> Callable[[StateDict, Optional[ActionRecord]], bool]:
-    """The expression as a closure ``(state, action) -> bool``.
-
-    Field references resolve by :func:`field_getter`, bare paths against
-    the step state.  The closure raises FieldResolutionError for missing
-    paths and TypeMismatch for ill-typed operations; callers apply the
-    constraint's fail-closed policy.
-    """
-    value = _closure(ast)
-
-    def evaluate(state, action):
-        result = value(state, action)
-        if not isinstance(result, bool):
-            raise TypeMismatch(
-                f"expression must evaluate to a boolean, got {type(result).__name__}")
-        return result
-
-    return evaluate
 
 
 def eval_expression(ast: ExprAst, state: StateDict,
                     action: Optional[ActionRecord] = None) -> bool:
-    """Evaluate an expression once, by its compiled closure (see
-    :func:`compile_evaluator`, which repeated evaluation should hold on
-    to)."""
-    return compile_evaluator(ast)(state, action)
+    """Evaluate an expression against a state (and action), walking its AST.
+
+    Field references resolve by :func:`field_value`, bare paths against
+    the state.  Raises FieldResolutionError for a missing path and
+    TypeMismatch for an ill-typed operation or a result that is not a
+    bool; callers apply the constraint's fail-closed policy.
+    """
+    result = _evaluate(ast, state, action)
+    if not isinstance(result, bool):
+        raise TypeMismatch(f"expression must evaluate to a boolean, got {type(result).__name__}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +394,7 @@ _KINDS = {str: "str", bool: "bool", int: "num", float: "num"}
 
 
 class NotInlined(Exception):
-    """A check the generated step leaves to the constraint's closure."""
+    """A check the generated step leaves to the interpreter."""
 
 
 class Slow(Exception):
@@ -587,10 +523,10 @@ _MAX_INLINED_DEPTH = 40
 
 def expression_source(ast: ExprAst, source: Source) -> str:
     """The expression as one source expression of a bool, its operands
-    left to right and ``and``/``or`` short-circuiting as in its closure.
+    left to right and ``and``/``or`` short-circuiting as the interpreter does.
     Every operand is tested by :func:`guarded` for the kind its operator
     takes; any other value, a missing field, a non-finite intermediate and
-    a zero divisor call ``slow()``, so the closure decides."""
+    a zero divisor call ``slow()``, so the interpreter decides."""
     if _depth(ast) > _MAX_INLINED_DEPTH:
         raise NotInlined
     return _boolean(ast, source)
@@ -613,7 +549,7 @@ def _field(node: Field, source: Source) -> str:
 
 def _number(node: ExprAst, source: Source) -> tuple:
     """``(source, is_float)``: a plain number; ``is_float`` when it is
-    always a float, so that arithmetic with it converts as the closure's
+    always a float, so that arithmetic with it converts as the interpreter's
     ``float()`` does."""
     if isinstance(node, Lit):
         value = node.value

@@ -87,8 +87,8 @@ _DIST_SUM_TOL = 1e-9
 
 def _fields_only(obj) -> dict:
     """Pickled state of a contract or drift configuration: its fields,
-    without the compiled form cached on the object under ``_compiled``
-    (closures do not pickle)."""
+    without the compiled form cached on the object under ``_compiled`` (a
+    plan's generated functions do not pickle)."""
     return {k: v for k, v in vars(obj).items() if k != "_compiled"}
 
 

@@ -276,16 +276,28 @@ def _check(doc: _Doc, raw: Any, path: tuple) -> Predicate:
     return Predicate(field_path=check["field"], operator=check["operator"], **operand)
 
 
+def _string_key(doc: _Doc, key: Any, path: tuple) -> str:
+    """A key of the mapping at ``path``, read by ``string``; its error is
+    spanned at the key."""
+    try:
+        return string(doc, key, path + (key,))
+    except SchemaError as exc:
+        exc.span = doc.key_span(path + (key,))
+        raise
+
+
 def _reference(doc: _Doc, v: Any, path: tuple) -> dict:
     if not isinstance(v, Mapping):
         raise bad(doc, path, "drift.reference must be a mapping of label to probability")
-    return {str(label): _REAL(doc, mass, path + (label,)) for label, mass in v.items()}
+    return {_string_key(doc, label, path): _REAL(doc, mass, path + (label,))
+            for label, mass in v.items()}
 
 
 def _type_map(doc: _Doc, v: Any, path: tuple) -> dict:
     if not isinstance(v, Mapping):
         raise bad(doc, path, "type_map must be a mapping of upstream path to downstream path")
-    return {str(k): str(target) for k, target in v.items()}
+    return {_string_key(doc, k, path): string(doc, target, path + (k,))
+            for k, target in v.items()}
 
 
 def _constraints(severity: str) -> Callable:

@@ -136,8 +136,10 @@ BAD_SCENARIO_SHAPES = [
                                                                 c_soft_range=[0, True]))),
 ]
 
-# Suite manifests of the wrong shape, each rejected by load_suite with a
-# FormatError naming the manifest: (id, manifest document, expected message part).
+# Suite manifests of the wrong shape, or whose entries disagree with the
+# scenarios they name, each rejected by load_suite with a FormatError naming
+# the manifest: (id, manifest document, expected message part).  They are
+# written into a copy of the seed-7 suite, so an entry can name its files.
 BAD_MANIFESTS = [
     ("manifest-not-a-mapping", [1], "manifest must be a mapping, got sequence"),
     ("entry-not-a-mapping", {"scenarios": [5]},
@@ -148,6 +150,18 @@ BAD_MANIFESTS = [
     ("no-scenarios", {"scenarios": []}, "scenarios: the manifest lists no scenario"),
     ("unknown-top-level-key", {"scenarios": [{"file": "a.json"}], "seeed": 7},
      "manifest.json: seeed: unknown key"),
+    ("file-listed-twice", {"scenarios": [{"file": "code-generation-000.json"},
+                                         {"file": "./code-generation-000.json"}]},
+     "scenarios[1].file: './code-generation-000.json' is listed already, at scenarios[0]"),
+    ("id-not-the-scenario's", {"scenarios": [{"file": "code-generation-000.json",
+                                              "id": "code-generation-001"}]},
+     "scenarios[0].id: 'code-generation-001' is not the scenario's id 'code-generation-000'"),
+    ("domain-not-the-scenario's", {"scenarios": [{"file": "code-generation-000.json",
+                                                  "domain": "zzz"}]},
+     "scenarios[0].domain: 'zzz' is not the scenario's domain 'code-generation'"),
+    ("difficulty-not-the-scenario's", {"scenarios": [{"file": "composition-c4-fail-002.json",
+                                                      "difficulty": "easy"}]},
+     "scenarios[0].difficulty: 'easy' is not the scenario's difficulty 'hard'"),
 ]
 
 

@@ -157,7 +157,9 @@ class TestLoadSuite:
 
     @pytest.mark.parametrize("manifest,named",
                              [pytest.param(m, n, id=i) for i, m, n in BAD_MANIFESTS])
-    def test_malformed_manifest_rejected_naming_the_manifest(self, tmp_path, manifest, named):
+    def test_malformed_manifest_rejected_naming_the_manifest(self, suite_dir, tmp_path, manifest,
+                                                             named):
+        shutil.copytree(suite_dir, tmp_path, dirs_exist_ok=True)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError) as info:
             load_suite(str(tmp_path))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -361,7 +362,8 @@ class TestBench:
         assert err.startswith("error: ") and "bad.json" in err and not out
 
     @pytest.mark.parametrize("manifest", [pytest.param(m, id=i) for i, m, _ in BAD_MANIFESTS])
-    def test_malformed_manifest_exits_two(self, capsys, tmp_path, manifest):
+    def test_malformed_manifest_exits_two(self, capsys, suite_dir, tmp_path, manifest):
+        shutil.copytree(suite_dir, tmp_path, dirs_exist_ok=True)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         code, out, err = run_cli(capsys, "bench", str(tmp_path))
         assert code == 2

@@ -1,10 +1,11 @@
-"""The compiled constraint evaluator against a plain reference evaluator.
+"""The constraint interpreter and the generated step against a plain
+reference evaluator.
 
 The reference below re-implements field resolution, the operator rules and
 the expression language with plain recursion and dict lookups, so the
-closures the engine compiles, and the step each plan generates from them,
-are checked against an independent code path, and the step against the
-closures.
+engine's interpreter (``evaluate_constraint``), and the step each plan
+generates, are checked against an independent code path, and the step
+against the interpreter.
 """
 
 import copy
@@ -28,11 +29,10 @@ from agentcontracts import engine, expressions
 from agentcontracts.assets import asset_path
 from agentcontracts.composition import HandoffSpec, compose_chain
 from agentcontracts.engine import (OUT_OF_PHASE, SATISFIED, VIOLATED, ConstraintResult,
-                                   compile_constraint, evaluate_constraint, evaluate_step,
-                                   scope_active)
+                                   evaluate_constraint, evaluate_step, scope_active)
 from agentcontracts.errors import SemanticError, TypeMismatch
 from agentcontracts.expressions import (OPERATORS, Binary, Call, Field, Lit, Unary,
-                                        compile_expression, field_getter)
+                                        compile_expression, field_value)
 from agentcontracts.model import (
     MISSING,
     ActionRecord,
@@ -373,10 +373,8 @@ def test_a_range_bound_beyond_floats_fails_closed():
 
 
 def test_a_lone_matches_needs_a_string_operand():
-    # Rejected when compiled, in the validator's bad-regex-operand words,
-    # never per evaluation.
-    with pytest.raises(SemanticError, match=r"^matches operand must be a string$"):
-        expressions.operator_for("matches", 5)
+    # Rejected before the field is read, in the validator's
+    # bad-regex-operand words, never as a per-value type mismatch.
     con = Constraint(name="c", check=Predicate(field_path="x", operator="matches", operand=5))
     with pytest.raises(SemanticError, match=r"^c: matches operand must be a string$"):
         evaluate_constraint(con, {"x": "a"}, None, "state")
@@ -395,9 +393,9 @@ class TestValueEqInContainers:
 
 
 def test_a_used_contract_still_pickles_and_copies():
-    # The compiled closures cached on a contract and the drift tables cached
-    # on its configuration are not part of its state: a copy builds its own
-    # on first use.
+    # The plan cached on a contract and the drift tables cached on its
+    # configuration are not part of its state: a copy builds its own on
+    # first use.
     contract = Contract(name="t", invariants_hard=(Constraint(
         name="c", severity="hard", check=Predicate(field_path="x", operator="ge", operand=1)),),
         drift_config=DriftConfig(window=3, vocabulary=("go",), reference={"go": 1.0}))
@@ -492,8 +490,8 @@ class TestConstantOperandFastPaths:
     @pytest.mark.parametrize("literal", ["75", "74.5", "0", "1e308", "\"ok\"", "\"\"",
                                          "True"])
     def test_expression_compares_match_a_field_operand(self, op, literal):
-        # ``x OP literal`` takes operator_for; ``x OP y`` with the same value
-        # in ``y`` calls OPERATORS directly.
+        # ``x OP literal`` and ``x OP y`` with the same value in ``y``: the
+        # inlined source differs, the interpreter's result may not.
         constant = Constraint(name="c", check=Predicate(
             expression=compile_expression(f"x {op} {literal}")))
         field = Constraint(name="c", check=Predicate(expression=compile_expression(f"x {op} y")))
@@ -511,11 +509,10 @@ class TestConstantOperandFastPaths:
         # Neither operand is a literal: ints within 2**53 and finite floats
         # are compared directly, every other value goes to OPERATORS.
         con = Constraint(name="c", check=Predicate(expression=compile_expression(f"x {op} y")))
-        evaluate = compile_constraint(con, "state")
         for x in VALUES:
             for y in VALUES:
                 state = {"x": x, "y": y}
-                got = evaluate(state, None)
+                got = evaluate_constraint(con, state, None, "state")
                 assert got == unspecialised(op, x, y), (x, y)
                 check_plan(con, state, got)
                 assert observed(got) == reference(con, state, None, "state"), (x, y)
@@ -545,10 +542,12 @@ class TestConstantOperandFastPaths:
             for b in ARITHMETIC_OPERANDS:
                 plain = outcome(lambda: expressions._ARITHMETIC[op](
                     expressions._require_number(a, op), expressions._require_number(b, op)))
-                fields = expressions._closure(Binary(op, Field("x"), Field("y")))
-                constant = expressions._closure(Binary(op, Field("x"), Lit(b)))
-                assert outcome(lambda: fields({"x": a, "y": b}, None)) == plain, (a, b)
-                assert outcome(lambda: constant({"x": a}, None)) == plain, (a, b)
+                fields = Binary(op, Field("x"), Field("y"))
+                constant = Binary(op, Field("x"), Lit(b))
+                assert outcome(lambda: expressions._evaluate(fields, {"x": a, "y": b}, None)) \
+                    == plain, (a, b)
+                assert outcome(lambda: expressions._evaluate(constant, {"x": a}, None)) \
+                    == plain, (a, b)
 
 
 ARITHMETIC_OPERANDS = (1.5, 0.0, -0.0, 3, 0, EXACT, -EXACT - 1, 1e308, -1e308, HUGE, math.inf,
@@ -590,7 +589,7 @@ class TestFieldWalkers:
     def test_state_paths_match_the_reference(self, case, prefix):
         keys, state = case
         path = ("state." if prefix else "") + ".".join(keys)
-        got = field_getter(path)(state, None)
+        got = field_value(path, state, None)
         want = ref_field(path, state, None, "state")
         assert got is want or (got is MISSING and want is ABSENT)
         for op, operand in (("exists", None), ("eq", 1), ("eq", "v"), ("lt", 2)):
@@ -606,7 +605,7 @@ class TestFieldWalkers:
         keys, payload = case
         path = ("action." if prefix else "") + ".".join(keys)
         action = ActionRecord("go", payload)
-        got = field_getter(path, "action")({}, action)
+        got = field_value(path, {}, action, "action")
         want = ref_field(path, {}, action, "action")
         assert got is want or (got is MISSING and want is ABSENT)
         for op, operand in (("exists", None), ("eq", 1), ("eq", "v"), ("lt", 2)):
@@ -618,7 +617,7 @@ class TestFieldWalkers:
 
 
 # ---------------------------------------------------------------------------
-# The generated step against the plan's closures
+# The generated step against the interpreter
 # ---------------------------------------------------------------------------
 
 HOSTILE = st.one_of(LEAVES, st.sampled_from([
@@ -627,12 +626,12 @@ HOSTILE = st.one_of(LEAVES, st.sampled_from([
 WRAPPERS = (MappingProxyType, Bag)
 
 
-def closure_step(contract, state, action, t, boundaries):
+def interpreter_step(contract, state, action, t, boundaries):
     """``(preconditions, results)`` of step ``t``, each constraint of the
-    contract's sections run by its closure from ``compile_constraint``, a
-    scoped one out of phase recorded as OUT_OF_PHASE."""
+    contract's sections interpreted by ``evaluate_constraint``, a scoped
+    one out of phase recorded as OUT_OF_PHASE."""
     def run(constraints, act, target, t, boundaries):
-        return {c.name: compile_constraint(c, target)(state, act)
+        return {c.name: evaluate_constraint(c, state, act, target)
                 if scope_active(c.scope, t, boundaries) else OUT_OF_PHASE
                 for c in constraints}
 
@@ -649,7 +648,7 @@ def ratio(results, names):
 
 def check_step(contract, state, action, t, boundaries):
     plan = engine._plan(contract)
-    preconditions, want = closure_step(contract, state, action, t, boundaries)
+    preconditions, want = interpreter_step(contract, state, action, t, boundaries)
     ev = evaluate_step(contract, state, action, t, boundaries)
     assert list(ev.results) == list(want)
     for name, result in want.items():
@@ -746,19 +745,19 @@ class TestScopes:
 class TestGeneratedStep:
     @given(case=cases(HOSTILE, WRAPPERS))
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_closures(self, case):
+    def test_matches_the_interpreter(self, case):
         contract, state, action = case
         check_step(contract, state, action, 0, ())
 
     @given(case=composed_cases())
     @settings(max_examples=200, deadline=None)
-    def test_composed_contracts_match_the_closures(self, case):
+    def test_composed_contracts_match_the_interpreter(self, case):
         check_step(*case)
 
     @pytest.mark.parametrize("n", [10, 39, 40, 55])
-    def test_deep_expressions_match_the_closures(self, n):
+    def test_deep_expressions_match_the_interpreter(self, n):
         # Nested past what the parser takes as inlined source, an expression
-        # is left to its closure.
+        # is left to the interpreter.
         sources = ("x / (" * n + "x" + ")" * n + " > 0", "1 / (" * n + "x" + ")" * n + " > 0",
                    "min(" * n + "x" + ", y / x)" * n + " > 0", "not (" * n + "b" + ")" * n,
                    "-(" * n + "x" + ")" * n + " < 0")
@@ -804,7 +803,8 @@ class TestGeneratedStep:
     def test_fallback_heavy_steps_keep_a_flat_peak(self):
         # Every block here leaves its inlined path (a str subclass, NaN, a
         # non-dict mapping, a zero divisor), so each expression raises to
-        # its closure on every step; nothing may pile up from one to the next.
+        # the interpreter on every step; nothing may pile up from one to the
+        # next.
         expression = lambda src: Predicate(expression=compile_expression(src))
         contract = Contract(name="t", invariants_soft=(
             Constraint(name="a", check=expression("x == \"a\" and y + 1 > 0")),

@@ -740,7 +740,7 @@ def with_missing_policies(contract, rng, cap_name):
 
 
 # Values and mappings off the generated sections' inlined path, so C2-C4
-# also reach each constraint's closure.
+# also reach the interpreter.
 HOSTILE = (math.nan, 2**53 + 1, -(2**53 + 1), Text("2"), Text("alpha"), True, 2.5)
 WRAPPERS = (dict, MappingProxyType, Bag)
 

@@ -76,6 +76,21 @@ class TestCompile:
                              Binary("<", Lit(0.0), Field("x")),
                              Binary("<", Field("x"), Lit(10.0)))
 
+    @pytest.mark.parametrize("src", ["x < 1" + "0" * 400, "x < 1e400", "x > -1e309",
+                                     "abs(x) <= 2e308 * y", "x == " + "9" * 309],
+                             ids=["int-10**400", "1e400", "-1e309", "2e308", "int-10**309"])
+    def test_a_numeric_literal_must_be_a_finite_float(self, src):
+        # Neither an int past the float range nor a float literal that
+        # overflows to an infinity has a 64-bit value: refused where it is
+        # written, not at every evaluation.
+        with pytest.raises(ExprSyntaxError,
+                           match=r"^numeric literal is not a finite 64-bit float$"):
+            compile_expression(src)
+
+    def test_the_largest_finite_literals_compile(self):
+        assert compile_expression("x < 1.7976931348623157e308").right == Lit(1.7976931348623157e308)
+        assert compile_expression("x > -" + "9" * 308).right.operand == Lit(float("9" * 308))
+
     def test_compile_is_deterministic(self):
         src = "a.b + 2 > c or not d"
         assert compile_expression(src) == compile_expression(src)

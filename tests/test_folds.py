@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentcontracts.engine import (OUT_OF_PHASE, SATISFIED, VIOLATED, _failures, _recoverable,
-                                   compile_constraint, evaluate_step, initial_preconditions,
+                                   evaluate_constraint, evaluate_step, initial_preconditions,
                                    scope_active, session_timelines)
 
 from helpers import ACTION_FIELDS, STATE_FIELDS, random_action, random_contract, random_state
@@ -68,11 +68,11 @@ def random_session(rng: np.random.Generator) -> tuple:
 
 def reference_timelines(contract, preconditions, steps, states, boundaries) -> dict:
     """The fold entry by entry: every step's result of every constraint,
-    and the trailing state's invariants evaluated one closure at a time."""
+    and the trailing state's invariants interpreted one at a time."""
     n = len(steps)
     lines = {name: [r.satisfied] for name, r in preconditions.items()}
     for con in contract.invariants():
-        trailing = (compile_constraint(con, "state")(states[n], None)
+        trailing = (evaluate_constraint(con, states[n], None, "state")
                     if scope_active(con.scope, n, boundaries) else OUT_OF_PHASE)
         lines[con.name] = [s.results[con.name].satisfied for s in steps] + [trailing.satisfied]
     for con in contract.governance():

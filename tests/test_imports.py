@@ -4,6 +4,7 @@ commands that must start without numpy."""
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -54,6 +55,18 @@ class TestLazyNames:
             agentcontracts.nope
         assert not hasattr(agentcontracts, "nope")
         assert "nope" not in dir(agentcontracts)
+
+
+MODULES = ["agentcontracts"] + sorted(f"agentcontracts.{m.name}"
+                                      for m in pkgutil.iter_modules(agentcontracts.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    # A stale ``__all__`` entry (a name removed, its export left behind)
+    # breaks ``from module import *`` and misleads readers.
+    owner = importlib.import_module(module)
+    assert [name for name in getattr(owner, "__all__", ()) if not hasattr(owner, name)] == []
 
 
 # Runs in a fresh interpreter: each command line is a JSON argument.  Prints,

@@ -687,8 +687,8 @@ class TestOneEvaluation:
 
     class Reads(Mapping):
         """A state or payload that logs ``(tag, key)`` for each key read.
-        Not a dict, so every constraint reading it runs its closure, which
-        reads its one field once per evaluation."""
+        Not a dict, so every constraint reading it falls back to the
+        interpreter, which reads its one field once per evaluation."""
 
         def __init__(self, tag, data, log):
             self._tag, self._data, self._log = tag, dict(data), log

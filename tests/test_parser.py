@@ -204,6 +204,16 @@ class TestAgentDocuments:
         assert exc.value.span is not None
         assert (exc.value.span.line, exc.value.span.column) == (6, 18)
 
+    @pytest.mark.parametrize("key", ["1", "true", "2.5", "null"])
+    def test_drift_reference_label_must_be_a_string(self, key):
+        # A label YAML does not construct as a string is refused, spanned at
+        # the key, so "1" and 1 never name the same label.
+        doc = ('contractspec: "1.0"\nkind: agent\nname: x\ndrift:\n'
+               f'  vocabulary: ["1", a]\n  reference:\n    a: 0.5\n    {key}: 0.5\n')
+        with pytest.raises(SchemaError, match=r"must be a string, got") as exc:
+            parse_contract(doc)
+        assert (exc.value.span.line, exc.value.span.column) == (8, 5)
+
     def test_check_requires_exactly_one_form(self):
         doc = textwrap.dedent("""\
             contractspec: "1.0"
@@ -228,6 +238,16 @@ class TestAgentDocuments:
         with pytest.raises(SchemaError) as exc:
             parse_contract(doc)
         assert exc.value.field == "expr"
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"], ids=["int-10**400", "1e400"])
+    def test_a_non_finite_expression_literal_is_schema_error(self, literal):
+        doc = ('contractspec: "1.0"\nkind: agent\nname: x\npreconditions:\n'
+               f'  - name: p\n    check: {{expr: "x < {literal}"}}\n')
+        with pytest.raises(SchemaError, match=r"^bad expression: numeric literal is not a "
+                                              r"finite 64-bit float$") as exc:
+            parse_contract(doc)
+        assert exc.value.field == "expr"
+        assert exc.value.span.line == 6
 
     def test_numeric_operands_become_floats(self):
         doc = textwrap.dedent("""\
@@ -472,6 +492,19 @@ class TestPipelineDocuments:
         assert [s.contract.name for s in pipeline.stages] == ["stage-a", "stage-b"]
         assert pipeline.handoffs[0].p_h == 0.98
         assert pipeline.handoffs[0].type_map == {"data.value": "data.value"}
+
+    @pytest.mark.parametrize("type_map,column", [("{5: data.value}", 16),
+                                                 ("{data.value: 5}", 28),
+                                                 ("{data.value: [a]}", 28),
+                                                 ("{true: data.value}", 16)])
+    def test_type_map_paths_must_be_strings(self, pipeline_dir, type_map, column):
+        # Both sides are paths, so strings: each is refused where it is
+        # written, a key at the key.
+        text = (pipeline_dir / "pipe.yaml").read_text().replace(
+            "{data.value: data.value}", type_map)
+        with pytest.raises(SchemaError, match=r"must be a string, got") as exc:
+            parse_pipeline(text, base_dir=str(pipeline_dir))
+        assert (exc.value.span.line, exc.value.span.column) == (15, column)
 
     def test_handoff_stage_names_must_chain(self, pipeline_dir):
         text = (pipeline_dir / "pipe.yaml").read_text().replace("to: second", "to: third")

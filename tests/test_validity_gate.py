@@ -175,8 +175,8 @@ def test_a_recovery_reference_on_a_precondition_is_rejected():
 
 
 class TestLoneConstraints:
-    """A constraint compiled outside a contract meets the two rules its
-    operator needs to compile, in the validator's words."""
+    """A constraint evaluated outside a contract meets the two rules its
+    operator needs, in the validator's words, before any field is read."""
 
     @pytest.mark.parametrize("predicate", [check("y", "matches", "("), check("y", "zz", 1)],
                              ids=["invalid-pattern", "unknown-operator"])
