@@ -21,8 +21,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .engine import (SatisfactionVerdict, _plan, check_boundaries, check_deterministic,
-                     constraint_timelines)
+from .engine import SatisfactionVerdict, _plan, check_boundaries, check_deterministic
 from .errors import InsufficientSamples, TypeMismatch
 from .expressions import OPERATORS, field_key, field_value
 from .model import (
@@ -323,10 +322,11 @@ def _expected_kind(b: Contract, path: str) -> Optional[str]:
 
 def _unsatisfied(run, state: StateDict, action: Optional[ActionRecord] = None) -> dict:
     """Results not satisfied (violated or skipped) by a plan's section
-    function ``run`` with no stage boundaries, by name in section order."""
-    results, non_satisfied = {}, []
-    run(state, action, 0, (), results, non_satisfied)
-    return {name: results[name] for name in non_satisfied if results[name].satisfied is not True}
+    function ``run`` with no stage boundaries, by name in section order:
+    the stored results that do not pass."""
+    stored: dict = {}
+    run(state, action, 0, (), stored)
+    return {name: r for name, r in stored.items() if r.satisfied is not True}
 
 
 def check_conditions(a: Contract, b: Contract, h: HandoffSpec,
@@ -498,9 +498,8 @@ def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
     stage j's invariants are enforced between its surrounding boundaries
     (boundary states belong to both adjacent stages), the handoff
     invariant at the boundary state only, and the governance union over
-    every action.  Equivalent to :func:`check_deterministic` with
-    phase-scoped constraint timelines.
+    every action.  :func:`check_deterministic` with the boundaries, once
+    they are checked.
     """
-    boundaries = check_boundaries(boundaries, composed.stages, trace.length)
     return check_deterministic(composed, trace,
-                               timelines=constraint_timelines(composed, trace, boundaries))
+                               check_boundaries(boundaries, composed.stages, trace.length))

@@ -11,8 +11,13 @@ so KL terms stay finite.
 
 ``DriftSample`` and ``SessionMetrics`` are slotted frozen dataclasses;
 :func:`update_drift` builds its sample positionally (see
-:mod:`~agentcontracts.engine`), and skips the violation scan when the step
-has no non-satisfied result and the precondition check after step 0.
+:mod:`~agentcontracts.engine`), and skips the precondition check after
+step 0.  A step's compliance gaps read only its stored results, those that
+are not a plain pass: the numerators sum their violated weights in
+results order, over denominators the plan summed once in the same order,
+so a step with nothing stored costs nothing here.  Only a step with a
+skipped result sums its denominators afresh, in the same order, without
+the skipped names; every gap equals the plain loop's bit for bit.
 
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
@@ -33,12 +38,15 @@ A window holds at most ``window`` distinct labels, and every label absent
 from it smooths to the same ``eps / norm`` (``norm`` the smoothed total,
 of which a session sees only a handful of values).  So the smoothed
 reference and, per ``norm``, both KL terms of every absent label are
-built once per drift configuration and shared by its windows; a step
-computes terms for the labels present only.  Each term comes from the
-same float operations on the same inputs as the plain kernel, and both
-term lists are summed in support order, so the divergence stays
-bit-identical to ``_jsd(_smooth(observed), reference)``.  Steps with no
-violated result skip the weighted gaps, whose numerators are then 0.
+built once per drift configuration and shared by its windows.  A window
+without a table (below) keeps its smoothed counts and both term lists
+between reads, and notes the labels whose counts a push moved (at most
+two per push, and never more than the support).  A read recomputes only
+those labels; only when the window total or ``norm`` changed does it
+rebuild every term, from the absent terms and the labels present.  Each
+term comes from the same float operations on the same inputs as the
+plain kernel, and both term lists are summed in support order, so the
+divergence stays bit-identical to ``_jsd(_smooth(observed), reference)``.
 
 The divergence depends on the window's count vector alone, and a window
 of ``w`` labels over a support of ``n`` can hold only
@@ -61,12 +69,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .engine import StepEvaluation, ViolationEvent, _plan, _positional
+from .engine import StepEvaluation, ViolationEvent, _plan, _positional, _record
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
 from .model import OTHER_LABEL, ActionRecord, DriftConfig, ReliabilityWeights
 
@@ -200,7 +207,7 @@ def _smooth(p: Sequence[float]) -> list:
     return [v / total for v in p]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class DriftSample:
     """Drift score at one step with its diagnostic decomposition."""
 
@@ -259,9 +266,10 @@ class DriftWindow:
     Single-writer: one session feeds one window.  The observed
     distribution always matches a from-scratch recount of the retained
     labels (the incremental update is an optimization, not a semantic).
-    Everything but the labels and their counts is shared: with the other
-    windows over the configuration, and the constraints' weights with the
-    contract's plan, which only :meth:`for_contract` reads.
+    Everything but the labels, their counts and an untabled window's
+    kernel state is shared: with the other windows over the
+    configuration, and the compliance-gap table with the contract's plan,
+    which only :meth:`for_contract` reads.
     """
 
     def __init__(self, config: DriftConfig):
@@ -273,25 +281,35 @@ class DriftWindow:
         self._index, self._other = shared.index, shared.other
         self._reference, self._absent_terms = shared.reference, shared.absent_terms
         self._table = shared.table
-        self._weights: tuple = ((), ())
+        self._weights: Mapping = {}
+        self._gap_totals = (0.0, 0.0, 0.0)
         self._labels: deque = deque()
         self._counts = [0] * len(self.support)
+        # The untabled kernel's state (see _divergence): the labels whose
+        # counts changed since the last read, and the window total, the
+        # smoothed counts, their total and both KL term lists it read.
+        self._moved: set = set()
+        self._total = 0
+        self._p = self._p_terms = self._q_terms = self._norm = None
 
     @classmethod
     def for_contract(cls, contract) -> "DriftWindow":
         """A window over the contract's drift configuration that scores its
         invariants and governance constraints by its plan's weights."""
         window = cls(contract.drift_config)
-        window._weights = _plan(contract).gap_weights
+        plan = _plan(contract)
+        window._weights, window._gap_totals = plan.weights, plan.gap_totals
         return window
 
     def push(self, label: str) -> None:
         idx = self._index.get(label, self._other)
         self._labels.append(idx)
         self._counts[idx] += 1
+        self._moved.add(idx)
         if len(self._labels) > self.config.window:
             old = self._labels.popleft()
             self._counts[old] -= 1
+            self._moved.add(old)
 
     def observed(self) -> list:
         """Normalized observed distribution over the support (empty window
@@ -322,50 +340,77 @@ class DriftWindow:
         """The divergence of a non-empty window, equal bit for bit to
         ``_jsd(_smooth(self.observed()), reference)``: both KL term lists
         are built by the same float operations on the same inputs and
-        summed in the same order.  A label absent from the window smooths
-        to ``eps / norm``, so its two terms depend only on ``norm``, the
-        smoothed total; they are cached per ``norm``, and only the labels
-        present are computed afresh.  Clamped at 0 as ``_jsd`` is."""
-        q = self._reference
-        counts, total = self._counts, len(self._labels)
-        present = set(self._labels)
-        p = [_SMOOTH_EPS] * len(q)   # 0 / total + eps for an absent label
-        for i in present:
-            p[i] = counts[i] / total + _SMOOTH_EPS
+        summed in the same order.
+
+        The window keeps its smoothed counts ``p`` and both term lists
+        between reads.  A read with the window total of the last one
+        recomputes ``p`` only for the labels whose counts moved; if the
+        smoothed total ``norm`` is also unchanged, so are the other
+        labels' terms, and only the moved labels' terms are recomputed.
+        Otherwise every term is rebuilt: a label absent from the window
+        smooths to ``eps / norm``, so its two terms depend on ``norm``
+        alone and are cached per ``norm``; the labels present are computed
+        afresh.  Clamped at 0 as ``_jsd`` is."""
+        q, counts, moved = self._reference, self._counts, self._moved
+        total = len(self._labels)
+        if total != self._total:
+            self._total, self._norm = total, None
+            p = self._p = [_SMOOTH_EPS] * len(q)   # 0 / total + eps for an absent label
+            for i in set(self._labels):
+                p[i] = counts[i] / total + _SMOOTH_EPS
+        else:
+            p = self._p
+            for i in moved:
+                p[i] = counts[i] / total + _SMOOTH_EPS
         norm = pairwise_sum(p)
-        absent = self._absent_terms.get(norm)
-        if absent is None:
-            if len(self._absent_terms) >= _ABSENT_TERMS_KEPT:
-                self._absent_terms.clear()
-            absent = self._absent_terms[norm] = _kl_terms([_SMOOTH_EPS / norm] * len(q), q)
-        p_terms, q_terms = absent[0][:], absent[1][:]
-        for i in present:
+        if norm == self._norm:
+            p_terms, q_terms, changed = self._p_terms, self._q_terms, moved
+        else:
+            absent = self._absent_terms.get(norm)
+            if absent is None:
+                if len(self._absent_terms) >= _ABSENT_TERMS_KEPT:
+                    self._absent_terms.clear()
+                absent = self._absent_terms[norm] = _kl_terms([_SMOOTH_EPS / norm] * len(q), q)
+            p_terms, q_terms = self._p_terms, self._q_terms = absent[0][:], absent[1][:]
+            self._norm, changed = norm, set(self._labels)
+        for i in changed:
             a, b = p[i] / norm, q[i]
             m = 0.5 * (a + b)
             p_terms[i] = a * math.log2(a / m)
             q_terms[i] = b * math.log2(b / m)
+        moved.clear()
         return max(0.0, pairwise_sum(p_terms) / 2.0 + pairwise_sum(q_terms) / 2.0)
 
-    def weighted_gaps(self, results: Mapping) -> tuple:
-        """Weighted compliance gaps ``(all, invariants, governance)`` in one
-        pass over the window's invariants then governance constraints;
-        skipped or absent results are excluded from numerator and
-        denominator."""
-        num = den = 0.0
-        parts = []
-        for weights in self._weights:
-            part_num = part_den = 0.0
-            for name, weight in weights:
-                r = results.get(name)
-                if r is None or r.satisfied is None:
-                    continue
-                den += weight
-                part_den += weight
-                if not r.satisfied:
-                    num += weight
-                    part_num += weight
-            parts.append(part_num / part_den if part_den > 0 else 0.0)
-        return (num / den if den > 0 else 0.0, parts[0], parts[1])
+    def weighted_gaps(self, step: StepEvaluation) -> tuple:
+        """Weighted compliance gaps ``(all, invariants, governance)`` of a
+        step over the window's invariants and governance constraints:
+        violated weight over scored weight, a skipped result in neither.
+
+        Only the step's stored results are read: the numerators sum their
+        violated weights in results order, and the denominators are the
+        plan's sums of every weight in that order.  A step with a skipped
+        result sums its denominators afresh, in the same order, without
+        the skipped names.  So every gap is the plain loop's, bit for bit.
+        """
+        weights, results = self._weights, step.results
+        num, nums, skipped = 0.0, [0.0, 0.0], set()
+        for name in step.non_satisfied:
+            satisfied = results[name].satisfied
+            if satisfied is None:
+                skipped.add(name)
+            elif not satisfied and name in weights:
+                weight, part = weights[name]
+                num += weight
+                nums[part] += weight
+        den, *dens = self._gap_totals
+        if skipped:
+            den, dens = 0.0, [0.0, 0.0]
+            for name, (weight, part) in weights.items():
+                if name not in skipped:
+                    den += weight
+                    dens[part] += weight
+        return (num / den if den > 0 else 0.0,
+                *(x / d if d > 0 else 0.0 for x, d in zip(nums, dens)))
 
 
 def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
@@ -379,12 +424,10 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     at t = 0).
     """
     window.push(action.label)
-
-    results, non_satisfied = step.results, step.non_satisfied
-    if non_satisfied and any(results[name].satisfied is False for name in non_satisfied):
-        d_comp, d_inv, d_gov = window.weighted_gaps(results)
+    if step.non_satisfied:
+        d_comp, d_inv, d_gov = window.weighted_gaps(step)
     else:
-        d_comp = d_inv = d_gov = 0.0   # no violation: every gap's numerator is 0
+        d_comp = d_inv = d_gov = 0.0   # every result a pass: every gap's numerator is 0
     d_dist = window.distributional_drift()
     d_pre = 0.0 if step.preconditions is None or step.preconditions_ok() else 1.0
     return _drift_sample(step.step, d_comp, d_dist, config.w_c * d_comp + config.w_d * d_dist,
@@ -432,7 +475,7 @@ def reliability_index(mean_compliance: float, mean_drift: float,
             + weights.a4 * s)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SessionMetrics:
     """Session roll-up consumed by the reliability index."""
 

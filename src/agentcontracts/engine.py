@@ -5,8 +5,8 @@ only) and invariants (on states, indices 0..T) are over states and never
 see the action; governance constraints are on actions (indices 0..T-1).
 A monitor step ``t`` pairs state ``s_t`` with action ``a_t``; the trailing
 state ``s_T`` receives an invariant-only evaluation.  Every verdict is
-derived from these step evaluations, folded into one timeline per
-constraint.  A precondition holds only when satisfied: one skipped under
+derived from these step evaluations by one fold (:func:`_fold`).  A
+precondition holds only when satisfied: one skipped under
 on_missing=skip counts as failed.  Given the stage boundaries of a
 composed contract, a phase-scoped constraint outside its stage (see
 :func:`scope_active`) is recorded as skipped, "out of phase".
@@ -40,15 +40,21 @@ post-recovery re-scoring, preconditions, the trailing state and
 composition's conditions; a scoped block reads :func:`scope_active`, once
 per distinct scope per call.
 
-A passing check stores the shared ``SATISFIED`` result, so a step records
-which results are anything else (``StepEvaluation.non_satisfied``) as it
-goes, and its bookkeeping reads only those: with none, both compliance
-scores are 1.0; otherwise the same integer counts as a full pass give the
-same ratios.  The session's fold is sparse the same way: each timeline
-starts as a list of True and only the non-satisfied entries are written
-(:func:`session_timelines`), and the verdicts find the False entries
-with ``list.index`` and test each recovery window with ``True in``, both
-C scans, exact because entries are only True, False or None.
+A step costs work in proportion to its results that are not a plain
+pass, beyond evaluating each constraint once.  A passing check yields the
+shared ``SATISFIED`` result, and a generated block stores only a result
+that is anything else, so a step keeps just those
+(``StepEvaluation.non_satisfied`` names them) and its ``results`` is a
+read-only view (:class:`_Results`) that answers ``SATISFIED`` for the
+rest; a step that stores nothing shares one view per plan.  Everything
+that reads a step reads only the stored results: with none, both
+compliance scores are 1.0; otherwise the same integer counts as a full
+pass give the same ratios.  The session's fold is sparse the same way:
+it keeps each constraint's entries that are False or None, from the
+stored results of steps 0..n-1 and of the trailing state, and derives
+the deterministic verdict and the outcome from those alone
+(:func:`session_timelines` builds the dense timelines, for inspection
+only).
 
 The records here, as in :mod:`~agentcontracts.drift` and
 :mod:`~agentcontracts.monitor`, are slotted frozen dataclasses: immutable,
@@ -58,15 +64,18 @@ records (``StepEvaluation`` here, ``DriftSample``, ``MonitorEvent`` and
 :func:`_positional` generates from the class's fields: it sets each slot
 through its member descriptor, so no keyword ``__init__`` or frozen
 ``__setattr__`` runs.  Every other record keeps its checking ``__init__``.
+Every record is made by :func:`_record`, so assigning to one raises
+FrozenInstanceError on every Python the package supports.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import accumulate, repeat
+from typing import Callable, Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
 from .expressions import (OPERATORS, SOURCE_GLOBALS, NotInlined, Source, eval_expression,
@@ -94,7 +103,23 @@ HARD_VIOLATION = "hard_violation"
 SOFT_VIOLATION = "soft_violation"
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls):
+    """``cls`` as a slotted frozen dataclass, the form of every session
+    record.  ``slots=True`` replaces the class, and on Python 3.11 the
+    frozen ``__setattr__``/``__delattr__`` it generates still refer to the
+    class it replaced, so assigning a name that is not a field raised
+    TypeError; their ``cls`` cell is rebound to the slotted class, and
+    every assignment raises FrozenInstanceError."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    for name in ("__setattr__", "__delattr__"):
+        method = cls.__dict__[name]
+        for var, cell in zip(method.__code__.co_freevars, method.__closure__ or ()):
+            if var == "cls":
+                cell.cell_contents = cls
+    return cls
+
+
+@_record
 class ConstraintResult:
     """Outcome of one constraint at one step.
 
@@ -106,18 +131,24 @@ class ConstraintResult:
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StepEvaluation:
-    """All constraint results at one step plus the compliance scores."""
+    """All constraint results at one step plus the compliance scores.
+
+    A step the engine evaluates stores only its results other than the
+    shared plain pass ``SATISFIED``; ``results`` is then a read-only view
+    (:class:`_Results`) that answers ``SATISFIED`` for every other scored
+    name.  Any mapping may be given instead.
+    """
 
     step: int
     results: Mapping[str, ConstraintResult]
     c_hard: float
     c_soft: float
     preconditions: Optional[Mapping[str, ConstraintResult]] = None
-    #: Names of the results other than the shared plain pass ``SATISFIED``
-    #: (violated, skipped, or satisfied with a diagnostic), in results
-    #: order: all the step's bookkeeping needs to read.  Derived from
+    #: Names of the results other than ``SATISFIED`` (violated, skipped,
+    #: or satisfied with a diagnostic), in results order: all that the
+    #: step's bookkeeping and the session's fold read.  Derived from
     #: ``results`` when not given.
     non_satisfied: Optional[tuple] = field(default=None, compare=False, repr=False)
 
@@ -130,7 +161,7 @@ class StepEvaluation:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ViolationEvent:
     """One violation episode: severity magnitude and recovery timing."""
 
@@ -148,7 +179,7 @@ class ViolationEvent:
             raise ValueError("recovered_at must not precede the violation step")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SatisfactionVerdict:
     """Deterministic satisfaction: four conditions and their conjunction."""
 
@@ -201,6 +232,56 @@ _step_evaluation = _positional(StepEvaluation)
 SATISFIED = ConstraintResult(satisfied=True)
 VIOLATED = ConstraintResult(satisfied=False)
 OUT_OF_PHASE = ConstraintResult(satisfied=None, detail="out of phase")
+
+
+class _Results(Mapping):
+    """A step's results as a read-only mapping over its plan's scored
+    names (``names``, name to results position): the result ``stored``
+    for a name, ``SATISFIED`` for every other, in results order.  It
+    compares equal to the dict of the same items, either way round, and
+    its ``repr`` is that dict's."""
+
+    __slots__ = ("_names", "_stored")
+
+    def __init__(self, names: Mapping[str, int], stored: dict):
+        self._names = names
+        self._stored = stored
+
+    def __getitem__(self, name: str) -> ConstraintResult:
+        r = self._stored.get(name)
+        if r is None:
+            if name not in self._names:
+                raise KeyError(name)
+            return SATISFIED
+        return r
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def items(self) -> ItemsView:
+        return _ResultItems(self)
+
+
+class _ResultItems(ItemsView):
+    """The items of a :class:`_Results`, iterated without a lookup per name."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        names, stored = self._mapping._names, self._mapping._stored
+        if not stored:
+            return zip(names, repeat(SATISFIED))
+        return zip(names, map(stored.get, names, repeat(SATISFIED)))
+
 
 def evaluate_constraint(constraint: Constraint, state: StateDict,
                         action: Optional[ActionRecord], target: str) -> ConstraintResult:
@@ -269,14 +350,18 @@ class _Plan:
     """A contract validated (an error issue raises SemanticError, as the
     parser does), then compiled once: one generated function per section
     (:func:`_generate`) that runs its preconditions, its invariants or its
-    governance constraints; the hard and the soft names, each scored
-    name's results position and weight (and their total), the ``(name,
-    weight)`` pairs of the invariants and of the governance constraints
-    that drift's compliance gaps read, and each soft constraint's recovery
-    chain with the running totals of its strategies' ``max_attempts``."""
+    governance constraints; the hard and the soft names; each scored
+    name's results position, and its weight with its part (0 for an
+    invariant, 1 for a governance constraint) in results order, which
+    drift's compliance gaps read; the total weight, and the gaps' three
+    denominators summed in results order; the view of a step that stores
+    nothing; and each soft constraint's recovery chain with the running
+    totals of its strategies' ``max_attempts``, keyed by name in chain
+    order."""
 
     __slots__ = ("evaluate_preconditions", "evaluate_invariants", "evaluate_governance",
-                 "hard", "soft", "order", "weights", "total_weight", "gap_weights", "chains")
+                 "hard", "soft", "order", "weights", "total_weight", "passing", "gap_totals",
+                 "chains")
 
     def __init__(self, contract: Contract):
         require_valid(contract)
@@ -287,33 +372,40 @@ class _Plan:
         self.soft = frozenset(c.name for c in contract.soft_constraints())
         scored = contract.invariants() + contract.governance()
         self.order = {c.name: i for i, c in enumerate(scored)}
-        self.weights = {c.name: c.weight for c in scored}
-        self.total_weight = sum(self.weights.values())
-        self.gap_weights = tuple(tuple((c.name, c.weight) for c in constraints)
-                                 for constraints in (contract.invariants(), contract.governance()))
+        self.weights = {c.name: (c.weight, part)
+                        for part, section in enumerate((contract.invariants(),
+                                                        contract.governance()))
+                        for c in section}
+        self.total_weight = sum(c.weight for c in scored)
+        self.passing = _Results(self.order, {})
+        den, dens = 0.0, [0.0, 0.0]
+        for weight, part in self.weights.values():
+            den += weight
+            dens[part] += weight
+        self.gap_totals = (den, *dens)
         strategies = {s.name: s for s in contract.recovery_strategies}
-        self.chains = []
+        self.chains = {}
         for con in contract.soft_constraints():
             chain = fallback_chain(strategies, con.recovery)[0]
-            self.chains.append((con, chain, tuple(accumulate(s.max_attempts for s in chain))))
+            self.chains[con.name] = (con, chain, tuple(accumulate(s.max_attempts for s in chain)))
 
 
 def _generate(sections: Sequence[tuple]) -> tuple:
     """One function per section of ``(constraints, target)``,
-    ``run(state, action, t, boundaries, results, non_satisfied)``, from one
-    generated source compiled once.  Each constraint is a straight-line
-    block: it stores the constraint's result under its name and appends
-    the name to ``non_satisfied`` unless the result is the shared
-    ``SATISFIED``.  A check is inlined as the source
-    :mod:`~agentcontracts.expressions` writes (plain-dict walks, exact type
-    guards); a value off that path, and a check it does not inline, calls
-    :func:`evaluate_constraint`, the one definition of its semantics.  A
-    scoped constraint out of phase at ``t`` (:func:`scope_active`, called
-    once per distinct scope per call) is ``OUT_OF_PHASE``.  Every name,
-    key, operand, pattern, scope and constraint is bound in the functions'
-    namespace under a generated identifier (see
-    :class:`~agentcontracts.expressions.Source`), so no contract text
-    reaches the source.
+    ``run(state, action, t, boundaries, stored)``, from one generated
+    source compiled once.  Each constraint is a straight-line block: it
+    computes the constraint's result ``r``, then runs ``r is SAT or
+    store(name, r)``, so ``stored`` receives, in section order, only the
+    results that are not the shared ``SATISFIED``.  A check is inlined as
+    the source :mod:`~agentcontracts.expressions` writes (plain-dict
+    walks, exact type guards); a value off that path, and a check it does
+    not inline, calls :func:`evaluate_constraint`, the one definition of
+    its semantics.  A scoped constraint out of phase at ``t``
+    (:func:`scope_active`, called once per distinct scope per call) stores
+    ``OUT_OF_PHASE``.  Every name, key, operand, pattern, scope and
+    constraint is bound in the functions' namespace under a generated
+    identifier (see :class:`~agentcontracts.expressions.Source`), so no
+    contract text reaches the source.
     """
     namespace = {"SAT": SATISFIED, "VIO": VIOLATED, "OOP": OUT_OF_PHASE, "M": MISSING,
                  **SOURCE_GLOBALS}
@@ -321,8 +413,8 @@ def _generate(sections: Sequence[tuple]) -> tuple:
     for i, (constraints, target) in enumerate(sections):
         source, active = Source(namespace), {}
         blocks = [line for c in constraints for line in _block(c, target, source, active)]
-        lines.append(f"def _s{i}(state, action, t, boundaries, results, non_satisfied):")
-        lines += ["    " + line for line in ["add = non_satisfied.append", *source.header, *blocks]]
+        lines.append(f"def _s{i}(state, action, t, boundaries, stored):")
+        lines += ["    " + line for line in ["store = stored.__setitem__", *source.header, *blocks]]
     exec(compile("\n".join(lines) + "\n", "<agentcontracts plan>", "exec"), namespace)
     return tuple(namespace[f"_s{i}"] for i in range(len(sections)))
 
@@ -337,27 +429,25 @@ def _block(constraint: Constraint, target: str, source: Source, active: dict) ->
     try:
         if check.is_expression():
             test = expression_source(check.expression, source)
-            lines = [f"try: results[{name}] = r = (SAT if {test} else VIO)",
-                     f"except Slow: results[{name}] = r = {fallback}"]
+            lines = [f"try: r = SAT if {test} else VIO", f"except Slow: r = {fallback}"]
         elif check.operator == "exists":
             guard, last = source.walk(*field_key(check.field_path, target), ", M")
-            lines = [f"results[{name}] = r = "
-                     f"(VIO if {last} is M else SAT) if {guard} else {fallback}"]
+            lines = [f"r = (VIO if {last} is M else SAT) if {guard} else {fallback}"]
         else:
             guard, last = source.walk(*field_key(check.field_path, target))
             kind, test = predicate_source(check.operator, check.operand, source.bind)
             guard = " and ".join(filter(None, (guard, guarded(kind, last))))
-            lines = [f"results[{name}] = r = (SAT if {test} else VIO) if {guard} else {fallback}"]
+            lines = [f"r = (SAT if {test} else VIO) if {guard} else {fallback}"]
     except NotInlined:
-        lines = [f"results[{name}] = r = {fallback}"]
-    lines.append(f"r is SAT or add({name})")
+        lines = [f"r = {fallback}"]
+    lines.append(f"r is SAT or store({name}, r)")
     scope = constraint.scope
     if scope is not None:
         if scope not in active:
             call = f"{source.bind(scope_active)}({source.bind(scope)}, t, boundaries)"
             active[scope] = source.local(call)
         lines = [f"if {active[scope]}:", *("    " + line for line in lines),
-                 f"else: results[{name}] = OOP; add({name})"]
+                 f"else: store({name}, OOP)"]
     return lines
 
 
@@ -374,15 +464,14 @@ def _plan(contract: Contract) -> _Plan:
 # Step evaluation
 # ---------------------------------------------------------------------------
 
-def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str],
-           names: frozenset) -> float:
+def _ratio(stored: Mapping[str, ConstraintResult], names: frozenset) -> float:
     """Satisfied over scored constraints among ``names``, a skipped one not
-    scored (1.0 with none scored); only the non-satisfied results can
-    differ from a plain pass."""
+    scored (1.0 with none scored), from the stored results alone: every
+    other result is a plain pass."""
     satisfied = total = len(names)
-    for name in non_satisfied:
+    for name, r in stored.items():
         if name in names:
-            r = results[name].satisfied
+            r = r.satisfied
             if r is None:
                 total -= 1
                 satisfied -= 1
@@ -394,21 +483,30 @@ def _ratio(results: Mapping[str, ConstraintResult], non_satisfied: Sequence[str]
 def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: int,
                 boundaries: Sequence[int],
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
-    """Step ``t`` with the given precondition results, which it does not evaluate."""
+    """Step ``t`` with the given precondition results, which it does not
+    evaluate.  A step that stores nothing shares its plan's view."""
     plan = _plan(contract)
-    results, non_satisfied = {}, []
-    plan.evaluate_invariants(state, None, t, boundaries, results, non_satisfied)
-    plan.evaluate_governance(state, action, t, boundaries, results, non_satisfied)
-    non_satisfied = tuple(non_satisfied)
-    return _step_evaluation(t, results, _ratio(results, non_satisfied, plan.hard),
-                            _ratio(results, non_satisfied, plan.soft), preconditions,
-                            non_satisfied)
+    stored: dict = {}
+    plan.evaluate_invariants(state, None, t, boundaries, stored)
+    plan.evaluate_governance(state, action, t, boundaries, stored)
+    if not stored:
+        return _step_evaluation(t, plan.passing, 1.0, 1.0, preconditions, ())
+    return _step_evaluation(t, _Results(plan.order, stored), _ratio(stored, plan.hard),
+                            _ratio(stored, plan.soft), preconditions, tuple(stored))
 
 
 def _preconditions(contract: Contract, state: StateDict) -> dict:
-    results: dict = {}
-    _plan(contract).evaluate_preconditions(state, None, 0, (), results, [])
-    return results
+    """Every precondition's result at ``state``, in contract order."""
+    stored: dict = {}
+    _plan(contract).evaluate_preconditions(state, None, 0, (), stored)
+    return {con.name: stored.get(con.name, SATISFIED) for con in contract.preconditions}
+
+
+def _trailing(contract: Contract, state: StateDict, n: int, boundaries: Sequence[int]) -> dict:
+    """The invariant results stored for the trailing state ``s_n``."""
+    stored: dict = {}
+    _plan(contract).evaluate_invariants(state, None, n, boundaries, stored)
+    return stored
 
 
 def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
@@ -495,19 +593,12 @@ def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
 def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
                       steps: Sequence[StepEvaluation], states: Sequence[StateDict],
                       boundaries: Sequence[int] = ()) -> dict:
-    """Per-constraint timelines, lists of True/False/None entries, folded
-    from the evaluations of steps 0..n-1, plus an invariant-only evaluation
-    of the trailing state ``states[n]``.  Preconditions get one entry, from
-    the given :func:`initial_preconditions`.
-
-    Every result outside a step's ``non_satisfied`` is the shared
-    ``SATISFIED``, so each line starts all True and only those entries are
-    patched.
-    """
+    """Per-constraint timelines, lists of True/False/None entries, of steps
+    0..n-1 plus an invariant-only evaluation of the trailing state
+    ``states[n]``; preconditions get one entry, from the given
+    :func:`initial_preconditions`.  The dense view of a session, for
+    inspection: no verdict reads it (see :func:`_fold`)."""
     n = len(steps)
-    trailing, trailing_non_satisfied = {}, []
-    _plan(contract).evaluate_invariants(states[n], None, n, boundaries, trailing,
-                                        trailing_non_satisfied)
     timelines = {name: [r.satisfied] for name, r in preconditions.items()}
     for con in contract.invariants():
         timelines[con.name] = [True] * (n + 1)
@@ -517,76 +608,84 @@ def session_timelines(contract: Contract, preconditions: Mapping[str, Constraint
         results = step.results
         for name in step.non_satisfied:
             timelines[name][t] = results[name].satisfied
-    for name in trailing_non_satisfied:
-        timelines[name][n] = trailing[name].satisfied
+    for name, r in _trailing(contract, states[n], n, boundaries).items():
+        timelines[name][n] = r.satisfied
     return timelines
 
 
 def constraint_timelines(contract: Contract, trace: ExecutionTrace,
                          boundaries: Sequence[int] = ()) -> dict:
     """Per-constraint timelines of a whole trace, evaluated from scratch with
-    the monitor's step evaluation and fold; ``boundaries`` phase-scope a
-    composed contract's constraints."""
+    the monitor's step evaluation; ``boundaries`` phase-scope a composed
+    contract's constraints."""
     steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
              for t in range(trace.length)]
     return session_timelines(contract, initial_preconditions(contract, steps, trace.states),
                              steps, trace.states, boundaries)
 
 
-def _false_at(line: Sequence[Optional[bool]]):
-    """The indices of a timeline's False entries, in order.  Entries are
-    True, False or None, so ``in`` and ``index``, which compare by equality
-    in C, find exactly the False ones."""
-    if False in line:
-        t = line.index(False)
-        try:
-            while True:
-                yield t
-                t = line.index(False, t + 1)
-        except ValueError:
-            return
+def _unrecovered(marks: Mapping[int, Optional[bool]], length: int, k: int) -> Optional[int]:
+    """First index of an unrecovered violation on a timeline of ``length``
+    entries, given as its entries that are not True (``marks``, False or
+    None by index, in order), or None if every violation recovers: some
+    index of its window ``[t, t + k]`` inside the timeline holds True."""
+    passing = 0   # the first True entry after the violation at hand
+    for t, v in marks.items():
+        if v is False:
+            passing = max(passing, t + 1)
+            while passing in marks:
+                passing += 1
+            if passing > t + k or passing >= length:
+                return t
+    return None
 
 
 def _recoverable(line: Sequence[Optional[bool]], k: int) -> Optional[int]:
-    """First index of an unrecovered violation, or None if all recover
-    within k steps (inclusive window [t, t+k] on the constraint's own
-    timeline)."""
-    return next((t for t in _false_at(line) if True not in line[t:t + k + 1]), None)
+    """:func:`_unrecovered` of a whole timeline of True/False/None entries."""
+    return _unrecovered({t: v for t, v in enumerate(line) if v is not True}, len(line), k)
 
 
-def _precondition_witnesses(contract: Contract, timelines: Mapping) -> tuple:
-    """A precondition holds only when satisfied: skipped counts as failed."""
-    return tuple((0, con.name) for con in contract.preconditions
-                 if timelines[con.name][0] is not True)
+def _fold(contract: Contract, preconditions: Mapping[str, ConstraintResult],
+          steps: Sequence[StepEvaluation], trailing: Mapping[str, ConstraintResult]) -> tuple:
+    """The deterministic verdict and the three-way outcome of a session,
+    ``(SatisfactionVerdict, outcome)``, from the results stored by steps
+    0..n-1 (``non_satisfied``) and for the trailing state (``trailing``,
+    see :func:`_trailing`), and the session's precondition results.
 
-
-def _failures(constraints: Sequence[Constraint], timelines: Mapping) -> tuple:
-    return tuple((t, con.name) for con in constraints for t in _false_at(timelines[con.name]))
-
-
-def check_deterministic(contract: Contract, trace: ExecutionTrace,
-                        timelines: Optional[dict] = None) -> SatisfactionVerdict:
-    """Deterministic contract satisfaction over a whole trace.
-
-    The four conditions: preconditions at s_0; every hard invariant at
-    every state; every hard governance constraint at every action; and
-    bounded recovery (within the contract's k) for each soft-constraint
-    violation.  The verdict is their conjunction: one hard breach is a
-    contract breach, while a transient soft violation is acceptable
-    exactly when compliance returns within the recovery window.  Given
-    ``timelines`` are read as-is, and ``trace`` is not evaluated.
+    Every other entry of a constraint's timeline is a pass, so each line
+    is kept as its entries that are False or None, by index, in order:
+    a failure is a False entry, and recovery is read by
+    :func:`_unrecovered` (a line is ``n + 1`` long for an invariant, ``n``
+    for a governance constraint).
     """
-    if timelines is None:
-        timelines = constraint_timelines(contract, trace)
+    n = len(steps)
+    marks: dict = {}
+    for t, step in enumerate(steps):
+        if step.non_satisfied:
+            results = step.results
+            for name in step.non_satisfied:
+                satisfied = results[name].satisfied
+                if satisfied is not True:
+                    marks.setdefault(name, {})[t] = satisfied
+    for name, r in trailing.items():
+        if r.satisfied is not True:
+            marks.setdefault(name, {})[n] = r.satisfied
+
+    def failures(constraints: Sequence[Constraint]) -> tuple:
+        return tuple((t, con.name) for con in constraints
+                     for t, v in marks.get(con.name, {}).items() if v is False)
+
+    pre_witnesses = tuple((0, con.name) for con in contract.preconditions
+                          if preconditions[con.name].satisfied is not True)
+    inv_witnesses = failures(contract.invariants_hard)
+    gov_witnesses = failures(contract.governance_hard)
+    soft_lines = ([(con, n + 1) for con in contract.invariants_soft]
+                  + [(con, n) for con in contract.governance_soft])
     k = contract.satisfaction.k
-
-    pre_witnesses = _precondition_witnesses(contract, timelines)
-    inv_witnesses = _failures(contract.invariants_hard, timelines)
-    gov_witnesses = _failures(contract.governance_hard, timelines)
-    rec_witnesses = tuple((bad, con.name) for con in contract.soft_constraints()
-                          if (bad := _recoverable(timelines[con.name], k)) is not None)
-
-    return SatisfactionVerdict(
+    rec_witnesses = tuple((bad, con.name) for con, length in soft_lines
+                          if (bad := _unrecovered(marks.get(con.name, {}), length, k))
+                          is not None)
+    verdict = SatisfactionVerdict(
         preconditions_ok=not pre_witnesses,
         invariants_ok=not inv_witnesses,
         governance_ok=not gov_witnesses,
@@ -598,20 +697,42 @@ def check_deterministic(contract: Contract, trace: ExecutionTrace,
             "recoverability": rec_witnesses,
         },
     )
+    if pre_witnesses or inv_witnesses or gov_witnesses:
+        return verdict, HARD_VIOLATION
+    if any(False in marks.get(con.name, {}).values() for con, _ in soft_lines):
+        return verdict, SOFT_VIOLATION
+    return verdict, COMPLIANT
+
+
+def _trace_fold(contract: Contract, trace: ExecutionTrace, boundaries: Sequence[int]) -> tuple:
+    """:func:`_fold` of a whole trace, evaluated from scratch."""
+    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
+             for t in range(trace.length)]
+    return _fold(contract, initial_preconditions(contract, steps, trace.states), steps,
+                 _trailing(contract, trace.states[trace.length], trace.length, boundaries))
+
+
+def check_deterministic(contract: Contract, trace: ExecutionTrace,
+                        boundaries: Sequence[int] = ()) -> SatisfactionVerdict:
+    """Deterministic contract satisfaction over a whole trace.
+
+    The four conditions: preconditions at s_0; every hard invariant at
+    every state; every hard governance constraint at every action; and
+    bounded recovery (within the contract's k) for each soft-constraint
+    violation.  The verdict is their conjunction: one hard breach is a
+    contract breach, while a transient soft violation is acceptable
+    exactly when compliance returns within the recovery window.
+    ``boundaries`` phase-scope a composed contract's constraints, as
+    :func:`evaluate_step` reads them.
+    """
+    return _trace_fold(contract, trace, boundaries)[0]
 
 
 def classify_outcome(contract: Contract, trace: ExecutionTrace,
-                     timelines: Optional[dict] = None) -> str:
+                     boundaries: Sequence[int] = ()) -> str:
     """Three-way outcome: hard_violation if a precondition does not hold
     or any hard constraint fails anywhere, soft_violation if only soft
     constraints fail, compliant otherwise.  Whether soft violations
     recovered in time is reported by the deterministic verdict, not by
-    this label."""
-    if timelines is None:
-        timelines = constraint_timelines(contract, trace)
-    if (_precondition_witnesses(contract, timelines)
-            or any(False in timelines[c.name] for c in contract.hard_constraints())):
-        return HARD_VIOLATION
-    if any(False in timelines[c.name] for c in contract.soft_constraints()):
-        return SOFT_VIOLATION
-    return COMPLIANT
+    this label.  ``boundaries`` as for :func:`check_deterministic`."""
+    return _trace_fold(contract, trace, boundaries)[1]

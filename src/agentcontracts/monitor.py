@@ -30,15 +30,20 @@ then.  A finalize that returns closes the session too: a later step or
 finalize raises SessionTerminated.
 
 The reports are slotted frozen dataclasses.  A step builds its events and
-its report positionally (see :mod:`~agentcontracts.engine`), and reads its
-results for new violations only when some result is not the shared pass.
+its report positionally (see :mod:`~agentcontracts.engine`).  Beyond
+evaluating each constraint once, a step and the session's roll-up do work
+in proportion to the results that are not a plain pass and the episodes
+open: a step opens episodes from its stored results only, closes and
+attempts to recover only the open episodes (recovery in chain order), and
+``finalize`` derives the verdict and the outcome from the stored results
+of every step and of the trailing state in one fold.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
@@ -46,16 +51,16 @@ from .engine import (
     SatisfactionVerdict,
     StepEvaluation,
     ViolationEvent,
+    _fold,
     _plan,
     _positional,
     _recoverable,
+    _record,
     _score_step,
+    _trailing,
     check_boundaries,
-    check_deterministic,
-    classify_outcome,
     evaluate_step,
     initial_preconditions,
-    session_timelines,
 )
 from .errors import (BadHookReturn, EmptyEnsemble, ListenerError, RecoveryHookError,
                      SessionTerminated, TraceTooShort)
@@ -107,7 +112,7 @@ def _call_hook(hook: RecoveryHook, t: int, con: Constraint, strategy: RecoverySt
                         f"(state mapping, ActionRecord) pair")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MonitorEvent:
     kind: str
     step: int
@@ -120,7 +125,7 @@ class MonitorEvent:
 _monitor_event = _positional(MonitorEvent)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StepReport:
     """Everything observed at one step (pre- and post-recovery)."""
 
@@ -159,7 +164,7 @@ class StepReport:
 _step_report = _positional(StepReport)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SessionReport:
     """Session summary: series, logs, metrics, verdicts."""
 
@@ -333,8 +338,8 @@ class SessionMonitor:
 
             # Close episodes for constraints back in compliance, then open
             # new ones, each in results order (which orders
-            # violation_events).  A new episode needs a violated result, so
-            # only the non-satisfied results are read for it.
+            # violation_events).  Only the open episodes and the stored
+            # results are read.
             results, episodes = evaluation.results, self._episodes
             if episodes:
                 closing = [name for name in episodes if results[name].satisfied is True]
@@ -385,7 +390,7 @@ class SessionMonitor:
     def _severity(self, names: Sequence[str]) -> float:
         """Compliance drop attributable to this step's new violations,
         floored at one unit weight."""
-        drop = sum(self._plan.weights[n] for n in names)
+        drop = sum(self._plan.weights[n][0] for n in names)
         return min(1.0, max(drop, 1.0) / self._plan.total_weight)
 
     def _close_episode(self, name: str, recovered_at: Optional[int] = None) -> None:
@@ -403,16 +408,19 @@ class SessionMonitor:
 
     def _attempt_recovery(self, t: int, state: StateDict, action: ActionRecord,
                           evaluation: StepEvaluation) -> Optional[StepEvaluation]:
+        """Recovery attempts for the open soft episodes, in chain order
+        (results order among the soft constraints)."""
         post: Optional[StepEvaluation] = None
-        if not self._episodes:
+        episodes, chains = self._episodes, self._plan.chains
+        if not episodes:
             return post
         current_state, current_action = state, action
 
-        for con, chain, totals in self._plan.chains:
-            episode = self._episodes.get(con.name)
-            if episode is None or episode.failed:
-                continue
-            if (post or evaluation).results[con.name].satisfied is not False:
+        for name in sorted((name for name in episodes if name in chains),
+                           key=self._plan.order.__getitem__):
+            con, chain, totals = chains[name]
+            episode = episodes[name]
+            if episode.failed or (post or evaluation).results[name].satisfied is not False:
                 continue
 
             budget = totals[-1] if totals else 0
@@ -482,20 +490,20 @@ class SessionMonitor:
         preconditions = initial_preconditions(self.contract, evaluations, trace.states)
         if not steps_run and self._closed_by is None:   # else flagged by a failed finalize
             self._flag_preconditions(preconditions)
-        timelines = session_timelines(self.contract, preconditions, evaluations,
-                                      trace.states, self.boundaries)
+        trailing = _trailing(self.contract, trace.states[steps_run], steps_run, self.boundaries)
 
         # The trailing state closes recovery windows of a completed session.
         if steps_run == trace.length and steps_run > 0:
-            for con in self.contract.invariants():
-                if timelines[con.name][-1] is True and con.name in self._episodes:
-                    self._close_episode(con.name, recovered_at=steps_run)
+            order, invariants = self._plan.order, len(self.contract.invariants())
+            closing = [name for name in self._episodes if order[name] < invariants
+                       and (name not in trailing or trailing[name].satisfied is True)]
+            for name in sorted(closing, key=order.__getitem__):
+                self._close_episode(name, recovered_at=steps_run)
 
         for name in sorted(self._episodes):
             self._close_episode(name)
 
-        verdict = check_deterministic(self.contract, trace, timelines=timelines)
-        outcome = classify_outcome(self.contract, trace, timelines=timelines)
+        verdict, outcome = _fold(self.contract, preconditions, evaluations, trailing)
 
         compliance_series = [1.0 - s.drift.d_compliance for s in self.step_reports]
         metrics = SessionMetrics.compute(
@@ -545,7 +553,7 @@ def run_session(contract: Contract, trace: ExecutionTrace,
 # (p, delta, k) verdicts over session ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_record
 class PdkVerdict:
     """Probabilistic satisfaction over an ensemble of sessions."""
 

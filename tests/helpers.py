@@ -9,6 +9,7 @@ independent code paths against each other.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
@@ -104,6 +105,50 @@ def random_trace(rng: np.random.Generator, max_steps: int = 8) -> ExecutionTrace
         states=tuple(random_state(rng) for _ in range(steps + 1)),
         actions=tuple(random_action(rng) for _ in range(steps)),
     )
+
+
+ON_MISSING = ("violate", "satisfy", "skip")
+
+
+def _drop(mapping: dict, path: str) -> None:
+    *parents, leaf = path.split(".")
+    for part in parents:
+        mapping = mapping[part]
+    mapping.pop(leaf, None)
+
+
+def random_session(rng: np.random.Generator) -> tuple:
+    """A contract of 1-3 stages whose constraints carry random on_missing
+    policies and phase scopes, a session of 0-10 steps with fields dropped,
+    and stage boundaries over it."""
+    stages = int(rng.integers(1, 4))
+    scopes = [None, *(f"stage:{i}" for i in range(stages)),
+              *(f"handoff:{j}" for j in range(stages - 1))]
+
+    def vary(constraints):
+        return tuple(replace(con, on_missing=str(rng.choice(ON_MISSING)),
+                             scope=scopes[int(rng.integers(len(scopes)))])
+                     for con in constraints)
+
+    contract = random_contract(rng, max_constraints=8)
+    contract = replace(contract, stages=stages, **{
+        section: vary(getattr(contract, section))
+        for section in ("preconditions", "invariants_hard", "invariants_soft",
+                        "governance_hard", "governance_soft")})
+    n = int(rng.integers(max(0, stages - 2), 11))
+    states = [random_state(rng) for _ in range(n + 1)]
+    actions = [random_action(rng) for _ in range(n)]
+    for state in states:
+        for path in STATE_FIELDS:
+            if rng.random() < 0.15:
+                _drop(state, path)
+    for action in actions:
+        for path in ACTION_FIELDS:
+            if rng.random() < 0.15:
+                action.payload.pop(path, None)
+    boundaries = tuple(sorted(int(b) for b in rng.choice(n + 1, size=stages - 1,
+                                                         replace=False)))
+    return contract, states, actions, boundaries
 
 
 def _first_action(doc: dict, action) -> dict:

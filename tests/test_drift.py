@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from agentcontracts.model import (
 )
 from agentcontracts.monitor import SessionMonitor
 from agentcontracts.parser import PipelineContract, load_contract, load_document
+
+from helpers import random_session
 
 
 @st.composite
@@ -324,6 +327,83 @@ class TestWindowStateTable:
         assert one._labels is not two._labels and one._counts is not two._counts
 
 
+class TestUntabledKernel:
+    """A window past the gate keeps its smoothed counts and KL terms
+    between reads and recomputes only the labels that moved; every read
+    must still equal the plain kernel bit for bit, however many pushes
+    came before it."""
+
+    @staticmethod
+    def untabled_config(size: int, window: int, weights) -> DriftConfig:
+        vocabulary = [f"a{i}" for i in range(size)]
+        return DriftConfig(window=window, vocabulary=vocabulary,
+                           reference={a: w / sum(weights) for a, w in zip(vocabulary, weights)})
+
+    @staticmethod
+    def read_and_compare(window, reference) -> float:
+        expected = _jsd(_smooth(window.observed()), reference)
+        assert bits(window.distributional_drift()) == bits(expected)
+        return expected
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_between_pushes_equal_the_plain_kernel(self, data):
+        window_size = data.draw(st.integers(1, 20))
+        # Window 1 stays under the gate below 256 labels; wider windows
+        # pass it from 50.
+        size = data.draw(st.integers(256, 280) if window_size == 1 else st.integers(50, 80))
+        weights = data.draw(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=size,
+                                     max_size=size).filter(lambda w: sum(w) >= 1e-3))
+        config = self.untabled_config(size, window_size, weights)
+        vocabulary = list(config.vocabulary)
+        labels = st.one_of(st.sampled_from(vocabulary[:4] + ["oov-1", "oov-2"]),
+                           st.sampled_from(vocabulary))
+        window = DriftWindow(config)
+        assert window._table is None
+        reference = _smooth([config.reference.get(a, 0.0) for a in window.support])
+        for pushes in data.draw(st.lists(st.lists(labels, max_size=3), min_size=1, max_size=30)):
+            for label in pushes:
+                window.push(label)
+            if window._labels:
+                self.read_and_compare(window, reference)
+            else:
+                assert window.distributional_drift() == 0.0
+
+    def test_seeded_streams_reuse_the_terms_and_equal_the_plain_kernel(self):
+        rng = random.Random(5)
+        pushed = kept = 0
+        for window_size in range(1, 21):
+            size = 260 if window_size == 1 else 50 + window_size
+            config = self.untabled_config(size, window_size,
+                                          [rng.random() for _ in range(size)])
+            window = DriftWindow(config)
+            assert window._table is None
+            reference = _smooth([config.reference.get(a, 0.0) for a in window.support])
+            labels = list(config.vocabulary[:3]) + ["oov-1"]
+            for _ in range(40):
+                for _ in range(rng.randint(0, 3)):
+                    window.push(rng.choice(labels))
+                    pushed += 1
+                if window._labels:
+                    norm = window._norm
+                    self.read_and_compare(window, reference)
+                    kept += window._norm == norm
+        assert pushed >= 300
+        assert kept > 0   # some reads recomputed only the moved labels
+
+    def test_the_pending_record_stays_within_the_support(self):
+        config = self.untabled_config(60, 10, [1.0] * 60)
+        window = DriftWindow(config)
+        reference = _smooth([config.reference.get(a, 0.0) for a in window.support])
+        rng = random.Random(11)
+        labels = list(config.vocabulary) + ["oov-1", "oov-2"]
+        for _ in range(10 ** 4):
+            window.push(rng.choice(labels))
+        assert len(window._moved) <= len(window.support)
+        self.read_and_compare(window, reference)
+        assert not window._moved
+
+
 def contract_for_drift(w_c=0.7, w_d=0.3):
     config = DriftConfig(w_c=w_c, w_d=w_d, window=3,
                          vocabulary=("a", "b"), reference={"a": 0.5, "b": 0.5})
@@ -450,6 +530,47 @@ class TestUpdateDrift:
             identical = False  # one action never matches a 50/50 reference
             if sample.d_total == 0.0:
                 assert full_compliance and identical
+
+
+def reference_gaps(contract, results) -> tuple:
+    """The weighted gaps by the plain loop: every scored result, the
+    invariants then the governance constraints, a skipped one in neither
+    sum."""
+    num = den = 0.0
+    parts = []
+    for section in (contract.invariants(), contract.governance()):
+        part_num = part_den = 0.0
+        for con in section:
+            satisfied = results[con.name].satisfied
+            if satisfied is None:
+                continue
+            den += con.weight
+            part_den += con.weight
+            if not satisfied:
+                num += con.weight
+                part_num += con.weight
+        parts.append(part_num / part_den if part_den > 0 else 0.0)
+    return (num / den if den > 0 else 0.0, *parts)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_weighted_gaps_equal_the_plain_loop(seed):
+    # Weights that are not small integers, so a sum taken in another order
+    # or by subtraction would show in the last bits; sessions with skipped
+    # and out-of-phase results, which the gaps leave out.
+    rng = np.random.default_rng(seed)
+    contract, states, actions, boundaries = random_session(rng)
+    contract = replace(contract, **{
+        section: tuple(replace(con, weight=float(rng.uniform(0.1, 3.0)))
+                       for con in getattr(contract, section))
+        for section in ("invariants_hard", "invariants_soft", "governance_hard",
+                        "governance_soft")})
+    window = DriftWindow.for_contract(contract)
+    for t, action in enumerate(actions):
+        ev = evaluate_step(contract, states[t], action, t, boundaries)
+        gaps = window.weighted_gaps(ev)
+        assert [bits(g) for g in gaps] == [bits(g) for g in reference_gaps(contract, ev.results)]
 
 
 class TestSessionMetrics:

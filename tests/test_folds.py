@@ -1,10 +1,11 @@
 """Differential tests of the session fold and the verdict scans.
 
 ``session_timelines`` writes only each step's non-satisfied entries into
-lines that start all True, and ``_failures`` / ``_recoverable`` scan the
-lines with ``list.index`` and ``in``.  Both are checked here against plain
-per-entry loops kept in this file, on sessions whose results mix every
-kind a step records: the shared pass and violation, skipped and
+lines that start all True; ``_fold`` derives the verdict and the outcome
+from the stored results alone, and ``_recoverable`` reads a line's entries
+that are not True.  Each is checked here against plain per-entry loops
+kept in this file, on sessions (``helpers.random_session``) whose results
+mix every kind a step records: the shared pass and violation, skipped and
 satisfied-with-diagnostic results (on_missing over dropped fields), and
 out-of-phase results (phase scopes of a composed contract with
 boundaries).
@@ -16,54 +17,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentcontracts.engine import (OUT_OF_PHASE, SATISFIED, VIOLATED, _failures, _recoverable,
-                                   evaluate_constraint, evaluate_step, initial_preconditions,
-                                   scope_active, session_timelines)
+from agentcontracts.engine import (COMPLIANT, HARD_VIOLATION, OUT_OF_PHASE, SATISFIED,
+                                   SOFT_VIOLATION, VIOLATED, ConstraintResult, StepEvaluation,
+                                   _fold, _recoverable, _trailing, evaluate_constraint,
+                                   evaluate_step, initial_preconditions, scope_active,
+                                   session_timelines)
+from agentcontracts.model import Constraint, Contract, Predicate, SatisfactionParams
 
-from helpers import ACTION_FIELDS, STATE_FIELDS, random_action, random_contract, random_state
-
-ON_MISSING = ("violate", "satisfy", "skip")
-
-
-def _drop(mapping: dict, path: str) -> None:
-    *parents, leaf = path.split(".")
-    for part in parents:
-        mapping = mapping[part]
-    mapping.pop(leaf, None)
-
-
-def random_session(rng: np.random.Generator) -> tuple:
-    """A contract of 1-3 stages whose constraints carry random on_missing
-    policies and phase scopes, a session of 0-10 steps with fields dropped,
-    and stage boundaries over it."""
-    stages = int(rng.integers(1, 4))
-    scopes = [None, *(f"stage:{i}" for i in range(stages)),
-              *(f"handoff:{j}" for j in range(stages - 1))]
-
-    def vary(constraints):
-        return tuple(replace(con, on_missing=str(rng.choice(ON_MISSING)),
-                             scope=scopes[int(rng.integers(len(scopes)))])
-                     for con in constraints)
-
-    contract = random_contract(rng, max_constraints=8)
-    contract = replace(contract, stages=stages, **{
-        section: vary(getattr(contract, section))
-        for section in ("preconditions", "invariants_hard", "invariants_soft",
-                        "governance_hard", "governance_soft")})
-    n = int(rng.integers(max(0, stages - 2), 11))
-    states = [random_state(rng) for _ in range(n + 1)]
-    actions = [random_action(rng) for _ in range(n)]
-    for state in states:
-        for path in STATE_FIELDS:
-            if rng.random() < 0.15:
-                _drop(state, path)
-    for action in actions:
-        for path in ACTION_FIELDS:
-            if rng.random() < 0.15:
-                action.payload.pop(path, None)
-    boundaries = tuple(sorted(int(b) for b in rng.choice(n + 1, size=stages - 1,
-                                                         replace=False)))
-    return contract, states, actions, boundaries
+from helpers import random_contract, random_session
 
 
 def reference_timelines(contract, preconditions, steps, states, boundaries) -> dict:
@@ -146,12 +107,86 @@ def test_recoverable_equals_the_plain_loop(line, k):
     assert _recoverable(tuple(line), k) == reference_recoverable(line, k)
 
 
+def line_fold(name: str, line, k: int = 0, severity: str = "hard") -> tuple:
+    """``_fold`` of a session of ``len(line)`` steps whose one governance
+    constraint ``name`` has ``line`` as its timeline."""
+    con = Constraint(name=name, severity=severity,
+                     check=Predicate(field_path="cost", operator="le", operand=1.0))
+    contract = Contract(name="line", satisfaction=SatisfactionParams(p=0.9, delta=0.2, k=k),
+                        **{f"governance_{severity}": (con,)})
+    as_result = {True: SATISFIED, False: VIOLATED,
+                 None: ConstraintResult(satisfied=None, detail="skipped")}
+    steps = [StepEvaluation(step=t, results={name: as_result[v]}, c_hard=1.0, c_soft=1.0,
+                            preconditions={} if t == 0 else None)
+             for t, v in enumerate(line)]
+    return _fold(contract, {}, steps, {})
+
+
+@given(line=lines, k=st.integers(0, 5))
+@example(line=[], k=0)
+@example(line=[False], k=0)
+@example(line=[False, None, None, True], k=2)
+@example(line=[False, None, None, True], k=3)
+@example(line=[True, False, False, None], k=5)
+@settings(max_examples=500, deadline=None)
+def test_the_fold_recovers_as_the_plain_loop(line, k):
+    verdict, outcome = line_fold("c", line, k, severity="soft")
+    bad = reference_recoverable(line, k)
+    assert verdict.witnesses["recoverability"] == (() if bad is None else ((bad, "c"),))
+    assert outcome == (SOFT_VIOLATION if False in line else COMPLIANT)
+
+
 @given(timelines=st.lists(lines, max_size=5))
 @example(timelines=[[False, False, True, False], [None, True], [False]])
 @settings(max_examples=300, deadline=None)
 def test_failures_equal_the_plain_loop(timelines):
+    # Lines of different lengths: one session per line, the witnesses of
+    # each in turn, as reference_failures lists them constraint by
+    # constraint.
     contract = random_contract(np.random.default_rng(0), max_constraints=1)
     constraints = [replace(contract.all_constraints()[0], name=f"c{i}")
                    for i in range(len(timelines))]
     named = {con.name: line for con, line in zip(constraints, timelines)}
-    assert _failures(constraints, named) == reference_failures(constraints, named)
+    witnesses = tuple(w for con in constraints
+                      for w in line_fold(con.name, named[con.name])[0].witnesses["governance"])
+    assert witnesses == reference_failures(constraints, named)
+
+
+def reference_verdict(contract, timelines) -> tuple:
+    """The verdict's witnesses and the outcome, scanned entry by entry."""
+    k = contract.satisfaction.k
+    witnesses = {
+        "preconditions": tuple((0, con.name) for con in contract.preconditions
+                               if timelines[con.name][0] is not True),
+        "invariants": reference_failures(contract.invariants_hard, timelines),
+        "governance": reference_failures(contract.governance_hard, timelines),
+        "recoverability": tuple(
+            (bad, con.name) for con in contract.soft_constraints()
+            if (bad := reference_recoverable(timelines[con.name], k)) is not None),
+    }
+    if (witnesses["preconditions"]
+            or any(False in timelines[con.name] for con in contract.hard_constraints())):
+        outcome = HARD_VIOLATION
+    elif any(False in timelines[con.name] for con in contract.soft_constraints()):
+        outcome = SOFT_VIOLATION
+    else:
+        outcome = COMPLIANT
+    return witnesses, outcome
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+@settings(max_examples=300, deadline=None)
+def test_the_fold_equals_the_plain_scans(seed):
+    contract, states, actions, boundaries = random_session(np.random.default_rng(seed))
+    steps = [evaluate_step(contract, states[t], actions[t], t, boundaries)
+             for t in range(len(actions))]
+    preconditions = initial_preconditions(contract, steps, states)
+    n = len(steps)
+    verdict, outcome = _fold(contract, preconditions, steps,
+                             _trailing(contract, states[n], n, boundaries))
+    witnesses, expected = reference_verdict(
+        contract, reference_timelines(contract, preconditions, steps, states, boundaries))
+    assert dict(verdict.witnesses) == witnesses
+    assert verdict.overall == (not any(witnesses.values()))
+    assert outcome == expected

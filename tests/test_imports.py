@@ -146,3 +146,34 @@ def test_the_schema_module_imports_only_errors():
     assert child.returncode == 0, child.stderr[-2000:]
     assert json.loads(child.stdout) == ["agentcontracts", "agentcontracts.errors",
                                         "agentcontracts.schema"]
+
+
+# Runs in a fresh interpreter: counts the dataclasses that importing the CLI
+# creates (each frozen slotted one costs about 0.7 ms to create), and prints
+# their names.
+_DATACLASS_CHILD = """
+import dataclasses, json
+made = []
+process_class = dataclasses._process_class
+def counting(cls, *args, **kwargs):
+    made.append(cls.__qualname__)
+    return process_class(cls, *args, **kwargs)
+dataclasses._process_class = counting
+import agentcontracts.cli
+print(json.dumps(made))
+"""
+
+#: The dataclasses ``import agentcontracts.cli`` creates today.
+CLI_DATACLASSES = 28
+
+
+def test_importing_the_cli_creates_few_dataclasses():
+    src_dir = os.path.dirname(os.path.dirname(agentcontracts.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _DATACLASS_CHILD],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    made = json.loads(child.stdout)
+    assert "StepEvaluation" in made   # the count sees the package's records
+    assert len(made) <= CLI_DATACLASSES, made

@@ -1,9 +1,12 @@
-"""Session records: slotted frozen dataclasses, and the positional builders
-the step path makes its four per-step records with."""
+"""Session records: slotted frozen dataclasses, the positional builders
+the step path makes its four per-step records with, and the sparse view a
+step's results are read through."""
 
 import copy
+import gc
 import json
 import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -12,9 +15,10 @@ from hypothesis import strategies as st
 
 from agentcontracts import drift, engine, monitor
 from agentcontracts.assets import asset_path
-from agentcontracts.engine import SATISFIED, ConstraintResult, StepEvaluation
+from agentcontracts.engine import SATISFIED, VIOLATED, ConstraintResult, StepEvaluation
 from agentcontracts.drift import DriftSample
-from agentcontracts.model import ExecutionTrace
+from agentcontracts.model import (ActionRecord, Constraint, Contract, DriftConfig, ExecutionTrace,
+                                  Predicate)
 from agentcontracts.monitor import MonitorEvent, StepReport, pdk_verdict, run_session
 from agentcontracts.parser import load_contract
 
@@ -136,10 +140,11 @@ def test_a_record_is_slotted_and_frozen(cls):
     first = fields(cls)[0].name
     with pytest.raises(FrozenInstanceError):
         setattr(record, first, getattr(record, first))
-    # No slot to hold a new attribute either (Python 3.11's frozen slotted
-    # __setattr__ raises TypeError for a name that is not a field).
-    with pytest.raises((AttributeError, TypeError)):
+    # A name that is not a field is refused the same way, on every Python.
+    with pytest.raises(FrozenInstanceError):
         record.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        del record.extra
 
 
 def test_the_demo_report_survives_pickle_and_deepcopy():
@@ -150,3 +155,107 @@ def test_the_demo_report_survives_pickle_and_deepcopy():
         assert copied.to_dict() == report.to_dict()
         assert copied.to_json() == report.to_json()
         assert copied.steps[0].evaluation.non_satisfied == report.steps[0].evaluation.non_satisfied
+
+
+# ---------------------------------------------------------------------------
+# The sparse view of a step's results
+# ---------------------------------------------------------------------------
+
+def dense(results) -> dict:
+    return {name: results[name] for name in results}
+
+
+def test_a_step_stores_only_its_non_satisfied_results():
+    contract, report = demo()
+    views = [r for s in report.steps for r in (s.evaluation, s.post_recovery) if r is not None]
+    assert any(view.non_satisfied for view in views)
+    assert any(not view.non_satisfied for view in views)
+    for evaluation in views:
+        results = evaluation.results
+        assert not isinstance(results, dict)
+        assert list(results) == [c.name for c in contract.invariants() + contract.governance()]
+        assert evaluation.non_satisfied == tuple(
+            name for name, r in results.items() if r is not SATISFIED)
+        assert type(evaluation.non_satisfied) is tuple
+    passing = [v.results for v in views if not v.non_satisfied]
+    assert all(view is passing[0] for view in passing)   # one shared view per plan
+
+
+def test_the_view_reads_as_the_dense_dict():
+    _, report = demo()
+    for step in report.steps:
+        view = step.evaluation.results
+        plain = dense(view)
+        assert view == plain and plain == view
+        assert not (view != plain) and not (plain != view)
+        assert repr(view) == repr(plain)
+        assert len(view) == len(plain) and list(view.items()) == list(plain.items())
+        for name in plain:
+            assert name in view and view.get(name) is plain[name]
+        assert "nope" not in view and view.get("nope") is None
+        with pytest.raises(KeyError):
+            view["nope"]
+        with pytest.raises(TypeError):
+            view["x"] = SATISFIED
+        assert view != {**plain, next(iter(plain)): VIOLATED}
+        assert StepEvaluation(step=step.step, results=plain, c_hard=step.evaluation.c_hard,
+                              c_soft=step.evaluation.c_soft,
+                              preconditions=step.evaluation.preconditions) == step.evaluation
+
+
+def test_the_view_survives_pickle_and_deepcopy():
+    _, report = demo()
+    for step in report.steps:
+        view = step.evaluation.results
+        for copied in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view)):
+            assert copied is not view
+            assert copied == view == dense(copied)
+            assert repr(copied) == repr(view)
+
+
+def overhead_contract() -> Contract:
+    """test_criterion_11's setting: 100 constraints, |A| = 50, window 10."""
+    def checks(prefix, count, path, op, operand):
+        severity = "hard" if prefix[1] == "h" else "soft"
+        return tuple(Constraint(name=f"{prefix}{i}", severity=severity,
+                                check=Predicate(field_path=path(i), operator=op, operand=operand))
+                     for i in range(count))
+    vocabulary = tuple(f"act{i}" for i in range(50))
+    return Contract(
+        name="overhead",
+        invariants_hard=checks("ih", 40, lambda i: f"m.f{i}", "ge", 0.1),
+        invariants_soft=checks("is", 30, lambda i: f"m.f{i + 40}", "ge", 0.1),
+        governance_hard=checks("gh", 20, lambda i: f"p{i}", "le", 10.0),
+        governance_soft=checks("gs", 10, lambda i: f"p{i + 20}", "le", 10.0),
+        drift_config=DriftConfig(window=10, vocabulary=vocabulary,
+                                 reference={v: 1.0 / 50 for v in vocabulary}))
+
+
+def test_a_long_session_retains_little():
+    # One 1200-step session with a violation every fifth step: the report
+    # keeps each step's stored results only (dense per-step dicts came to
+    # about 5 MB).
+    contract, steps = overhead_contract(), 1200
+    states, actions = [], []
+    for t in range(steps + 1):
+        state = {"m": {f"f{i}": 1.0 for i in range(70)}}
+        payload = {f"p{i}": 1.0 for i in range(30)}
+        if t % 5 == 0:
+            state["m"][f"f{(t // 5) % 70}"] = 0.0
+            payload[f"p{(t // 5) % 30}"] = 50.0
+        states.append(state)
+        actions.append(ActionRecord(f"act{t % 50}", payload))
+    trace = ExecutionTrace(states=tuple(states), actions=tuple(actions[:steps]))
+    run_session(contract, ExecutionTrace(states=trace.states[:3], actions=trace.actions[:2]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_session(contract, trace)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.steps) == steps and report.outcome == "hard_violation"
+    assert sum(bool(s.evaluation.non_satisfied) for s in report.steps) == 240
+    assert retained <= 1.5 * 2 ** 20, retained
