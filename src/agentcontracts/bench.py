@@ -14,7 +14,6 @@ scores, drift, reliability, and outcome classification.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .drift import mean
@@ -23,6 +22,7 @@ from .errors import BadBoundaries, DanglingConstraintRef, FormatError
 from .model import TRACE, Contract, ExecutionTrace
 from .monitor import run_session
 from .parser import PipelineContract, load_document
+from .records import as_dict, record
 from .schema import (JsonDoc, as_is, bad, entries, integer, key_path, mapping, number, one_of,
                      read_json, sequence, string)
 
@@ -41,7 +41,7 @@ DIFFICULTIES = ("easy", "medium", "hard")
 OUTCOMES = ("compliant", "hard_violation", "soft_violation")
 
 
-@dataclass(frozen=True)
+@record
 class Expected:
     """Ground-truth annotations, produced by construction."""
 
@@ -51,7 +51,7 @@ class Expected:
     c_soft_range: tuple = (0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     id: str
     domain: str
@@ -64,7 +64,7 @@ class Scenario:
     pipeline: Optional[PipelineContract] = None
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioScore:
     scenario_id: str
     domain: str
@@ -81,7 +81,7 @@ class ScenarioScore:
 
     def to_dict(self) -> dict:
         """Every field in order, ``scenario_id`` written as ``id``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = as_dict(self)
         return {"id": out.pop("scenario_id"), **out, "reasons": list(self.reasons)}
 
 
@@ -166,7 +166,10 @@ def _load_scenario(path: str, cache: dict) -> Scenario:
     contract_path = doc["contract"]
     resolved = contract_path if os.path.isabs(contract_path) \
         else os.path.join(os.path.dirname(os.path.abspath(path)), contract_path)
-    loaded, contract = _load_contract(resolved, cache)
+    try:
+        loaded, contract = _load_contract(resolved, cache)
+    except OSError as exc:
+        raise FormatError(f"{path}: contract: cannot load {contract_path!r}: {exc}") from None
     pipeline = loaded if isinstance(loaded, PipelineContract) else None
     raw_boundaries = doc.get("boundaries")
     try:
@@ -249,7 +252,7 @@ def score_suite(scenarios: Sequence[Scenario]) -> list:
     return [score_scenario(s) for s in scenarios]
 
 
-@dataclass(frozen=True)
+@record
 class DomainSummary:
     """Per-domain arithmetic means plus the overall roll-up."""
 

@@ -11,10 +11,10 @@ step outcomes instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import AlreadyDecided
+from .records import record, replace
 
 __all__ = [
     "compliance_no_recovery",
@@ -75,7 +75,7 @@ def kl_bernoulli(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-@dataclass(frozen=True)
+@record
 class SprtConfig:
     """Hypotheses H0: p <= p0 vs H1: p >= p1 with target error rates."""
 
@@ -109,7 +109,7 @@ class SprtConfig:
         return math.log((1.0 - self.p1) / (1.0 - self.p0))
 
 
-@dataclass(frozen=True)
+@record
 class SprtState:
     """Immutable running state of one sequential test."""
 

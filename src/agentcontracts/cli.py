@@ -26,6 +26,7 @@ from .errors import BadBoundaries, ContractError, DanglingConstraintRef, FormatE
 from .model import ACTIONS, STATES, TRACE_FIELDS, ExecutionTrace, validate_contract
 from .monitor import run_session
 from .parser import PipelineContract, load_document
+from .records import as_dict
 from .schema import as_is, mapping, read_json, read_text, sequence
 # bench, composition, dynamics, generator and certification are imported by
 # the commands that use them: dynamics and generator load numpy, which run and
@@ -74,9 +75,7 @@ def cmd_validate(args) -> int:
               if isinstance(contract, PipelineContract) else validate_contract(contract))
     errors = [i for i in issues if i.severity == "error"]
     payload = {"contract": args.contract,
-               "issues": [{"element": i.element, "rule": i.rule,
-                           "message": i.message, "severity": i.severity}
-                          for i in issues],
+               "issues": [as_dict(i) for i in issues],
                "valid": not errors}
     if args.format == "json":
         stream = sys.stderr if errors else sys.stdout
@@ -156,9 +155,7 @@ def cmd_drift_fit(args) -> int:
     from .dynamics import fit_ou, load_trajectory
 
     times, values = load_trajectory(args.csv)
-    fit = fit_ou(list(zip(times, values)))
-    payload = {"gamma_hat": fit.gamma_hat, "d_star_hat": fit.d_star_hat,
-               "r_squared": fit.r_squared, "degenerate": fit.degenerate}
+    payload = as_dict(fit_ou(list(zip(times, values))))
     _emit(payload, args.format,
           lambda p: (f"gamma_hat  {p['gamma_hat']:.6f}\n"
                      f"d_star_hat {p['d_star_hat']:.6f}\n"

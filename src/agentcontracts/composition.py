@@ -18,7 +18,6 @@ witness corpora travel with the benchmark scenarios.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .engine import SatisfactionVerdict, _plan, check_boundaries, check_deterministic
@@ -34,6 +33,7 @@ from .model import (
     StateDict,
     is_number,
 )
+from .records import as_dict, field, record, replace
 
 __all__ = [
     "HandoffSpec",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class HandoffSpec:
     """Boundary requirements between two chained agents."""
 
@@ -75,7 +75,7 @@ def handoff_contract(invariants: Sequence[Constraint]) -> Contract:
                     invariants_soft=tuple(c for c in invariants if c.severity == "soft"))
 
 
-@dataclass(frozen=True)
+@record
 class ChainSpec:
     """Per-agent and per-handoff reliability numbers for an N-agent chain."""
 
@@ -114,7 +114,7 @@ class ChainSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ChainBounds:
     """End-to-end chain guarantees."""
 
@@ -124,21 +124,20 @@ class ChainBounds:
     conditional_independence_assumed: bool = True
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return as_dict(self)
 
 
-@dataclass(frozen=True)
+@record
 class ConditionResult:
     passed: bool
     witnesses: tuple = ()
     checked: int = 0
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "witnesses": [list(w) for w in self.witnesses],
-                "checked": self.checked}
+        return {**as_dict(self), "witnesses": [list(w) for w in self.witnesses]}
 
 
-@dataclass(frozen=True)
+@record
 class ConditionReport:
     """Pass/fail plus concrete witnesses for each composition condition."""
 

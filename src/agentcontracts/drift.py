@@ -9,15 +9,16 @@ into a reserved ``__other__`` bucket carried in both supports; both
 distributions receive add-epsilon smoothing (1e-9) before the divergence
 so KL terms stay finite.
 
-``DriftSample`` and ``SessionMetrics`` are slotted frozen dataclasses;
-:func:`update_drift` builds its sample positionally (see
-:mod:`~agentcontracts.engine`), and skips the precondition check after
-step 0.  A step's compliance gaps read only its stored results, those that
-are not a plain pass: the numerators sum their violated weights in
-results order, over denominators the plan summed once in the same order,
-so a step with nothing stored costs nothing here.  Only a step with a
-skipped result sums its denominators afresh, in the same order, without
-the skipped names; every gap equals the plain loop's bit for bit.
+``DriftSample`` and ``SessionMetrics`` are slotted records (see
+:mod:`~agentcontracts.engine`); :func:`update_drift` builds its sample
+with the positional ``DriftSample._build``, and skips the precondition
+check after step 0.  A step's compliance gaps read only its stored
+results, those that are not a plain pass: the numerators sum their
+violated weights in results order, over denominators the plan summed
+once in the same order, so a step with nothing stored costs nothing
+here.  Only a step with a skipped result sums its denominators afresh,
+in the same order, without the skipped names; every gap equals the
+plain loop's bit for bit.
 
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
@@ -73,9 +74,10 @@ from functools import reduce
 from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .engine import StepEvaluation, ViolationEvent, _plan, _positional, _record
+from .engine import StepEvaluation, ViolationEvent, _plan
 from .errors import DimensionMismatch, EmptyInput, NotNormalized, ZeroBaseline
 from .model import OTHER_LABEL, ActionRecord, DriftConfig, ReliabilityWeights
+from .records import as_dict, record
 
 __all__ = [
     "jsd",
@@ -207,7 +209,7 @@ def _smooth(p: Sequence[float]) -> list:
     return [v / total for v in p]
 
 
-@_record
+@record(slots=True)
 class DriftSample:
     """Drift score at one step with its diagnostic decomposition."""
 
@@ -218,16 +220,10 @@ class DriftSample:
     decomposition: tuple  # (d_preconditions, d_invariants, d_governance, d_distributional)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "d_compliance": self.d_compliance,
-            "d_distributional": self.d_distributional,
-            "d_total": self.d_total,
-            "decomposition": list(self.decomposition),
-        }
+        return {**as_dict(self), "decomposition": list(self.decomposition)}
 
 
-_drift_sample = _positional(DriftSample)
+_drift_sample = DriftSample._build
 
 
 def _tabled(window, n: int) -> bool:
@@ -475,7 +471,7 @@ def reliability_index(mean_compliance: float, mean_drift: float,
             + weights.a4 * s)
 
 
-@_record
+@record(slots=True)
 class SessionMetrics:
     """Session roll-up consumed by the reliability index."""
 
@@ -508,12 +504,4 @@ class SessionMetrics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "mean_c_hard": self.mean_c_hard,
-            "mean_c_soft": self.mean_c_soft,
-            "mean_compliance": self.mean_compliance,
-            "mean_drift": self.mean_drift,
-            "recovery_effectiveness": self.recovery_effectiveness,
-            "stress_resilience": self.stress_resilience,
-            "theta": self.theta,
-        }
+        return as_dict(self)

@@ -15,12 +15,12 @@ bit-for-bit and path batches match single-path runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidStep
+from .records import record
 
 __all__ = [
     "OUParams",
@@ -42,7 +42,7 @@ __all__ = [
 Seed = Union[int, Tuple]
 
 
-@dataclass(frozen=True)
+@record
 class OUParams:
     """Drift dynamics parameters: baseline rate, recovery rate, volatility,
     initial level.  sigma = 0 degenerates to the deterministic relaxation
@@ -64,7 +64,7 @@ class OUParams:
         return self.alpha / self.gamma
 
 
-@dataclass(frozen=True)
+@record
 class DesignSpec:
     """Design targets: maximum tolerable drift and exceedance tolerance."""
 
@@ -78,7 +78,7 @@ class DesignSpec:
             raise ValueError("epsilon must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record
 class OUFit:
     """Least-squares fit of D(t) = D* + (D0 - D*) exp(-gamma t)."""
 

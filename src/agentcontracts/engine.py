@@ -52,20 +52,17 @@ compliance scores are 1.0; otherwise the same integer counts as a full
 pass give the same ratios.  The session's fold is sparse the same way:
 it keeps each constraint's entries that are False or None, from the
 stored results of steps 0..n-1 and of the trailing state, and derives
-the deterministic verdict and the outcome from those alone
-(:func:`session_timelines` builds the dense timelines, for inspection
-only).
+the deterministic verdict and the outcome from those alone.
 
 The records here, as in :mod:`~agentcontracts.drift` and
-:mod:`~agentcontracts.monitor`, are slotted frozen dataclasses: immutable,
-with no instance ``__dict__``.  The step path builds its four per-step
-records (``StepEvaluation`` here, ``DriftSample``, ``MonitorEvent`` and
-``StepReport``) positionally, through a function that
-:func:`_positional` generates from the class's fields: it sets each slot
-through its member descriptor, so no keyword ``__init__`` or frozen
-``__setattr__`` runs.  Every other record keeps its checking ``__init__``.
-Every record is made by :func:`_record`, so assigning to one raises
-FrozenInstanceError on every Python the package supports.
+:mod:`~agentcontracts.monitor`, are slotted immutable records made by
+:func:`~agentcontracts.records.record` (no instance ``__dict__``;
+assigning to one raises FrozenInstanceError), and ``dataclasses.fields``,
+``replace`` and ``asdict`` work on them.  The step path builds its four
+per-step records (``StepEvaluation`` here, ``DriftSample``, ``MonitorEvent``
+and ``StepReport``) with the class's positional builder ``_build``: it sets
+each slot through its member descriptor, so no keyword ``__init__`` and no
+``__post_init__`` runs.  Every other record keeps its checking ``__init__``.
 """
 
 from __future__ import annotations
@@ -73,15 +70,15 @@ from __future__ import annotations
 import numbers
 import re
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
 from .expressions import (OPERATORS, SOURCE_GLOBALS, NotInlined, Source, eval_expression,
                           expression_source, field_key, field_value, guarded, predicate_source)
 from .model import (FIELD_OPERATORS, MISSING, ActionRecord, Constraint, Contract, ExecutionTrace,
                     StateDict, fallback_chain, require_valid)
+from .records import field, record
 
 __all__ = [
     "ConstraintResult",
@@ -103,23 +100,7 @@ HARD_VIOLATION = "hard_violation"
 SOFT_VIOLATION = "soft_violation"
 
 
-def _record(cls):
-    """``cls`` as a slotted frozen dataclass, the form of every session
-    record.  ``slots=True`` replaces the class, and on Python 3.11 the
-    frozen ``__setattr__``/``__delattr__`` it generates still refer to the
-    class it replaced, so assigning a name that is not a field raised
-    TypeError; their ``cls`` cell is rebound to the slotted class, and
-    every assignment raises FrozenInstanceError."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    for name in ("__setattr__", "__delattr__"):
-        method = cls.__dict__[name]
-        for var, cell in zip(method.__code__.co_freevars, method.__closure__ or ()):
-            if var == "cls":
-                cell.cell_contents = cls
-    return cls
-
-
-@_record
+@record(slots=True)
 class ConstraintResult:
     """Outcome of one constraint at one step.
 
@@ -131,7 +112,7 @@ class ConstraintResult:
     detail: Optional[str] = None
 
 
-@_record
+@record(slots=True)
 class StepEvaluation:
     """All constraint results at one step plus the compliance scores.
 
@@ -161,7 +142,7 @@ class StepEvaluation:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
 
 
-@_record
+@record(slots=True)
 class ViolationEvent:
     """One violation episode: severity magnitude and recovery timing."""
 
@@ -179,7 +160,7 @@ class ViolationEvent:
             raise ValueError("recovered_at must not precede the violation step")
 
 
-@_record
+@record(slots=True)
 class SatisfactionVerdict:
     """Deterministic satisfaction: four conditions and their conjunction."""
 
@@ -205,23 +186,7 @@ class SatisfactionVerdict:
         }
 
 
-def _positional(cls) -> Callable:
-    """A function ``build(*values)`` making a slotted frozen ``cls`` from
-    every field's value, in field order: the object comes from
-    ``object.__new__`` and each slot is set through its member descriptor,
-    so no keyword ``__init__``, no frozen ``__setattr__`` and no
-    ``__post_init__`` runs.  For the records the step path makes."""
-    names = [f.name for f in fields(cls)]
-    namespace = {"_new": object.__new__, "_cls": cls,
-                 **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
-    source = "".join([f"def build({', '.join(names)}):\n", "    _obj = _new(_cls)\n",
-                      *(f"    _set_{name}(_obj, {name})\n" for name in names),
-                      "    return _obj\n"])
-    exec(compile(source, f"<agentcontracts {cls.__name__}>", "exec"), namespace)
-    return namespace["build"]
-
-
-_step_evaluation = _positional(StepEvaluation)
+_step_evaluation = StepEvaluation._build
 
 
 # ---------------------------------------------------------------------------
@@ -588,40 +553,6 @@ def initial_preconditions(contract: Contract, steps: Sequence[StepEvaluation],
     if steps:
         return steps[0].preconditions
     return _preconditions(contract, states[0])
-
-
-def session_timelines(contract: Contract, preconditions: Mapping[str, ConstraintResult],
-                      steps: Sequence[StepEvaluation], states: Sequence[StateDict],
-                      boundaries: Sequence[int] = ()) -> dict:
-    """Per-constraint timelines, lists of True/False/None entries, of steps
-    0..n-1 plus an invariant-only evaluation of the trailing state
-    ``states[n]``; preconditions get one entry, from the given
-    :func:`initial_preconditions`.  The dense view of a session, for
-    inspection: no verdict reads it (see :func:`_fold`)."""
-    n = len(steps)
-    timelines = {name: [r.satisfied] for name, r in preconditions.items()}
-    for con in contract.invariants():
-        timelines[con.name] = [True] * (n + 1)
-    for con in contract.governance():
-        timelines[con.name] = [True] * n
-    for t, step in enumerate(steps):
-        results = step.results
-        for name in step.non_satisfied:
-            timelines[name][t] = results[name].satisfied
-    for name, r in _trailing(contract, states[n], n, boundaries).items():
-        timelines[name][n] = r.satisfied
-    return timelines
-
-
-def constraint_timelines(contract: Contract, trace: ExecutionTrace,
-                         boundaries: Sequence[int] = ()) -> dict:
-    """Per-constraint timelines of a whole trace, evaluated from scratch with
-    the monitor's step evaluation; ``boundaries`` phase-scope a composed
-    contract's constraints."""
-    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
-             for t in range(trace.length)]
-    return session_timelines(contract, initial_preconditions(contract, steps, trace.states),
-                             steps, trace.states, boundaries)
 
 
 def _unrecovered(marks: Mapping[int, Optional[bool]], length: int, k: int) -> Optional[int]:

@@ -6,11 +6,12 @@ so callers embedding the monitor can catch one type at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class SourceSpan:
     """Position of a diagnostic inside a DSL document (1-based)."""
 

@@ -31,13 +31,13 @@ from __future__ import annotations
 import ast as _pyast
 import operator
 import re
-from dataclasses import dataclass
 from math import isfinite
 from types import MappingProxyType
 from typing import Any, Optional, Union
 
 from .errors import ExprSyntaxError, FieldResolutionError, ForbiddenConstruct, TypeMismatch
 from .model import MISSING, ActionRecord, StateDict, is_number, value_eq, walk_path
+from .records import record
 
 __all__ = ["ExprAst", "Lit", "Field", "Unary", "Binary", "Call", "OPERATORS",
            "compile_expression", "eval_expression", "field_paths", "field_key", "field_value",
@@ -48,30 +48,30 @@ MAX_DEPTH = 64
 WHITELISTED_FUNCTIONS = ("len", "abs", "min", "max")
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: Union[float, str, bool]
 
 
-@dataclass(frozen=True)
+@record
 class Field:
     path: str
 
 
-@dataclass(frozen=True)
+@record
 class Unary:
     op: str
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
+@record
 class Binary:
     op: str
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     func: str
     args: tuple

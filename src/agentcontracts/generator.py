@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,11 +20,12 @@ import numpy as np
 from .engine import scope_active
 from .model import Contract
 from .parser import load_document
+from .records import record
 
 __all__ = ["generate_suite", "DOMAINS"]
 
 
-@dataclass(frozen=True)
+@record
 class _Field:
     """One constraint backed by one state/action field."""
 
@@ -40,7 +40,7 @@ class _Field:
     recovery: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class _Domain:
     slug: str
     precondition_path: str

@@ -1,11 +1,12 @@
 """Core domain model: contracts, constraints, traces, and configuration.
 
-All types here are immutable value objects (frozen dataclasses with tuple
-fields) and can be shared freely between threads.  Nested state is carried
-as plain dicts restricted to JSON-expressible scalars, lists, and maps;
-the library never mutates a state dict it is handed.  A trace's JSON wire
-shape is read by the key tables ``TRACE`` and ``ACTIONS``, through the one
-rule of :mod:`~agentcontracts.schema`.
+All types here are immutable records with tuple fields, made by
+:func:`~agentcontracts.records.record` (``dataclasses.fields``, ``replace``
+and ``asdict`` work on them), and can be shared freely between threads.
+Nested state is carried as plain dicts restricted to JSON-expressible
+scalars, lists, and maps; the library never mutates a state dict it is
+handed.  A trace's JSON wire shape is read by the key tables ``TRACE``
+and ``ACTIONS``, through the one rule of :mod:`~agentcontracts.schema`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import math
 import re
 from collections import abc
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import SemanticError
+from .records import field, record
 from .schema import JsonDoc, as_is, entries, expect_mapping, mapping, sequence
 
 __all__ = [
@@ -85,14 +86,7 @@ _WEIGHT_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
 
 
-def _fields_only(obj) -> dict:
-    """Pickled state of a contract or drift configuration: its fields,
-    without the compiled form cached on the object under ``_compiled`` (a
-    plan's generated functions do not pickle)."""
-    return {k: v for k, v in vars(obj).items() if k != "_compiled"}
-
-
-@dataclass(frozen=True)
+@record
 class ActionRecord:
     """One agent action: a vocabulary label plus the payload fields
     governance predicates read.  The label must be a non-empty string and
@@ -114,7 +108,7 @@ class ActionRecord:
         return merged
 
 
-@dataclass(frozen=True)
+@record
 class ExecutionTrace:
     """Alternating states and actions: states s_0..s_T, actions a_0..a_{T-1}."""
 
@@ -169,7 +163,7 @@ TRACE_FIELDS = {"states": STATES, "actions": ACTIONS}
 TRACE = mapping("trace", TRACE_FIELDS, ("states", "actions"), ExecutionTrace)
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     """A single check: either a structured (field, operator, operand)
     triple or a compiled sandbox expression.
@@ -188,7 +182,7 @@ class Predicate:
         return self.expression is not None
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """A named behavioral constraint.
 
@@ -212,7 +206,7 @@ class Constraint:
     scope: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class RecoveryStrategy:
     """A corrective strategy with an attempt budget and optional fallback."""
 
@@ -223,7 +217,7 @@ class RecoveryStrategy:
     fallback: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class SatisfactionParams:
     """(p, delta, k) guarantee parameters, plus optional session length T."""
 
@@ -233,7 +227,7 @@ class SatisfactionParams:
     T: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record
 class DriftConfig:
     """Drift score configuration: component weights, sliding window,
     action vocabulary with its reference distribution, alert thresholds."""
@@ -246,14 +240,12 @@ class DriftConfig:
     theta1: float = 0.05
     theta2: float = 0.30
 
-    __getstate__ = _fields_only
-
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
         object.__setattr__(self, "reference", dict(self.reference))
 
 
-@dataclass(frozen=True)
+@record
 class ReliabilityWeights:
     """Weights of the four reliability-index components (sum to 1)."""
 
@@ -263,7 +255,7 @@ class ReliabilityWeights:
     a4: float = 0.1
 
 
-@dataclass(frozen=True)
+@record
 class Contract:
     """A full behavioral contract for one agent (or a composed chain).
 
@@ -284,8 +276,6 @@ class Contract:
     drift_config: DriftConfig = field(default_factory=DriftConfig)
     reliability_weights: ReliabilityWeights = field(default_factory=ReliabilityWeights)
     stages: int = 1
-
-    __getstate__ = _fields_only
 
     def __post_init__(self):
         for f in ("preconditions", "invariants_hard", "invariants_soft",
@@ -312,7 +302,7 @@ class Contract:
         return self.invariants_soft + self.governance_soft
 
 
-@dataclass(frozen=True)
+@record
 class StructuralIssue:
     """One validation finding.  ``severity`` is "error" for invariant
     violations and "warning" for advisories (unreferenced strategy,
@@ -331,8 +321,7 @@ class StructuralIssue:
 # Structural validation
 # ---------------------------------------------------------------------------
 
-def _issue(element: str, rule: str, message: str, severity: str = "error") -> StructuralIssue:
-    return StructuralIssue(element=element, rule=rule, message=message, severity=severity)
+_issue = StructuralIssue   # (element, rule, message, severity="error")
 
 
 def _validate_predicate(name: str, p: Predicate, out: list) -> None:

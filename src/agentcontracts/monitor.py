@@ -29,8 +29,8 @@ step and the event kind; the step's report holds the events logged until
 then.  A finalize that returns closes the session too: a later step or
 finalize raises SessionTerminated.
 
-The reports are slotted frozen dataclasses.  A step builds its events and
-its report positionally (see :mod:`~agentcontracts.engine`).  Beyond
+The reports are slotted records (see :mod:`~agentcontracts.engine`); a
+step builds its events and report with the positional ``_build``.  Beyond
 evaluating each constraint once, a step and the session's roll-up do work
 in proportion to the results that are not a plain pass and the episodes
 open: a step opens episodes from its stored results only, closes and
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
@@ -53,9 +52,7 @@ from .engine import (
     ViolationEvent,
     _fold,
     _plan,
-    _positional,
     _recoverable,
-    _record,
     _score_step,
     _trailing,
     check_boundaries,
@@ -67,6 +64,7 @@ from .errors import (BadHookReturn, EmptyEnsemble, ListenerError, RecoveryHookEr
 from .model import (ActionRecord, Constraint, Contract, ExecutionTrace, RecoveryStrategy,
                     SatisfactionParams, StateDict, is_state, raise_first_error,
                     satisfaction_issues)
+from .records import as_dict, field, record
 
 __all__ = [
     "MonitorEvent",
@@ -112,7 +110,7 @@ def _call_hook(hook: RecoveryHook, t: int, con: Constraint, strategy: RecoverySt
                         f"(state mapping, ActionRecord) pair")
 
 
-@_record
+@record(slots=True)
 class MonitorEvent:
     kind: str
     step: int
@@ -122,10 +120,10 @@ class MonitorEvent:
         return {"kind": self.kind, "step": self.step, "payload": dict(self.payload)}
 
 
-_monitor_event = _positional(MonitorEvent)
+_monitor_event = MonitorEvent._build
 
 
-@_record
+@record(slots=True)
 class StepReport:
     """Everything observed at one step (pre- and post-recovery)."""
 
@@ -161,10 +159,10 @@ class StepReport:
         return out
 
 
-_step_report = _positional(StepReport)
+_step_report = StepReport._build
 
 
-@_record
+@record(slots=True)
 class SessionReport:
     """Session summary: series, logs, metrics, verdicts."""
 
@@ -204,12 +202,7 @@ class SessionReport:
             "contract": self.contract,
             "steps": [s.to_dict() for s in self.steps],
             "events": [e.to_dict() for e in self.events],
-            "violations": [
-                {"step": v.step, "constraint": v.constraint, "severity": v.severity,
-                 "nu": v.nu, "recovered_at": v.recovered_at,
-                 "delta_t_recovery": v.delta_t_recovery}
-                for v in self.violations
-            ],
+            "violations": [as_dict(v) for v in self.violations],
             "metrics": self.metrics.to_dict(),
             "verdicts": {
                 "deterministic": self.verdict.to_dict(),
@@ -553,7 +546,7 @@ def run_session(contract: Contract, trace: ExecutionTrace,
 # (p, delta, k) verdicts over session ensembles
 # ---------------------------------------------------------------------------
 
-@_record
+@record(slots=True)
 class PdkVerdict:
     """Probabilistic satisfaction over an ensemble of sessions."""
 
@@ -569,16 +562,8 @@ class PdkVerdict:
     soft_counterexamples: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "hard_frequency": self.hard_frequency,
-            "soft_frequency": self.soft_frequency,
-            "p": self.p, "delta": self.delta, "k": self.k,
-            "sessions": self.sessions,
-            "excluded": self.excluded,
-            "hard_counterexamples": list(self.hard_counterexamples),
-            "soft_counterexamples": list(self.soft_counterexamples),
-        }
+        return {**as_dict(self), "hard_counterexamples": list(self.hard_counterexamples),
+                "soft_counterexamples": list(self.soft_counterexamples)}
 
 
 def pdk_verdict(contract: Contract, sessions: Sequence[SessionReport],

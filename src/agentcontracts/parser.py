@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Union
 
@@ -51,6 +50,7 @@ from .model import (
     SatisfactionParams,
     require_valid,
 )
+from .records import as_dict, record
 from .schema import (
     as_is,
     bad,
@@ -74,7 +74,7 @@ __all__ = [
 _MAX_NESTING = 128
 
 
-@dataclass(frozen=True)
+@record
 class PipelineStage:
     """One stage of a pipeline document: a name plus its agent contract."""
 
@@ -83,7 +83,7 @@ class PipelineStage:
     contract: Contract
 
 
-@dataclass(frozen=True)
+@record
 class PipelineContract:
     """A pipeline-kind document: ordered stages with handoff specs."""
 
@@ -517,20 +517,17 @@ def contract_to_yaml(c: Contract) -> str:
     def docs(constraints):
         return [_constraint_to_doc(x) for x in constraints]
 
-    sp, dc, rw = c.satisfaction, c.drift_config, c.reliability_weights
+    dc = c.drift_config
     doc = {
         "contractspec": "1.0", "kind": c.kind, "name": c.name,
         "preconditions": docs(c.preconditions),
         "invariants": {"hard": docs(c.invariants_hard), "soft": docs(c.invariants_soft)},
         "governance": {"hard": docs(c.governance_hard), "soft": docs(c.governance_soft)},
         "recovery": {"strategies": [
-            _present({"name": s.name, "type": s.type, "action": s.action,
-                      "max_attempts": s.max_attempts, "fallback": s.fallback})
-            for s in c.recovery_strategies]},
-        "satisfaction": _present({"p": sp.p, "delta": sp.delta, "k": sp.k, "T": sp.T}),
-        "drift": {"w_c": dc.w_c, "w_d": dc.w_d, "window": dc.window,
-                  "vocabulary": list(dc.vocabulary), "reference": dict(dc.reference),
-                  "theta1": dc.theta1, "theta2": dc.theta2},
-        "reliability": {"a1": rw.a1, "a2": rw.a2, "a3": rw.a3, "a4": rw.a4},
+            _present(as_dict(s)) for s in c.recovery_strategies]},
+        "satisfaction": _present(as_dict(c.satisfaction)),
+        "drift": {**as_dict(dc), "vocabulary": list(dc.vocabulary),
+                  "reference": dict(dc.reference)},
+        "reliability": as_dict(c.reliability_weights),
     }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -243,3 +245,35 @@ class TestAggregate:
         summary = aggregate(scores)
         counts = summary.overall["outcomes"]
         assert sum(counts.values()) == len(scores)
+
+
+class TestMissingContractFile:
+    """A scenario whose ``contract`` names no file is an input error that
+    names the scenario file and its key, not a bare FileNotFoundError."""
+
+    @staticmethod
+    def broken_suite(suite_dir, tmp_path):
+        shutil.copytree(suite_dir, tmp_path, dirs_exist_ok=True)
+        name = scenario_files(suite_dir)[0]["file"]
+        doc = json.load(open(tmp_path / name))
+        doc["contract"] = "contracts/nope.yaml"
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    def test_load_scenario_names_the_file_and_the_key(self, suite_dir, tmp_path):
+        path = self.broken_suite(suite_dir, tmp_path)
+        with pytest.raises(FormatError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith(f"{path}: contract: cannot load 'contracts/nope.yaml'")
+
+    def test_cli_bench_exits_two_without_a_traceback(self, suite_dir, tmp_path):
+        path = self.broken_suite(suite_dir, tmp_path)
+        src_dir = os.path.dirname(os.path.dirname(bench.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-m", "agentcontracts.cli", "bench",
+                                str(tmp_path)], capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert child.returncode == 2 and not child.stdout
+        assert child.stderr.startswith(f"error: {path}: contract: ")
+        assert "Traceback" not in child.stderr

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from agentcontracts.engine import (COMPLIANT, HARD_VIOLATION, OUT_OF_PHASE, SATISFIED,
                                    SOFT_VIOLATION, VIOLATED, ConstraintResult, StepEvaluation,
                                    _fold, _recoverable, _trailing, evaluate_constraint,
-                                   evaluate_step, initial_preconditions, scope_active,
-                                   session_timelines)
+                                   evaluate_step, initial_preconditions, scope_active)
 from agentcontracts.model import Constraint, Contract, Predicate, SatisfactionParams
 
 from helpers import random_contract, random_session
@@ -39,6 +38,37 @@ def reference_timelines(contract, preconditions, steps, states, boundaries) -> d
     for con in contract.governance():
         lines[con.name] = [s.results[con.name].satisfied for s in steps]
     return lines
+
+
+def session_timelines(contract, preconditions, steps, states, boundaries=()) -> dict:
+    """Per-constraint timelines, lists of True/False/None entries, of steps
+    0..n-1 plus an invariant-only evaluation of the trailing state
+    ``states[n]``; preconditions get one entry, from the given
+    ``initial_preconditions``.  The dense view of a session, written from
+    the stored results as the fold reads them (no verdict reads it)."""
+    n = len(steps)
+    timelines = {name: [r.satisfied] for name, r in preconditions.items()}
+    for con in contract.invariants():
+        timelines[con.name] = [True] * (n + 1)
+    for con in contract.governance():
+        timelines[con.name] = [True] * n
+    for t, step in enumerate(steps):
+        results = step.results
+        for name in step.non_satisfied:
+            timelines[name][t] = results[name].satisfied
+    for name, r in _trailing(contract, states[n], n, boundaries).items():
+        timelines[name][n] = r.satisfied
+    return timelines
+
+
+def constraint_timelines(contract, trace, boundaries=()) -> dict:
+    """Per-constraint timelines of a whole trace, evaluated from scratch with
+    the monitor's step evaluation; ``boundaries`` phase-scope a composed
+    contract's constraints."""
+    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
+             for t in range(trace.length)]
+    return session_timelines(contract, initial_preconditions(contract, steps, trace.states),
+                             steps, trace.states, boundaries)
 
 
 def fold(contract, states, actions, boundaries) -> tuple:

@@ -145,35 +145,41 @@ def test_the_schema_module_imports_only_errors():
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
     assert json.loads(child.stdout) == ["agentcontracts", "agentcontracts.errors",
-                                        "agentcontracts.schema"]
+                                        "agentcontracts.records", "agentcontracts.schema"]
 
 
-# Runs in a fresh interpreter: counts the dataclasses that importing the CLI
-# creates (each frozen slotted one costs about 0.7 ms to create), and prints
-# their names.
-_DATACLASS_CHILD = """
-import dataclasses, json
-made = []
-process_class = dataclasses._process_class
-def counting(cls, *args, **kwargs):
-    made.append(cls.__qualname__)
-    return process_class(cls, *args, **kwargs)
-dataclasses._process_class = counting
+# Runs in a fresh interpreter: prints whether ``dataclasses`` or ``inspect``
+# (which ``dataclasses`` imports, with ``ast``, ``dis`` and ``tokenize``) is
+# loaded after the imports and after each command.
+_RECORDS_CHILD = """
+import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+seen = {}
+import agentcontracts
+seen["import agentcontracts"] = loaded()
 import agentcontracts.cli
-print(json.dumps(made))
+seen["import agentcontracts.cli"] = loaded()
+for argv in map(json.loads, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[argv[0]] = (agentcontracts.cli.main(argv), loaded())
+print(json.dumps(seen))
 """
 
-#: The dataclasses ``import agentcontracts.cli`` creates today.
-CLI_DATACLASSES = 28
 
-
-def test_importing_the_cli_creates_few_dataclasses():
+def test_the_cli_loads_neither_dataclasses_nor_inspect(suite_dir):
+    # Records are made by agentcontracts.records, so neither module is
+    # imported until a caller asks for dataclasses.fields/replace/asdict.
+    commands = [["run", asset_path("contracts", "financial-advisor.yaml"),
+                 asset_path("traces", "financial_advisor_demo.json")],
+                ["bench", suite_dir]]
     src_dir = os.path.dirname(os.path.dirname(agentcontracts.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", _DATACLASS_CHILD],
-                           capture_output=True, text=True, env=env, timeout=60)
+    child = subprocess.run([sys.executable, "-c", _RECORDS_CHILD]
+                           + [json.dumps(c) for c in commands],
+                           capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr[-2000:]
-    made = json.loads(child.stdout)
-    assert "StepEvaluation" in made   # the count sees the package's records
-    assert len(made) <= CLI_DATACLASSES, made
+    assert json.loads(child.stdout) == {"import agentcontracts": [],
+                                        "import agentcontracts.cli": [],
+                                        "run": [3, []], "bench": [0, []]}

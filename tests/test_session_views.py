@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcontracts.engine import check_deterministic, classify_outcome, constraint_timelines
+from agentcontracts.engine import check_deterministic, classify_outcome
 from agentcontracts.errors import EmptyEnsemble
 from agentcontracts.model import ExecutionTrace, RecoveryStrategy
 from agentcontracts.monitor import pdk_verdict, run_session
@@ -27,6 +27,7 @@ from helpers import (
     random_contract,
     random_state,
 )
+from test_folds import constraint_timelines
 
 ON_MISSING = ("violate", "satisfy", "skip")
 

@@ -17,8 +17,7 @@ from agentcontracts import model
 from agentcontracts.cli import main
 from agentcontracts.composition import (HandoffSpec, check_conditions, compose_contracts,
                                         verify_chain_trace)
-from agentcontracts.engine import (check_deterministic, classify_outcome, constraint_timelines,
-                                   evaluate_constraint)
+from agentcontracts.engine import check_deterministic, classify_outcome, evaluate_constraint
 from agentcontracts.errors import SemanticError
 from agentcontracts.model import (
     ActionRecord,
@@ -36,6 +35,7 @@ from agentcontracts.monitor import SessionMonitor, run_session
 from agentcontracts.parser import parse_pipeline
 
 from helpers import random_contract, random_trace
+from test_folds import constraint_timelines
 
 HUGE = 10 ** 400   # an int no float can hold
 
