@@ -14,12 +14,12 @@ offending element can be located in the document.  Parsing is pure and
 deterministic; arbitrary byte input terminates with DslSyntaxError or a
 schema/semantic diagnostic, never a crash.
 
-Each document is composed once, with libyaml (``yaml.CSafeLoader``) when
-PyYAML was built with it and with the pure-Python ``yaml.SafeLoader``
-otherwise; the value and the span index both come from that one node
-tree.  Nesting deeper than ``_MAX_NESTING`` is rejected from a flat pass
-over the parser's events before composing, because libyaml's composer
-recurses on the C stack.
+Each document is read in one pass: PyYAML's composer builds the node tree
+from the events of libyaml (``yaml.CSafeLoader``) when PyYAML was built
+with it, else of the pure-Python ``yaml.SafeLoader``, and refuses nesting
+deeper than ``_MAX_NESTING`` (libyaml's own composer, which recurses on the
+C stack, never runs).  A diagnostic's span is read from that tree when the
+diagnostic is raised.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class PipelineContract:
 
 
 # ---------------------------------------------------------------------------
-# Span index: map document paths to source positions
+# Loading: one composing pass per document; spans read from its node tree
 # ---------------------------------------------------------------------------
 
 def _node_span(node) -> SourceSpan:
@@ -123,40 +123,40 @@ def _key(node) -> Any:
     return yaml.constructor.SafeConstructor().construct_object(node)
 
 
-def _index_spans(node, path: tuple, out: dict, done: set, depth: int = 0) -> None:
-    """Index ``node``'s subtree under ``path``.  ``done`` holds the ids of
-    collections already indexed: an alias to one is not walked again, so
-    nested aliases cost linear, not exponential, time.  An alias to an
-    enclosing collection recurses until the nesting limit rejects it."""
-    if depth > _MAX_NESTING:
-        raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
-    out[path] = _node_span(node)
-    if id(node) in done:
-        return
-    if isinstance(node, yaml.MappingNode):
-        for key_node, value_node in node.value:
-            _index_spans(value_node, path + (_key(key_node),), out, done, depth + 1)
-        done.add(id(node))
-    elif isinstance(node, yaml.SequenceNode):
-        for i, child in enumerate(node.value):
-            _index_spans(child, path + (i,), out, done, depth + 1)
-        done.add(id(node))
-
-
 class _Doc:
-    """A parsed document plus its span index and its node tree."""
+    """A parsed document plus its node tree, read for a span only when a
+    diagnostic needs one."""
 
-    def __init__(self, value: Any, spans: dict, node=None):
+    def __init__(self, value: Any, node):
         self.value = value
-        self.spans = spans
         self.node = node
 
+    def _walk(self, path: tuple) -> tuple:
+        """The node at the longest prefix of ``path`` present in the tree,
+        and the node naming it: its key when that prefix is all of ``path``
+        and ends at a mapping key, else the node itself.  A repeated key
+        resolves to its last entry, as the constructor does."""
+        node = key = self.node
+        for part in path:
+            if isinstance(node, yaml.MappingNode):
+                pairs = [pair for pair in node.value if _key(pair[0]) == part]
+                if not pairs:
+                    return node, node
+                key, node = pairs[-1]
+            elif (isinstance(node, yaml.SequenceNode) and isinstance(part, int)
+                  and 0 <= part < len(node.value)):
+                key = node = node.value[part]
+            else:
+                return node, node
+        return node, key
+
     def span(self, path: tuple) -> Optional[SourceSpan]:
-        while path:
-            if path in self.spans:
-                return self.spans[path]
-            path = path[:-1]
-        return self.spans.get(())
+        """The span of the value at ``path``, or at its longest prefix present."""
+        return self.node and _node_span(self._walk(path)[0])
+
+    def key_span(self, path: tuple) -> Optional[SourceSpan]:
+        """The span of the key that ends ``path``, else :meth:`span`."""
+        return self.node and _node_span(self._walk(path)[1])
 
     def error(self, path: tuple, message: str, field: Any) -> SchemaError:
         """The SchemaError on the value at ``path``, spanned at it."""
@@ -167,37 +167,39 @@ class _Doc:
         return SchemaError(f"unknown key {key!r} in {what}",
                            span=self.key_span(path + (key,)), field=key)
 
-    def key_span(self, path: tuple) -> Optional[SourceSpan]:
-        """The span of the key that ends ``path``, found in the node tree
-        only when asked (the index holds values), else :meth:`span`."""
-        node = self.node
-        for part in path[:-1]:
-            node = (node.value[part] if isinstance(node, yaml.SequenceNode)
-                    else [v for k, v in node.value if _key(k) == part][-1])
-        keys = [k for k, _ in node.value if _key(k) == path[-1]]
-        return _node_span(keys[-1]) if keys else self.span(path)
+
+class _BoundedComposer(yaml.composer.Composer):
+    """PyYAML's composer over the events of the loader it is mixed into,
+    refusing to open a collection past ``_MAX_NESTING`` or to follow an
+    alias to a collection enclosing it."""
+
+    def compose_document(self):
+        self.anchors, self.nesting = {}, 0
+        return super().compose_document()
+
+    def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            target = self.anchors.get(self.peek_event().anchor)
+            # A collection still being composed (no end mark yet) encloses the alias.
+            if target is not None and target.end_mark is None:
+                raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
+        elif self.check_event(yaml.SequenceStartEvent, yaml.MappingStartEvent):
+            if self.nesting == _MAX_NESTING:
+                raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
+            self.nesting += 1
+            node = super().compose_node(parent, index)
+            self.nesting -= 1
+            return node
+        return super().compose_node(parent, index)
 
 
-# libyaml when PyYAML was built with it; the pure-Python loader otherwise.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _bounded(base: type) -> type:
+    """``base`` (a PyYAML loader class) composing with _BoundedComposer."""
+    return type(base.__name__, (_BoundedComposer, base), {"__init__": base.__init__})
 
 
-def _check_nesting(text: str) -> None:
-    """Raise DslSyntaxError once collection nesting exceeds _MAX_NESTING,
-    reading events without building nodes."""
-    loader = _Loader(text)
-    try:
-        depth = 0
-        while loader.check_event():
-            event = loader.get_event()
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_NESTING:
-                    raise DslSyntaxError(f"document nesting exceeds {_MAX_NESTING} levels")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-    finally:
-        loader.dispose()
+# libyaml's parser when PyYAML was built with it; the pure-Python one otherwise.
+_Loader = _bounded(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _load_yaml(text: Union[str, bytes]) -> _Doc:
@@ -206,17 +208,11 @@ def _load_yaml(text: Union[str, bytes]) -> _Doc:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DslSyntaxError(f"document is not valid UTF-8: {exc}") from None
-    spans: dict = {}
     try:
-        _check_nesting(text)
         loader = _Loader(text)
         try:
             node = loader.get_single_node()
-            if node is None:
-                return _Doc(None, spans)
-            # Constructing first rejects non-scalar keys before they become paths.
-            value = loader.construct_document(node)
-            _index_spans(node, (), spans, set())
+            value = None if node is None else loader.construct_document(node)
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:
@@ -231,7 +227,7 @@ def _load_yaml(text: Union[str, bytes]) -> _Doc:
         raise DslSyntaxError(f"malformed YAML: {exc}") from None
     except RecursionError:
         raise DslSyntaxError("document nesting exceeds the parser limit") from None
-    return _Doc(value, spans, node)
+    return _Doc(value, node)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agentcontracts
@@ -21,6 +21,7 @@ from agentcontracts.errors import (
     DslSyntaxError,
     SchemaError,
     SemanticError,
+    SourceSpan,
 )
 from agentcontracts.model import (
     Constraint,
@@ -536,6 +537,17 @@ LOADERS = [pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
                         marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                                                  reason="PyYAML built without libyaml")),
            pytest.param(yaml.SafeLoader, id="pure-python")]
+# Each loader bounded by parser._bounded, and the module's own parser._Loader
+# (None: left as it is).
+BOUNDED = LOADERS + [pytest.param(None, id="module-loader")]
+
+
+def use_loader(monkeypatch, loader):
+    """Install ``loader``, bounded, as ``parser._Loader``; None keeps the
+    module's own."""
+    if loader is not None:
+        monkeypatch.setattr(parser, "_Loader", parser._bounded(loader))
+
 
 # Flow and block documents nested 10**5 deep: libyaml's composer would
 # recurse on the C stack and crash the interpreter.
@@ -543,7 +555,8 @@ _DEEP_DOCUMENT_SCRIPT = """
 import sys, yaml
 from agentcontracts import parser
 from agentcontracts.errors import DslSyntaxError
-parser._Loader = getattr(yaml, sys.argv[1])
+if sys.argv[1:]:
+    parser._Loader = parser._bounded(getattr(yaml, sys.argv[1]))
 n = 10 ** 5
 for text in ("[" * n + "]" * n, "- " * n + "x"):
     try:
@@ -551,6 +564,87 @@ for text in ("[" * n + "]" * n, "- " * n + "x"):
     except DslSyntaxError:
         print("DslSyntaxError")
 """
+
+
+def reference_spans(node, path=(), key=None, out=None, done=None):
+    """The span of every node below ``node`` and of the key naming it, by
+    document path: an eager index, the reference for ``_Doc.span`` and
+    ``_Doc.key_span``.  ``done`` holds the ids of collections already
+    indexed: an alias to one is not walked again, so a path below an alias
+    is absent, and nested aliases cost linear, not exponential, time."""
+    out = {} if out is None else out
+    done = set() if done is None else done
+    out[path] = (parser._node_span(node), None if key is None else parser._node_span(key))
+    if id(node) in done:
+        return out
+    if isinstance(node, yaml.MappingNode):
+        for key_node, value_node in node.value:
+            reference_spans(value_node, path + (parser._key(key_node),), key_node, out, done)
+        done.add(id(node))
+    elif isinstance(node, yaml.SequenceNode):
+        for i, child in enumerate(node.value):
+            reference_spans(child, path + (i,), None, out, done)
+        done.add(id(node))
+    return out
+
+
+def reference_lookup(spans, path):
+    """``(span, key_span)`` of ``path`` by the reference: the value's span
+    at the longest prefix present, and the key's span when ``path`` itself
+    is present and ends at a mapping key."""
+    prefix = path
+    while prefix not in spans:
+        prefix = prefix[:-1]
+    value, key = spans[prefix]
+    return value, key if prefix == path and key is not None else value
+
+
+def value_paths(value, path=()):
+    """The path of every element of a loaded document, the root included."""
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from value_paths(child, path + (key,))
+
+
+@st.composite
+def alias_documents(draw):
+    """Flow YAML with anchors, repeated aliases and ``<<`` merges, and now
+    and then a recursive alias, a duplicate anchor or an undefined alias."""
+    defined, enclosing = [], []
+
+    def node(depth):
+        kinds = (["scalar"] + ["sequence", "mapping"] * (depth < 3)
+                 + ["alias"] * bool(defined or enclosing))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "alias":
+            pick = draw(st.integers(0, 31))
+            if pick == 0:
+                return "*undefined"
+            if (pick == 1 and enclosing) or not defined:
+                return "*" + draw(st.sampled_from(enclosing))
+            return "*" + draw(st.sampled_from(defined))
+        name = None
+        if draw(st.booleans()):
+            names = defined + enclosing
+            duplicate = names and draw(st.integers(0, 31)) == 0
+            name = draw(st.sampled_from(names)) if duplicate else f"a{len(names)}"
+        anchor = f"&{name} " if name else ""
+        if kind == "scalar":
+            defined.extend(filter(None, [name]))
+            return anchor + draw(st.sampled_from(["x", "1"]))
+        enclosing.extend(filter(None, [name]))
+        items = [node(depth + 1) for _ in range(draw(st.integers(0, 3)))]
+        if name:
+            enclosing.remove(name)
+            defined.append(name)
+        if kind == "sequence":
+            return anchor + "[" + ", ".join(items) + "]"
+        keys = [draw(st.sampled_from(["k", "m", "<<"])) for _ in items]
+        return anchor + "{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, items)) + "}"
+
+    return "".join(f"k{i}: {node(0)}\n" for i in range(draw(st.integers(1, 4))))
 
 
 class TestLoaders:
@@ -561,19 +655,73 @@ class TestLoaders:
         docs = []
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(parser, "_Loader", loader)
+                m.setattr(parser, "_Loader", parser._bounded(loader))
                 docs.append(parser._load_yaml(text))
         return docs
 
-    @pytest.mark.parametrize("loader", LOADERS)
+    def assert_spans_match_reference(self, text):
+        """Both loaders give the same value and, at every path of it (and
+        one step past it), the reference's span and key span; returns both
+        documents.  ``text`` holds no alias, which the reference does not
+        descend into."""
+        assert not any(isinstance(event, yaml.AliasEvent) for event in yaml.parse(text))
+        fast, slow = self.load_both(text)
+        assert fast.value == slow.value
+        spans = reference_spans(slow.node)
+        assert reference_spans(fast.node) == spans
+        for path in value_paths(slow.value):
+            for probe in (path, path + (UNKNOWN,), path + (10 ** 6,)):
+                want = reference_lookup(spans, probe)
+                for doc in (fast, slow):
+                    assert (doc.span(probe), doc.key_span(probe)) == want, probe
+        return fast, slow
+
+    @pytest.mark.parametrize("loader", BOUNDED)
     def test_deep_nesting_is_syntax_error_not_crash(self, loader):
         src_dir = os.path.dirname(os.path.dirname(agentcontracts.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        child = subprocess.run([sys.executable, "-c", _DEEP_DOCUMENT_SCRIPT, loader.__name__],
+        args = [] if loader is None else [loader.__name__]
+        child = subprocess.run([sys.executable, "-c", _DEEP_DOCUMENT_SCRIPT, *args],
                                capture_output=True, text=True, env=env, timeout=120)
         assert child.returncode == 0, child.stderr[-2000:]
         assert child.stdout.split() == ["DslSyntaxError", "DslSyntaxError"]
+
+    # An empty innermost collection counts: a bound on nodes, not on
+    # collections, would load "[" * 129 + "]" * 129.
+    @pytest.mark.parametrize("loader", BOUNDED)
+    @pytest.mark.parametrize("nest", [lambda n: "[" * n + "]" * n,
+                                      lambda n: "[" * n + "x" + "]" * n,
+                                      lambda n: "- " * n + "x"],
+                             ids=["flow-empty", "flow-leaf", "block"])
+    def test_nesting_bound_is_exact(self, monkeypatch, loader, nest):
+        use_loader(monkeypatch, loader)
+        value = parser._load_yaml(nest(128)).value
+        for _ in range(127):
+            value, = value
+        assert value in ([], ["x"])
+        with pytest.raises(DslSyntaxError, match=r"^document nesting exceeds 128 levels$"):
+            parser._load_yaml(nest(129))
+
+    @pytest.mark.parametrize("loader", BOUNDED)
+    def test_an_alias_to_an_enclosing_collection_is_refused(self, monkeypatch, loader):
+        use_loader(monkeypatch, loader)
+        with pytest.raises(DslSyntaxError, match=r"^document nesting exceeds 128 levels$"):
+            parser._load_yaml("a: [x, &b {c: [*b]}]")
+        assert parser._load_yaml("a: &a [b]\nc: [*a, *a]").value == {"a": ["b"],
+                                                                      "c": [["b"], ["b"]]}
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_a_repeated_key_is_spanned_at_its_last_entry(self, monkeypatch, loader):
+        """As the constructor keeps a repeated key's last value, and a
+        mapping's own key over a merged one."""
+        monkeypatch.setattr(parser, "_Loader", parser._bounded(loader))
+        doc = parser._load_yaml("a: {k: 1, k: [x]}\nb: &b {k: 1}\nc: {<<: *b, k: 2}\n")
+        assert doc.value == {"a": {"k": ["x"]}, "b": {"k": 1}, "c": {"k": 2}}
+        assert (doc.span(("a", "k")), doc.key_span(("a", "k"))) == (
+            SourceSpan(line=1, column=14, length=3), SourceSpan(line=1, column=11))
+        assert (doc.span(("c", "k")), doc.key_span(("c", "k"))) == (
+            SourceSpan(line=3, column=16), SourceSpan(line=3, column=13))
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     def test_same_value_and_spans_on_every_contract(self, suite_dir):
@@ -582,10 +730,8 @@ class TestLoaders:
         assert len(paths) >= 10
         for path in paths:
             with open(path, "rb") as fh:
-                fast, slow = self.load_both(fh.read())
-            assert fast.value == slow.value, path
-            assert fast.spans == slow.spans, path
-            assert len(fast.spans) > 10
+                fast, _ = self.assert_spans_match_reference(fh.read())
+            assert len(reference_spans(fast.node)) > 10, path
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     @given(st.recursive(
@@ -598,9 +744,31 @@ class TestLoaders:
     def test_same_value_and_spans_on_random_documents(self, value):
         for flow in (False, True):
             text = yaml.safe_dump({"root": value}, default_flow_style=flow)
-            fast, slow = self.load_both(text)
+            fast, slow = self.assert_spans_match_reference(text)
             assert fast.value == slow.value == {"root": value}
-            assert fast.spans == slow.spans
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @given(alias_documents())
+    @example("a: &a {k: x}\nb: {<<: *a, m: *a}\nc: [*a, *a]\n")
+    @example("a: &a {k: x}\nb: &b {m: 1}\nc: {<<: [*a, *b], k: y}\n")
+    @example("a: &a {<<: *a}\n")
+    @example("a: &a [x, *a]\n")
+    @example("a: &a x\nb: &a y\n")
+    @example("a: *a\n")
+    @example("a: {<<: x}\n")
+    @settings(max_examples=300, deadline=None)
+    def test_aliases_load_alike(self, text):
+        """Anchors, aliases and merges give both loaders the same value, or
+        the same error type at the same span."""
+        outcomes = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(parser, "_Loader", parser._bounded(loader))
+                try:
+                    outcomes.append(parser._load_yaml(text).value)
+                except ContractError as exc:
+                    outcomes.append((type(exc), exc.span))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("text", [
@@ -608,7 +776,7 @@ class TestLoaders:
         "a: *undefined", "--- a\n--- b", "? [a]\n: b", "a: !!python/object:os.system x",
     ])
     def test_malformed_yaml_has_span_under_both(self, monkeypatch, loader, text):
-        monkeypatch.setattr(parser, "_Loader", loader)
+        monkeypatch.setattr(parser, "_Loader", parser._bounded(loader))
         with pytest.raises(DslSyntaxError) as exc:
             parse_document(text)
         assert exc.value.span is not None
@@ -616,18 +784,21 @@ class TestLoaders:
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("text", ["a: 2020-13-01", "a: !!int x", "a: " + "9" * 5000])
     def test_unconstructible_scalar_is_syntax_error(self, monkeypatch, loader, text):
-        monkeypatch.setattr(parser, "_Loader", loader)
+        monkeypatch.setattr(parser, "_Loader", parser._bounded(loader))
         with pytest.raises(DslSyntaxError):
             parse_document(text)
 
     @pytest.mark.parametrize("loader", LOADERS)
-    def test_nested_aliases_indexed_once(self, monkeypatch, loader):
-        """Five levels of ten aliases name 10**5 paths; each node is indexed once."""
-        monkeypatch.setattr(parser, "_Loader", loader)
+    def test_a_span_below_nested_aliases_reads_the_aliased_node(self, monkeypatch, loader):
+        """Five levels of ten aliases name 10**5 paths; a span six aliases
+        deep is read from the aliased node."""
+        monkeypatch.setattr(parser, "_Loader", parser._bounded(loader))
         lines = ["a0: &a0 [x, x, x, x, x, x, x, x, x, x]"]
         lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 6)]
         doc = parser._load_yaml("\n".join(lines))
-        assert len(doc.spans) < 100
+        last_x = SourceSpan(line=1, column=lines[0].rindex("x") + 1)
+        path = ("a5",) + (9,) * 6
+        assert doc.span(path) == doc.key_span(path) == last_x
         with pytest.raises(DslSyntaxError, match="nesting"):
             parse_document("a: &a [b, *a]")
 
@@ -635,6 +806,15 @@ class TestLoaders:
         calls = []
         real = parser._load_yaml
         monkeypatch.setattr(parser, "_load_yaml", lambda text: calls.append(1) or real(text))
+        parse_contract(open(FINANCIAL, "rb").read())
+        assert len(calls) == 1
+
+    def test_parse_contract_constructs_one_loader(self, monkeypatch):
+        """One parse per document: the loader that composes it is the only
+        one built."""
+        calls = []
+        real = parser._Loader
+        monkeypatch.setattr(parser, "_Loader", lambda text: calls.append(1) or real(text))
         parse_contract(open(FINANCIAL, "rb").read())
         assert len(calls) == 1
 
