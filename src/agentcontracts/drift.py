@@ -389,7 +389,8 @@ class DriftWindow:
         the skipped names.  So every gap is the plain loop's, bit for bit.
         """
         weights, results = self._weights, step.results
-        num, nums, skipped = 0.0, [0.0, 0.0], set()
+        num = num_inv = num_gov = 0.0
+        skipped = set()
         for name in step.non_satisfied:
             satisfied = results[name].satisfied
             if satisfied is None:
@@ -397,16 +398,22 @@ class DriftWindow:
             elif not satisfied and name in weights:
                 weight, part = weights[name]
                 num += weight
-                nums[part] += weight
-        den, *dens = self._gap_totals
+                if part:
+                    num_gov += weight
+                else:
+                    num_inv += weight
+        den, den_inv, den_gov = self._gap_totals
         if skipped:
-            den, dens = 0.0, [0.0, 0.0]
+            den = den_inv = den_gov = 0.0
             for name, (weight, part) in weights.items():
                 if name not in skipped:
                     den += weight
-                    dens[part] += weight
-        return (num / den if den > 0 else 0.0,
-                *(x / d if d > 0 else 0.0 for x, d in zip(nums, dens)))
+                    if part:
+                        den_gov += weight
+                    else:
+                        den_inv += weight
+        return (num / den if den > 0 else 0.0, num_inv / den_inv if den_inv > 0 else 0.0,
+                num_gov / den_gov if den_gov > 0 else 0.0)
 
 
 def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,

@@ -358,14 +358,13 @@ class _Plan:
 def _generate(sections: Sequence[tuple]) -> tuple:
     """One function per section of ``(constraints, target)``,
     ``run(state, action, t, boundaries, stored)``, from one generated
-    source compiled once.  Each constraint is a straight-line block: it
-    computes the constraint's result ``r``, then runs ``r is SAT or
-    store(name, r)``, so ``stored`` receives, in section order, only the
-    results that are not the shared ``SATISFIED``.  A check is inlined as
-    the source :mod:`~agentcontracts.expressions` writes (plain-dict
-    walks, exact type guards); a value off that path, and a check it does
-    not inline, calls :func:`evaluate_constraint`, the one definition of
-    its semantics.  A scoped constraint out of phase at ``t``
+    source compiled once.  Each constraint is a straight-line block
+    (:func:`_block`) that stores a result only when it is not the shared
+    ``SATISFIED``, so ``stored`` receives, in section order, only those.
+    A check is inlined as the source :mod:`~agentcontracts.expressions`
+    writes (plain-dict walks, exact type guards); a value off that path,
+    and a check it does not inline, calls :func:`evaluate_constraint`, the
+    one definition of its semantics.  A scoped constraint out of phase at ``t``
     (:func:`scope_active`, called once per distinct scope per call) stores
     ``OUT_OF_PHASE``.  Every name, key, operand, pattern, scope and
     constraint is bound in the functions' namespace under a generated
@@ -386,26 +385,33 @@ def _generate(sections: Sequence[tuple]) -> tuple:
 
 def _block(constraint: Constraint, target: str, source: Source, active: dict) -> list:
     """The source lines of one constraint's block; ``active`` holds the
-    local of each scope's test already hoisted into the function."""
+    local of each scope's test already hoisted into the function.
+
+    An inlined check binds no result: under its guard (the field's
+    container and type, or no ``Slow`` raised by an expression) the test
+    runs as ``test or store(name, VIO)``, so a pass costs the test alone.
+    Off the guard, and for a check that is not inlined, the block runs
+    ``(r := fallback) is SAT or store(name, r)``."""
     name = source.bind(constraint.name)
     fallback = (f"{source.bind(evaluate_constraint)}({source.bind(constraint)}, state, action,"
                 f" {source.bind(target)})")
     check = constraint.check
+    slow = f"(r := {fallback}) is SAT or store({name}, r)"
     try:
         if check.is_expression():
             test = expression_source(check.expression, source)
-            lines = [f"try: r = SAT if {test} else VIO", f"except Slow: r = {fallback}"]
-        elif check.operator == "exists":
-            guard, last = source.walk(*field_key(check.field_path, target), ", M")
-            lines = [f"r = (VIO if {last} is M else SAT) if {guard} else {fallback}"]
+            lines = [f"try: {test} or store({name}, VIO)", f"except Slow: {slow}"]
         else:
-            guard, last = source.walk(*field_key(check.field_path, target))
-            kind, test = predicate_source(check.operator, check.operand, source.bind)
-            guard = " and ".join(filter(None, (guard, guarded(kind, last))))
-            lines = [f"r = (SAT if {test} else VIO) if {guard} else {fallback}"]
+            if check.operator == "exists":
+                guard, last = source.walk(*field_key(check.field_path, target), ", M")
+                test = f"{last} is not M"
+            else:
+                guard, last = source.walk(*field_key(check.field_path, target))
+                kind, test = predicate_source(check.operator, check.operand, source.bind)
+                guard = " and ".join(filter(None, (guard, guarded(kind, last))))
+            lines = [f"if {guard}: ({test}) or store({name}, VIO)", f"else: {slow}"]
     except NotInlined:
-        lines = [f"r = {fallback}"]
-    lines.append(f"r is SAT or store({name}, r)")
+        lines = [slow]
     scope = constraint.scope
     if scope is not None:
         if scope not in active:
@@ -445,12 +451,12 @@ def _ratio(stored: Mapping[str, ConstraintResult], names: frozenset) -> float:
     return satisfied / total if total else 1.0
 
 
-def _score_step(contract: Contract, state: StateDict, action: ActionRecord, t: int,
+def _score_step(plan: _Plan, state: StateDict, action: ActionRecord, t: int,
                 boundaries: Sequence[int],
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
-    """Step ``t`` with the given precondition results, which it does not
-    evaluate.  A step that stores nothing shares its plan's view."""
-    plan = _plan(contract)
+    """Step ``t`` of the plan's contract with the given precondition
+    results, which it does not evaluate.  A step that stores nothing
+    shares its plan's view."""
     stored: dict = {}
     plan.evaluate_invariants(state, None, t, boundaries, stored)
     plan.evaluate_governance(state, action, t, boundaries, stored)
@@ -485,7 +491,7 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
     recorded as skipped.
     """
     preconditions = _preconditions(contract, state) if t == 0 else None
-    return _score_step(contract, state, action, t, boundaries, preconditions)
+    return _score_step(_plan(contract), state, action, t, boundaries, preconditions)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ Speed comes from a contract's generated step (see
 :mod:`~agentcontracts.engine`), whose source the last section writes: a
 field predicate or an expression inlined with exact type guards at every
 node (a plain ``dict`` at every depth of a path, ``str``, ``bool``, or a
-plain number: a finite ``float``, or an ``int`` within 2**53, where
-``float()`` and int-to-float comparison are both exact).  Operands are
-still evaluated left to right, and and/or still stop early.  Any other
+plain number: an ``int`` or a ``float`` of magnitude at most 2**53, where
+``float()`` and int-to-float comparison are both exact; each type is
+bounded by constants of its own type, so that CPython compares it on its
+specialised path, see :func:`guarded`).  Operands are still evaluated
+left to right, and and/or still stop early.  Any other
 value, a missing field and a zero divisor leave the inlined code for the
 interpreter (:func:`~agentcontracts.engine.evaluate_constraint`), so
 results and TypeMismatch messages do not depend on which path ran.  The
@@ -407,8 +409,9 @@ def slow():
 
 
 #: The namespace names inline source may use besides ``bind``'s, and
-#: ``v``, the one scratch local.
-SOURCE_GLOBALS = {"NUM": frozenset((int, float)), "LO": -_EXACT_INT, "HI": _EXACT_INT,
+#: ``v`` and ``k``, the two scratch locals (a value and its type).
+SOURCE_GLOBALS = {"LO": -_EXACT_INT, "HI": _EXACT_INT,
+                  "FLO": -float(_EXACT_INT), "FHI": float(_EXACT_INT),
                   "NODICT": MappingProxyType({}), "isfinite": isfinite, "slow": slow,
                   "Slow": Slow}
 
@@ -420,8 +423,8 @@ _ROOTS = {"state": "state if type(state) is dict else NODICT",
 class Source:
     """The names one generated function's source may use.
 
-    Besides :data:`SOURCE_GLOBALS` and the scratch local ``v``, the source
-    reads the function's ``state`` and ``action``.  Everything taken from
+    Besides :data:`SOURCE_GLOBALS` and the scratch locals ``v`` and ``k``,
+    the source reads the function's ``state`` and ``action``.  Everything taken from
     a contract (keys, operands, patterns) is bound by :meth:`bind` under a
     generated identifier, so no contract text reaches the source.  What
     several checks share is computed once per call into a local that
@@ -484,9 +487,16 @@ def guarded(kind: str, source: str) -> str:
     """Source binding ``source`` to ``v`` and testing its exact type:
     "num" is a plain number (an int or a float of magnitude at most 2**53,
     which ordering and arithmetic use as is; NaN and the infinities fail
-    the bound), "str" and "bool" exactly that type."""
+    the bound), "str" and "bool" exactly that type.
+
+    A number's type is read once into ``k`` and each type is compared with
+    bounds of its own type, ``FLO``/``FHI`` for a float and ``LO``/``HI``
+    for an int: CPython's specialised compare covers float with float and
+    int with int, not a mix.  Both pairs are ±2**53 exactly, so the values
+    that pass are those of one bound for both."""
     if kind == "num":
-        return f"type(v := {source}) in NUM and LO <= v <= HI"
+        return (f"((k := type(v := {source})) is float and FLO <= v <= FHI"
+                f" or k is int and LO <= v <= HI)")
     return f"type(v := {source}) is {kind}"
 
 

@@ -98,7 +98,7 @@ class ActionRecord:
     def __post_init__(self):
         if not (isinstance(self.label, str) and self.label):
             raise ValueError(f"label must be a non-empty string, got {self.label!r}")
-        if not isinstance(self.payload, Mapping):
+        if not isinstance(self.payload, abc.Mapping):
             raise ValueError(f"payload must be a mapping, got {type(self.payload).__name__}")
 
     def view(self) -> dict:
@@ -151,7 +151,7 @@ class ExecutionTrace:
 def is_state(value) -> bool:
     """Whether ``value`` can be a state: a mapping (a plain dict is checked
     first, without ``isinstance``)."""
-    return type(value) is dict or isinstance(value, Mapping)
+    return type(value) is dict or isinstance(value, abc.Mapping)
 
 
 #: Readers of the JSON wire shape (see :mod:`~agentcontracts.schema`):

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Callable, Optional, Sequence, Tuple
 
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
 from .engine import (
@@ -352,12 +353,16 @@ class SessionMonitor:
             elif d > cfg.theta2:
                 self._emit("drift_alert_severe", t, drift=d)
 
-            post = self._attempt_recovery(t, state, action, evaluation)
+            if episodes:
+                post = self._attempt_recovery(t, state, action, evaluation)
         except (RecoveryHookError, BadHookReturn) as exc:
             self._closed_by = f"{type(exc).__name__} ({exc})"
             raise
         finally:
-            report = _step_report(t, evaluation, drift, tuple(self._events[step_events_start:]),
+            events = self._events
+            report = _step_report(t, evaluation, drift,
+                                  tuple(events[step_events_start:])
+                                  if len(events) > step_events_start else (),
                                   post, self.terminated)
             self.step_reports.append(report)
         return report
@@ -405,8 +410,6 @@ class SessionMonitor:
         (results order among the soft constraints)."""
         post: Optional[StepEvaluation] = None
         episodes, chains = self._episodes, self._plan.chains
-        if not episodes:
-            return post
         current_state, current_action = state, action
 
         for name in sorted((name for name in episodes if name in chains),
@@ -442,7 +445,7 @@ class SessionMonitor:
                     corrected = _call_hook(self.hook, t, con, strategy, current_state)
                 if corrected is not None:
                     current_state, current_action = corrected
-                    post = _score_step(self.contract, current_state, current_action,
+                    post = _score_step(self._plan, current_state, current_action,
                                        t, self.boundaries, None)
                     if post.results[con.name].satisfied is True:
                         self._emit("recovery_succeeded", t, constraint=con.name,

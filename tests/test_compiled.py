@@ -550,6 +550,50 @@ class TestConstantOperandFastPaths:
                     == plain, (a, b)
 
 
+
+class Count(int):
+    """An int subclass: never a plain number."""
+
+
+class Real(float):
+    """A float subclass: never a plain number."""
+
+
+# Plain numbers run inline: an int or a float of magnitude at most 2**53,
+# the bound itself included on both sides.  Every other value leaves the
+# inlined code for the interpreter.
+INLINE_NUMBERS = (EXACT, -EXACT, float(EXACT), -float(EXACT), 0, 0.5)
+FALLBACK_NUMBERS = (EXACT + 1, -EXACT - 1, math.nextafter(float(EXACT), math.inf),
+                    -math.nextafter(float(EXACT), math.inf), math.nan, math.inf, -math.inf,
+                    True, Count(5), Real(1.5))
+
+
+class TestPlainNumberPartition:
+    """Which values the generated step's plain-number guard lets through,
+    counted as calls of the interpreter it falls back to."""
+
+    @staticmethod
+    def fallbacks(monkeypatch, value) -> int:
+        calls = []
+        interpret = engine.evaluate_constraint
+        monkeypatch.setattr(engine, "evaluate_constraint",
+                            lambda *args: calls.append(args) or interpret(*args))
+        contract = Contract(name="t", invariants_soft=(
+            Constraint(name="p", check=Predicate(field_path="x", operator="ge",
+                                                 operand=-1e300)),
+            Constraint(name="e", check=Predicate(expression=compile_expression(
+                "x >= -1e300")))))
+        evaluate_step(contract, {"x": value}, ActionRecord("go"), 1)
+        return len(calls)
+
+    @pytest.mark.parametrize("value", INLINE_NUMBERS, ids=repr)
+    def test_plain_numbers_run_inline(self, monkeypatch, value):
+        assert self.fallbacks(monkeypatch, value) == 0
+
+    @pytest.mark.parametrize("value", FALLBACK_NUMBERS, ids=repr)
+    def test_other_values_fall_back(self, monkeypatch, value):
+        assert self.fallbacks(monkeypatch, value) == 2
+
 ARITHMETIC_OPERANDS = (1.5, 0.0, -0.0, 3, 0, EXACT, -EXACT - 1, 1e308, -1e308, HUGE, math.inf,
                        math.nan, "1", True, False)
 
