@@ -107,10 +107,8 @@ def cmd_run(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output + "\n")
-    if args.format == "json" or not args.out:
-        print(output)
-    else:
-        print(f"outcome: {report.outcome}  theta: {report.metrics.theta:.4f}")
+    print(output if args.format == "json"
+          else f"outcome: {report.outcome}  theta: {report.metrics.theta:.4f}")
     return {"compliant": EXIT_OK, "soft_violation": EXIT_SOFT,
             "hard_violation": EXIT_HARD}[report.outcome]
 

@@ -6,8 +6,8 @@ invariants (each phase-scoped to its own stage) with the handoff invariant
 (scoped to the boundary state), unions governance constraints globally
 (they are checked throughout the chain), merges recovery strategies under
 a cascade policy, and takes the maximum of the two recovery windows.  It
-carries its stage count: a session over it needs one stage boundary per
-handoff, checked by :func:`check_boundaries`.
+carries its stage count: every trace entry point over it needs one stage
+boundary per handoff, checked by :func:`check_boundaries`.
 
 The semantic conditions (assumption discharge C2, recovery independence
 C4) are checked extensionally over supplied witness states; the logical
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .engine import SatisfactionVerdict, _plan, check_boundaries, check_deterministic
+from .engine import _plan, check_boundaries, check_deterministic
 from .errors import InsufficientSamples, TypeMismatch
 from .expressions import OPERATORS, field_key, field_value
 from .model import (
@@ -28,10 +28,10 @@ from .model import (
     ActionRecord,
     Constraint,
     Contract,
-    ExecutionTrace,
     SatisfactionParams,
     StateDict,
     is_number,
+    split_scope,
 )
 from .records import as_dict, field, record, replace
 
@@ -165,13 +165,6 @@ class ConditionReport:
 # Composition
 # ---------------------------------------------------------------------------
 
-def _shift_scope(scope: Optional[str], stage_offset: int, default_stage: int) -> str:
-    if scope is None:
-        return f"stage:{default_stage}"
-    kind, _, num = scope.partition(":")
-    return f"{kind}:{int(num) + stage_offset}"
-
-
 def _rename_collisions(groups: Sequence[Tuple[str, list]]) -> dict:
     """groups: (owner prefix, list of named items).  Returns mapping
     id(item) -> new name: a name held in more than one group is prefixed by
@@ -228,7 +221,9 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
                        recovery=names.get(con.recovery, con.recovery))
 
     def staged(cons: Sequence[Constraint], names: dict, offset: int) -> list:
-        return [rebuild(c, names, _shift_scope(c.scope, offset, offset)) for c in cons]
+        """``cons`` rebuilt, each scope moved ``offset`` stages on (no scope: stage 0)."""
+        scopes = [("stage", 0) if c.scope is None else split_scope(c.scope) for c in cons]
+        return [rebuild(c, names, f"{kind}:{j + offset}") for c, (kind, j) in zip(cons, scopes)]
 
     handoff = f"handoff:{n_a - 1}"
 
@@ -485,20 +480,7 @@ def chain_bounds(spec: ChainSpec) -> ChainBounds:
     )
 
 
-# ---------------------------------------------------------------------------
-# Phase-scoped trace verification
-# ---------------------------------------------------------------------------
-
-def verify_chain_trace(composed: Contract, trace: ExecutionTrace,
-                       boundaries: Sequence[int]) -> SatisfactionVerdict:
-    """Deterministic satisfaction of a composed contract over a chain trace.
-
-    ``boundaries`` are ascending state indices where each handoff occurs:
-    stage j's invariants are enforced between its surrounding boundaries
-    (boundary states belong to both adjacent stages), the handoff
-    invariant at the boundary state only, and the governance union over
-    every action.  :func:`check_deterministic` with the boundaries, once
-    they are checked.
-    """
-    return check_deterministic(composed, trace,
-                               check_boundaries(boundaries, composed.stages, trace.length))
+#: Deterministic satisfaction of a composed contract over a chain trace:
+#: :func:`~agentcontracts.engine.check_deterministic` under its composition
+#: name, which checks the boundaries and reads them by ``scope_active``.
+verify_chain_trace = check_deterministic

@@ -265,7 +265,7 @@ class DriftWindow:
     Everything but the labels, their counts and an untabled window's
     kernel state is shared: with the other windows over the
     configuration, and the compliance-gap table with the contract's plan,
-    which only :meth:`for_contract` reads.
+    which only :meth:`for_contract` reads; :func:`update_drift` refuses any other window.
     """
 
     def __init__(self, config: DriftConfig):
@@ -277,7 +277,7 @@ class DriftWindow:
         self._index, self._other = shared.index, shared.other
         self._reference, self._absent_terms = shared.reference, shared.absent_terms
         self._table = shared.table
-        self._weights: Mapping = {}
+        self._weights: Optional[Mapping] = None
         self._gap_totals = (0.0, 0.0, 0.0)
         self._labels: deque = deque()
         self._counts = [0] * len(self.support)
@@ -424,8 +424,10 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     The compliance gap runs over the window's invariants + governance
     constraints; preconditions do not enter it -- their status appears only
     in the decomposition's first component (1.0 when a precondition failed
-    at t = 0).
+    at t = 0).  A window not made by :meth:`DriftWindow.for_contract` raises ValueError.
     """
+    if window._weights is None:
+        raise ValueError("update_drift takes a window made by DriftWindow.for_contract")
     window.push(action.label)
     if step.non_satisfied:
         d_comp, d_inv, d_gov = window.weighted_gaps(step)

@@ -8,8 +8,9 @@ state ``s_T`` receives an invariant-only evaluation.  Every verdict is
 derived from these step evaluations by one fold (:func:`_fold`).  A
 precondition holds only when satisfied: one skipped under
 on_missing=skip counts as failed.  Given the stage boundaries of a
-composed contract, a phase-scoped constraint outside its stage (see
-:func:`scope_active`) is recorded as skipped, "out of phase".
+composed contract, checked by :func:`check_boundaries` at each entry, a
+phase-scoped constraint outside its stage (see :func:`scope_active`) is
+recorded as skipped, "out of phase".
 
 Missing state fields never pass silently: the constraint's ``on_missing``
 policy decides between violate (default), satisfy, and skip, and the
@@ -70,14 +71,14 @@ from __future__ import annotations
 import numbers
 import re
 from collections.abc import ItemsView, Mapping
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
 from .expressions import (OPERATORS, SOURCE_GLOBALS, NotInlined, Source, eval_expression,
                           expression_source, field_key, field_value, guarded, predicate_source)
 from .model import (FIELD_OPERATORS, MISSING, ActionRecord, Constraint, Contract, ExecutionTrace,
-                    StateDict, fallback_chain, require_valid)
+                    StateDict, fallback_chain, require_valid, split_scope)
 from .records import field, record
 
 __all__ = [
@@ -320,9 +321,9 @@ class _Plan:
     invariant, 1 for a governance constraint) in results order, which
     drift's compliance gaps read; the total weight, and the gaps' three
     denominators summed in results order; the view of a step that stores
-    nothing; and each soft constraint's recovery chain with the running
-    totals of its strategies' ``max_attempts``, keyed by name in chain
-    order."""
+    nothing; and each soft constraint with its flat schedule, one strategy
+    per recovery attempt (each strategy's ``max_attempts`` in a row, then
+    its fallback's), keyed by name in chain order."""
 
     __slots__ = ("evaluate_preconditions", "evaluate_invariants", "evaluate_governance",
                  "hard", "soft", "order", "weights", "total_weight", "passing", "gap_totals",
@@ -352,7 +353,7 @@ class _Plan:
         self.chains = {}
         for con in contract.soft_constraints():
             chain = fallback_chain(strategies, con.recovery)[0]
-            self.chains[con.name] = (con, chain, tuple(accumulate(s.max_attempts for s in chain)))
+            self.chains[con.name] = (con, tuple(s for s in chain for _ in range(s.max_attempts)))
 
 
 def _generate(sections: Sequence[tuple]) -> tuple:
@@ -375,17 +376,17 @@ def _generate(sections: Sequence[tuple]) -> tuple:
                  **SOURCE_GLOBALS}
     lines = []
     for i, (constraints, target) in enumerate(sections):
-        source, active = Source(namespace), {}
-        blocks = [line for c in constraints for line in _block(c, target, source, active)]
+        source = Source(namespace)
+        blocks = [line for c in constraints for line in _block(c, target, source)]
         lines.append(f"def _s{i}(state, action, t, boundaries, stored):")
         lines += ["    " + line for line in ["store = stored.__setitem__", *source.header, *blocks]]
     exec(compile("\n".join(lines) + "\n", "<agentcontracts plan>", "exec"), namespace)
     return tuple(namespace[f"_s{i}"] for i in range(len(sections)))
 
 
-def _block(constraint: Constraint, target: str, source: Source, active: dict) -> list:
-    """The source lines of one constraint's block; ``active`` holds the
-    local of each scope's test already hoisted into the function.
+def _block(constraint: Constraint, target: str, source: Source) -> list:
+    """The source lines of one constraint's block; its scope's test is a
+    local of the function (:meth:`Source.local`), shared by the scope's blocks.
 
     An inlined check binds no result: under its guard (the field's
     container and type, or no ``Slow`` raised by an expression) the test
@@ -414,11 +415,8 @@ def _block(constraint: Constraint, target: str, source: Source, active: dict) ->
         lines = [slow]
     scope = constraint.scope
     if scope is not None:
-        if scope not in active:
-            call = f"{source.bind(scope_active)}({source.bind(scope)}, t, boundaries)"
-            active[scope] = source.local(call)
-        lines = [f"if {active[scope]}:", *("    " + line for line in lines),
-                 f"else: store({name}, OOP)"]
+        active = source.local(f"{source.bind(scope_active)}({source.bind(scope)}, t, boundaries)")
+        lines = [f"if {active}:", *("    " + line for line in lines), f"else: store({name}, OOP)"]
     return lines
 
 
@@ -487,11 +485,14 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
 
     Preconditions are evaluated only at t = 0 and reported separately;
     they never enter c_hard / c_soft.  ``boundaries`` are a composed
-    contract's stage boundaries: constraints out of phase at ``t`` are
-    recorded as skipped.
+    contract's stage boundaries, checked against its stages unless empty
+    (every scope binds): constraints out of phase at ``t`` are skipped.
     """
+    plan = _plan(contract)
+    if boundaries:
+        boundaries = check_boundaries(boundaries, contract.stages, None)
     preconditions = _preconditions(contract, state) if t == 0 else None
-    return _score_step(_plan(contract), state, action, t, boundaries, preconditions)
+    return _score_step(plan, state, action, t, boundaries, preconditions)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +515,7 @@ def scope_active(scope: Optional[str], state_index: int,
     """
     if scope is None or not boundaries:
         return True
-    kind, _, num = scope.partition(":")
-    j = int(num)
+    kind, j = split_scope(scope)
     if kind == "handoff":
         return state_index == boundaries[j]
     start = 0 if j == 0 else boundaries[j - 1]
@@ -642,11 +642,13 @@ def _fold(contract: Contract, preconditions: Mapping[str, ConstraintResult],
 
 
 def _trace_fold(contract: Contract, trace: ExecutionTrace, boundaries: Sequence[int]) -> tuple:
-    """:func:`_fold` of a whole trace, evaluated from scratch."""
-    steps = [evaluate_step(contract, trace.states[t], trace.actions[t], t, boundaries)
-             for t in range(trace.length)]
-    return _fold(contract, initial_preconditions(contract, steps, trace.states), steps,
-                 _trailing(contract, trace.states[trace.length], trace.length, boundaries))
+    """:func:`_fold` of a whole trace, its boundaries checked, evaluated afresh."""
+    plan, states, n = _plan(contract), trace.states, trace.length
+    boundaries = check_boundaries(boundaries, contract.stages, n)
+    preconditions = _preconditions(contract, states[0])
+    steps = [_score_step(plan, states[t], trace.actions[t], t, boundaries,
+                         preconditions if t == 0 else None) for t in range(n)]
+    return _fold(contract, preconditions, steps, _trailing(contract, states[n], n, boundaries))
 
 
 def check_deterministic(contract: Contract, trace: ExecutionTrace,
@@ -659,8 +661,8 @@ def check_deterministic(contract: Contract, trace: ExecutionTrace,
     violation.  The verdict is their conjunction: one hard breach is a
     contract breach, while a transient soft violation is acceptable
     exactly when compliance returns within the recovery window.
-    ``boundaries`` phase-scope a composed contract's constraints, as
-    :func:`evaluate_step` reads them.
+    ``boundaries`` phase-scope a composed contract's constraints; bad or
+    missing ones raise BadBoundaries, as in :func:`~agentcontracts.monitor.run_session`.
     """
     return _trace_fold(contract, trace, boundaries)[0]
 

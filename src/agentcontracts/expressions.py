@@ -431,17 +431,23 @@ class Source:
     :meth:`local` declares in ``header``: the state, the action's payload
     and the value at each key prefix of a path, each the plain dict it is
     or else ``NODICT``, an empty mapping, so a key read below it is None.
+    A value is bound once, so :meth:`local` shares a local by its text.
     """
 
     def __init__(self, namespace: dict):
         self.namespace = namespace
         self.header: list = []
         self._locals: dict = {}
-        self._prefixes: dict = {}
+        self._bound: dict = {}
 
     def bind(self, value: Any) -> str:
-        name = f"_c{len(self.namespace)}"
-        self.namespace[name] = value
+        """The identifier bound to ``value``: a string is matched by value,
+        anything else by identity (never by ``==``: ``True == 1 == 1.0``)."""
+        key = value if type(value) is str else id(value)
+        name = self._bound.get(key)
+        if name is None:
+            name = self._bound[key] = f"_c{len(self.namespace)}"
+            self.namespace[name] = value
         return name
 
     def local(self, value: str) -> str:
@@ -458,12 +464,8 @@ class Source:
         ``NODICT``."""
         if not keys:
             return self.local(_ROOTS[side])
-        local = self._prefixes.get((side, keys))
-        if local is None:
-            container = self._at(side, keys[:-1])
-            local = self._prefixes[side, keys] = self.local(
-                f"v if type(v := {container}.get({self.bind(keys[-1])})) is dict else NODICT")
-        return local
+        return self.local(f"v if type(v := {self._at(side, keys[:-1])}.get({self.bind(keys[-1])}))"
+                          f" is dict else NODICT")
 
     def walk(self, side: str, keys: tuple, default: str = "") -> tuple:
         """``(test, last)``: ``last`` reads the last of ``keys`` below a

@@ -37,6 +37,7 @@ __all__ = [
     "require_valid",
     "raise_first_error",
     "fallback_chain",
+    "split_scope",
     "MAX_RECOVERY_ATTEMPTS",
     "OTHER_LABEL",
     "FIELD_OPERATORS",
@@ -84,6 +85,7 @@ MAX_RECOVERY_ATTEMPTS = 100
 
 _WEIGHT_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
+_SCOPE = re.compile(r"(stage|handoff):([0-9]+)")
 
 
 @record
@@ -370,13 +372,23 @@ def _is_count(v: Any, lo: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
+def split_scope(scope) -> tuple:
+    """``(kind, index)`` of a phase scope ``stage:<i>`` or ``handoff:<j>``:
+    the one reader of the scope grammar.  Anything else raises ValueError."""
+    match = isinstance(scope, str) and _SCOPE.fullmatch(scope)
+    if not match:
+        raise ValueError(f"scope must be stage:<i> or handoff:<j>, got {scope!r}")
+    return match[1], int(match[2])
+
+
 def _scope_fits(scope, stages) -> bool:
     """Whether ``scope`` names a stage (``stage:i``, i < stages) or a
     handoff (``handoff:j``, j < stages - 1) of a ``stages``-stage contract."""
-    match = isinstance(scope, str) and re.fullmatch(r"(stage|handoff):([0-9]+)", scope)
-    if not match or not isinstance(stages, int):
+    try:
+        kind, index = split_scope(scope)
+    except ValueError:
         return False
-    return int(match[2]) < (stages if match[1] == "stage" else stages - 1)
+    return isinstance(stages, int) and index < (stages if kind == "stage" else stages - 1)
 
 
 def fallback_chain(strategies: Mapping[str, RecoveryStrategy], start: Optional[str]) -> tuple:

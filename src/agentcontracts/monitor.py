@@ -8,12 +8,12 @@ violations are logged, never recovered.
 
 The monitor keeps only per-session state: the contract's plan (see
 :mod:`~agentcontracts.engine`) validates the contract when the monitor is
-built and holds its tables, among them each soft constraint's chain with
-the running totals of its attempt budgets: each strategy spends its
-``max_attempts`` consecutive attempts before its fallback takes over, and
-attempt ``n``'s strategy is found by bisecting the totals.  One
+built and holds its tables, among them each soft constraint's flat
+schedule, one strategy per attempt: each strategy spends its
+``max_attempts`` consecutive attempts before its fallback takes over, so
+attempt ``n`` runs entry ``n`` and the budget is the schedule's length.  One
 attempt is made per step unless ``attempts_per_step=None``, which runs the
-whole chain within a single step.  Each violation episode owns its attempt
+whole schedule within a single step.  Each violation episode owns its attempt
 counter: the counter persists across that episode's steps, and a new
 episode, opened when the constraint is violated again after being satisfied,
 starts at zero.  An episode emits at most one ``recovery_failed``, after
@@ -42,7 +42,6 @@ of every step and of the trailing state in one fold.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections.abc import Mapping
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -414,18 +413,18 @@ class SessionMonitor:
 
         for name in sorted((name for name in episodes if name in chains),
                            key=self._plan.order.__getitem__):
-            con, chain, totals = chains[name]
+            con, schedule = chains[name]
             episode = episodes[name]
             if episode.failed or (post or evaluation).results[name].satisfied is not False:
                 continue
 
-            budget = totals[-1] if totals else 0
+            budget = len(schedule)
             stop = budget if self.attempts_per_step is None \
                 else min(budget, episode.used + self.attempts_per_step)
             recovered = False
 
             while episode.used < stop:
-                strategy = chain[bisect_right(totals, episode.used)]
+                strategy = schedule[episode.used]
                 if self.hook is None and strategy.type not in _INTRINSIC_TYPES:
                     self._recovery_failed(t, con, episode, "no recovery hook registered",
                                           strategy=strategy.name)
@@ -455,7 +454,7 @@ class SessionMonitor:
                         break
 
             if not recovered and episode.used >= budget:
-                self._recovery_failed(t, con, episode, "attempt budget exhausted" if chain
+                self._recovery_failed(t, con, episode, "attempt budget exhausted" if schedule
                                       else "no recovery strategy defined")
             if self.terminated:
                 break

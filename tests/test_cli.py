@@ -109,6 +109,16 @@ class TestRun:
         assert payload["contract"] == "financial-advisor"
 
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_table_format_prints_the_summary_line(self, capsys, tmp_path, out):
+        extra = ("--out", str(tmp_path / "report.json")) if out else ()
+        code, stdout, _ = run_cli(capsys, "run", FINANCIAL, DEMO_TRACE, "--format", "table",
+                                  *extra)
+        assert code == 3
+        assert stdout.startswith("outcome: soft_violation  theta: ")
+        assert stdout.count("\n") == 1
+        assert (tmp_path / "report.json").exists() == out
+
     @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_TRACE_SHAPES])
     def test_malformed_trace_exits_two(self, capsys, tmp_path, shape):
         path = tmp_path / "bad.json"

@@ -461,6 +461,23 @@ class TestUpdateDrift:
         # Smoothing (eps = 1e-9) keeps this marginally below the exact 0.3.
         assert samples[-1].d_total == pytest.approx(0.3, abs=1e-6)
 
+    def test_a_window_not_made_for_a_contract_is_refused(self):
+        # A bare window has no compliance weights: it would read a gap of 0
+        # on a violated step, so update_drift refuses it before its label
+        # is pushed, while the window's own reads keep working.
+        contract = contract_for_drift()
+        action = ActionRecord("a", {"cost": 99})
+        ev = evaluate_step(contract, {"x": 0}, action, 0)
+        window = DriftWindow(contract.drift_config)
+        with pytest.raises(ValueError, match=r"DriftWindow\.for_contract"):
+            update_drift(window, contract.drift_config, ev, action)
+        assert window.observed() == [0.0] * len(window.support)
+        window.push("a")
+        assert window.observed()[window.support.index("a")] == 1.0
+        assert window.distributional_drift() > 0.0
+        sample = run_steps(contract, [({"x": 0}, action)])[0]
+        assert sample.d_compliance == 1.0
+
     def test_all_violated_identical_distribution_gives_w_c(self):
         contract = contract_for_drift()
         pairs = [({"x": 0}, ActionRecord("a", {"cost": 99})),

@@ -333,11 +333,11 @@ def test_recovery_follows_the_flat_schedule(case):
 
 
 def test_a_huge_attempt_budget_is_not_materialised():
-    """A budget is kept as running totals, not as one entry per attempt:
-    the monitor of a chain of the largest valid budget builds as fast, and
-    with the same memory peak, as that of a 1-attempt chain, and attempts
-    its first strategy first.  A larger budget (10**12) is refused when the
-    monitor is built."""
+    """A budget is capped before its flat schedule is built: the monitor
+    of a chain of the largest valid budget builds as fast, and with about
+    the same memory peak, as that of a 1-attempt chain, and attempts its
+    first strategy first.  A larger budget (10**12) is refused when the
+    monitor is built, before any schedule exists."""
     def contract(attempts):
         return tone_contract((
             RecoveryStrategy(name="fix", type="re_prompt", max_attempts=attempts, fallback="up"),

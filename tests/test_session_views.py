@@ -7,6 +7,8 @@ evaluations.  Here they are checked against ``check_deterministic`` and
 and against the brute-force oracle where it applies.
 """
 
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcontracts.engine import check_deterministic, classify_outcome
-from agentcontracts.errors import EmptyEnsemble
-from agentcontracts.model import ExecutionTrace, RecoveryStrategy
+from agentcontracts.bench import load_scenario
+from agentcontracts.composition import verify_chain_trace
+from agentcontracts.engine import (OUT_OF_PHASE, SATISFIED, check_deterministic,
+                                   classify_outcome, evaluate_step)
+from agentcontracts.errors import BadBoundaries, EmptyEnsemble
+from agentcontracts.model import ActionRecord, ExecutionTrace, RecoveryStrategy
 from agentcontracts.monitor import pdk_verdict, run_session
 
 from helpers import (
@@ -27,6 +32,7 @@ from helpers import (
     random_contract,
     random_state,
 )
+from test_compiled import scoped_contract
 from test_folds import constraint_timelines
 
 ON_MISSING = ("violate", "satisfy", "skip")
@@ -105,3 +111,95 @@ def test_session_views_agree_with_recomputation(case):
         got["overall"] = report.verdict.overall
         assert got == expected
         assert report.outcome == oracle_outcome(contract, seen)
+
+
+# ---------------------------------------------------------------------------
+# Stage boundaries: every trace entry point reads a layout the same way
+# ---------------------------------------------------------------------------
+
+#: Pinned layouts: decreasing, too few for three stages, too many for
+#: either, not integers, and none; then each contract's own layout.
+LAYOUTS = [(5, 2), (2,), (2, 4, 6), ("a", 3), ()]
+
+
+def loan_scenarios(suite_dir):
+    """The first scenario of each category of the generated loan pipeline
+    (a 3-stage composed contract whose real layout is (2, 4))."""
+    manifest = json.load(open(os.path.join(suite_dir, "manifest.json")))
+    entries = [e for e in manifest["scenarios"] if e["domain"] == "composition"]
+    firsts = {e["id"].rsplit("-", 1)[0]: e for e in reversed(entries)}
+    return {category: load_scenario(os.path.join(suite_dir, e["file"]))
+            for category, e in firsts.items()}
+
+
+def scoped_traces():
+    """``scoped_contract(2 | 3)`` over a 6-step trace in which y fails at
+    states 1 and 5 and x at state 3."""
+    states = [{"x": 1, "y": 1} for _ in range(7)]
+    states[1]["y"] = states[5]["y"] = states[3]["x"] = 0
+    trace = ExecutionTrace(states=tuple(states), actions=(ActionRecord("go"),) * 6)
+    return [(scoped_contract(stages), trace, layout)
+            for stages, layout in ((2, (2,)), (3, (2, 4)))]
+
+
+def views(contract, trace, boundaries):
+    """Each entry point's reading of the layout: its verdict or outcome,
+    or BadBoundaries (any other exception propagates)."""
+    def call(view):
+        try:
+            return view()
+        except BadBoundaries:
+            return BadBoundaries
+
+    report = call(lambda: run_session(contract, trace, boundaries=boundaries))
+    return (call(lambda: check_deterministic(contract, trace, boundaries)),
+            call(lambda: verify_chain_trace(contract, trace, boundaries)),
+            call(lambda: classify_outcome(contract, trace, boundaries)),
+            report if report is BadBoundaries else report.verdict,
+            report if report is BadBoundaries else report.outcome)
+
+
+def check_views_agree(contract, trace, boundaries):
+    verdict, chain_verdict, outcome, report_verdict, report_outcome = \
+        views(contract, trace, boundaries)
+    assert verdict == chain_verdict == report_verdict, boundaries
+    assert outcome == report_outcome, boundaries
+    assert (verdict is BadBoundaries) == (outcome is BadBoundaries), boundaries
+    return verdict, outcome
+
+
+def test_trace_views_agree_on_every_layout_of_the_loan_pipeline(suite_dir):
+    for category, scenario in loan_scenarios(suite_dir).items():
+        contract, trace = scenario.contract, scenario.trace
+        assert scenario.boundaries == (2, 4)
+        for layout in LAYOUTS:
+            verdict, _ = check_views_agree(contract, trace, layout)
+            assert verdict is BadBoundaries, (category, layout)
+        verdict, outcome = check_views_agree(contract, trace, (2, 4))
+        assert outcome == scenario.expected.outcome, category
+        if category in ("composition-c1-fail", "composition-c2-fail"):
+            assert verdict.overall is False
+
+
+@pytest.mark.parametrize("contract, trace, layout", scoped_traces())
+def test_trace_views_agree_on_every_layout_of_a_scoped_contract(contract, trace, layout):
+    for boundaries in (*LAYOUTS, layout):
+        verdict, outcome = check_views_agree(contract, trace, boundaries)
+        assert (verdict is not BadBoundaries) == (boundaries == layout), boundaries
+    assert outcome == "hard_violation"
+
+
+@pytest.mark.parametrize("stages, boundaries", [
+    (2, (5, 2)), (2, (2, 4, 6)), (2, ("a", 3)),
+    (3, (5, 2)), (3, (2,)), (3, (2, 4, 6)), (3, ("a", 3))])
+def test_evaluate_step_refuses_a_bad_layout(stages, boundaries):
+    with pytest.raises(BadBoundaries):
+        evaluate_step(scoped_contract(stages), {"x": 1, "y": 1}, ActionRecord("go"), 7,
+                      boundaries)
+
+
+def test_evaluate_step_sets_no_upper_bound():
+    # A streaming monitor's layout may lie past the steps seen so far.
+    ev = evaluate_step(scoped_contract(2), {"x": 1, "y": 1}, ActionRecord("go"), 7, (900,))
+    assert ev.results["stage:0/x"] is SATISFIED
+    assert ev.results["stage:1/x"] is ev.results["handoff:0/x"] is OUT_OF_PHASE
