@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
     except BadBoundaries as exc:
         raise FormatError(f"{args.trace}: boundaries: {exc}") from None
 
-    output = report.to_json()
+    output = report.to_json() if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output + "\n")

@@ -192,11 +192,11 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
     Invariants from each side are phase-scoped; handoff invariants bind at
     the boundary state; governance is a global union (C3 conflicts are
     surfaced by :func:`check_conditions`, not here); the composed recovery
-    window is max(k_a, k_b) and the composed (p, delta) follow the
-    probabilistic composition bounds.  Duplicate constraint or strategy
-    names across the two sides are prefixed by their agent's name (again,
-    until no name clashes); every other name is kept.  The
-    result spans ``a.stages + b.stages`` stages, ``b``'s scopes offset by
+    window is max(k_a, k_b) and the composed (p, delta) are
+    :func:`chain_bounds`'s for the two stages.  Duplicate constraint or
+    strategy names across the two sides are prefixed by their agent's name
+    (again, until no name clashes); every other name is kept.  The result
+    spans ``a.stages + b.stages`` stages, ``b``'s scopes offset by
     ``a.stages``.
     """
     n_a = a.stages
@@ -231,14 +231,6 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
         return replace(s, name=strategy_renames[id(s)],
                        fallback=names.get(s.fallback, s.fallback))
 
-    sat_a, sat_b = a.satisfaction, b.satisfaction
-    composed_sat = SatisfactionParams(
-        p=sat_a.p * sat_b.p * h.p_h,
-        delta=min(1.0, sat_a.delta + sat_b.delta + h.delta_h),
-        k=max(sat_a.k, sat_b.k),
-        T=None,
-    )
-
     return Contract(
         name=f"{a.name}+{b.name}",
         kind="agent",
@@ -256,7 +248,7 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
         recovery_strategies=tuple(
             [rebuild_strategy(s, a_names) for s in a_strats]
             + [rebuild_strategy(s, b_names) for s in b_strats]),
-        satisfaction=composed_sat,
+        satisfaction=_chain_satisfaction((a, b), (h,)),
         drift_config=a.drift_config,
         reliability_weights=a.reliability_weights,
         stages=n_a + b.stages,
@@ -264,7 +256,9 @@ def compose_contracts(a: Contract, b: Contract, h: HandoffSpec) -> Contract:
 
 
 def compose_chain(contracts: Sequence[Contract], handoffs: Sequence[HandoffSpec]) -> Contract:
-    """Left-fold pairwise composition over an N-agent chain."""
+    """Left-fold pairwise composition over an N-agent chain.  The
+    composed (p, delta) are :func:`chain_bounds`'s over every stage: past
+    two stages the fold's own products run in another order."""
     if len(contracts) < 1:
         raise ValueError("need at least one contract")
     if len(handoffs) != len(contracts) - 1:
@@ -272,7 +266,21 @@ def compose_chain(contracts: Sequence[Contract], handoffs: Sequence[HandoffSpec]
     composed = contracts[0]
     for nxt, h in zip(contracts[1:], handoffs):
         composed = compose_contracts(composed, nxt, h)
+    if len(contracts) > 2:
+        composed = replace(composed, satisfaction=_chain_satisfaction(contracts, handoffs))
     return composed
+
+
+def _chain_satisfaction(contracts: Sequence[Contract],
+                        handoffs: Sequence[HandoffSpec]) -> SatisfactionParams:
+    """A chain's composed (p, delta) by :func:`chain_bounds`'s rule, and
+    its largest recovery window."""
+    bounds = chain_bounds(ChainSpec(
+        p_agents=[c.satisfaction.p for c in contracts],
+        delta_agents=[c.satisfaction.delta for c in contracts],
+        p_handoffs=[h.p_h for h in handoffs], delta_handoffs=[h.delta_h for h in handoffs]))
+    return SatisfactionParams(p=bounds.p_chain_lower, delta=bounds.delta_chain_upper,
+                              k=max(c.satisfaction.k for c in contracts), T=None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ so KL terms stay finite.
 ``DriftSample`` and ``SessionMetrics`` are slotted records (see
 :mod:`~agentcontracts.engine`); :func:`update_drift` builds its sample
 with the positional ``DriftSample._build``, and skips the precondition
-check after step 0.  A step's compliance gaps read only its stored
-results, those that are not a plain pass: the numerators sum their
-violated weights in results order, over denominators the plan summed
-once in the same order, so a step with nothing stored costs nothing
-here.  Only a step with a skipped result sums its denominators afresh,
-in the same order, without the skipped names; every gap equals the
-plain loop's bit for bit.
+check after step 0.  A step's compliance gaps iterate only its stored
+results (``StepEvaluation.stored``), those that are not a plain pass:
+the numerators sum their violated weights in results order, over
+denominators the plan summed once in the same order, so a step with
+nothing stored costs nothing here.  Only a step with a skipped result
+sums its denominators afresh, in the same order, without the skipped
+names; every gap equals the plain loop's bit for bit.
 
 The module imports no numpy.  The window keeps its counts in a list; the
 divergence runs in plain Python, and its sums and the session means use
@@ -382,17 +382,17 @@ class DriftWindow:
         step over the window's invariants and governance constraints:
         violated weight over scored weight, a skipped result in neither.
 
-        Only the step's stored results are read: the numerators sum their
-        violated weights in results order, and the denominators are the
-        plan's sums of every weight in that order.  A step with a skipped
+        Only the step's ``stored`` results are read: the numerators sum
+        their violated weights in results order, and the denominators are
+        the plan's sums of every weight in that order.  A step with a skipped
         result sums its denominators afresh, in the same order, without
         the skipped names.  So every gap is the plain loop's, bit for bit.
         """
-        weights, results = self._weights, step.results
+        weights = self._weights
         num = num_inv = num_gov = 0.0
         skipped = set()
-        for name in step.non_satisfied:
-            satisfied = results[name].satisfied
+        for name, r in step.stored.items():
+            satisfied = r.satisfied
             if satisfied is None:
                 skipped.add(name)
             elif not satisfied and name in weights:
@@ -429,7 +429,7 @@ def update_drift(window: DriftWindow, config: DriftConfig, step: StepEvaluation,
     if window._weights is None:
         raise ValueError("update_drift takes a window made by DriftWindow.for_contract")
     window.push(action.label)
-    if step.non_satisfied:
+    if step.stored:
         d_comp, d_inv, d_gov = window.weighted_gaps(step)
     else:
         d_comp = d_inv = d_gov = 0.0   # every result a pass: every gap's numerator is 0

@@ -44,16 +44,17 @@ per distinct scope per call.
 A step costs work in proportion to its results that are not a plain
 pass, beyond evaluating each constraint once.  A passing check yields the
 shared ``SATISFIED`` result, and a generated block stores only a result
-that is anything else, so a step keeps just those
-(``StepEvaluation.non_satisfied`` names them) and its ``results`` is a
-read-only view (:class:`_Results`) that answers ``SATISFIED`` for the
-rest; a step that stores nothing shares one view per plan.  Everything
-that reads a step reads only the stored results: with none, both
-compliance scores are 1.0; otherwise the same integer counts as a full
-pass give the same ratios.  The session's fold is sparse the same way:
-it keeps each constraint's entries that are False or None, from the
-stored results of steps 0..n-1 and of the trailing state, and derives
-the deterministic verdict and the outcome from those alone.
+that is anything else, so a step keeps just those, in the one dict the
+blocks filled (``StepEvaluation.stored``); its ``results`` is a read-only
+view (:class:`_Results`) over that same dict that answers ``SATISFIED``
+for the rest, and a step that stores nothing shares its plan's empty
+dict and view.  Everything that reads a step iterates ``stored`` alone:
+with nothing stored, both compliance scores are 1.0; otherwise the same
+integer counts as a full pass give the same ratios.  The session's fold
+is sparse the same way: it keeps each constraint's entries that are
+False or None, from the stored results of steps 0..n-1 and of the
+trailing state, and derives the deterministic verdict and the outcome
+from those alone.
 
 The records here, as in :mod:`~agentcontracts.drift` and
 :mod:`~agentcontracts.monitor`, are slotted immutable records made by
@@ -69,16 +70,14 @@ each slot through its member descriptor, so no keyword ``__init__`` and no
 from __future__ import annotations
 
 import numbers
-import re
-from collections.abc import ItemsView, Mapping
-from itertools import repeat
+from collections.abc import Mapping
 from typing import Optional, Sequence
 
 from .errors import BadBoundaries, FieldResolutionError, SemanticError, TypeMismatch, ZeroSeverity
 from .expressions import (OPERATORS, SOURCE_GLOBALS, NotInlined, Source, eval_expression,
                           expression_source, field_key, field_value, guarded, predicate_source)
-from .model import (FIELD_OPERATORS, MISSING, ActionRecord, Constraint, Contract, ExecutionTrace,
-                    StateDict, fallback_chain, require_valid, split_scope)
+from .model import (MISSING, ActionRecord, Constraint, Contract, ExecutionTrace, StateDict,
+                    fallback_chain, operator_issue, require_valid, split_scope)
 from .records import field, record
 
 __all__ = [
@@ -118,9 +117,10 @@ class StepEvaluation:
     """All constraint results at one step plus the compliance scores.
 
     A step the engine evaluates stores only its results other than the
-    shared plain pass ``SATISFIED``; ``results`` is then a read-only view
-    (:class:`_Results`) that answers ``SATISFIED`` for every other scored
-    name.  Any mapping may be given instead.
+    shared plain pass ``SATISFIED``, in ``stored``; ``results`` is then a
+    read-only view (:class:`_Results`) over that dict that answers
+    ``SATISFIED`` for every other scored name.  Any mapping may be given
+    instead.
     """
 
     step: int
@@ -128,16 +128,17 @@ class StepEvaluation:
     c_hard: float
     c_soft: float
     preconditions: Optional[Mapping[str, ConstraintResult]] = None
-    #: Names of the results other than ``SATISFIED`` (violated, skipped,
-    #: or satisfied with a diagnostic), in results order: all that the
-    #: step's bookkeeping and the session's fold read.  Derived from
-    #: ``results`` when not given.
-    non_satisfied: Optional[tuple] = field(default=None, compare=False, repr=False)
+    #: The results other than ``SATISFIED`` (violated, skipped, or
+    #: satisfied with a diagnostic), name to result in results order: all
+    #: that the step's bookkeeping and the session's fold read.  Derived
+    #: from ``results`` when not given.
+    stored: Optional[Mapping[str, ConstraintResult]] = field(default=None, compare=False,
+                                                            repr=False)
 
     def __post_init__(self):
-        if self.non_satisfied is None:
-            object.__setattr__(self, "non_satisfied", tuple(
-                name for name, r in self.results.items() if r is not SATISFIED))
+        if self.stored is None:
+            object.__setattr__(self, "stored", {
+                name: r for name, r in self.results.items() if r is not SATISFIED})
 
     def preconditions_ok(self) -> bool:
         return all(r.satisfied is True for r in (self.preconditions or {}).values())
@@ -233,21 +234,6 @@ class _Results(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
-    def items(self) -> ItemsView:
-        return _ResultItems(self)
-
-
-class _ResultItems(ItemsView):
-    """The items of a :class:`_Results`, iterated without a lookup per name."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        names, stored = self._mapping._names, self._mapping._stored
-        if not stored:
-            return zip(names, repeat(SATISFIED))
-        return zip(names, map(stored.get, names, repeat(SATISFIED)))
-
 
 def evaluate_constraint(constraint: Constraint, state: StateDict,
                         action: Optional[ActionRecord], target: str) -> ConstraintResult:
@@ -261,10 +247,12 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
     ``OPERATORS[op]`` and an expression is walked by
     :func:`~agentcontracts.expressions.eval_expression`.  Missing fields
     follow the constraint's on_missing policy; type errors always fail
-    closed (violated, with the diagnostic).  An unknown operator or a
+    closed (violated, with the diagnostic).  An operator outside
+    ``FIELD_OPERATORS`` (an expression spelling such as ``<`` too) or a
     ``matches`` operand that is not a valid pattern raises SemanticError
-    naming the constraint, in the validator's words, before any field is
-    read (only a constraint outside a plan can have one).
+    naming the constraint, with the validator's message from
+    :func:`~agentcontracts.model.operator_issue`, before any field is read
+    (only a constraint outside a plan can have one).
     """
     check = constraint.check
     if check.is_expression():
@@ -278,7 +266,9 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
     if op == "exists":
         return VIOLATED if field_value(check.field_path, state, action, target) is MISSING \
             else SATISFIED
-    _check_operator(constraint.name, op, operand)
+    issue = operator_issue(constraint.name, op, operand)
+    if issue is not None:
+        raise SemanticError(f"{issue.element}: {issue.message}")
     value = field_value(check.field_path, state, action, target)
     if value is MISSING:
         return _missing_result(constraint.on_missing,
@@ -287,21 +277,6 @@ def evaluate_constraint(constraint: Constraint, state: StateDict,
         return SATISFIED if OPERATORS[op](value, operand) else VIOLATED
     except TypeMismatch as exc:
         return ConstraintResult(satisfied=False, detail=f"type mismatch: {exc}")
-
-
-def _check_operator(name: str, op: str, operand) -> None:
-    """Raise SemanticError, in the validator's words, for an operator
-    missing from ``OPERATORS`` and for a ``matches`` operand that is not a
-    valid pattern."""
-    if op not in OPERATORS:
-        raise SemanticError(f"{name}: operator {op!r} is not one of {FIELD_OPERATORS}")
-    if op == "matches":
-        if not isinstance(operand, str):
-            raise SemanticError(f"{name}: matches operand must be a string")
-        try:
-            re.compile(operand)
-        except re.error as exc:
-            raise SemanticError(f"{name}: invalid regular expression: {exc}") from None
 
 
 def _missing_result(policy: str, diagnostic: str) -> ConstraintResult:
@@ -454,14 +429,14 @@ def _score_step(plan: _Plan, state: StateDict, action: ActionRecord, t: int,
                 preconditions: Optional[Mapping[str, ConstraintResult]]) -> StepEvaluation:
     """Step ``t`` of the plan's contract with the given precondition
     results, which it does not evaluate.  A step that stores nothing
-    shares its plan's view."""
+    shares its plan's view and its empty ``stored``."""
     stored: dict = {}
     plan.evaluate_invariants(state, None, t, boundaries, stored)
     plan.evaluate_governance(state, action, t, boundaries, stored)
     if not stored:
-        return _step_evaluation(t, plan.passing, 1.0, 1.0, preconditions, ())
+        return _step_evaluation(t, plan.passing, 1.0, 1.0, preconditions, plan.passing._stored)
     return _step_evaluation(t, _Results(plan.order, stored), _ratio(stored, plan.hard),
-                            _ratio(stored, plan.soft), preconditions, tuple(stored))
+                            _ratio(stored, plan.soft), preconditions, stored)
 
 
 def _preconditions(contract: Contract, state: StateDict) -> dict:
@@ -485,11 +460,12 @@ def evaluate_step(contract: Contract, state: StateDict, action: ActionRecord,
 
     Preconditions are evaluated only at t = 0 and reported separately;
     they never enter c_hard / c_soft.  ``boundaries`` are a composed
-    contract's stage boundaries, checked against its stages unless empty
-    (every scope binds): constraints out of phase at ``t`` are skipped.
+    contract's stage boundaries, read by :func:`check_boundaries` unless
+    ``()`` or ``[]`` (every scope binds): constraints out of phase at
+    ``t`` are skipped.
     """
     plan = _plan(contract)
-    if boundaries:
+    if not isinstance(boundaries, (tuple, list)) or boundaries:
         boundaries = check_boundaries(boundaries, contract.stages, None)
     preconditions = _preconditions(contract, state) if t == 0 else None
     return _score_step(plan, state, action, t, boundaries, preconditions)
@@ -586,8 +562,8 @@ def _fold(contract: Contract, preconditions: Mapping[str, ConstraintResult],
           steps: Sequence[StepEvaluation], trailing: Mapping[str, ConstraintResult]) -> tuple:
     """The deterministic verdict and the three-way outcome of a session,
     ``(SatisfactionVerdict, outcome)``, from the results stored by steps
-    0..n-1 (``non_satisfied``) and for the trailing state (``trailing``,
-    see :func:`_trailing`), and the session's precondition results.
+    0..n-1 (``stored``) and for the trailing state (``trailing``, see
+    :func:`_trailing`), and the session's precondition results.
 
     Every other entry of a constraint's timeline is a pass, so each line
     is kept as its entries that are False or None, by index, in order:
@@ -598,12 +574,9 @@ def _fold(contract: Contract, preconditions: Mapping[str, ConstraintResult],
     n = len(steps)
     marks: dict = {}
     for t, step in enumerate(steps):
-        if step.non_satisfied:
-            results = step.results
-            for name in step.non_satisfied:
-                satisfied = results[name].satisfied
-                if satisfied is not True:
-                    marks.setdefault(name, {})[t] = satisfied
+        for name, r in step.stored.items():
+            if r.satisfied is not True:
+                marks.setdefault(name, {})[t] = r.satisfied
     for name, r in trailing.items():
         if r.satisfied is not True:
             marks.setdefault(name, {})[n] = r.satisfied

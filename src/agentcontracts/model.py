@@ -38,6 +38,7 @@ __all__ = [
     "raise_first_error",
     "fallback_chain",
     "split_scope",
+    "operator_issue",
     "MAX_RECOVERY_ATTEMPTS",
     "OTHER_LABEL",
     "FIELD_OPERATORS",
@@ -326,12 +327,30 @@ class StructuralIssue:
 _issue = StructuralIssue   # (element, rule, message, severity="error")
 
 
+def operator_issue(name: str, op: str, operand: Any) -> Optional[StructuralIssue]:
+    """The issue of field check ``name`` when no value can be tested by it:
+    an operator not in ``FIELD_OPERATORS``, or a ``matches`` operand that
+    is not a valid pattern; None otherwise.  The validator and the
+    interpreter both read these two rules here."""
+    if op not in FIELD_OPERATORS:
+        return _issue(name, "unknown-operator",
+                      f"operator {op!r} is not one of {FIELD_OPERATORS}")
+    if op == "matches":
+        if not isinstance(operand, str):
+            return _issue(name, "bad-regex-operand", "matches operand must be a string")
+        try:
+            re.compile(operand)
+        except re.error as exc:
+            return _issue(name, "bad-regex-operand", f"invalid regular expression: {exc}")
+    return None
+
+
 def _validate_predicate(name: str, p: Predicate, out: list) -> None:
     if p.is_expression():
         return
-    if p.operator not in FIELD_OPERATORS:
-        out.append(_issue(name, "unknown-operator",
-                          f"operator {p.operator!r} is not one of {FIELD_OPERATORS}"))
+    issue = operator_issue(name, p.operator, p.operand)
+    if issue is not None:
+        out.append(issue)
         return
     if p.operator in ("lt", "le", "gt", "ge", "range"):
         # Ordering operands and range bounds must be finite: against NaN, an
@@ -353,14 +372,6 @@ def _validate_predicate(name: str, p: Predicate, out: list) -> None:
         if not ok:
             out.append(_issue(name, "bad-range-operand",
                               "range operand must be [lo, hi] with lo <= hi"))
-    elif p.operator == "matches":
-        if not isinstance(p.operand, str):
-            out.append(_issue(name, "bad-regex-operand", "matches operand must be a string"))
-        else:
-            try:
-                re.compile(p.operand)
-            except re.error as exc:
-                out.append(_issue(name, "bad-regex-operand", f"invalid regular expression: {exc}"))
     elif p.operator in ("in", "not_in"):
         if not isinstance(p.operand, (list, tuple)):
             out.append(_issue(name, "bad-membership-operand",

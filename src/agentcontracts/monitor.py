@@ -33,10 +33,11 @@ The reports are slotted records (see :mod:`~agentcontracts.engine`); a
 step builds its events and report with the positional ``_build``.  Beyond
 evaluating each constraint once, a step and the session's roll-up do work
 in proportion to the results that are not a plain pass and the episodes
-open: a step opens episodes from its stored results only, closes and
-attempts to recover only the open episodes (recovery in chain order), and
-``finalize`` derives the verdict and the outcome from the stored results
-of every step and of the trailing state in one fold.
+open: a step opens episodes by iterating its stored results
+(``StepEvaluation.stored``) only, closes and attempts to recover only the
+open episodes, each looked up in ``stored`` (recovery in chain order),
+and ``finalize`` derives the verdict and the outcome from the stored
+results of every step and of the trailing state in one fold.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .drift import DriftSample, DriftWindow, SessionMetrics, update_drift
 from .engine import (
+    SATISFIED,
     SatisfactionVerdict,
     StepEvaluation,
     ViolationEvent,
@@ -333,17 +335,18 @@ class SessionMonitor:
             # new ones, each in results order (which orders
             # violation_events).  Only the open episodes and the stored
             # results are read.
-            results, episodes = evaluation.results, self._episodes
+            stored, episodes = evaluation.stored, self._episodes
             if episodes:
-                closing = [name for name in episodes if results[name].satisfied is True]
+                closing = [name for name in episodes
+                           if stored.get(name, SATISFIED).satisfied is True]
                 closing.sort(key=self._plan.order.__getitem__)
                 for name in closing:
                     self._close_episode(name, recovered_at=t)
-            if evaluation.non_satisfied:
-                newly_violated = [name for name in evaluation.non_satisfied
-                                  if results[name].satisfied is False and name not in episodes]
+            if stored:
+                newly_violated = [name for name, r in stored.items()
+                                  if r.satisfied is False and name not in episodes]
                 if newly_violated:
-                    self._open_episodes(t, results, newly_violated)
+                    self._open_episodes(t, stored, newly_violated)
 
             d = drift.d_total
             cfg = self.contract.drift_config
@@ -373,7 +376,7 @@ class SessionMonitor:
                 self._emit("violation", 0, constraint=name, severity="hard",
                            precondition=True, detail=r.detail)
 
-    def _open_episodes(self, t: int, results: Mapping, names: Sequence[str]) -> None:
+    def _open_episodes(self, t: int, stored: Mapping, names: Sequence[str]) -> None:
         """An episode and a violation event for each newly violated name,
         every one opened before the first event goes out."""
         nu = self._severity(names)
@@ -382,7 +385,7 @@ class SessionMonitor:
             episodes[name] = _Episode(step=t, nu=nu, severity="hard" if name in hard else "soft")
         for name in names:
             self._emit("violation", t, constraint=name, severity=episodes[name].severity,
-                       nu=nu, detail=results[name].detail)
+                       nu=nu, detail=stored[name].detail)
 
     def _severity(self, names: Sequence[str]) -> float:
         """Compliance drop attributable to this step's new violations,
@@ -415,7 +418,8 @@ class SessionMonitor:
                            key=self._plan.order.__getitem__):
             con, schedule = chains[name]
             episode = episodes[name]
-            if episode.failed or (post or evaluation).results[name].satisfied is not False:
+            if episode.failed or \
+                    (post or evaluation).stored.get(name, SATISFIED).satisfied is not False:
                 continue
 
             budget = len(schedule)
@@ -446,7 +450,7 @@ class SessionMonitor:
                     current_state, current_action = corrected
                     post = _score_step(self._plan, current_state, current_action,
                                        t, self.boundaries, None)
-                    if post.results[con.name].satisfied is True:
+                    if post.stored.get(con.name, SATISFIED).satisfied is True:
                         self._emit("recovery_succeeded", t, constraint=con.name,
                                    strategy=strategy.name)
                         self._close_episode(con.name, recovered_at=t)

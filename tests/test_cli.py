@@ -10,6 +10,7 @@ import pytest
 
 from agentcontracts.assets import asset_path
 from agentcontracts.cli import main
+from agentcontracts.monitor import SessionReport
 
 from helpers import BAD_MANIFESTS, BAD_SCENARIO_SHAPES, BAD_TRACE_SHAPES
 
@@ -118,6 +119,13 @@ class TestRun:
         assert stdout.startswith("outcome: soft_violation  theta: ")
         assert stdout.count("\n") == 1
         assert (tmp_path / "report.json").exists() == out
+
+    def test_table_format_without_out_builds_no_json(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SessionReport, "to_json", lambda report: calls.append(report))
+        code, stdout, _ = run_cli(capsys, "run", FINANCIAL, DEMO_TRACE, "--format", "table")
+        assert code == 3 and stdout.startswith("outcome: soft_violation")
+        assert calls == []
 
     @pytest.mark.parametrize("shape", [pytest.param(f, id=i) for i, f in BAD_TRACE_SHAPES])
     def test_malformed_trace_exits_two(self, capsys, tmp_path, shape):

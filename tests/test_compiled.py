@@ -701,7 +701,7 @@ def check_step(contract, state, action, t, boundaries):
         assert list(ev.preconditions) == list(preconditions)
         for name, result in preconditions.items():
             assert same(ev.preconditions[name], result), name
-    assert ev.non_satisfied == tuple(name for name, r in want.items() if r is not SATISFIED)
+    assert list(ev.stored) == [name for name, r in want.items() if r is not SATISFIED]
     assert ev.c_hard == ratio(want, plan.hard)
     assert ev.c_soft == ratio(want, plan.soft)
 

@@ -369,6 +369,27 @@ class TestChainBounds:
             assert bounds.p_frechet_lower <= bounds.p_chain_lower + 1e-12
 
 
+probability = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(probability, probability, st.integers(0, 5)), min_size=1, max_size=5),
+       st.data())
+def test_compose_chain_takes_its_p_and_delta_from_chain_bounds(stages, data):
+    handoffs = [HandoffSpec(p_h=data.draw(probability), delta_h=data.draw(probability))
+                for _ in stages[1:]]
+    contracts = [agent(f"s{i}", satisfaction=SatisfactionParams(p=p, delta=delta, k=k))
+                 for i, (p, delta, k) in enumerate(stages)]
+    composed = compose_chain(contracts, handoffs).satisfaction
+    bounds = chain_bounds(ChainSpec(p_agents=[p for p, _, _ in stages],
+                                    delta_agents=[delta for _, delta, _ in stages],
+                                    p_handoffs=[h.p_h for h in handoffs],
+                                    delta_handoffs=[h.delta_h for h in handoffs]))
+    assert composed.p.hex() == bounds.p_chain_lower.hex()   # bit for bit
+    assert composed.delta.hex() == bounds.delta_chain_upper.hex()
+    assert composed.k == max(k for _, _, k in stages)
+
+
 class TestVerifyChainTrace:
     def make_pair(self):
         a = agent("a", invariants_soft=(

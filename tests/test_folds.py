@@ -53,9 +53,8 @@ def session_timelines(contract, preconditions, steps, states, boundaries=()) -> 
     for con in contract.governance():
         timelines[con.name] = [True] * n
     for t, step in enumerate(steps):
-        results = step.results
-        for name in step.non_satisfied:
-            timelines[name][t] = results[name].satisfied
+        for name, r in step.stored.items():
+            timelines[name][t] = r.satisfied
     for name, r in _trailing(contract, states[n], n, boundaries).items():
         timelines[name][n] = r.satisfied
     return timelines

@@ -89,10 +89,10 @@ def test_each_builder_makes_the_keyword_constructed_record(data):
     keyword = draw(step_evaluations())
     built = engine._step_evaluation(keyword.step, keyword.results, keyword.c_hard,
                                     keyword.c_soft, keyword.preconditions,
-                                    keyword.non_satisfied)
+                                    keyword.stored)
     assert_same(built, keyword)
-    assert built.non_satisfied == keyword.non_satisfied == tuple(
-        name for name, r in keyword.results.items() if r is not SATISFIED)
+    assert list(built.stored.items()) == list(keyword.stored.items()) == [
+        (name, r) for name, r in keyword.results.items() if r is not SATISFIED]
 
     values = drift_values(draw)
     sample = drift._drift_sample(*values)
@@ -154,7 +154,7 @@ def test_the_demo_report_survives_pickle_and_deepcopy():
         assert copied == report
         assert copied.to_dict() == report.to_dict()
         assert copied.to_json() == report.to_json()
-        assert copied.steps[0].evaluation.non_satisfied == report.steps[0].evaluation.non_satisfied
+        assert copied.steps[0].evaluation.stored == report.steps[0].evaluation.stored
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +168,19 @@ def dense(results) -> dict:
 def test_a_step_stores_only_its_non_satisfied_results():
     contract, report = demo()
     views = [r for s in report.steps for r in (s.evaluation, s.post_recovery) if r is not None]
-    assert any(view.non_satisfied for view in views)
-    assert any(not view.non_satisfied for view in views)
+    assert any(view.stored for view in views)
+    assert any(not view.stored for view in views)
     for evaluation in views:
         results = evaluation.results
         assert not isinstance(results, dict)
         assert list(results) == [c.name for c in contract.invariants() + contract.governance()]
-        assert evaluation.non_satisfied == tuple(
-            name for name, r in results.items() if r is not SATISFIED)
-        assert type(evaluation.non_satisfied) is tuple
-    passing = [v.results for v in views if not v.non_satisfied]
-    assert all(view is passing[0] for view in passing)   # one shared view per plan
+        assert list(evaluation.stored.items()) == [
+            (name, r) for name, r in results.items() if r is not SATISFIED]
+        assert type(evaluation.stored) is dict
+        assert evaluation.stored is results._stored   # the view shares it, not a copy
+    passing = [v for v in views if not v.stored]
+    assert all(v.results is passing[0].results for v in passing)   # one shared view per plan
+    assert all(v.stored is passing[0].stored for v in passing)     # and one empty mapping
 
 
 def test_the_view_reads_as_the_dense_dict():
@@ -257,5 +259,5 @@ def test_a_long_session_retains_little():
     finally:
         tracemalloc.stop()
     assert len(report.steps) == steps and report.outcome == "hard_violation"
-    assert sum(bool(s.evaluation.non_satisfied) for s in report.steps) == 240
+    assert sum(bool(s.evaluation.stored) for s in report.steps) == 240
     assert retained <= 1.5 * 2 ** 20, retained

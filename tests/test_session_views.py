@@ -198,6 +198,16 @@ def test_evaluate_step_refuses_a_bad_layout(stages, boundaries):
                       boundaries)
 
 
+def test_evaluate_step_reads_a_numpy_layout_as_check_boundaries_does():
+    contract, state, action = scoped_contract(3), {"x": 1, "y": 1}, ActionRecord("go")
+    for t in range(7):
+        ev = evaluate_step(contract, state, action, t, np.array([2, 4]))
+        assert ev == evaluate_step(contract, state, action, t, (2, 4)), t
+    assert OUT_OF_PHASE in ev.stored.values()
+    with pytest.raises(BadBoundaries, match="needs 2 boundaries, got 0"):
+        evaluate_step(contract, state, action, 3, np.array([]))
+
+
 def test_evaluate_step_sets_no_upper_bound():
     # A streaming monitor's layout may lie past the steps seen so far.
     ev = evaluate_step(scoped_contract(2), {"x": 1, "y": 1}, ActionRecord("go"), 7, (900,))

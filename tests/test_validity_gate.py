@@ -186,6 +186,14 @@ class TestLoneConstraints:
             evaluate_constraint(Constraint(name="c", check=predicate), {"y": "a"}, None, "state")
         assert str(caught.value) == f"c: {issue.message}"
 
+    def test_an_expression_spelling_is_refused_as_the_validator_refuses_it(self):
+        predicate = check("y", "<", 1)   # the expression spelling of "lt"
+        issue, = validate_contract(Contract(name="t", invariants_hard=(hard("c", predicate),)))
+        assert issue.rule == "unknown-operator"
+        with pytest.raises(SemanticError) as caught:
+            evaluate_constraint(Constraint(name="c", check=predicate), {"y": 0}, None, "state")
+        assert str(caught.value) == f"c: {issue.message}"
+
     def test_only_plans_keep_compiled_closures(self):
         handoff = HandoffSpec(invariants=(hard("h", check("a", "exists")),))
         upstream = base_contract(name="up", preconditions=(hard("ready", check("a", "exists")),))
